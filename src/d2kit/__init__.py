@@ -17,6 +17,7 @@ from .presentations import (
     serialize_presentation,
 )
 from .intlinalg import (
+    CertificateError,
     IntMatrix,
     SNFResult,
     smith_normal_form,
@@ -99,8 +100,9 @@ __all__ = [
     "Presentation", "ParseError", "UnknownGenerator", "EmptyGeneratorList",
     "InvariantFactors", "abelianization", "deficiency", "is_perfect",
     "parse_presentation", "serialize_presentation",
-    "IntMatrix", "SNFResult", "smith_normal_form", "solve_integer_system",
-    "infeasibility_certificate", "kernel_basis", "rank_over_field",
+    "CertificateError", "IntMatrix", "SNFResult", "smith_normal_form",
+    "solve_integer_system", "infeasibility_certificate", "kernel_basis",
+    "rank_over_field",
     "CosetTable", "FiniteGroupModel", "NotFinitelyEnumerated", "QuotientCheck",
     "find_normal_generator", "group_model", "is_trivial_quotient", "todd_coxeter",
     "AddGenerator", "AddRelator", "RemoveGenerator", "RemoveRelator",

@@ -29,11 +29,19 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
+    _assemble_blocks,
+    gr_integer_system,
     regular_rep_expand,
+    solve_gr_system,
+    unvec_columns,
+    vec_columns,
 )
 from .intlinalg import (
+    CertificateError,
+    DimensionMismatch,
     IntMatrix,
     determinant,
+    infeasibility_certificate,
     kernel_basis,
     lattices_equal,
     rank_over_field,
@@ -282,9 +290,6 @@ class SplitReport:
 
 
 def split_test(F):
-    from .groupring import solve_gr_system
-    from .intlinalg import infeasibility_certificate
-
     if F.top_degree != 3:
         raise ValueError("split_test needs a top-degree-3 complex")
     if not F.finite_mode:
@@ -293,34 +298,14 @@ def split_test(F):
     identity = GroupRingMatrix.identity(F.model, d3.cols)
     R = solve_gr_system(d3, identity, "left")
     if R is not None:
-        assert R.compose(d3).is_identity()
+        if not R.compose(d3).is_identity():
+            raise CertificateError("retraction fails R o d_3 == identity")
         return SplitReport(True, R)
-    # certificate from the expanded left system
-    big, rhs = _left_system(d3, identity)
+    big, rhs = gr_integer_system(d3, identity, "left")
     cert = infeasibility_certificate(big, rhs)
-    assert cert is not None and cert.verify(big, rhs)
+    if cert is None or not cert.verify(big, rhs):
+        raise CertificateError("no verified obstruction for an infeasible split")
     return SplitReport(False, None, cert)
-
-
-def _left_system(A, B):
-    """Integer system whose solutions are the X with X o A = B
-    (same encoding as solve_gr_system side="left")."""
-    from .groupring import _assemble_blocks
-
-    n = A.model.order
-    blocks = {}
-    for k in range(A.cols):
-        for j in range(A.rows):
-            e = A.entry(j, k)
-            if not e.is_zero():
-                blocks[(k, j)] = e.left_action_matrix()
-    big = _assemble_blocks(blocks, A.cols, A.rows, n)
-    rhs = [[0] * B.rows for _ in range(A.cols * n)]
-    for i in range(B.rows):
-        for k in range(B.cols):
-            for t, c in enumerate(B.entry(i, k).coeffs):
-                rhs[k * n + t][i] = c
-    return big, IntMatrix.from_rows(rhs) if rhs else IntMatrix(0, B.rows, [])
 
 
 def quotient_by_split_summand(F, report):
@@ -468,8 +453,6 @@ def _canonical_degree0(model, t0, s0):
 def _lift_chain_map(src, tgt, budget):
     """Degree-wise lift of the identity on Z to a chain map src -> tgt.
     Returns [phi0, phi1, phi2] or None."""
-    from .groupring import solve_gr_system
-
     model = src.model
     phi0 = _canonical_degree0(model, tgt.ranks[0], src.ranks[0])
     if not budget.spend():
@@ -485,7 +468,7 @@ def _lift_chain_map(src, tgt, budget):
     return [phi0, phi1, phi2]
 
 
-def _pi2_map_determinant(phi2, K_src, K_tgt, dim_tgt):
+def _pi2_map_determinant(phi2, K_src, K_tgt):
     """Determinant of the induced map of kernel lattices, or None when the
     ranks differ."""
     if len(K_src) != len(K_tgt):
@@ -493,15 +476,8 @@ def _pi2_map_determinant(phi2, K_src, K_tgt, dim_tgt):
     if not K_src:
         return 1
     E = regular_rep_expand(phi2)
-    images = []
-    for v in K_src:
-        col = [sum(E.entry(i, j) * v[j] for j in range(E.cols))
-               for i in range(E.rows)]
-        images.append(col)
-    img = IntMatrix(dim_tgt, len(K_src),
-                    [images[k][i] for i in range(dim_tgt) for k in range(len(K_src))])
-    basis = IntMatrix(dim_tgt, len(K_tgt),
-                      [K_tgt[k][i] for i in range(dim_tgt) for k in range(len(K_tgt))])
+    img = E * IntMatrix.from_rows(K_src).transpose()
+    basis = IntMatrix.from_rows(K_tgt).transpose()
     Y = solve_integer_system(basis, img)
     if Y is None:
         return None
@@ -575,118 +551,60 @@ def _cone_acyclic(dims, Ds, model):
 
 
 class _GrSystem:
-    """Assembler for integer systems that are linear in unknown ZG matrices.
+    """Integer system linear in unknown ZG matrices.
 
-    Terms are compose(K, X) or compose(X, K) for known K; each output
-    entry contributes |G| integer equations.
+    Each equation sum(terms) = rhs contributes one |G|-row block per entry
+    of rhs, row-major; each entry of each unknown is one |G|-column block,
+    in the order the unknowns were added.
     """
 
     def __init__(self, model):
         self.model = model
-        self.order = model.order
         self.unknowns = {}       # name -> (entry offset, rows, cols)
         self.total_entries = 0
-        self.equations = []      # list of (terms, rhs_entry) per output entry
-        self._left_cache = {}
-        self._right_cache = {}
+        self.blocks = []         # (rhs entry, unknown entry, element, action)
+        self.rhs = []            # rhs entries in block-row order
 
     def add_unknown(self, name, rows, cols):
         self.unknowns[name] = (self.total_entries, rows, cols)
         self.total_entries += rows * cols
 
-    def _entry_index(self, name, i, j):
-        off, rows, cols = self.unknowns[name]
-        return off + i * cols + j
-
-    def _right_action(self, element):
-        key = element.coeffs
-        if key not in self._right_cache:
-            self._right_cache[key] = element.right_action_matrix()
-        return self._right_cache[key]
-
-    def _left_action(self, element):
-        key = element.coeffs
-        if key not in self._left_cache:
-            self._left_cache[key] = element.left_action_matrix()
-        return self._left_cache[key]
-
-    def equation(self, rows, cols):
-        eq = _GrEquation(self, rows, cols)
-        return eq
+    def add_equation(self, rhs, *terms):
+        """sum(terms) = rhs for a known rhs. A term (K, "x") is compose(K, X):
+        output (i,k) gains the right action of K_ij on X_jk. A term ("x", K)
+        is compose(X, K): output (i,k) gains the left action of K_jk on X_ij."""
+        base, cols = len(self.rhs), rhs.cols
+        for a, b in terms:
+            if isinstance(b, str):
+                K, (off, xr, xc) = a, self.unknowns[b]
+                if K.rows != rhs.rows or K.cols != xr or xc != cols:
+                    raise DimensionMismatch(f"compose(K, {b}) does not fit")
+                self.blocks += [
+                    (base + i * cols + k, off + j * xc + k, K.entry(i, j),
+                     GroupRingElement.right_action_matrix)
+                    for i in range(K.rows) for j in range(K.cols)
+                    for k in range(xc)]
+            else:
+                (off, xr, xc), K = self.unknowns[a], b
+                if xr != rhs.rows or xc != K.rows or K.cols != cols:
+                    raise DimensionMismatch(f"compose({a}, K) does not fit")
+                self.blocks += [
+                    (base + i * cols + k, off + i * xc + j, K.entry(j, k),
+                     GroupRingElement.left_action_matrix)
+                    for j in range(K.rows) for k in range(K.cols)
+                    for i in range(xr)]
+        self.rhs.extend(rhs.entries)
 
     def solve(self):
-        n = self.order
-        rows = []
-        rhs = []
-        for terms, rhs_entry in self.equations:
-            for t in range(n):
-                row = [0] * (self.total_entries * n)
-                for entry_idx, action in terms:
-                    arow = action.row(t)
-                    base = entry_idx * n
-                    for c in range(n):
-                        if arow[c]:
-                            row[base + c] += arow[c]
-                rows.append(row)
-                rhs.append(rhs_entry.coeffs[t])
-        A = IntMatrix.from_rows(rows) if rows else IntMatrix(0, self.total_entries * n, [])
-        B = IntMatrix(len(rhs), 1, rhs)
-        sol = solve_integer_system(A, B)
+        big = _assemble_blocks(self.blocks, len(self.rhs), self.total_entries,
+                               self.model.order)
+        rhs = vec_columns(GroupRingMatrix(self.model, len(self.rhs), 1, self.rhs))
+        sol = solve_integer_system(big, rhs)
         if sol is None:
             return None
-        out = {}
-        for name, (off, r, c) in self.unknowns.items():
-            entries = []
-            for idx in range(r * c):
-                base = (off + idx) * n
-                entries.append(GroupRingElement(
-                    self.model, [sol.entry(base + t, 0) for t in range(n)]))
-            out[name] = GroupRingMatrix(self.model, r, c, entries)
-        return out
-
-
-class _GrEquation:
-    """One ZG-matrix equation  sum(terms) = rhs  of fixed shape."""
-
-    def __init__(self, system, rows, cols):
-        self.system = system
-        self.rows = rows
-        self.cols = cols
-        self.cells = [[[] for _ in range(cols)] for _ in range(rows)]
-
-    def add_known_compose_unknown(self, K, xname):
-        """Term compose(K, X): output (i,k) sums R(K_ij) acting on X_(j,k)."""
-        sys = self.system
-        _, xr, xc = sys.unknowns[xname]
-        assert K.cols == xr and K.rows == self.rows and xc == self.cols
-        for i in range(K.rows):
-            for j in range(K.cols):
-                e = K.entry(i, j)
-                if e.is_zero():
-                    continue
-                act = sys._right_action(e)
-                for k in range(xc):
-                    self.cells[i][k].append((sys._entry_index(xname, j, k), act))
-
-    def add_unknown_compose_known(self, xname, K):
-        """Term compose(X, K): output (i,k) sums L(K_jk) acting on X_(i,j)."""
-        sys = self.system
-        _, xr, xc = sys.unknowns[xname]
-        assert xc == K.rows and xr == self.rows and K.cols == self.cols
-        for j in range(K.rows):
-            for k in range(K.cols):
-                e = K.entry(j, k)
-                if e.is_zero():
-                    continue
-                act = sys._left_action(e)
-                for i in range(xr):
-                    self.cells[i][k].append((sys._entry_index(xname, i, j), act))
-
-    def finish(self, rhs):
-        assert rhs.rows == self.rows and rhs.cols == self.cols
-        for i in range(self.rows):
-            for k in range(self.cols):
-                self.system.equations.append((self.cells[i][k], rhs.entry(i, k)))
+        x = unvec_columns(self.model, self.total_entries, 1, sol).entries
+        return {name: GroupRingMatrix(self.model, r, c, x[off:off + r * c])
+                for name, (off, r, c) in self.unknowns.items()}
 
 
 def _contract_cone(dims, Ds, model, budget):
@@ -699,20 +617,10 @@ def _contract_cone(dims, Ds, model, budget):
     sys.add_unknown("s0", c1, c0)
     sys.add_unknown("s1", c2, c1)
     sys.add_unknown("s2", c3, c2)
-    eq = sys.equation(c0, c0)
-    eq.add_known_compose_unknown(D1, "s0")
-    eq.finish(GroupRingMatrix.identity(model, c0))
-    eq = sys.equation(c1, c1)
-    eq.add_known_compose_unknown(D2, "s1")
-    eq.add_unknown_compose_known("s0", D1)
-    eq.finish(GroupRingMatrix.identity(model, c1))
-    eq = sys.equation(c2, c2)
-    eq.add_known_compose_unknown(D3, "s2")
-    eq.add_unknown_compose_known("s1", D2)
-    eq.finish(GroupRingMatrix.identity(model, c2))
-    eq = sys.equation(c3, c3)
-    eq.add_unknown_compose_known("s2", D3)
-    eq.finish(GroupRingMatrix.identity(model, c3))
+    sys.add_equation(GroupRingMatrix.identity(model, c0), (D1, "s0"))
+    sys.add_equation(GroupRingMatrix.identity(model, c1), (D2, "s1"), ("s0", D1))
+    sys.add_equation(GroupRingMatrix.identity(model, c2), (D3, "s2"), ("s1", D2))
+    sys.add_equation(GroupRingMatrix.identity(model, c3), ("s2", D3))
     sol = sys.solve()
     if sol is None:
         return None
@@ -745,17 +653,15 @@ def _extract_certificate(phi, src, tgt, contraction):
 def _attempt_orientation(src, tgt, budget):
     """Try to certify src ~ tgt by lifting src -> tgt and contracting the
     cone. Returns (forward src->tgt, backward, hom_src, hom_tgt) or None."""
-    order = src.model.order
     phi = _lift_chain_map(src, tgt, budget)
     if phi is None:
         return None
     K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
     K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
-    dim_tgt = tgt.ranks[2] * order
     for phi2 in _phi2_candidates(phi, src, tgt, K_tgt, budget):
         if budget.used > budget.limit:
             return None
-        det = _pi2_map_determinant(phi2, K_src, K_tgt, dim_tgt)
+        det = _pi2_map_determinant(phi2, K_src, K_tgt)
         if det not in (1, -1):
             continue
         cand = [phi[0], phi[1], phi2]

@@ -34,6 +34,8 @@ from .presentations import ParseError, parse_presentation
 
 DEFAULT_MAX_COSETS = 20000
 DEFAULT_BUDGET = 60
+# the correction search needs more room than the deficiency search
+CERTIFY_BUDGET = 600
 
 
 class CliError(Exception):
@@ -337,17 +339,22 @@ def _default_corpus():
     return os.environ.get("D2KIT_CORPUS", "corpus")
 
 
+def _common_flags(budget):
+    """Parent parser of the shared flags. Subparsers share its argument
+    objects, so a subcommand with another --budget default needs its own."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    common.add_argument("--budget", type=int, default=budget)
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    return common
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="d2kit",
         description="exact invariants of finitely presented groups and "
                     "algebraic 2-complexes")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved; affects nothing mathematical")
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    common = _common_flags(DEFAULT_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -396,12 +403,11 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("certify-equiv", parents=[common],
+    p = sub.add_parser("certify-equiv", parents=[_common_flags(CERTIFY_BUDGET)],
                        help="certify chain-homotopy equivalence")
     p.add_argument("f")
     p.add_argument("g")
-    # the correction search needs more room than the deficiency search
-    p.set_defaults(func=cmd_certify_equiv, budget=600)
+    p.set_defaults(func=cmd_certify_equiv)
 
     p = sub.add_parser("report", parents=[common],
                        help="one-row-per-file table over a corpus directory")

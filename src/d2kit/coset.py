@@ -382,10 +382,10 @@ def find_normal_generator(P, max_len, max_cosets):
     if not is_perfect(P):
         return NormalGeneratorSearch("not-found-within-bounds",
                                      warnings=("non-perfect",))
-    model = None
-    tc = todd_coxeter(P, max_cosets)
-    if tc.complete:
+    try:
         model = group_model(P, max_cosets)
+    except NotFinitelyEnumerated:
+        model = None
     seen_classes = set()
     tested = 0
     warnings = []

@@ -26,7 +26,7 @@ unknowns are the ZG coefficients of X, so equivariance is built in.
 
 from __future__ import annotations
 
-from .intlinalg import DimensionMismatch, IntMatrix, solve_integer_system
+from .intlinalg import CertificateError, DimensionMismatch, IntMatrix, solve_integer_system
 
 
 class ModelMismatch(ValueError):
@@ -295,32 +295,42 @@ class GroupRingMatrix:
 
 
 def _assemble_blocks(blocks, block_rows, block_cols, n):
-    """Dense IntMatrix from a dict (i,j) -> IntMatrix of shape n x n."""
+    """Dense (block_rows*n) x (block_cols*n) IntMatrix from (bi, bj, z, action)
+    blocks: the n x n integer matrix action(z) of the ZG element z is added
+    at block position (bi, bj). Blocks sharing a position sum."""
     out = [[0] * (block_cols * n) for _ in range(block_rows * n)]
-    for (bi, bj), M in blocks.items():
+    for bi, bj, z, action in blocks:
+        if z.is_zero():
+            continue
+        M = action(z)
         for r in range(n):
             row = out[bi * n + r]
-            mrow = M.row(r)
-            for c in range(n):
-                if mrow[c]:
-                    row[bj * n + c] = mrow[c]
+            for c, x in enumerate(M.row(r), bj * n):
+                if x:
+                    row[c] += x
     return IntMatrix.from_rows(out) if out else IntMatrix(0, block_cols * n, [])
+
+
+def _expand(M, action):
+    """Integer matrix whose block (i, j) is action(M_ij)."""
+    return _assemble_blocks(
+        ((i, j, M.entry(i, j), action)
+         for i in range(M.rows) for j in range(M.cols)),
+        M.rows, M.cols, M.model.order)
+
+
+def _transpose_grid(M):
+    """The entries of M in transposed positions (no anti-involution)."""
+    return GroupRingMatrix(M.model, M.cols, M.rows,
+                           [M.entry(i, j) for j in range(M.cols)
+                            for i in range(M.rows)])
 
 
 def regular_rep_expand(M):
     """Expand a ZG matrix to the integer matrix of its action on stacked
     coefficient columns. Multiplicative for composition:
     expand(M o N) == expand(M) * expand(N)."""
-    n = M.model.order
-    blocks = {}
-    for i in range(M.rows):
-        for j in range(M.cols):
-            e = M.entry(i, j)
-            if not e.is_zero():
-                blocks[(i, j)] = e.right_action_matrix()
-    if M.rows == 0:
-        return IntMatrix(0, M.cols * n, [])
-    return _assemble_blocks(blocks, M.rows, M.cols, n)
+    return _expand(M, GroupRingElement.right_action_matrix)
 
 
 def vec_columns(M):
@@ -346,54 +356,45 @@ def unvec_columns(model, rows, cols, X):
     return GroupRingMatrix(model, rows, cols, entries)
 
 
+def gr_integer_system(A, B, side):
+    """Integer system (big, rhs) whose solutions x of big * x = rhs are the
+    ZG coefficients of the X with A o X = B (side="right") or X o A = B
+    (side="left").
+
+    Right: big = regular_rep_expand(A) and x = vec_columns(X). Left: column
+    i of x holds row i of X, since sum_j L(A_jk) X_ij = B_ik with L the left
+    action; so big expands the transposed grid of A by left actions and
+    x = vec_columns of the transposed grid of X.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if A.model is not B.model and not A.model.same_table(B.model):
+        raise ModelMismatch("A and B live over different group models")
+    if side == "right":
+        if A.rows != B.rows:
+            raise DimensionMismatch("A and B need equal row counts")
+        return regular_rep_expand(A), vec_columns(B)
+    if A.cols != B.cols:
+        raise DimensionMismatch("A and B need equal column counts")
+    return (_expand(_transpose_grid(A), GroupRingElement.left_action_matrix),
+            vec_columns(_transpose_grid(B)))
+
+
 def solve_gr_system(A, B, side):
     """Solve A o X = B (side="right") or X o A = B (side="left") over ZG.
 
     Returns the GroupRingMatrix X from the deterministic integer solver,
     re-verified by exact ZG composition, or None when certified infeasible.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if A.model is not B.model and not A.model.same_table(B.model):
-        raise ModelMismatch("A and B live over different group models")
-    n = A.model.order
-    if side == "right":
-        # X: A.cols x B.cols; expand(A) * vec(X) = vec(B) column by column
-        if A.rows != B.rows:
-            raise DimensionMismatch("A and B need equal row counts")
-        big = regular_rep_expand(A)
-        sol = solve_integer_system(big, vec_columns(B))
-        if sol is None:
-            return None
-        X = unvec_columns(A.model, A.cols, B.cols, sol)
-        assert A.compose(X) == B
-        return X
-    # left: X: B.rows x A.rows; per row i of X:
-    #   sum_j L(A_jk) x_ij = vec(B_ik) stacked over k
-    if A.cols != B.cols:
-        raise DimensionMismatch("A and B need equal column counts")
-    blocks = {}
-    for k in range(A.cols):
-        for j in range(A.rows):
-            e = A.entry(j, k)
-            if not e.is_zero():
-                blocks[(k, j)] = e.left_action_matrix()
-    big = _assemble_blocks(blocks, A.cols, A.rows, n)
-    rhs_rows = A.cols * n
-    rhs = [[0] * B.rows for _ in range(rhs_rows)]
-    for i in range(B.rows):
-        for k in range(B.cols):
-            for t, c in enumerate(B.entry(i, k).coeffs):
-                rhs[k * n + t][i] = c
-    sol = solve_integer_system(big, IntMatrix.from_rows(rhs)
-                               if rhs else IntMatrix(0, B.rows, []))
+    sol = solve_integer_system(*gr_integer_system(A, B, side))
     if sol is None:
         return None
-    entries = []
-    for i in range(B.rows):
-        for j in range(A.rows):
-            entries.append(GroupRingElement(
-                A.model, [sol.entry(j * n + t, i) for t in range(n)]))
-    X = GroupRingMatrix(A.model, B.rows, A.rows, entries)
-    assert X.compose(A) == B
+    if side == "right":
+        X = unvec_columns(A.model, A.cols, B.cols, sol)
+        if A.compose(X) != B:
+            raise CertificateError("solution fails A o X == B")
+    else:
+        X = _transpose_grid(unvec_columns(A.model, A.rows, B.rows, sol))
+        if X.compose(A) != B:
+            raise CertificateError("solution fails X o A == B")
     return X

@@ -18,6 +18,10 @@ class NotPrime(ValueError):
     pass
 
 
+class CertificateError(ArithmeticError):
+    """An exact re-verification of a computed result failed."""
+
+
 def xgcd(a, b):
     """Return (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
     x, next_x = 1, 0

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import d2kit
 from d2kit import acx
 from d2kit.chains import (
     AlgebraicComplex,
@@ -407,3 +412,62 @@ def test_acx_bad_input():
         acx.loads("[ranks]\n1 1\n")
     with pytest.raises(acx.AcxError):
         acx.loads("[group]\nmode: nonsense\n[ranks]\n1\n")
+
+
+# Each case breaks one step under a re-verification and expects it to raise.
+# The script runs under `python -O`, which strips assert statements.
+_OPTIMIZED_CHECKS = """
+from d2kit import chains, groupring
+from d2kit.chains import _GrSystem, attach_three_cells, presentation_complex, split_test
+from d2kit.coset import group_model
+from d2kit.groupring import GroupRingElement, GroupRingMatrix, solve_gr_system
+from d2kit.intlinalg import CertificateError, DimensionMismatch, IntMatrix
+from d2kit.presentations import parse_presentation
+
+P = parse_presentation("gens: x\\nrels: x^2\\n")
+m = group_model(P, 100)
+one = GroupRingMatrix.identity(m, 1)
+B = GroupRingMatrix(m, 1, 1, [GroupRingElement.from_pairs(m, [(0, 1), (1, 1)])])
+x_minus_1 = GroupRingMatrix(m, 1, 1, [GroupRingElement.from_pairs(m, [(1, 1), (0, -1)])])
+X = attach_three_cells(presentation_complex(P, m), x_minus_1)  # does not split
+
+
+def expect(name, error, fn, *args):
+    try:
+        fn(*args)
+    except error:
+        print(name)
+
+
+def wrong_solution(A, B):
+    return IntMatrix.zeros(A.cols, B.cols)
+
+
+print("asserts" if __debug__ else "optimized")
+real = groupring.solve_integer_system
+groupring.solve_integer_system = wrong_solution
+expect("right", CertificateError, solve_gr_system, one, B, "right")
+expect("left", CertificateError, solve_gr_system, one, B, "left")
+groupring.solve_integer_system = real
+chains.solve_gr_system = lambda A, B, side: GroupRingMatrix.zeros(m, 1, 1)
+X1 = attach_three_cells(presentation_complex(P, m), GroupRingMatrix.zeros(m, 1, 1))
+expect("retraction", CertificateError, split_test, X1)
+chains.solve_gr_system = solve_gr_system
+chains.infeasibility_certificate = lambda A, B: None
+expect("obstruction", CertificateError, split_test, X)
+system = _GrSystem(m)
+system.add_unknown("s", 1, 2)
+expect("shape-KX", DimensionMismatch, system.add_equation, one, (one, "s"))
+expect("shape-XK", DimensionMismatch, system.add_equation, one, ("s", one))
+"""
+
+
+def test_reverifications_raise_under_python_optimize():
+    src = str(Path(d2kit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_CHECKS],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [
+        "optimized", "right", "left", "retraction", "obstruction",
+        "shape-KX", "shape-XK"]

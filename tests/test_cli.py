@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from d2kit.cli import main
+from d2kit.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -188,3 +188,16 @@ def test_console_script_entry():
     r = run_cli(["analyze", str(CORPUS / "z2.fp")])
     assert r.returncode == 0
     assert "order: 2" in r.stdout
+
+
+def test_budget_default_per_subcommand():
+    # certify-equiv's larger default must not leak into the other commands
+    parser = build_parser()
+    cases = {"analyze": ["f.fp"], "check": ["f.fp"], "report": [],
+             "order": ["f.fp"], "normal-gen": ["f.fp"],
+             "chain": ["f.fp", "--out", "o.acx"], "wedge": ["a.acx", "1"],
+             "split": ["a.acx"], "quotient": ["a.acx"],
+             "certify-equiv": ["a.acx", "b.acx"]}
+    for command, rest in cases.items():
+        expected = 600 if command == "certify-equiv" else 60
+        assert parser.parse_args([command, *rest]).budget == expected, command
