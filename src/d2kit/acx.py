@@ -95,6 +95,13 @@ def _sections(text):
     return out
 
 
+def _index(text, bound, what):
+    i = int(text)
+    if not 0 <= i < bound:
+        raise AcxError(f"{what} index {i} out of range for size {bound}")
+    return i
+
+
 def loads(text):
     sec = _sections(text)
     if "[group]" not in sec or "[ranks]" not in sec:
@@ -141,11 +148,14 @@ def loads(text):
                        for _ in range(rows)]
             for line in body:
                 parts = line.split()
-                r, c = int(parts[0]), int(parts[1])
+                if len(parts) < 2:
+                    raise AcxError(f"{key} line {line!r} lacks a row and column")
+                r = _index(parts[0], rows, "row")
+                c = _index(parts[1], cols, "column")
                 pairs = []
                 for p in parts[2:]:
                     idx, _, coeff = p.partition(":")
-                    pairs.append((int(idx), int(coeff)))
+                    pairs.append((_index(idx, order, "element"), int(coeff)))
                 entries[r][c] = GroupRingElement.from_pairs(model, pairs)
             boundaries.append(GroupRingMatrix.from_rows(model, entries)
                               if rows else GroupRingMatrix(model, 0, cols, []))
@@ -153,7 +163,7 @@ def loads(text):
             entries = [[0] * cols for _ in range(rows)]
             for line in body:
                 r, c, v = line.split()
-                entries[int(r)][int(c)] = int(v)
+                entries[_index(r, rows, "row")][_index(c, cols, "column")] = int(v)
             boundaries.append(IntMatrix(rows, cols,
                                         [x for row in entries for x in row]))
     return AlgebraicComplex(ranks, model, tuple(boundaries), presentation)

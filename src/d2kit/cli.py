@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import acx
 from .chains import (
+    DEFAULT_CERTIFY_BUDGET,
     attach_three_cells,
     certify_chain_equivalence,
     euler_characteristic,
@@ -27,15 +28,10 @@ from .chains import (
     stabilize_wedge,
     validate_complex,
 )
-from .coset import find_normal_generator, group_model, todd_coxeter
-from .groupring import GroupRingElement, GroupRingMatrix
-from .invariants import analyze_presentation
+from .coset import DEFAULT_MAX_COSETS, find_normal_generator, group_model, todd_coxeter
+from .groupring import GroupRingMatrix
+from .invariants import DEFAULT_SEARCH_BUDGET, analyze_presentation
 from .presentations import ParseError, parse_presentation
-
-DEFAULT_MAX_COSETS = 20000
-DEFAULT_BUDGET = 60
-# the correction search needs more room than the deficiency search
-CERTIFY_BUDGET = 600
 
 
 class CliError(Exception):
@@ -213,17 +209,8 @@ def cmd_wedge(args):
     if args.attach:
         if not W.finite_mode:
             raise CliError("--attach requires a finite-mode complex")
-        model = W.model
-        z = GroupRingElement.zero(model)
-        one = GroupRingElement.one(model)
-        f2 = W.ranks[2]
-        cols = []
-        for k in range(args.n):
-            col = [z] * f2
-            col[f2 - args.n + k] = one
-            cols.append(col)
-        d3 = GroupRingMatrix(model, f2, args.n,
-                             [cols[k][i] for i in range(f2) for k in range(args.n)])
+        d3 = GroupRingMatrix.zeros(W.model, W.ranks[2] - args.n, args.n).vstack(
+            GroupRingMatrix.identity(W.model, args.n))
         W = attach_three_cells(W, d3)
         attached = True
     out = args.out or args.acx
@@ -354,7 +341,7 @@ def build_parser():
         prog="d2kit",
         description="exact invariants of finitely presented groups and "
                     "algebraic 2-complexes")
-    common = _common_flags(DEFAULT_BUDGET)
+    common = _common_flags(DEFAULT_SEARCH_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -403,7 +390,8 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("certify-equiv", parents=[_common_flags(CERTIFY_BUDGET)],
+    p = sub.add_parser("certify-equiv",
+                       parents=[_common_flags(DEFAULT_CERTIFY_BUDGET)],
                        help="certify chain-homotopy equivalence")
     p.add_argument("f")
     p.add_argument("g")

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .intlinalg import CertificateError
 from .presentations import Presentation
 from .words import Word, words_in_length_lex_order
+
+DEFAULT_MAX_COSETS = 20000
 
 
 class NotFinitelyEnumerated(ValueError):
@@ -217,7 +220,8 @@ def _compress_and_standardize(table):
                 order[b] = count
                 count += 1
                 queue.append(b)
-    assert count == n
+    if count != n:
+        raise CertificateError("standardization missed live cosets")
     out = [[0] * table.ncols for _ in range(n)]
     for a in range(n):
         for c in range(table.ncols):
@@ -256,7 +260,8 @@ def todd_coxeter(P, max_cosets, strategy="hlt"):
             _enumerate_felsch(table, relator_cols)
     except _Limit:
         return CosetTable("incomplete", len(table.live()), (), strategy)
-    assert table.is_complete()
+    if not table.is_complete():
+        raise CertificateError("enumeration ended with an incomplete table")
     rows = _compress_and_standardize(table)
     return CosetTable("complete", len(rows),
                       tuple(tuple(r) for r in rows), strategy)
@@ -332,7 +337,8 @@ def group_model(P, max_cosets, strategy="hlt"):
     gen_images = tuple(rows[0][_col(g, 1)] for g in range(P.num_generators))
     model = FiniteGroupModel(n, tuple(mult), tuple(inverse), gen_images)
     for r in P.relators:
-        assert model.evaluate_word(r) == 0
+        if model.evaluate_word(r) != 0:
+            raise CertificateError("a relator does not hold in the model")
     return model
 
 

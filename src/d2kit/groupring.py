@@ -387,8 +387,11 @@ def solve_gr_system(A, B, side):
     re-verified by exact ZG composition, or None when certified infeasible.
     """
     sol = solve_integer_system(*gr_integer_system(A, B, side))
-    if sol is None:
-        return None
+    return None if sol is None else _gr_solution(A, B, side, sol)
+
+
+def _gr_solution(A, B, side, sol):
+    """X from a solution of gr_integer_system(A, B, side), re-verified."""
     if side == "right":
         X = unvec_columns(A.model, A.cols, B.cols, sol)
         if A.compose(X) != B:

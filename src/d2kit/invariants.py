@@ -16,17 +16,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import euler_characteristic, regular_rep_expand
-from .coset import todd_coxeter
+from .coset import DEFAULT_MAX_COSETS, todd_coxeter
 from .intlinalg import rank_over_field
 from .presentations import abelianization, deficiency
 from .tietze import deficiency_search, subpresentation
 
-DEFAULT_MAX_COSETS = 20000
 DEFAULT_SEARCH_BUDGET = 60
 
 
 class NotCertifiedFinite(ValueError):
     pass
+
+
+def _certified_order(P, max_cosets):
+    """|G| certified by one coset enumeration, or None when it is incomplete."""
+    tc = todd_coxeter(P, max_cosets)
+    return tc.num_cosets if tc.complete else None
+
+
+def _mu2_lower(P, order, h1=None):
+    """(bound, provenance) for mu_2 given the certified order or None; b_1
+    is read from `h1` (the abelianization's invariant factors) when given."""
+    if order is not None:
+        return 1, f"finite group of order {order}: rational Betti numbers vanish"
+    if h1 is None:
+        h1 = abelianization(P).invariant_factors
+    b1 = h1.free_rank
+    return 1 - b1, f"1 - b_1 with b_1 = {b1} (rational first Betti number)"
 
 
 def mu2_lower_bound(P, order=None, max_cosets=DEFAULT_MAX_COSETS):
@@ -39,13 +55,8 @@ def mu2_lower_bound(P, order=None, max_cosets=DEFAULT_MAX_COSETS):
     Returns (bound, provenance string).
     """
     if order is None:
-        tc = todd_coxeter(P, max_cosets)
-        if tc.complete:
-            order = tc.num_cosets
-    if order is not None:
-        return 1, f"finite group of order {order}: rational Betti numbers vanish"
-    b1 = abelianization(P).invariant_factors.free_rank
-    return 1 - b1, f"1 - b_1 with b_1 = {b1} (rational first Betti number)"
+        order = _certified_order(P, max_cosets)
+    return _mu2_lower(P, order)
 
 
 @dataclass(frozen=True)
@@ -62,18 +73,21 @@ class Mu2Sandwich:
             raise ValueError("sandwich bounds crossed; a certificate is wrong")
 
 
+def _sandwich(search, lower, lower_prov):
+    upper = 1 - search.deficiency
+    upper_prov = (f"1 - def of best found presentation "
+                  f"(def = {search.deficiency}, visited {search.visited})")
+    return Mu2Sandwich(lower, lower_prov, upper, upper_prov, lower == upper,
+                       search.best)
+
+
 def mu2_sandwich(P, search_budget=DEFAULT_SEARCH_BUDGET,
                  max_cosets=DEFAULT_MAX_COSETS):
     """Two-sided estimate of mu_2: lower from rational homology, upper as
     1 - def(best presentation found). When tight, def(G) = 1 - mu_2(G) and
     both invariants are exactly determined."""
-    lower, lower_prov = mu2_lower_bound(P, max_cosets=max_cosets)
-    search = deficiency_search(P, search_budget)
-    upper = 1 - search.deficiency
-    upper_prov = (f"1 - def of best found presentation "
-                  f"(def = {search.deficiency}, visited {search.visited})")
-    return Mu2Sandwich(lower, lower_prov, upper, upper_prov,
-                       lower == upper, search.best)
+    lower = _mu2_lower(P, _certified_order(P, max_cosets))
+    return _sandwich(deficiency_search(P, search_budget), *lower)
 
 
 @dataclass(frozen=True)
@@ -108,10 +122,8 @@ def swan_inequality_check(P, max_cosets=DEFAULT_MAX_COSETS):
     """Verify def(P) <= 1 - mu2_lower_bound for this presentation, plus the
     finite-group bound def <= 0 when finiteness is certified; records the
     conjecture-conditional bound def >= -mu2 without asserting it."""
-    tc = todd_coxeter(P, max_cosets)
-    order = tc.num_cosets if tc.complete else None
-    low, _ = mu2_lower_bound(P, order=order)
-    return _swan_report(deficiency(P), low, order is not None)
+    order = _certified_order(P, max_cosets)
+    return _swan_report(deficiency(P), _mu2_lower(P, order)[0], order is not None)
 
 
 @dataclass(frozen=True)
@@ -128,18 +140,19 @@ class D2nEstimate:
     mu2_provenance: str
 
 
+def _d2n(search, lower, lower_prov):
+    return D2nEstimate(2 - search.deficiency - lower, search.deficiency,
+                       f"deficiency search, visited {search.visited}",
+                       lower, lower_prov)
+
+
 def d2n_estimate(P, search_budget=DEFAULT_SEARCH_BUDGET,
                  max_cosets=DEFAULT_MAX_COSETS):
-    tc = todd_coxeter(P, max_cosets)
-    if not tc.complete:
+    order = _certified_order(P, max_cosets)
+    if order is None:
         raise NotCertifiedFinite(
             "the wedge index bound applies to certified finite groups only")
-    low, low_prov = mu2_lower_bound(P, order=tc.num_cosets)
-    search = deficiency_search(P, search_budget)
-    n_upper = 2 - search.deficiency - low
-    return D2nEstimate(n_upper, search.deficiency,
-                       f"deficiency search, visited {search.visited}",
-                       low, low_prov)
+    return _d2n(deficiency_search(P, search_budget), *_mu2_lower(P, order))
 
 
 @dataclass(frozen=True)
@@ -157,33 +170,14 @@ class PresentationAnalysis:
 
 def analyze_presentation(P, search_budget=DEFAULT_SEARCH_BUDGET,
                          max_cosets=DEFAULT_MAX_COSETS):
-    from .coset import todd_coxeter as _tc
-
-    tc = _tc(P, max_cosets)
-    order = tc.num_cosets if tc.complete else None
-    ab = abelianization(P)
+    order = _certified_order(P, max_cosets)
+    h1 = abelianization(P).invariant_factors
     search = deficiency_search(P, search_budget)
-    if order is not None:
-        lower, lower_prov = 1, (f"finite group of order {order}: rational "
-                                "Betti numbers vanish")
-    else:
-        b1 = ab.invariant_factors.free_rank
-        lower, lower_prov = 1 - b1, (f"1 - b_1 with b_1 = {b1} (rational "
-                                     "first Betti number)")
-    upper = 1 - search.deficiency
-    upper_prov = (f"1 - def of best found presentation "
-                  f"(def = {search.deficiency}, visited {search.visited})")
-    sandwich = Mu2Sandwich(lower, lower_prov, upper, upper_prov,
-                           lower == upper, search.best)
-    swan = _swan_report(deficiency(P), lower, order is not None)
-    d2n = None
-    if order is not None:
-        d2n = D2nEstimate(2 - search.deficiency - lower, search.deficiency,
-                          f"deficiency search, visited {search.visited}",
-                          lower, lower_prov)
-    return PresentationAnalysis(order, ab.invariant_factors,
-                                ab.invariant_factors.is_trivial(),
-                                deficiency(P), sandwich, swan, d2n)
+    lower = _mu2_lower(P, order, h1)
+    return PresentationAnalysis(
+        order, h1, h1.is_trivial(), deficiency(P), _sandwich(search, *lower),
+        _swan_report(deficiency(P), lower[0], order is not None),
+        None if order is None else _d2n(search, *lower))
 
 
 @dataclass(frozen=True)

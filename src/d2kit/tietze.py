@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
 from .presentations import Presentation, deficiency, serialize_presentation
 from .words import Word
 
@@ -299,7 +300,7 @@ class ExtensionResult:
 
 
 def replace_subpresentation(P, sub_gens, sub_rels, alternative, lifting,
-                            max_cosets=20000):
+                            max_cosets=DEFAULT_MAX_COSETS):
     """Rebuild a presentation of P's group from an alternative presentation
     of a sub-presentation's group.
 
@@ -314,8 +315,6 @@ def replace_subpresentation(P, sub_gens, sub_rels, alternative, lifting,
     enumerates within `max_cosets`; otherwise it is accepted caller-asserted
     and recorded in the notes.
     """
-    from .coset import group_model, todd_coxeter
-
     sub = subpresentation(P, sub_gens, sub_rels)  # validates
     sub_gens = sorted(set(sub_gens))
     sub_rels = sorted(set(sub_rels))
@@ -328,9 +327,12 @@ def replace_subpresentation(P, sub_gens, sub_rels, alternative, lifting,
 
     notes = []
     verified = False
-    tc = todd_coxeter(alternative, max_cosets)
-    if tc.complete:
+    try:
         model = group_model(alternative, max_cosets)
+    except NotFinitelyEnumerated:
+        notes.append("lifting accepted caller-asserted: alternative group "
+                     "did not enumerate within the coset limit")
+    else:
         images = {g: lifting[g] for g in sub_gens}
         for i in sub_rels:
             # sub-relators use only sub-generators (validated above)
@@ -339,9 +341,6 @@ def replace_subpresentation(P, sub_gens, sub_rels, alternative, lifting,
                 raise LiftingViolatesRelator(
                     f"relator {i} does not hold in the alternative group")
         verified = True
-    else:
-        notes.append("lifting accepted caller-asserted: alternative group "
-                     "did not enumerate within the coset limit")
 
     kept = [g for g in range(P.num_generators) if g not in set(sub_gens)]
     names = list(alternative.generators)

@@ -414,11 +414,31 @@ def test_acx_bad_input():
         acx.loads("[group]\nmode: nonsense\n[ranks]\n1\n")
 
 
+_Z2_D1 = ("[group]\nmode: finite\norder: 2\nmulttable:\n0 1\n1 0\n"
+          "generators: 1\n[ranks]\n1 1\n[d1]\n")
+_FREE_D1 = ("[group]\nmode: symbolic\n[presentation]\ngens: x\nrels:\n"
+            "[ranks]\n1 1\n[d1]\n")
+
+
+@pytest.mark.parametrize("text", [
+    _Z2_D1 + "-1 0 0:1\n", _Z2_D1 + "0 -1 0:1\n", _Z2_D1 + "0 0 -1:1\n",
+    _Z2_D1 + "1 0 0:1\n", _Z2_D1 + "0 1 0:1\n", _Z2_D1 + "0 0 2:1\n",
+    _FREE_D1 + "-1 0 1\n", _FREE_D1 + "0 1 1\n"],
+    ids=["row-neg", "col-neg", "elem-neg", "row-big", "col-big", "elem-big",
+         "symbolic-row-neg", "symbolic-col-big"])
+def test_acx_index_out_of_range(text):
+    # a negative index must not wrap to the last row or element
+    with pytest.raises(acx.AcxError, match="out of range"):
+        acx.loads(text)
+
+
 # Each case breaks one step under a re-verification and expects it to raise.
 # The script runs under `python -O`, which strips assert statements.
 _OPTIMIZED_CHECKS = """
-from d2kit import chains, groupring
-from d2kit.chains import _GrSystem, attach_three_cells, presentation_complex, split_test
+from d2kit import chains, coset, groupring
+from d2kit.chains import (
+    _GrSystem, attach_three_cells, certify_chain_equivalence,
+    presentation_complex, split_test)
 from d2kit.coset import group_model
 from d2kit.groupring import GroupRingElement, GroupRingMatrix, solve_gr_system
 from d2kit.intlinalg import CertificateError, DimensionMismatch, IntMatrix
@@ -449,16 +469,42 @@ groupring.solve_integer_system = wrong_solution
 expect("right", CertificateError, solve_gr_system, one, B, "right")
 expect("left", CertificateError, solve_gr_system, one, B, "left")
 groupring.solve_integer_system = real
-chains.solve_gr_system = lambda A, B, side: GroupRingMatrix.zeros(m, 1, 1)
+chains.solve_integer_system = wrong_solution
 X1 = attach_three_cells(presentation_complex(P, m), GroupRingMatrix.zeros(m, 1, 1))
 expect("retraction", CertificateError, split_test, X1)
-chains.solve_gr_system = solve_gr_system
+chains.solve_integer_system = real
 chains.infeasibility_certificate = lambda A, B: None
 expect("obstruction", CertificateError, split_test, X)
 system = _GrSystem(m)
 system.add_unknown("s", 1, 2)
 expect("shape-KX", DimensionMismatch, system.add_equation, one, (one, "s"))
 expect("shape-XK", DimensionMismatch, system.add_equation, one, ("s", one))
+
+
+class Disconnected:  # two live cosets that no column joins
+    ncols = 2
+    rows = [[0, 0], [1, 1]]
+
+    def live(self):
+        return [0, 1]
+
+    def rep(self, k):
+        return k
+
+
+expect("standardized", CertificateError, coset._compress_and_standardize,
+       Disconnected())
+is_complete = coset._Table.is_complete
+coset._Table.is_complete = lambda self: False
+expect("complete", CertificateError, coset.todd_coxeter, P, 100)
+coset._Table.is_complete = is_complete
+evaluate_word = coset.FiniteGroupModel.evaluate_word
+coset.FiniteGroupModel.evaluate_word = lambda self, w: 1
+expect("relators", CertificateError, coset.group_model, P, 100)
+coset.FiniteGroupModel.evaluate_word = evaluate_word
+chains.EquivalenceCertificate.verify = lambda self, F, G: False
+F0 = presentation_complex(P, m)
+expect("identity", CertificateError, certify_chain_equivalence, F0, F0)
 """
 
 
@@ -470,4 +516,5 @@ def test_reverifications_raise_under_python_optimize():
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == [
         "optimized", "right", "left", "retraction", "obstruction",
-        "shape-KX", "shape-XK"]
+        "shape-KX", "shape-XK", "standardized", "complete", "relators",
+        "identity"]

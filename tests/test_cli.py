@@ -140,6 +140,15 @@ def test_corrupted_acx_rejected(tmp_path, capsys):
     assert "d_1 o d_2 != 0" in capsys.readouterr().err
 
 
+def test_acx_index_out_of_range_rejected(tmp_path, capsys):
+    f = tmp_path / "F.acx"
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", str(f)]) == 0
+    f.write_text(f.read_text() + "0 5 0:1\n")  # column 5 of the last [dN]
+    capsys.readouterr()
+    assert main(["split", str(f)]) == 1
+    assert "column index 5 out of range" in capsys.readouterr().err
+
+
 def test_report_byte_identical(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

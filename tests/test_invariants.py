@@ -3,6 +3,7 @@ import pytest
 from d2kit.chains import presentation_complex, stabilize_wedge
 from d2kit.coset import group_model
 from d2kit.invariants import (
+    D2nEstimate,
     NotCertifiedFinite,
     _swan_report,
     d2n_estimate,
@@ -105,16 +106,51 @@ def test_analyze_presentation_matches_standalone_ops():
     for P in (Z5, A5, TREFOIL):
         a = analyze_presentation(P, search_budget=20, max_cosets=2000)
         s = mu2_sandwich(P, search_budget=20, max_cosets=2000)
-        assert (a.sandwich.lower, a.sandwich.upper, a.sandwich.tight) == \
-            (s.lower, s.upper, s.tight)
+        assert a.sandwich == s
         swan = swan_inequality_check(P, max_cosets=2000)
-        assert (a.swan.swan_ok, a.swan.certified_finite) == \
-            (swan.swan_ok, swan.certified_finite)
+        assert a.swan == swan
         if a.order is not None:
-            assert a.d2n.n_upper == \
-                d2n_estimate(P, search_budget=20, max_cosets=2000).n_upper
+            assert a.d2n == d2n_estimate(P, search_budget=20, max_cosets=2000)
         else:
             assert a.d2n is None
+    a = analyze_presentation(A5, search_budget=20, max_cosets=2000)
+    assert (a.sandwich.lower_provenance, a.sandwich.upper_provenance) == (
+        "finite group of order 60: rational Betti numbers vanish",
+        "1 - def of best found presentation (def = -1, visited 20)")
+    assert a.d2n == D2nEstimate(
+        2, -1, "deficiency search, visited 20",
+        1, "finite group of order 60: rational Betti numbers vanish")
+    t = analyze_presentation(TREFOIL, search_budget=20, max_cosets=2000)
+    assert (t.sandwich.lower_provenance, t.sandwich.upper_provenance) == (
+        "1 - b_1 with b_1 = 1 (rational first Betti number)",
+        "1 - def of best found presentation (def = 1, visited 1)")
+
+
+def test_each_view_enumerates_once_at_the_callers_limit(monkeypatch):
+    import d2kit.invariants as inv
+
+    limits = []
+    real = inv.todd_coxeter
+
+    def recording(P, max_cosets, strategy="hlt"):
+        limits.append(max_cosets)
+        return real(P, max_cosets, strategy)
+
+    monkeypatch.setattr(inv, "todd_coxeter", recording)
+    views = [
+        lambda: inv.mu2_sandwich(TREFOIL, search_budget=5, max_cosets=2000),
+        lambda: inv.swan_inequality_check(TREFOIL, max_cosets=2000),
+        lambda: inv.analyze_presentation(TREFOIL, search_budget=5,
+                                         max_cosets=2000),
+    ]
+    for view in views:
+        limits.clear()
+        view()
+        assert limits == [2000]
+    limits.clear()
+    with pytest.raises(NotCertifiedFinite):
+        inv.d2n_estimate(TREFOIL, search_budget=5, max_cosets=2000)
+    assert limits == [2000]
 
 
 def test_realization_trefoil():

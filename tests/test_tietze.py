@@ -233,6 +233,24 @@ def test_replace_subpresentation_a5_example():
     assert tc.complete and tc.num_cosets == 60
 
 
+def test_replace_subpresentation_enumerates_once(monkeypatch):
+    from d2kit import coset
+
+    limits = []
+    real = coset.todd_coxeter
+
+    def recording(P, max_cosets, strategy="hlt"):
+        limits.append(max_cosets)
+        return real(P, max_cosets, strategy)
+
+    monkeypatch.setattr(coset, "todd_coxeter", recording)
+    alternative = parse_presentation("gens: c\nrels: c^2\n")
+    res = replace_subpresentation(A5, [0], [0], alternative,
+                                  {0: Word([(0, 1)])}, max_cosets=100)
+    assert res.lifting_verified
+    assert limits == [100]
+
+
 def test_replace_subpresentation_identity_case():
     res = replace_subpresentation(
         A5, [0, 1], [0, 1, 2], A5,
