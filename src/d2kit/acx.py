@@ -102,6 +102,51 @@ def _index(text, bound, what):
     return i
 
 
+def _check_group(mult, gens):
+    """Raise AcxError unless `mult` is the table of a group with identity 0.
+
+    Element 0 must be a two-sided identity and every row and column a
+    permutation. Associativity is Light's test: the elements a with
+    (x a) y = x (a y) for all x, y are closed under products, so it
+    suffices to test a set whose right products reach every element. That
+    set is grown from the generator images, adding the least element not
+    yet reached, so the cost is O(k n^2) for k tested elements."""
+    n = len(mult)
+    if n == 0:
+        raise AcxError("multiplication table is empty")
+    elements = set(range(n))
+    for what, lines in (("row", mult), ("column", zip(*mult))):
+        for i, line in enumerate(lines):
+            if set(line) != elements:
+                raise AcxError(f"multiplication table {what} {i} "
+                               "is not a permutation")
+    if mult[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(mult)):
+        raise AcxError("element 0 is not the identity of the table")
+    reached = [True] + [False] * (n - 1)
+    members = [0]
+    tested = []
+    for a in gens + tuple(range(n)):
+        if len(members) == n:
+            break
+        if reached[a]:
+            continue
+        right = mult[a]
+        for x in range(n):
+            xa = mult[x][a]
+            if tuple(map(mult[x].__getitem__, right)) != mult[xa]:
+                y = next(y for y in range(n) if mult[xa][y] != mult[x][right[y]])
+                raise AcxError("multiplication table is not associative: "
+                               f"({x}*{a})*{y} != {x}*({a}*{y})")
+        tested.append(a)
+        todo = [mult[x][a] for x in members]
+        while todo:
+            x = todo.pop()
+            if not reached[x]:
+                reached[x] = True
+                members.append(x)
+                todo.extend(mult[x][t] for t in tested)
+
+
 def loads(text):
     sec = _sections(text)
     if "[group]" not in sec or "[ranks]" not in sec:
@@ -126,15 +171,21 @@ def loads(text):
     presentation = None
     if "[presentation]" in sec:
         presentation = parse_presentation("\n".join(sec["[presentation]"]) + "\n")
+    if not sec["[ranks]"]:
+        raise AcxError("empty [ranks] section")
     ranks = tuple(int(x) for x in sec["[ranks]"][0].split())
     model = None
     if mode == "finite":
+        if "order" not in fields:
+            raise AcxError("finite [group] section lacks an order")
         order = int(fields["order"])
         if len(mult_rows) != order or any(len(r) != order for r in mult_rows):
             raise AcxError("multiplication table has the wrong shape")
         mult = tuple(tuple(x) for x in mult_rows)
+        gens = tuple(_index(x, order, "generator")
+                     for x in fields.get("generators", "").split())
+        _check_group(mult, gens)
         inverse = tuple(row.index(0) for row in mult)
-        gens = tuple(int(x) for x in fields.get("generators", "").split())
         model = FiniteGroupModel(order, mult, inverse, gens)
     elif presentation is None:
         raise AcxError("symbolic mode requires a [presentation] section")

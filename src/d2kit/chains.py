@@ -41,10 +41,9 @@ from .intlinalg import (
     CertificateError,
     DimensionMismatch,
     IntMatrix,
-    determinant,
+    column_hnf,
     infeasibility_certificate,
     kernel_basis,
-    lattices_equal,
     rank_over_field,
     solve_integer_system,
 )
@@ -220,23 +219,19 @@ def validate_complex(F, check_exactness=True):
     d2_rank = ker_dim = None
     if F.finite_mode:
         order = F.model.order
-        E2 = regular_rep_expand(F.boundary(2)) if n >= 2 else None
         if check_exactness and n >= 1:
             E1 = regular_rep_expand(F.boundary(1))
             aug_row = IntMatrix(1, F.ranks[0] * order, [1] * (F.ranks[0] * order))
-            im_d1 = [E1.column(j) for j in range(E1.cols)]
-            exact0 = lattices_equal(im_d1, kernel_basis(aug_row),
-                                    F.ranks[0] * order)
+            exact0 = column_hnf(E1) == kernel_basis(aug_row)
             if not exact0:
                 failures.append("image of d_1 differs from the augmentation ideal")
-            if n >= 2:
-                im_d2 = [E2.column(j) for j in range(E2.cols)]
-                exact1 = lattices_equal(im_d2, kernel_basis(E1),
-                                        F.ranks[1] * order)
+        if n >= 2:
+            H2 = column_hnf(regular_rep_expand(F.boundary(2)))
+            if check_exactness:
+                exact1 = H2 == kernel_basis(E1)
                 if not exact1:
                     failures.append("ker d_1 differs from image of d_2")
-        if n >= 2:
-            d2_rank = rank_over_field(E2, "Q")
+            d2_rank = len(H2)
             ker_dim = F.ranks[2] * order - d2_rank
     elif n >= 2:
         d2_rank = rank_over_field(F.shadow(2), "Q")
@@ -333,12 +328,9 @@ def quotient_by_split_summand(F, report):
     if len(K) != m * order:
         raise SummandBasisNotFound(
             "kernel lattice rank does not match the expected free rank")
-    dim = f2 * order
     for subset in combinations(range(f2), m):
         J = q.submatrix(range(f2), subset)
-        EJ = regular_rep_expand(J)
-        cols = [EJ.column(t) for t in range(EJ.cols)]
-        if lattices_equal(cols, K, dim):
+        if column_hnf(regular_rep_expand(J)) == K:
             d2_new = F.boundary(2).compose(J)
             return AlgebraicComplex((f0, f1, m), model,
                                     (F.boundary(1), d2_new), F.presentation)
@@ -471,20 +463,15 @@ def _lift_chain_map(src, tgt, budget):
     return [phi0, phi1, phi2]
 
 
-def _pi2_map_determinant(phi2, K_src, K_tgt):
-    """Determinant of the induced map of kernel lattices, or None when the
-    ranks differ."""
+def _pi2_isomorphism(phi2, K_src, K_tgt):
+    """Whether phi2 maps the kernel lattice pi_2 = ker d_2 of the source
+    onto that of the target, given their Hermite bases K_src and K_tgt:
+    the ranks agree and the images of K_src have the Hermite form K_tgt."""
     if len(K_src) != len(K_tgt):
-        return None
-    if not K_src:
-        return 1
+        return False
     E = regular_rep_expand(phi2)
-    img = E * IntMatrix.from_rows(K_src).transpose()
-    basis = IntMatrix.from_rows(K_tgt).transpose()
-    Y = solve_integer_system(basis, img)
-    if Y is None:
-        return None
-    return determinant(Y)
+    basis = IntMatrix(len(K_src), E.cols, [x for v in K_src for x in v])
+    return column_hnf(E * basis.transpose()) == K_tgt
 
 
 def _phi2_candidates(phi, src, tgt, K_tgt, budget):
@@ -641,8 +628,7 @@ def _attempt_orientation(src, tgt, budget):
     for phi2 in _phi2_candidates(phi, src, tgt, K_tgt, budget):
         if budget.used > budget.limit:
             return None
-        det = _pi2_map_determinant(phi2, K_src, K_tgt)
-        if det not in (1, -1):
+        if not _pi2_isomorphism(phi2, K_src, K_tgt):
             continue
         cand = [phi[0], phi[1], phi2]
         contraction = _contract_cone(cand, src, tgt, budget)

@@ -12,6 +12,7 @@ reproducible across runs and across strategies.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .intlinalg import CertificateError
@@ -74,10 +75,10 @@ class _Table:
 
     def coincidence(self, a, b, deductions=None):
         rows = self.rows
-        queue = []
+        queue = deque()
         self._merge(a, b, queue)
         while queue:
-            gamma = queue.pop(0)
+            gamma = queue.popleft()
             for c in range(self.ncols):
                 delta = rows[gamma][c]
                 if delta is None:
@@ -211,9 +212,9 @@ def _compress_and_standardize(table):
     order = [None] * n
     order[0] = 0
     count = 1
-    queue = [0]
+    queue = deque([0])
     while queue:
-        a = queue.pop(0)
+        a = queue.popleft()
         for c in range(table.ncols):
             b = rows[a][c]
             if order[b] is None:
@@ -314,9 +315,9 @@ def group_model(P, max_cosets, strategy="hlt"):
     # representative words (as column paths) in first-visit order
     rep_path = [None] * n
     rep_path[0] = ()
-    queue = [0]
+    queue = deque([0])
     while queue:
-        a = queue.pop(0)
+        a = queue.popleft()
         for c in range(len(rows[a])):
             b = rows[a][c]
             if rep_path[b] is None:
@@ -380,8 +381,8 @@ def find_normal_generator(P, max_len, max_cosets):
     is tested by coset enumeration of the quotient. The search only runs on
     perfect presentations (the normal-generation conjecture's hypothesis);
     non-perfect input returns immediately with a "non-perfect" warning.
-    A returned word is re-verified with a fresh enumeration before being
-    reported. "not-found-within-bounds" is never a nonexistence claim.
+    A returned word is certified by the completed enumeration of its
+    quotient. "not-found-within-bounds" is never a nonexistence claim.
     """
     from .presentations import is_perfect
 
@@ -408,8 +409,7 @@ def find_normal_generator(P, max_len, max_cosets):
         tested += 1
         res = is_trivial_quotient(P, (w,), max_cosets)
         if res.kind == "trivial":
-            if is_trivial_quotient(P, (w,), max_cosets).kind == "trivial":
-                return NormalGeneratorSearch("found", w, tested)
+            return NormalGeneratorSearch("found", w, tested)
         elif res.kind == "unknown":
             warnings.append("unknown-quotients-encountered")
     return NormalGeneratorSearch("not-found-within-bounds", None, tested,

@@ -317,14 +317,15 @@ def column_echelon(A):
             IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []))
 
 
-def rank(A):
-    """Rank over Q (exact)."""
-    H, _ = column_echelon(A)
-    r = 0
+def _pivots(H):
+    """(row, column) of each pivot of a column echelon form H."""
+    out = []
     for j in range(H.cols):
-        if any(H.entry(i, j) for i in range(H.rows)):
-            r += 1
-    return r
+        i = next((i for i in range(H.rows) if H.entry(i, j)), None)
+        if i is None:
+            break
+        out.append((i, j))
+    return out
 
 
 def _is_prime(p):
@@ -341,7 +342,7 @@ def _is_prime(p):
 def rank_over_field(A, field):
     """Rank over Q (field="Q") or F_p (field=p, p prime)."""
     if field == "Q":
-        return rank(A)
+        return len(column_hnf(A))
     p = int(field)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -404,33 +405,22 @@ def solve_integer_system(A, B):
     if A.rows != B.rows:
         raise DimensionMismatch("A and B need equal row counts")
     H, V = column_echelon(A)
-    m, n = A.rows, A.cols
-    pivots = []  # (row, col) of each pivot, rows strictly increasing
-    for j in range(n):
-        i = next((i for i in range(m) if H.entry(i, j)), None)
-        if i is None:
-            break
-        pivots.append((i, j))
-    cols_out = []
-    for k in range(B.cols):
-        b = [B.entry(i, k) for i in range(m)]
-        y = [0] * n
-        for (i, j) in pivots:
-            h = H.entry(i, j)
-            if b[i] % h:
+    n, k = A.cols, B.cols
+    pivots = [(i, j, H.column(j)) for i, j in _pivots(H)]
+    Y = [0] * (n * k)
+    for c in range(k):
+        b = list(B.column(c))
+        for i, j, h in pivots:
+            if b[i] % h[i]:
                 return None
-            q = b[i] // h
+            q = b[i] // h[i]
             if q:
-                y[j] = q
-                for t in range(m):
-                    b[t] -= q * H.entry(t, j)
+                Y[j * k + c] = q
+                b = [x - q * y for x, y in zip(b, h)]
         if any(b):
             return None
-        # back through the column transform: A*(V*y) = H*y = b
-        x = [sum(V.entry(j, t) * y[t] for t in range(n)) for j in range(n)]
-        cols_out.append(x)
-    X = [[cols_out[k][j] for k in range(B.cols)] for j in range(n)]
-    return IntMatrix(n, B.cols, [x for row in X for x in row])
+    # back through the column transform: A*(V*Y) = H*Y = B
+    return V * IntMatrix(n, k, Y)
 
 
 @dataclass(frozen=True)
@@ -488,11 +478,7 @@ def kernel_basis(A):
     normal form of the kernel lattice (unique, hence golden-test stable).
     """
     H, V = column_echelon(A)
-    npiv = 0
-    for j in range(A.cols):
-        if any(H.entry(i, j) for i in range(A.rows)):
-            npiv += 1
-    gens = [V.column(j) for j in range(npiv, A.cols)]
+    gens = [V.column(j) for j in range(len(_pivots(H)), A.cols)]
     return lattice_hnf(gens, A.cols)
 
 
@@ -500,45 +486,42 @@ def lattice_hnf(vectors, dim):
     """Unique row-style Hermite normal form basis of the lattice spanned
     by `vectors` in Z^dim: pivot columns strictly increase, pivots are
     positive, and entries above a pivot are reduced into [0, pivot)."""
-    def pivot_col(row):
-        return next(t for t in range(dim) if row[t])
-
-    basis = []  # rows kept sorted by pivot column
+    rows = {}  # pivot column -> the kept row leading there
     for v0 in vectors:
         v = list(v0)
         if len(v) != dim:
             raise DimensionMismatch("vector length != dim")
-        while any(v):
-            j = pivot_col(v)
-            idx = None
-            insert_at = len(basis)
-            for i, row in enumerate(basis):
-                pj = pivot_col(row)
-                if pj == j:
-                    idx = i
-                    break
-                if pj > j:
-                    insert_at = i
-                    break
-            if idx is None:
-                basis.insert(insert_at, v)
+        j = _leading(v, 0)
+        while j < dim:
+            row = rows.get(j)
+            if row is None:
+                rows[j] = v
                 break
-            row = basis[idx]
             x, y, g = xgcd(row[j], v[j])
             qr, qv = row[j] // g, v[j] // g
-            basis[idx] = [x * a + y * b for a, b in zip(row, v)]
+            rows[j] = [x * a + y * b for a, b in zip(row, v)]
             v = [qr * b - qv * a for a, b in zip(row, v)]
-    for i, row in enumerate(basis):
-        if row[pivot_col(row)] < 0:
-            basis[i] = [-x for x in row]
-    for i in range(len(basis)):
-        j = pivot_col(basis[i])
+            j = _leading(v, j + 1)
+    pivots = sorted(rows)
+    basis = [rows[j] if rows[j][j] > 0 else [-x for x in rows[j]] for j in pivots]
+    for i, j in enumerate(pivots):
         p = basis[i][j]
         for k in range(i):
             q = basis[k][j] // p
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
     return [tuple(row) for row in basis]
+
+
+def _leading(v, start):
+    """Index of the first nonzero entry of v at or after start, or len(v)."""
+    return next((t for t in range(start, len(v)) if v[t]), len(v))
+
+
+def column_hnf(A):
+    """Hermite normal form basis of the lattice spanned by A's columns;
+    its length is the rank of A over Q."""
+    return lattice_hnf([A.data[j::A.cols] for j in range(A.cols)], A.rows)
 
 
 def lattices_equal(vectors_a, vectors_b, dim):

@@ -10,6 +10,10 @@ import d2kit
 from d2kit import acx
 from d2kit.chains import (
     AlgebraicComplex,
+    _Budget,
+    _lift_chain_map,
+    _phi2_candidates,
+    _pi2_isomorphism,
     NotAChainMap,
     NotSplit,
     attach_three_cells,
@@ -24,8 +28,14 @@ from d2kit.chains import (
     validate_complex,
 )
 from d2kit.coset import group_model
-from d2kit.groupring import GroupRingElement, GroupRingMatrix, ModelMismatch
-from d2kit.presentations import parse_presentation
+from d2kit.groupring import (
+    GroupRingElement,
+    GroupRingMatrix,
+    ModelMismatch,
+    regular_rep_expand,
+)
+from d2kit.intlinalg import IntMatrix, determinant, kernel_basis, solve_integer_system
+from d2kit.presentations import Presentation, parse_presentation
 from d2kit.words import Word
 
 Z2P = parse_presentation("gens: x\nrels: x^2\n")
@@ -378,6 +388,65 @@ def test_validate_a5_exactness():
     assert rep.ker_d2_qdim == 3 * 60 - 61
 
 
+def test_validate_complex_eliminates_d2_once(monkeypatch):
+    from d2kit import intlinalg
+
+    echelons, hnfs = [], []
+    real_echelon, real_hnf = intlinalg.column_echelon, intlinalg.lattice_hnf
+
+    def echelon(A):
+        echelons.append((A.rows, A.cols))
+        return real_echelon(A)
+
+    def hnf(vectors, dim):
+        hnfs.append((len(vectors), dim))
+        return real_hnf(vectors, dim)
+
+    monkeypatch.setattr(intlinalg, "column_echelon", echelon)
+    monkeypatch.setattr(intlinalg, "lattice_hnf", hnf)
+    rep = validate_complex(presentation_complex(S3P, S3M))
+    assert rep.ok and rep.d2_rank_q == 7
+    # kernels of the augmentation and of d_1 only; d_2 (12 x 18) is put in
+    # Hermite form once and gives both exactness at F_1 and its rank
+    assert echelons == [(1, 6), (6, 12)]
+    assert hnfs.count((18, 12)) == 1
+
+
+def _pi2_by_determinant(phi2, K_src, K_tgt):
+    """The coordinate test the Hermite-form comparison replaced."""
+    if len(K_src) != len(K_tgt):
+        return False
+    if not K_src:
+        return True
+    img = regular_rep_expand(phi2) * IntMatrix.from_rows(K_src).transpose()
+    Y = solve_integer_system(IntMatrix.from_rows(K_tgt).transpose(), img)
+    return Y is not None and determinant(Y) in (1, -1)
+
+
+@pytest.mark.parametrize("text, dup", [
+    ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 2),
+    ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 1),
+], ids=["s3", "q8"])
+def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
+    P = parse_presentation(text)
+    m = group_model(P, 1000)
+    F = stabilize_wedge(presentation_complex(P, m), 1)
+    G = presentation_complex(
+        Presentation(P.generators, P.relators + (P.relators[dup],)), m)
+    decisions = []
+    for src, tgt in ((F, G), (G, F)):
+        budget = _Budget(120)
+        phi = _lift_chain_map(src, tgt, budget)
+        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
+        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
+        for phi2 in _phi2_candidates(phi, src, tgt, K_tgt, budget):
+            iso = _pi2_isomorphism(phi2, K_src, K_tgt)
+            assert iso == _pi2_by_determinant(phi2, K_src, K_tgt)
+            decisions.append(iso)
+    assert len(decisions) > 100
+    assert True in decisions and False in decisions
+
+
 def test_acx_round_trip_finite():
     F = presentation_complex(S3P, S3M)
     text = acx.dumps(F)
@@ -412,6 +481,10 @@ def test_acx_bad_input():
         acx.loads("[ranks]\n1 1\n")
     with pytest.raises(acx.AcxError):
         acx.loads("[group]\nmode: nonsense\n[ranks]\n1\n")
+    with pytest.raises(acx.AcxError, match="lacks an order"):
+        acx.loads("[group]\nmode: finite\nmulttable:\n0\n[ranks]\n1\n")
+    with pytest.raises(acx.AcxError, match="empty \\[ranks\\]"):
+        acx.loads("[group]\nmode: finite\norder: 1\nmulttable:\n0\n[ranks]\n")
 
 
 _Z2_D1 = ("[group]\nmode: finite\norder: 2\nmulttable:\n0 1\n1 0\n"
@@ -430,6 +503,69 @@ def test_acx_index_out_of_range(text):
     # a negative index must not wrap to the last row or element
     with pytest.raises(acx.AcxError, match="out of range"):
         acx.loads(text)
+
+
+def _finite_acx(rows, generators):
+    table = "\n".join(" ".join(str(x) for x in row) for row in rows)
+    return (f"[group]\nmode: finite\norder: {len(rows)}\nmulttable:\n{table}\n"
+            f"generators: {generators}\n[ranks]\n1\n")
+
+
+# a Latin square with identity 0 that is not associative: (1*1)*2 != 1*(1*2)
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("rows, generators, message", [
+    ([[0, 1], [0, 1]], "1", "column 0 is not a permutation"),
+    ([[0, 1], [1, 1]], "1", "row 1 is not a permutation"),
+    ([[1, 0], [0, 1]], "1", "element 0 is not the identity"),
+    ([[0, 1], [1, 0]], "2", "generator index 2 out of range"),
+    (LOOP5, "1 2", "not associative"),
+    (LOOP5, "", "not associative"),
+], ids=["order-2-constant-rows", "repeated-entry", "no-identity",
+        "generator-out-of-range", "loop5", "loop5-no-generators"])
+def test_acx_rejects_tables_that_are_not_groups(rows, generators, message):
+    with pytest.raises(acx.AcxError, match=message):
+        acx.loads(_finite_acx(rows, generators))
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield tuple(tuple(r) for r in rows)
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        for x in range(n):
+            if x not in rows[i][:j] and all(rows[k][j] != x for k in range(i)):
+                rows[i][j] = x
+                yield from fill(cell + 1)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def test_acx_group_check_agrees_with_brute_force_associativity():
+    seen = {True: 0, False: 0}
+    for n in (3, 4, 5):
+        for mult in _reduced_latin_squares(n):
+            assoc = all(mult[mult[x][a]][y] == mult[x][mult[a][y]]
+                        for x in range(n) for a in range(n) for y in range(n))
+            seen[assoc] += 1
+            for gens in ((), (1,), (n - 1, 1)):
+                try:
+                    acx._check_group(mult, gens)
+                    accepted = True
+                except acx.AcxError:
+                    accepted = False
+                assert accepted == assoc, (mult, gens)
+    assert seen[True] and seen[False]
 
 
 # Each case breaks one step under a re-verification and expects it to raise.

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from d2kit.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -147,6 +149,24 @@ def test_acx_index_out_of_range_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert main(["split", str(f)]) == 1
     assert "column index 5 out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[group]\nmode: finite\nmulttable:\n0\ngenerators:\n[ranks]\n1\n",
+     "lacks an order"),
+    ("[group]\nmode: finite\norder: 1\nmulttable:\n0\ngenerators:\n[ranks]\n",
+     "empty [ranks] section"),
+    ("[group]\nmode: finite\norder: 2\nmulttable:\n0 1\n0 1\ngenerators: 1\n"
+     "[ranks]\n1\n", "column 0 is not a permutation"),
+    ("[group]\nmode: finite\norder: 5\nmulttable:\n0 1 2 3 4\n1 0 3 4 2\n"
+     "2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\ngenerators: 1 2\n[ranks]\n1\n",
+     "not associative"),
+], ids=["no-order", "empty-ranks", "order-2-not-a-group", "loop5-not-a-group"])
+def test_malformed_acx_header_rejected(tmp_path, capsys, text, message):
+    f = tmp_path / "F.acx"
+    f.write_text(text)
+    assert main(["split", str(f)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_report_byte_identical(tmp_path):

@@ -142,6 +142,24 @@ def test_find_normal_generator_a5():
     assert todd_coxeter(q, 100).num_cosets == 1
 
 
+def test_find_normal_generator_enumerates_each_quotient_once(monkeypatch):
+    from d2kit import coset
+
+    calls = []
+    real = coset.todd_coxeter
+
+    def recording(P, max_cosets, strategy="hlt"):
+        calls.append(P.relators)
+        return real(P, max_cosets, strategy)
+
+    monkeypatch.setattr(coset, "todd_coxeter", recording)
+    res = find_normal_generator(A5, max_len=2, max_cosets=20000)
+    assert res.found and res.word == Word([(0, 1)])
+    # the group model, then the quotients by the empty word and by a
+    assert calls == [A5.relators, A5.relators + (Word(),),
+                     A5.relators + (Word([(0, 1)]),)]
+
+
 def test_find_normal_generator_trivial_group():
     res = find_normal_generator(TRIVIAL, max_len=2, max_cosets=100)
     assert res.found

@@ -145,6 +145,8 @@ def test_rank_over_field():
     assert rank_over_field(D, 2) == 1
     assert rank_over_field(D, 3) == 1
     assert rank_over_field(IntMatrix.zeros(3, 3), "Q") == 0
+    assert rank_over_field(IntMatrix(0, 3, []), "Q") == 0
+    assert rank_over_field(IntMatrix(3, 0, []), "Q") == 0
     with pytest.raises(NotPrime):
         rank_over_field(D, 4)
 
@@ -204,6 +206,43 @@ def test_lattice_hnf_canonical_under_unimodular_regeneration():
             elif rng.random() < 0.3:
                 regen[i] = [-a for a in regen[i]]
         assert lattice_hnf(regen, dim) == hnf
+
+
+def _nonzero_invariant_product(rows, dim):
+    diag = smith_normal_form(IntMatrix(len(rows), dim, [x for r in rows for x in r]))
+    nonzero = [d for d in diag.diagonal() if d]
+    prod = 1
+    for d in nonzero:
+        prod *= d
+    return len(nonzero), prod
+
+
+def test_lattice_hnf_is_a_hermite_basis_of_the_input_lattice():
+    rng = random.Random(43)
+    for _ in range(150):
+        dim = rng.randint(1, 6)
+        vectors = [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(dim)]
+                   for _ in range(rng.randint(0, 7))]
+        hnf = lattice_hnf(vectors, dim)
+        pivots = [next(t for t in range(dim) if row[t]) for row in hnf]
+        assert pivots == sorted(set(pivots))
+        for i, (row, j) in enumerate(zip(hnf, pivots)):
+            assert row[j] > 0
+            assert all(0 <= hnf[k][j] < row[j] for k in range(i))
+        # every input reduces to zero against the triangular basis ...
+        for v in vectors:
+            v = list(v)
+            for row, j in zip(hnf, pivots):
+                assert v[j] % row[j] == 0
+                q = v[j] // row[j]
+                v = [a - q * b for a, b in zip(v, row)]
+            assert not any(v)
+        # ... and spans a lattice of the same rank and index (Smith invariants)
+        if vectors:
+            assert _nonzero_invariant_product(vectors, dim) == \
+                _nonzero_invariant_product(hnf, dim)
+        else:
+            assert hnf == []
 
 
 def test_determinant_oracle():
