@@ -203,7 +203,12 @@ def cmd_chain(args):
 
 
 def cmd_wedge(args):
+    if args.n < 0:
+        raise CliError("wedge: the number of 2-spheres must be nonnegative, "
+                       f"got {args.n}")
     F = _read_complex(args.acx)
+    if F.top_degree != 2:
+        raise CliError(f"{args.acx}: wedge needs a top-degree-2 complex")
     W = stabilize_wedge(F, args.n)
     attached = False
     if args.attach:

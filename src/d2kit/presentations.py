@@ -15,6 +15,9 @@ A presentation is one `gens:` line followed by optional `rels:` lines::
   terms of a single word, so multi-term relators are written ``(x^2 y^-3)``
   (or without internal whitespace when names stay unambiguous: ``x^2y^-3``).
 * Exponents are decimal integers; ``-`` and the minus sign ``−`` both work.
+* A relator has at most ``MAX_RELATOR_LETTERS`` (100 000) letters. The
+  parser checks each power and the running length of the relator before it
+  builds them, so ``x^1000000000`` is a ``ParseError``, not a huge word.
 * Multiple ``rels:`` lines concatenate. ``gens:`` with no names is the trivial
   presentation and is legal only when there are no relators.
 """
@@ -28,6 +31,11 @@ from .intlinalg import IntMatrix, SNFResult, smith_normal_form
 from .words import Word
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# The most letters a parsed relator may have. A power counts its reduced
+# base's length times the exponent, and the terms of a word add up before
+# free reduction, so the check comes before any letter is built.
+MAX_RELATOR_LETTERS = 100_000
 
 
 class ParseError(ValueError):
@@ -164,7 +172,12 @@ class _WordParser:
             tok = self.peek()
             if tok is None or (stop_at_rpar and tok[0] == "rpar"):
                 break
-            letters.extend(self.parse_term().letters)
+            col = tok[2]
+            term = self.parse_term()
+            if len(letters) + len(term) > MAX_RELATOR_LETTERS:
+                raise ParseError("relator longer than "
+                                 f"{MAX_RELATOR_LETTERS} letters", self.line_no, col)
+            letters.extend(term.letters)
         return Word(letters)
 
     def parse_term(self):
@@ -192,7 +205,13 @@ class _WordParser:
                 where = tok[2] if tok else None
                 raise ParseError("expected integer exponent", self.line_no, where)
             self.i += 1
-            exp = int(tok[1].replace("−", "-"))
+            digits = tok[1].replace("−", "-")
+            if len(digits) > 20:
+                raise ParseError("exponent too large", self.line_no, tok[2])
+            exp = int(digits)
+            if len(atom) * abs(exp) > MAX_RELATOR_LETTERS:
+                raise ParseError("power longer than "
+                                 f"{MAX_RELATOR_LETTERS} letters", self.line_no, tok[2])
             atom = atom ** exp
         return atom
 

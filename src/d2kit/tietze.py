@@ -10,12 +10,12 @@ verified move never changes the presented group.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
 from .presentations import Presentation, deficiency, serialize_presentation
-from .words import Word
+from .words import Word, reduce_letters
 
 
 class InvalidMove(ValueError):
@@ -68,22 +68,36 @@ def derived_word(relators, derivation):
     return w
 
 
-def _substitute_generator(P, gen, replacement):
-    """Replace generator `gen` by `replacement` (a word not using `gen`)
-    and drop the generator, reindexing the later ones down by one."""
+def _presentation(gens, rels):
+    """The Presentation of a (generators, reduced relator letters) pair."""
+    return Presentation(gens, tuple(Word._reduced(r) for r in rels))
+
+
+def _eliminate_generator(gens, rels, gen, i):
+    """Solve relator `i`, in which generator `gen` occurs exactly once, for
+    `gen`, substitute the solution into the other relators and drop `gen`,
+    reindexing the later generators down by one. Works on reduced letter
+    tuples."""
+    r = rels[i]
+    pos = next(k for k, (g, _) in enumerate(r) if g == gen)
+    # r = u gen^s v, so gen = (u^-1 v^-1)^s = (v u)^-s
+    vu = Word(r[pos + 1:] + r[:pos])
+    solved = vu.inverse() if r[pos][1] > 0 else vu
     images = {}
-    for g in range(P.num_generators):
-        if g == gen:
-            images[g] = replacement
-        else:
-            images[g] = Word.generator(g)
-    shift = {g: (g if g < gen else g - 1) for g in range(P.num_generators) if g != gen}
-    new_relators = []
-    for r in P.relators:
-        w = r.substituted(images)
-        new_relators.append(Word([(shift[g], s) for g, s in w.letters]))
-    gens = tuple(n for i, n in enumerate(P.generators) if i != gen)
-    return Presentation(gens, tuple(new_relators))
+    for s, w in ((1, solved), (-1, solved.inverse())):
+        images[s] = tuple((g - 1 if g > gen else g, t) for g, t in w.letters)
+    out = []
+    for k, w in enumerate(rels):
+        if k == i:
+            continue
+        letters = []
+        for g, s in w:
+            if g == gen:
+                letters.extend(images[s])
+            else:
+                letters.append((g - 1 if g > gen else g, s))
+        out.append(reduce_letters(letters))
+    return gens[:gen] + gens[gen + 1:], tuple(out)
 
 
 def _single_occurrence_relator(P, gen):
@@ -110,15 +124,8 @@ def apply_move(P, move):
         i = _single_occurrence_relator(P, gen)
         if i is None:
             raise InvalidMove("no relator with a single occurrence of the generator")
-        r = P.relators[i]
-        pos = next(k for k, (g, _) in enumerate(r.letters) if g == gen)
-        u = Word(r.letters[:pos])
-        v = Word(r.letters[pos + 1:])
-        sign = r.letters[pos][1]
-        solved = (u.inverse() * v.inverse()) ** sign  # gen = this word
-        without = Presentation(P.generators,
-                               tuple(w for k, w in enumerate(P.relators) if k != i))
-        return _substitute_generator(without, gen, solved)
+        return _presentation(*_eliminate_generator(
+            P.generators, tuple(r.letters for r in P.relators), gen, i))
     if isinstance(move, AddRelator):
         if move.word.max_generator() >= P.num_generators:
             raise InvalidMove("relator uses unknown generators")
@@ -155,55 +162,60 @@ def invert_move(P, move):
     raise TypeError(f"not a Tietze move: {move!r}")
 
 
-def _cyclic_form_key(w):
-    """Canonical key identifying relators up to cyclic rotation and inversion."""
-    core, _ = w.cyclically_reduced()
-    letters = core.letters
-    best = None
-    for cand in (letters, core.inverse().letters):
-        n = len(cand)
-        for k in range(max(n, 1)):
-            rot = cand[k:] + cand[:k]
-            if best is None or rot < best:
-                best = rot
-    return best
+def _cyclic_form_key(letters):
+    """Canonical key of a cyclically reduced relator up to cyclic rotation
+    and inversion: the least rotation of its letters or of its inverse's."""
+    inverse = Word._reduced(letters).inverse().letters
+    return min(w[k:] + w[:k] for w in (letters, inverse) for k in range(len(w)))
+
+
+def _simplify(gens, rels, memo):
+    """`simplify` on (generator names, reduced relator letter tuples).
+    `memo` maps a cyclically reduced relator's letters to its
+    `_cyclic_form_key` and the set of generators occurring once in it."""
+    while True:
+        changed = False
+        # cyclic reduction (relator -> conjugate core), then drop empties
+        # and duplicates up to rotation/inversion
+        seen = set()
+        kept = []
+        singles = []
+        for r in rels:
+            if r and r[0] == (r[-1][0], -r[-1][1]):
+                r = Word._reduced(r).cyclically_reduced()[0].letters
+                changed = True
+            if not r:
+                changed = True
+                continue
+            info = memo.get(r)
+            if info is None:
+                counts = Counter(g for g, _ in r)
+                info = memo[r] = (_cyclic_form_key(r), frozenset(
+                    g for g, n in counts.items() if n == 1))
+            if info[0] in seen:
+                changed = True
+                continue
+            seen.add(info[0])
+            kept.append(r)
+            singles.append(info[1])
+        rels = tuple(kept)
+        # generator elimination, lowest generator index first, solved from
+        # the first relator it occurs once in
+        gen = min(frozenset().union(*singles), default=None)
+        if gen is not None:
+            i = next(i for i, ones in enumerate(singles) if gen in ones)
+            gens, rels = _eliminate_generator(gens, rels, gen, i)
+            changed = True
+        if not changed:
+            return gens, rels
 
 
 def simplify(P):
     """Greedy verified simplification: cyclically reduce relators, drop
     empty and cyclically-duplicate relators, eliminate generators that
     occur exactly once in some relator. Deterministic."""
-    while True:
-        changed = False
-        # cyclic reduction (relator -> conjugate core)
-        new_relators = []
-        for r in P.relators:
-            core, _ = r.cyclically_reduced()
-            if core != r:
-                changed = True
-            new_relators.append(core)
-        # drop empties and duplicates up to rotation/inversion
-        seen = set()
-        kept = []
-        for r in new_relators:
-            if r.is_identity():
-                changed = True
-                continue
-            key = _cyclic_form_key(r)
-            if key in seen:
-                changed = True
-                continue
-            seen.add(key)
-            kept.append(r)
-        P = Presentation(P.generators, tuple(kept))
-        # generator elimination, lowest generator index first
-        for gen in range(P.num_generators):
-            if _single_occurrence_relator(P, gen) is not None:
-                P = apply_move(P, RemoveGenerator(gen))
-                changed = True
-                break
-        if not changed:
-            return P
+    return _presentation(*_simplify(
+        P.generators, tuple(r.letters for r in P.relators), {}))
 
 
 @dataclass(frozen=True)
@@ -214,36 +226,26 @@ class SearchResult:
     visited: int
 
 
-def _neighbors(P):
-    """Relator-multiply variants r_i -> r_i * r_j^s, deterministic order."""
-    out = []
-    k = P.num_relators
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            for s in (1, -1):
-                new = P.relators[i] * (P.relators[j] ** s)
-                rels = list(P.relators)
-                rels[i] = new
-                out.append(Presentation(P.generators, tuple(rels)))
-    return out
-
-
-def _key(P):
-    return serialize_presentation(P)
-
-
 def deficiency_search(P, budget):
     """Bounded breadth-first search over verified Tietze moves for a
     presentation of maximal deficiency. The result is a certified lower
     bound for the group's deficiency; `exhausted` reports whether the
-    budget cut the search short."""
+    budget cut the search short.
+
+    The search starts from simplify(P). Each node is expanded by the moves
+    r_i -> r_i * r_j^s (i != j, s = 1 then -1), each result simplified.
+    A node is identified by its generators and its freely reduced relator
+    letters. Among the nodes of highest deficiency, the one with the least
+    serialized text (`serialize_presentation`) is returned."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    start = simplify(P)
-    best = start
-    seen = {_key(start)}
+    memo = {}
+    start = _simplify(P.generators, tuple(r.letters for r in P.relators), memo)
+    best = _presentation(*start)
+    best_deficiency = deficiency(best)
+    best_text = serialize_presentation(best)
+    seen = {start}
+    generated = set()  # raw neighbours: simplify is deterministic
     queue = deque([start])
     visited = 0
     exhausted = False
@@ -251,19 +253,30 @@ def deficiency_search(P, budget):
         if visited >= budget:
             exhausted = True
             break
-        Q = queue.popleft()
+        gens, rels = queue.popleft()
         visited += 1
-        for R in _neighbors(Q):
-            R = simplify(R)
-            key = _key(R)
-            if key in seen:
-                continue
-            seen.add(key)
-            queue.append(R)
-            if deficiency(R) > deficiency(best) or (
-                    deficiency(R) == deficiency(best) and key < _key(best)):
-                best = R
-    return SearchResult(best, deficiency(best), exhausted, visited)
+        factors = [(w, w.inverse()) for w in map(Word._reduced, rels)]
+        for i, (w, _) in enumerate(factors):
+            for j, pair in enumerate(factors):
+                if i == j:
+                    continue
+                for f in pair:
+                    raw = (gens, rels[:i] + ((w * f).letters,) + rels[i + 1:])
+                    if raw in generated:
+                        continue
+                    generated.add(raw)
+                    node = _simplify(*raw, memo)
+                    if node in seen:
+                        continue
+                    seen.add(node)
+                    queue.append(node)
+                    d = len(node[0]) - len(node[1])
+                    if d >= best_deficiency:
+                        R = _presentation(*node)
+                        text = serialize_presentation(R)
+                        if d > best_deficiency or text < best_text:
+                            best, best_deficiency, best_text = R, d, text
+    return SearchResult(best, best_deficiency, exhausted, visited)
 
 
 def subpresentation(P, gen_indices, rel_indices):

@@ -37,6 +37,13 @@ class Word:
     def generator(cls, index, sign=1):
         return cls(((index, sign),))
 
+    @classmethod
+    def _reduced(cls, letters):
+        """Wrap a letter tuple already known to be freely reduced, unchecked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self):
         return len(self.letters)
 
@@ -47,10 +54,15 @@ class Word:
         return not self.letters
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        # both factors are reduced, so cancellation happens only at the seam
+        a, b = self.letters, other.letters
+        t, n = 0, min(len(a), len(b))
+        while t < n and a[-1 - t] == (b[t][0], -b[t][1]):
+            t += 1
+        return Word._reduced(a[:len(a) - t] + b[t:])
 
     def inverse(self):
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word._reduced(tuple((g, -s) for g, s in reversed(self.letters)))
 
     __invert__ = inverse
 
@@ -71,17 +83,17 @@ class Word:
         return sum(1 for g, _ in self.letters if g == gen)
 
     def max_generator(self):
-        return max((g for g, _ in self.letters), default=-1)
+        return max(self.letters, default=(-1, 0))[0]
 
     def cyclically_reduced(self):
         """Return (core, conjugator) with self == conjugator * core * conjugator^-1
         and core cyclically reduced."""
-        letters = list(self.letters)
-        prefix = []
-        while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-            prefix.append(letters[0])
-            letters = letters[1:-1]
-        return Word(letters), Word(prefix)
+        letters = self.letters
+        a, b = 0, len(letters)
+        while b - a >= 2 and letters[a] == (letters[b - 1][0], -letters[b - 1][1]):
+            a += 1
+            b -= 1
+        return Word._reduced(letters[a:b]), Word._reduced(letters[:a])
 
     def substituted(self, images):
         """Replace generator i by the word images[i] (extended to inverses)."""
@@ -109,8 +121,7 @@ class Word:
         return f"Word({self.letters!r})"
 
 
-_IDENTITY = object.__new__(Word)
-object.__setattr__(_IDENTITY, "letters", ())
+_IDENTITY = Word._reduced(())
 
 
 def reduce_word(w):

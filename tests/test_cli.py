@@ -169,6 +169,54 @@ def test_malformed_acx_header_rejected(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_wedge_bad_input_rejected(tmp_path, capsys):
+    f = tmp_path / "F.acx"
+    w = tmp_path / "W.acx"
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", str(f)]) == 0
+    assert main(["wedge", str(f), "1", "--attach", "--out", str(w)]) == 0
+    capsys.readouterr()
+    assert main(["wedge", str(w), "1"]) == 1
+    assert "wedge needs a top-degree-2 complex" in capsys.readouterr().err
+    assert main(["wedge", str(f), "-1"]) == 1
+    assert "must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_overlong_relator_rejected(tmp_path, capsys):
+    bad = tmp_path / "long.fp"
+    bad.write_text("gens: x\nrels: x^100001\n")
+    assert main(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "power longer than 100000 letters (line 2, column 9)" in err
+
+
+def test_round_trip_under_python_optimize(tmp_path):
+    # chain -> wedge --attach -> split -> quotient -> certify-equiv on S3;
+    # with the interpreter's asserts stripped, every exit code, stdout and
+    # .acx file must be what the plain run gives
+    def run(flags, work):
+        work.mkdir()
+        f, orig, q = work / "F.acx", work / "orig.acx", work / "Q.acx"
+        steps = [["chain", str(CORPUS / "s3.fp"), "--finite", "--out", str(f)],
+                 ["chain", str(CORPUS / "s3.fp"), "--finite", "--out", str(orig)],
+                 ["wedge", str(f), "1", "--attach"],
+                 ["split", str(f)],
+                 ["quotient", str(f), "--out", str(q)],
+                 ["certify-equiv", str(q), str(orig)]]
+        outs = []
+        for args in steps:
+            r = subprocess.run([sys.executable, *flags, "-m", "d2kit.cli", *args],
+                               capture_output=True, text=True)
+            outs.append((r.returncode, r.stdout.replace(str(work), "WORK")))
+        return outs, [p.read_bytes() for p in (f, orig, q)]
+
+    plain = run([], tmp_path / "plain")
+    optimized = run(["-O"], tmp_path / "optimized")
+    assert [code for code, _ in plain[0]] == [0] * 6
+    assert "splits: true" in plain[0][3][1]
+    assert "verified: true" in plain[0][5][1]
+    assert optimized == plain
+
+
 def test_report_byte_identical(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -1,6 +1,7 @@
 import pytest
 
 from d2kit.presentations import (
+    MAX_RELATOR_LETTERS,
     EmptyGeneratorList,
     ParseError,
     Presentation,
@@ -75,6 +76,25 @@ def test_parse_errors():
     except UnknownGenerator as e:
         err = e
     assert err.line == 2 and err.col is not None
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("gens: x\nrels: x^100001\n", "power longer than 100000 letters", 9),
+    ("gens: x\nrels: (x^1000)^1000\n", "power longer than 100000 letters", 16),
+    ("gens: x y\nrels: x^2 (x^60000 y^60000)\n",
+     "relator longer than 100000 letters", 20),
+    ("gens: x\nrels: x^" + "9" * 5000 + "\n", "exponent too large", 9),
+], ids=["power", "nested-power", "running-length", "huge-exponent"])
+def test_parse_relator_length_cap(text, message, col):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.col) == (2, col)
+
+
+def test_parse_relator_length_cap_is_inclusive():
+    P = parse_presentation(f"gens: x y\nrels: x^{MAX_RELATOR_LETTERS} "
+                           "(x y)^50000 (x x^-1)^99999999\n")
+    assert [len(r) for r in P.relators] == [MAX_RELATOR_LETTERS, 100000, 0]
 
 
 def test_trivial_presentations_legal():

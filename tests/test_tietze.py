@@ -1,9 +1,12 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from d2kit.coset import todd_coxeter
 from d2kit.presentations import (
+    Presentation,
     abelianization,
     deficiency,
     parse_presentation,
@@ -27,6 +30,8 @@ from d2kit.tietze import (
     subpresentation,
 )
 from d2kit.words import Word
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 A5 = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^5\n")
 TREFOIL = parse_presentation("gens: x y\nrels: (x^2 y^-3)\n")
@@ -288,3 +293,143 @@ def test_name_clash_renaming():
     alt = parse_presentation("gens: y\nrels: y^2\n")  # clashes with kept y
     res = replace_subpresentation(P, [0], [0], alt, {0: Word([(0, 1)])})
     assert res.presentation.generators == ("y", "y_")
+
+
+# --- the search and simplify against the implementation they replaced ------
+
+def _reference_cyclic_form_key(w):
+    core, _ = w.cyclically_reduced()
+    letters = core.letters
+    best = None
+    for cand in (letters, core.inverse().letters):
+        n = len(cand)
+        for k in range(max(n, 1)):
+            rot = cand[k:] + cand[:k]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def _reference_remove_generator(P, gen):
+    i = next(i for i, r in enumerate(P.relators) if r.generator_count(gen) == 1)
+    r = P.relators[i]
+    pos = next(k for k, (g, _) in enumerate(r.letters) if g == gen)
+    u = Word(r.letters[:pos])
+    v = Word(r.letters[pos + 1:])
+    solved = (u.inverse() * v.inverse()) ** r.letters[pos][1]
+    images = {g: solved if g == gen else Word.generator(g)
+              for g in range(P.num_generators)}
+    rels = []
+    for k, w in enumerate(P.relators):
+        if k != i:
+            w = w.substituted(images)
+            rels.append(Word([(g if g < gen else g - 1, s) for g, s in w.letters]))
+    gens = tuple(n for k, n in enumerate(P.generators) if k != gen)
+    return Presentation(gens, tuple(rels))
+
+
+def _reference_simplify(P):
+    """simplify as it was written on Words, one Presentation per pass."""
+    while True:
+        changed = False
+        new_relators = []
+        for r in P.relators:
+            core, _ = r.cyclically_reduced()
+            if core != r:
+                changed = True
+            new_relators.append(core)
+        seen = set()
+        kept = []
+        for r in new_relators:
+            if r.is_identity():
+                changed = True
+                continue
+            key = _reference_cyclic_form_key(r)
+            if key in seen:
+                changed = True
+                continue
+            seen.add(key)
+            kept.append(r)
+        P = Presentation(P.generators, tuple(kept))
+        for gen in range(P.num_generators):
+            if any(r.generator_count(gen) == 1 for r in P.relators):
+                P = _reference_remove_generator(P, gen)
+                changed = True
+                break
+        if not changed:
+            return P
+
+
+def _random_presentation(rng):
+    d = rng.randint(1, 3)
+    rels = []
+    for _ in range(rng.randint(0, 4)):
+        if rels and rng.random() < 0.3:  # a rotated, maybe inverted, copy
+            core, _ = rng.choice(rels).cyclically_reduced()
+            k = rng.randrange(len(core)) if core else 0
+            w = Word(core.letters[k:] + core.letters[:k])
+            rels.append(w.inverse() if rng.random() < 0.5 else w)
+        else:
+            rels.append(Word([(rng.randrange(d), rng.choice((1, -1)))
+                              for _ in range(rng.randint(0, 8))]))
+    return Presentation(tuple("abc"[:d]), tuple(rels))
+
+
+def test_simplify_matches_reference_on_random_presentations():
+    rng = random.Random(5)
+    cases = [_random_presentation(rng) for _ in range(300)]
+    for text in ("gens: a b\nrels: a^2 b^3 (a b)^5\n",
+                 "gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n"):
+        for _ in range(40):
+            cases.append(random_verified_moves(parse_presentation(text), rng, 6)[0])
+    eliminated = 0
+    for P in cases:
+        expected = _reference_simplify(P)
+        assert simplify(P) == expected, serialize_presentation(P)
+        eliminated += expected.num_generators < P.num_generators
+    assert eliminated > 50  # the generator elimination path is exercised
+
+
+# Recorded with the search as it was before relators became letter tuples:
+# (name, first 16 hex digits of sha256(serialize_presentation(best)),
+#  deficiency, visited, exhausted) at budget 600.
+SEARCH_VARIANTS = {
+    "a5-rotated": "gens: a b\nrels: (b a)^5 b^-3 a^2\n",
+    "a5-swapped": "gens: b a\nrels: b^3 a^2 (a b)^5\n",
+    "a5-extra-gen": "gens: a b c\nrels: (c a^-1 b) a^2 b^3 (a b)^5\n",
+    "s3-rotated": "gens: a b\nrels: (b a)^3 b^-2 a^-2\n",
+    "s3-inverted": "gens: a b\nrels: (a b)^-3 b^2 a^2\n",
+    "q8-rotated": "gens: a b\nrels: (a b a b^-1) (b^-2 a^2)\n",
+    "q8-inverted": "gens: a b\nrels: (a^-1 b^-1 a^-1 b) (b^2 a^-2)\n",
+}
+SEARCH_GOLDEN = [
+    ("a5", "8fc511c3bd2f2b95", -1, 600, True),
+    ("f2", "a80ea14a172db730", 2, 1, False),
+    ("q8", "3df101da8104cd72", 0, 600, True),
+    ("s3", "e0b69a7495e605d5", -1, 600, True),
+    ("trefoil", "c8058c5626ae6788", 1, 1, False),
+    ("trivial", "351065a720b4d4e3", 0, 1, False),
+    ("z", "374147ceddca3242", 1, 1, False),
+    ("z2", "465e483d6c71e29e", 0, 1, False),
+    ("z5", "b34746105c198699", 0, 1, False),
+    ("a5-rotated", "e7bed80fc0136514", -1, 600, True),
+    ("a5-swapped", "046d7af991ab7462", -1, 600, True),
+    ("a5-extra-gen", "49f8f3d179eaf6d1", -1, 600, True),
+    ("s3-rotated", "6eaaa2a908e089a6", -1, 600, True),
+    ("s3-inverted", "bc31a393bc836883", -1, 600, True),
+    ("q8-rotated", "01f43672c6308e98", 0, 600, True),
+    ("q8-inverted", "aee44a2ac7c8e7c5", 0, 600, True),
+]
+
+
+@pytest.mark.parametrize("name, digest, defic, visited, exhausted", SEARCH_GOLDEN,
+                         ids=[case[0] for case in SEARCH_GOLDEN])
+def test_deficiency_search_golden(name, digest, defic, visited, exhausted):
+    text = SEARCH_VARIANTS.get(name)
+    if text is None:
+        text = (CORPUS / f"{name}.fp").read_text(encoding="utf-8")
+    res = deficiency_search(parse_presentation(text), budget=600)
+    sha = hashlib.sha256(serialize_presentation(res.best).encode()).hexdigest()
+    assert (sha[:16], res.deficiency, res.visited, res.exhausted) == (
+        digest, defic, visited, exhausted)
+    assert res.deficiency == deficiency(res.best)
