@@ -33,6 +33,13 @@ from .intlinalg import IntMatrix
 from .presentations import parse_presentation, serialize_presentation
 
 
+# Largest boundary `loads` accepts, in ZG coefficients: rows * cols * |G|
+# (|G| = 1 in symbolic mode, and an empty side counts as 1). It bounds what
+# is allocated before a boundary line is read. d2kit's own complexes stay far
+# below it: the wedged PSL(2,7) complexes have under 2 000.
+MAX_BOUNDARY_COEFFS = 1_000_000
+
+
 class AcxError(ValueError):
     pass
 
@@ -174,6 +181,8 @@ def loads(text):
     if not sec["[ranks]"]:
         raise AcxError("empty [ranks] section")
     ranks = tuple(int(x) for x in sec["[ranks]"][0].split())
+    if any(r < 0 for r in ranks):
+        raise AcxError(f"negative rank in [ranks]: {sec['[ranks]'][0].strip()}")
     model = None
     if mode == "finite":
         if "order" not in fields:
@@ -190,13 +199,18 @@ def loads(text):
     elif presentation is None:
         raise AcxError("symbolic mode requires a [presentation] section")
     boundaries = []
+    group_order = model.order if model else 1
     for i in range(1, len(ranks)):
         key = f"[d{i}]"
         rows, cols = ranks[i - 1], ranks[i]
+        if max(rows, 1) * max(cols, 1) * group_order > MAX_BOUNDARY_COEFFS:
+            raise AcxError(f"{key} of {rows}x{cols} entries over a group of "
+                           f"order {group_order} exceeds "
+                           f"{MAX_BOUNDARY_COEFFS} coefficients")
         body = sec.get(key, [])
         if mode == "finite":
-            entries = [[GroupRingElement.zero(model) for _ in range(cols)]
-                       for _ in range(rows)]
+            zero = GroupRingElement.zero(model)
+            entries = [[zero] * cols for _ in range(rows)]
             for line in body:
                 parts = line.split()
                 if len(parts) < 2:

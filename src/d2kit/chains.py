@@ -470,8 +470,9 @@ def _pi2_isomorphism(phi2, K_src, K_tgt):
     if len(K_src) != len(K_tgt):
         return False
     E = regular_rep_expand(phi2)
-    basis = IntMatrix(len(K_src), E.cols, [x for v in K_src for x in v])
-    return column_hnf(E * basis.transpose()) == K_tgt
+    basis_t = IntMatrix._raw(E.cols, len(K_src),
+                             tuple(x for row in zip(*K_src) for x in row))
+    return column_hnf(E * basis_t) == K_tgt
 
 
 def _phi2_candidates(phi, src, tgt, K_tgt, budget):

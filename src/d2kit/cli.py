@@ -123,13 +123,20 @@ def _analysis_pairs(a):
     return pairs
 
 
-def _check_expectations(a, expected_path):
+def _read_expectations(expected_path):
     try:
         expected = json.loads(Path(expected_path).read_text(encoding="utf-8"))
     except OSError as e:
         raise CliError(f"cannot read expectations {expected_path}: {e.strerror}")
     except json.JSONDecodeError as e:
         raise CliError(f"{expected_path}: bad JSON: {e}")
+    if not isinstance(expected, dict):
+        raise CliError(f"{expected_path}: expectations must be a JSON object, "
+                       f"got {type(expected).__name__}")
+    return expected
+
+
+def _check_expectations(a, expected):
     mismatches = []
     for key, want in expected.items():
         if key not in a:
@@ -143,12 +150,15 @@ def _check_expectations(a, expected_path):
 
 def cmd_analyze(args):
     P = _read_presentation(args.file)
+    expected = None
+    if args.check is not None:
+        path = args.check
+        if path is True:
+            path = str(Path(args.file).with_suffix("")) + ".expected.json"
+        expected = _read_expectations(path)
     a = _analysis(P, args.file, args.budget, args.max_cosets)
     _emit(_analysis_pairs(a), args.format)
-    if args.check is not None:
-        expected = args.check
-        if expected is True:
-            expected = str(Path(args.file).with_suffix("")) + ".expected.json"
+    if expected is not None:
         mismatches = _check_expectations(a, expected)
         if mismatches:
             for m in mismatches:
@@ -262,6 +272,13 @@ def cmd_quotient(args):
 def cmd_certify_equiv(args):
     F = _read_complex(args.f)
     G = _read_complex(args.g)
+    for path, X in ((args.f, F), (args.g, G)):
+        if X.top_degree != 2:
+            raise CliError(f"{path}: certification needs a top-degree-2 complex")
+        if not X.finite_mode:
+            raise CliError(f"{path}: certification requires finite mode")
+    if not F.model.same_table(G.model):
+        raise CliError(f"{args.f} and {args.g} live over different groups")
     out = certify_chain_equivalence(F, G, budget=args.budget)
     pairs = [("f", args.f), ("g", args.g), ("status", out.kind)]
     if out.reason:

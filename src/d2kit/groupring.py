@@ -118,23 +118,23 @@ class GroupRingElement:
         """Integer matrix of w -> self * w on coefficient columns."""
         n = self.model.order
         mult = self.model.mult
-        out = [[0] * n for _ in range(n)]
+        out = [0] * (n * n)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j in range(n):
-                    out[mult[i][j]][j] += a
-        return IntMatrix.from_rows(out)
+                    out[mult[i][j] * n + j] += a
+        return IntMatrix._raw(n, n, tuple(out))
 
     def right_action_matrix(self):
         """Integer matrix of w -> w * self on coefficient columns."""
         n = self.model.order
         mult = self.model.mult
-        out = [[0] * n for _ in range(n)]
+        out = [0] * (n * n)
         for j, b in enumerate(self.coeffs):
             if b:
                 for i in range(n):
-                    out[mult[i][j]][i] += b
-        return IntMatrix.from_rows(out)
+                    out[mult[i][j] * n + i] += b
+        return IntMatrix._raw(n, n, tuple(out))
 
     def __eq__(self, other):
         return (isinstance(other, GroupRingElement)
@@ -298,17 +298,17 @@ def _assemble_blocks(blocks, block_rows, block_cols, n):
     """Dense (block_rows*n) x (block_cols*n) IntMatrix from (bi, bj, z, action)
     blocks: the n x n integer matrix action(z) of the ZG element z is added
     at block position (bi, bj). Blocks sharing a position sum."""
-    out = [[0] * (block_cols * n) for _ in range(block_rows * n)]
+    width = block_cols * n
+    out = [0] * (block_rows * n * width)
     for bi, bj, z, action in blocks:
         if z.is_zero():
             continue
         M = action(z)
         for r in range(n):
-            row = out[bi * n + r]
-            for c, x in enumerate(M.row(r), bj * n):
+            for c, x in enumerate(M.row(r), (bi * n + r) * width + bj * n):
                 if x:
-                    row[c] += x
-    return IntMatrix.from_rows(out) if out else IntMatrix(0, block_cols * n, [])
+                    out[c] += x
+    return IntMatrix._raw(block_rows * n, width, tuple(out))
 
 
 def _expand(M, action):
@@ -337,12 +337,10 @@ def vec_columns(M):
     """(rows*|G|) x cols integer matrix; column k stacks the coefficient
     vectors of M's column k."""
     n = M.model.order
-    out = [[0] * M.cols for _ in range(M.rows * n)]
-    for i in range(M.rows):
-        for k in range(M.cols):
-            for t, c in enumerate(M.entry(i, k).coeffs):
-                out[i * n + t][k] = c
-    return IntMatrix.from_rows(out) if out else IntMatrix(0, M.cols, [])
+    return IntMatrix._raw(M.rows * n, M.cols, tuple(
+        x for i in range(M.rows)
+        for row in zip(*(M.entry(i, k).coeffs for k in range(M.cols)))
+        for x in row))
 
 
 def unvec_columns(model, rows, cols, X):

@@ -51,6 +51,15 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _raw(cls, rows, cols, data):
+        """Wrap a tuple of rows*cols ints computed from matrices, unchecked."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "rows", rows)
+        object.__setattr__(M, "cols", cols)
+        object.__setattr__(M, "data", data)
+        return M
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -79,31 +88,33 @@ class IntMatrix:
         return self.data[i * self.cols:(i + 1) * self.cols]
 
     def column(self, j):
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        return self.data[j::self.cols]
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)])
+        data, n = self.data, self.cols
+        return IntMatrix._raw(n, self.rows,
+                              tuple(x for j in range(n) for x in data[j::n]))
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         [a + b for a, b in zip(self.data, other.data)])
+        return IntMatrix._raw(self.rows, self.cols,
+                              tuple(a + b for a, b in zip(self.data, other.data)))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         [a - b for a, b in zip(self.data, other.data)])
+        return IntMatrix._raw(self.rows, self.cols,
+                              tuple(a - b for a, b in zip(self.data, other.data)))
 
     def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [-a for a in self.data])
+        return IntMatrix._raw(self.rows, self.cols, tuple(-a for a in self.data))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, [other * a for a in self.data])
+            return IntMatrix._raw(self.rows, self.cols,
+                                  tuple(other * a for a in self.data))
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -121,7 +132,7 @@ class IntMatrix:
                     brow = t * n
                     for j in range(n):
                         out[orow + j] += c * b[brow + j]
-        return IntMatrix(m, n, out)
+        return IntMatrix._raw(m, n, tuple(out))
 
     __rmul__ = __mul__
 
@@ -132,12 +143,12 @@ class IntMatrix:
         for i in range(self.rows):
             entries.extend(self.row(i))
             entries.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, entries)
+        return IntMatrix._raw(self.rows, self.cols + other.cols, tuple(entries))
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise DimensionMismatch("vstack needs equal column counts")
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
+        return IntMatrix._raw(self.rows + other.rows, self.cols, self.data + other.data)
 
     def is_zero(self):
         return all(x == 0 for x in self.data)
@@ -263,9 +274,8 @@ def smith_normal_form(A):
             break
         _add_col(D, violation, violation + 1, 1)
         _add_col(V, violation, violation + 1, 1)
-    return SNFResult(IntMatrix.from_rows(U) if m else IntMatrix(0, 0, []),
-                     IntMatrix(m, n, [x for row in D for x in row]),
-                     IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []))
+    return SNFResult(*(IntMatrix._raw(r, c, tuple(x for row in M for x in row))
+                       for M, r, c in ((U, m, m), (D, m, n), (V, n, n))))
 
 
 def column_echelon(A):
@@ -274,57 +284,71 @@ def column_echelon(A):
     Pivot rows strictly increase along nonzero columns; pivots are positive;
     columns after the last pivot are zero. Deterministic (minimal absolute
     value pivot, lowest column index on ties).
+
+    Runs the dense elimination's operations, in its order, on the sparse
+    {row: value} columns of the stacked matrix [A; I]; rows m.. become V.
     """
     m, n = A.rows, A.cols
-    H = A.to_rows()
-    V = IntMatrix.identity(n).to_rows()
+    C = [{i: x for i, x in enumerate(A.data[j::n]) if x} for j in range(n)]
+    for j, col in enumerate(C):
+        col[m + j] = 1
     c = 0
     for r in range(m):
         if c >= n:
             break
         # clear row r to a single pivot among columns >= c
         while True:
-            nz = [j for j in range(c, n) if H[r][j] != 0]
+            nz = [j for j in range(c, n) if r in C[j]]
             if len(nz) <= 1:
                 break
-            j0 = min(nz, key=lambda j: (abs(H[r][j]), j))
+            j0 = min(nz, key=lambda j: (abs(C[j][r]), j))
+            p = C[j0][r]
             for j in nz:
-                if j == j0:
-                    continue
-                q = H[r][j] // H[r][j0]
-                _add_col(H, j, j0, -q)
-                _add_col(V, j, j0, -q)
-        nz = [j for j in range(c, n) if H[r][j] != 0]
+                if j != j0:
+                    _sub_scaled(C[j], C[j0], C[j][r] // p)
         if not nz:
             continue
         j0 = nz[0]
-        if j0 != c:
-            _swap_cols(H, c, j0)
-            _swap_cols(V, c, j0)
-        if H[r][c] < 0:
-            for row in H:
-                row[c] = -row[c]
-            for row in V:
-                row[c] = -row[c]
+        C[c], C[j0] = C[j0], C[c]
+        if C[c][r] < 0:
+            C[c] = {i: -x for i, x in C[c].items()}
         # reduce earlier pivot columns against this pivot for determinism
+        p = C[c][r]
         for j in range(c):
-            if H[r][j]:
-                q = H[r][j] // H[r][c]
-                _add_col(H, j, c, -q)
-                _add_col(V, j, c, -q)
+            q = C[j].get(r, 0) // p
+            if q:
+                _sub_scaled(C[j], C[c], q)
         c += 1
-    return (IntMatrix(m, n, [x for row in H for x in row]),
-            IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []))
+    out = [0] * ((m + n) * n)
+    for j, col in enumerate(C):
+        for i, x in col.items():
+            out[i * n + j] = x
+    return (IntMatrix._raw(m, n, tuple(out[:m * n])),
+            IntMatrix._raw(n, n, tuple(out[m * n:])))
+
+
+def _sub_scaled(dst, src, q):
+    """dst -= q * src on sparse columns; q != 0."""
+    for i, x in src.items():
+        v = dst.get(i, 0) - q * x
+        if v:
+            dst[i] = v
+        else:
+            del dst[i]
 
 
 def _pivots(H):
-    """(row, column) of each pivot of a column echelon form H."""
+    """(row, column) of each pivot of a column echelon form H; a column is
+    zero above its pivot, and each pivot lies below the one before."""
     out = []
+    i = 0
     for j in range(H.cols):
-        i = next((i for i in range(H.rows) if H.entry(i, j)), None)
+        col = H.column(j)
+        i = next((t for t in range(i, H.rows) if col[t]), None)
         if i is None:
             break
         out.append((i, j))
+        i += 1
     return out
 
 
@@ -368,31 +392,6 @@ def rank_over_field(A, field):
         if r == len(rows):
             break
     return r
-
-
-def determinant(A):
-    """Exact determinant (Bareiss fraction-free elimination)."""
-    if A.rows != A.cols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    m = A.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def solve_integer_system(A, B):
@@ -523,6 +522,3 @@ def column_hnf(A):
     its length is the rank of A over Q."""
     return lattice_hnf([A.data[j::A.cols] for j in range(A.cols)], A.rows)
 
-
-def lattices_equal(vectors_a, vectors_b, dim):
-    return lattice_hnf(vectors_a, dim) == lattice_hnf(vectors_b, dim)

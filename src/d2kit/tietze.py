@@ -166,7 +166,29 @@ def _cyclic_form_key(letters):
     """Canonical key of a cyclically reduced relator up to cyclic rotation
     and inversion: the least rotation of its letters or of its inverse's."""
     inverse = Word._reduced(letters).inverse().letters
-    return min(w[k:] + w[:k] for w in (letters, inverse) for k in range(len(w)))
+    return min(_least_rotation(letters), _least_rotation(inverse))
+
+
+def _least_rotation(w):
+    """Lexicographically least rotation of a nonempty tuple, in linear time
+    (Booth's algorithm: a failure function over w + w)."""
+    s = w + w
+    fail = [-1] * len(s)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(s)):
+        x = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != s[k + i + 1]:
+            if x < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != s[k + i + 1]:  # here i == -1
+            if x < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return w[k:] + w[:k]
 
 
 def _simplify(gens, rels, memo):

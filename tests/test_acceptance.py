@@ -19,11 +19,12 @@ from d2kit.chains import (
 )
 from d2kit.coset import find_normal_generator, group_model, todd_coxeter
 from d2kit.groupring import GroupRingElement, GroupRingMatrix
-from d2kit.intlinalg import IntMatrix, determinant, smith_normal_form
+from d2kit.intlinalg import IntMatrix, smith_normal_form
 from d2kit.invariants import d2n_estimate, mu2_sandwich, swan_inequality_check
 from d2kit.presentations import abelianization, deficiency, is_perfect, parse_presentation
 from d2kit.tietze import replace_subpresentation
 from d2kit.words import Word
+from exact_oracles import determinant
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"

@@ -34,9 +34,10 @@ from d2kit.groupring import (
     ModelMismatch,
     regular_rep_expand,
 )
-from d2kit.intlinalg import IntMatrix, determinant, kernel_basis, solve_integer_system
+from d2kit.intlinalg import IntMatrix, kernel_basis, solve_integer_system
 from d2kit.presentations import Presentation, parse_presentation
 from d2kit.words import Word
+from exact_oracles import determinant
 
 Z2P = parse_presentation("gens: x\nrels: x^2\n")
 Z5P = parse_presentation("gens: x\nrels: x^5\n")
@@ -503,6 +504,19 @@ def test_acx_index_out_of_range(text):
     # a negative index must not wrap to the last row or element
     with pytest.raises(acx.AcxError, match="out of range"):
         acx.loads(text)
+
+
+def test_acx_ranks_bounded_before_allocating():
+    with pytest.raises(acx.AcxError, match="negative rank in \\[ranks\\]: 1 -2"):
+        acx.loads(_FREE_D1.replace("1 1\n", "1 -2\n"))
+    # a symbolic boundary at the cap is read; one entry more is rejected
+    side = 1000
+    assert side * side == acx.MAX_BOUNDARY_COEFFS
+    F = acx.loads(_FREE_D1.replace("1 1\n", f"1 1 {side} {side}\n"))
+    assert F.ranks == (1, 1, side, side)
+    with pytest.raises(acx.AcxError, match="\\[d3\\] of 1000x1001 entries over a "
+                       "group of order 1 exceeds 1000000 coefficients"):
+        acx.loads(_FREE_D1.replace("1 1\n", f"1 1 {side} {side + 1}\n"))
 
 
 def _finite_acx(rows, generators):

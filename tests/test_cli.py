@@ -169,6 +169,18 @@ def test_malformed_acx_header_rejected(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_acx_oversized_ranks_rejected(tmp_path, capsys):
+    # Z/12: a 300 x 300 boundary would hold 1 080 000 coefficients
+    table = "\n".join(" ".join(str((i + j) % 12) for j in range(12))
+                      for i in range(12))
+    f = tmp_path / "F.acx"
+    f.write_text(f"[group]\nmode: finite\norder: 12\nmulttable:\n{table}\n"
+                 "generators: 1\n[ranks]\n1 300 300\n")
+    assert main(["split", str(f)]) == 1
+    assert "[d2] of 300x300 entries over a group of order 12 exceeds 1000000" \
+        in capsys.readouterr().err
+
+
 def test_wedge_bad_input_rejected(tmp_path, capsys):
     f = tmp_path / "F.acx"
     w = tmp_path / "W.acx"
@@ -180,6 +192,43 @@ def test_wedge_bad_input_rejected(tmp_path, capsys):
     assert main(["wedge", str(f), "-1"]) == 1
     assert "must be nonnegative, got -1" in capsys.readouterr().err
 
+
+@pytest.fixture
+def certify_inputs(tmp_path, capsys):
+    """Finite Z/2 and Z/5 complexes, a symbolic Z/2 complex and a
+    top-degree-3 Z/2 complex, as .acx paths."""
+    paths = {name: str(tmp_path / f"{name}.acx")
+             for name in ("z2", "z5", "symbolic", "top3")}
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", paths["z2"]]) == 0
+    assert main(["chain", str(CORPUS / "z5.fp"), "--finite", "--out", paths["z5"]]) == 0
+    assert main(["chain", str(CORPUS / "z2.fp"), "--out", paths["symbolic"]]) == 0
+    assert main(["wedge", paths["z2"], "1", "--attach", "--out", paths["top3"]]) == 0
+    capsys.readouterr()
+    return paths
+
+
+def test_certify_equiv_different_groups_rejected(certify_inputs, capsys):
+    assert main(["certify-equiv", certify_inputs["z2"], certify_inputs["z5"]]) == 1
+    assert "live over different groups" in capsys.readouterr().err
+
+
+def test_certify_equiv_top_degree_3_rejected(certify_inputs, capsys):
+    assert main(["certify-equiv", certify_inputs["z2"], certify_inputs["top3"]]) == 1
+    assert "certification needs a top-degree-2 complex" in capsys.readouterr().err
+
+
+def test_certify_equiv_symbolic_rejected(certify_inputs, capsys):
+    assert main(["certify-equiv", certify_inputs["symbolic"], certify_inputs["z2"]]) == 1
+    assert "certification requires finite mode" in capsys.readouterr().err
+
+
+def test_check_expectations_not_an_object_rejected(tmp_path, capsys):
+    expected = tmp_path / "list.json"
+    expected.write_text("[1, 2]\n")
+    assert main(["check", str(CORPUS / "z2.fp"), str(expected)]) == 1
+    captured = capsys.readouterr()
+    assert "expectations must be a JSON object, got list" in captured.err
+    assert captured.out == ""
 
 def test_overlong_relator_rejected(tmp_path, capsys):
     bad = tmp_path / "long.fp"

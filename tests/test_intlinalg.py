@@ -7,16 +7,16 @@ from d2kit.intlinalg import (
     IntMatrix,
     NotPrime,
     column_echelon,
-    determinant,
     infeasibility_certificate,
     kernel_basis,
     lattice_hnf,
-    lattices_equal,
     rank_over_field,
     smith_normal_form,
     solve_integer_system,
     xgcd,
 )
+
+from exact_oracles import dense_column_echelon, determinant, lattices_equal
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
@@ -93,6 +93,52 @@ def test_column_echelon_certificate():
             assert not zero_seen
             assert nz[0] > last
             last = nz[0]
+
+
+def test_column_echelon_matches_dense_reference():
+    rng = random.Random(20261018)
+    shapes = [(0, 4), (3, 0), (0, 0), (4, 4), (1, 6), (6, 1)]
+    cases = [IntMatrix.zeros(m, n) for m, n in shapes]
+    cases.append(IntMatrix.from_rows([[-2, -2, 2], [-3, 1, -1]]))  # ties, negative pivot
+    for _ in range(300):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        values = rng.choice(((-2, -1, 0, 1, 2), (-9, -3, 0, 0, 3, 6), (-40, 0, 0, 0, 17)))
+        cases.append(IntMatrix(m, n, [rng.choice(values) for _ in range(m * n)]))
+    for A in cases:
+        assert column_echelon(A) == dense_column_echelon(A), A
+
+
+def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
+    from d2kit import intlinalg
+    from d2kit.chains import certify_chain_equivalence, presentation_complex, stabilize_wedge
+    from d2kit.coset import group_model
+    from d2kit.presentations import Presentation, parse_presentation
+
+    systems = []
+    real = intlinalg.column_echelon
+
+    def recording(A):
+        systems.append(A)
+        return real(A)
+
+    monkeypatch.setattr(intlinalg, "column_echelon", recording)
+    for text in ("gens: a b\nrels: a^2 b^2 (a b)^3\n",
+                 "gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n"):
+        P = parse_presentation(text)
+        model = group_model(P, 1000)
+        F = stabilize_wedge(presentation_complex(P, model), 1)
+        G = presentation_complex(
+            Presentation(P.generators, P.relators + P.relators[:1]), model)
+        assert certify_chain_equivalence(F, G).kind == "certificate"
+    # the cone contractions of S3 (|G| = 6) and Q8 (|G| = 8) are among them
+    assert {(372, 270), (352, 264)} <= {(A.rows, A.cols) for A in systems}
+    for A in systems:
+        assert real(A) == dense_column_echelon(A)
+
+
+def test_public_constructor_checks_entries():
+    with pytest.raises(ValueError):
+        IntMatrix(1, 1, ["x"])
 
 
 def test_solve_examples():

@@ -8,6 +8,8 @@ re-verification still passes. These values pin the systems and the choices.
 
 import hashlib
 
+import pytest
+
 from d2kit.chains import (
     attach_three_cells,
     certify_chain_equivalence,
@@ -128,3 +130,19 @@ def test_certificate_s3_duplicated_relator():
     maps = c.forward + c.backward + c.homotopies_gf + c.homotopies_fg
     assert digest([grid(m) for m in maps]) == (
         "faaa14f62c5f6ce427e46ff1febd4a1be670b41e7a2c43a0099a508d97d2763f")
+
+
+@pytest.mark.slow
+def test_certificate_s4_duplicated_relator():
+    P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^4\n")
+    S4 = group_model(P, 1000)
+    F = stabilize_wedge(presentation_complex(P, S4), 1)
+    G = presentation_complex(
+        Presentation(P.generators, P.relators + P.relators[:1]), S4)
+    out = certify_chain_equivalence(F, G)
+    assert out.kind == "certificate"
+    assert out.solver_calls == 430
+    c = out.certificate
+    maps = c.forward + c.backward + c.homotopies_gf + c.homotopies_fg
+    assert digest([grid(m) for m in maps]) == (
+        "248c09c64ee0daf00c0920909b70fd4673084a773032bbbdb6e07eeed95af0b9")

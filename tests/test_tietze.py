@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from d2kit.presentations import (
     serialize_presentation,
 )
 from d2kit.tietze import (
+    _cyclic_form_key,
     AddGenerator,
     AddRelator,
     ExtensionResult,
@@ -388,6 +390,31 @@ def test_simplify_matches_reference_on_random_presentations():
         assert simplify(P) == expected, serialize_presentation(P)
         eliminated += expected.num_generators < P.num_generators
     assert eliminated > 50  # the generator elimination path is exercised
+
+
+def test_cyclic_form_key_matches_all_rotations():
+    rng = random.Random(1980)
+    checked = periodic = 0
+    for _ in range(3000):
+        d = rng.randint(1, 3)
+        base = [(rng.randrange(d), rng.choice((1, -1))) for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.3:
+            base *= rng.randint(2, 5)
+            periodic += 1
+        core, _ = Word(base).cyclically_reduced()
+        if core:
+            assert _cyclic_form_key(core.letters) == _reference_cyclic_form_key(core)
+            checked += 1
+    assert checked > 2000 and periodic > 500
+
+
+def test_deficiency_search_long_relator_is_linear():
+    # the all-rotations key took minutes on this relator
+    P = parse_presentation("gens: x y\nrels: (x^20000 y) y^3\n")
+    start = time.perf_counter()
+    res = deficiency_search(P, budget=1)
+    assert time.perf_counter() - start < 5
+    assert res.deficiency == 0
 
 
 # Recorded with the search as it was before relators became letter tuples:
