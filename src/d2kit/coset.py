@@ -39,13 +39,21 @@ def _word_cols(w):
 
 
 class _Table:
-    """Mutable coset table with union-find coincidence handling."""
+    """Column-major coset table with union-find coincidence handling.
+
+    `cols[c][k]` is the coset reached from coset k by column c (generator g
+    forward is column 2g, backward 2g + 1), or None while undefined. `p` is
+    the union-find parent list: the table has len(p) cosets and the live ones
+    are the roots. Columns are only ever appended to, so a word compiled
+    against them stays valid for the whole enumeration.
+    """
 
     def __init__(self, ngens, max_cosets):
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
-        self.rows = [[None] * self.ncols]
+        self.cols = [[None] for _ in range(self.ncols)]
         self.p = [0]
+        self._live = None
 
     def rep(self, k):
         p = self.p
@@ -57,105 +65,136 @@ class _Table:
         return root
 
     def define(self, a, c):
-        if len(self.rows) >= self.max_cosets:
+        b = len(self.p)
+        if b >= self.max_cosets:
             raise _Limit
-        b = len(self.rows)
-        self.rows.append([None] * self.ncols)
         self.p.append(b)
-        self.rows[a][c] = b
-        self.rows[b][c ^ 1] = a
+        for col in self.cols:
+            col.append(None)
+        self.cols[c][a] = b
+        self.cols[c ^ 1][b] = a
         return b
 
-    def _merge(self, a, b, queue):
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            self.p[b] = a
-            queue.append(b)
+    def compile(self, word_cols):
+        """A word's scan form: its columns, the column lists read going
+        forward and the inverse column lists read going backward."""
+        cols = self.cols
+        return (word_cols, tuple(cols[c] for c in word_cols),
+                tuple(cols[c ^ 1] for c in word_cols))
 
     def coincidence(self, a, b, deductions=None):
-        rows = self.rows
+        cols, p, rep = self.cols, self.p, self.rep
         queue = deque()
-        self._merge(a, b, queue)
+
+        def merge(x, y):
+            x = x if p[x] == x else rep(x)
+            y = y if p[y] == y else rep(y)
+            if x != y:
+                if x > y:
+                    x, y = y, x
+                p[y] = x
+                queue.append(y)
+
+        merge(a, b)
         while queue:
             gamma = queue.popleft()
-            for c in range(self.ncols):
-                delta = rows[gamma][c]
+            mu = rep(gamma)
+            for c, col in enumerate(cols):
+                delta = col[gamma]
                 if delta is None:
                     continue
-                rows[delta][c ^ 1] = None
+                inv = cols[c ^ 1]
+                inv[delta] = None
                 if deductions is not None:
                     deductions.append((delta, c ^ 1))
-                mu, nu = self.rep(gamma), self.rep(delta)
-                if rows[mu][c] is not None:
-                    self._merge(nu, rows[mu][c], queue)
-                elif rows[nu][c ^ 1] is not None:
-                    self._merge(mu, rows[nu][c ^ 1], queue)
+                if p[mu] != mu:
+                    mu = rep(mu)
+                nu = delta if p[delta] == delta else rep(delta)
+                if col[mu] is not None:
+                    merge(nu, col[mu])
+                elif inv[nu] is not None:
+                    merge(mu, inv[nu])
                 else:
-                    rows[mu][c] = nu
-                    rows[nu][c ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
                     if deductions is not None:
                         deductions.append((mu, c))
 
-    def scan(self, a, word_cols, fill, deductions=None):
-        """Scan `word_cols` from coset `a`; fill gaps when `fill`."""
-        rows = self.rows
-        if not word_cols:
-            return
-        while True:
-            f, i = a, 0
-            r = len(word_cols)
-            while i < r and rows[f][word_cols[i]] is not None:
-                f = rows[f][word_cols[i]]
-                i += 1
-            if i == r:
-                if f != a:
-                    self.coincidence(f, a, deductions)
-                return
-            b, j = a, r - 1
-            while j >= i and rows[b][word_cols[j] ^ 1] is not None:
-                b = rows[b][word_cols[j] ^ 1]
-                j -= 1
-            if j < i:
-                self.coincidence(f, b, deductions)
-                return
-            if j == i:
-                rows[f][word_cols[i]] = b
-                rows[b][word_cols[i] ^ 1] = f
-                if deductions is not None:
-                    deductions.append((f, word_cols[i]))
-                return
-            if not fill:
-                return
-            self.define(f, word_cols[i])
-
     def live(self):
-        return [k for k in range(len(self.rows)) if self.p[k] == k]
+        """The live cosets in increasing order, listed once the enumeration
+        has stopped (the list is kept, and the table must not change after)."""
+        if self._live is None:
+            self._live = [k for k, root in enumerate(self.p) if k == root]
+        return self._live
 
     def is_complete(self):
-        return all(None not in self.rows[k] for k in self.live())
+        live = self.live()
+        return all(col[k] is not None for col in self.cols for k in live)
 
 
-def _preprocess(P, extra_relators=()):
+def _preprocess(P):
     words = []
-    for r in list(P.relators) + list(extra_relators):
+    for r in P.relators:
         core, _ = r.cyclically_reduced()
         if core:
             words.append(_word_cols(core))
     return words
 
 
+def _scan_and_fill(table, a, word):
+    """HLT: scan `word` from coset a, defining cosets until it closes.
+
+    A definition fills only the gap's two undefined entries, so the passes
+    resume where they stopped (forward from the new coset, backward from
+    the entry that was missing) instead of retracing their paths from a.
+    Relators are freely reduced, so the forward pass moves one letter past
+    a new coset and never overtakes the backward pass.
+    """
+    w, fwd, inv = word
+    r = len(w)
+    f, i = a, 0
+    b, j = a, r - 1
+    while True:
+        while i < r:
+            g = fwd[i][f]
+            if g is None:
+                break
+            f = g
+            i += 1
+        if i == r:
+            if f != a:
+                table.coincidence(f, a)
+            return
+        while j >= i:
+            g = inv[j][b]
+            if g is None:
+                break
+            b = g
+            j -= 1
+        if j < i:
+            table.coincidence(f, b)
+            return
+        if j == i:
+            fwd[i][f] = b
+            inv[i][b] = f
+            return
+        f = table.define(f, w[i])
+        i += 1
+
+
 def _enumerate_hlt(table, relator_cols):
+    words = [table.compile(w) for w in relator_cols]
+    cols, p = table.cols, table.p
     alpha = 0
-    while alpha < len(table.rows):
-        if table.p[alpha] == alpha:
-            for w in relator_cols:
-                table.scan(alpha, w, fill=True)
-                if table.p[alpha] != alpha:
+    while alpha < len(p):
+        if p[alpha] == alpha:
+            for w in words:
+                _scan_and_fill(table, alpha, w)
+                if p[alpha] != alpha:
                     break
-            if table.p[alpha] == alpha:
-                for c in range(table.ncols):
-                    if table.rows[alpha][c] is None:
+            if p[alpha] == alpha:
+                for c, col in enumerate(cols):
+                    if col[alpha] is None:
                         table.define(alpha, c)
         alpha += 1
 
@@ -170,64 +209,83 @@ def _enumerate_felsch(table, relator_cols):
                 rot = base[k:] + base[:k]
                 if rot not in seen:
                     seen.add(rot)
-                    by_first[rot[0]].append(rot)
+                    by_first[rot[0]].append(table.compile(rot))
+    cols, p, rep, coincidence = table.cols, table.p, table.rep, table.coincidence
     deductions = []
 
     def process():
+        # scan each rotation starting with the deduced entry's column, without
+        # filling: a scan closes, yields one deduction or is left open
         while deductions:
             a, c = deductions.pop()
-            a = table.rep(a)
-            for w in by_first[c]:
-                table.scan(a, w, fill=False, deductions=deductions)
-                if table.p[a] != a:
-                    break
+            if p[a] != a:
+                a = rep(a)
+            for w, fwd, inv in by_first[c]:
+                f = a
+                for i, col in enumerate(fwd):
+                    g = col[f]
+                    if g is None:
+                        break
+                    f = g
+                else:
+                    if f != a:
+                        coincidence(f, a, deductions)
+                        if p[a] != a:
+                            break
+                    continue
+                b, j = a, len(w) - 1
+                while j > i:
+                    g = inv[j][b]
+                    if g is None:
+                        break
+                    b = g
+                    j -= 1
+                else:
+                    # the passes meet at the gap (f, w[i])
+                    g = inv[i][b]
+                    if g is None:
+                        col[f] = b
+                        inv[i][b] = f
+                        deductions.append((f, w[i]))
+                        continue
+                    coincidence(f, g, deductions)
+                    if p[a] != a:
+                        break
 
     alpha = 0
-    while alpha < len(table.rows):
-        if table.p[alpha] == alpha:
-            c = 0
-            while c < table.ncols:
-                if table.p[alpha] != alpha:
+    while alpha < len(p):
+        if p[alpha] == alpha:
+            for c, col in enumerate(cols):
+                if p[alpha] != alpha:
                     break
-                if table.rows[alpha][c] is None:
+                if col[alpha] is None:
                     table.define(alpha, c)
                     deductions.append((alpha, c))
                     process()
-                c += 1
         alpha += 1
 
 
 def _compress_and_standardize(table):
-    """Relabel live cosets: first compress, then breadth-first renumber
-    scanning rows in order and columns (g0,+),(g0,-),(g1,+),... so the
-    final table is canonical for the group regardless of strategy."""
+    """Canonical rows of the live cosets: breadth-first renumbering from the
+    identity coset, scanning columns (g0,+),(g0,-),(g1,+),... so the final
+    table is canonical for the group regardless of strategy."""
     live = table.live()
-    index = {}
-    for k in live:
-        index[k] = len(index)
+    index = {k: n for n, k in enumerate(live)}
+    rep = table.rep
+    cols = [[index[rep(col[k])] for k in live] for col in table.cols]
     n = len(live)
-    rows = [[index[table.rep(table.rows[k][c])] for c in range(table.ncols)]
-            for k in live]
-    # breadth-first relabeling
     order = [None] * n
     order[0] = 0
-    count = 1
-    queue = deque([0])
-    while queue:
-        a = queue.popleft()
-        for c in range(table.ncols):
-            b = rows[a][c]
+    visit = [0]
+    for a in visit:
+        for col in cols:
+            b = col[a]
             if order[b] is None:
-                order[b] = count
-                count += 1
-                queue.append(b)
-    if count != n:
+                order[b] = len(visit)
+                visit.append(b)
+    if len(visit) != n:
         raise CertificateError("standardization missed live cosets")
-    out = [[0] * table.ncols for _ in range(n)]
-    for a in range(n):
-        for c in range(table.ncols):
-            out[order[a]][c] = order[rows[a][c]]
-    return out
+    return tuple(tuple(order[col[a]] for col in cols) for a in visit)
 
 
 @dataclass(frozen=True)
@@ -264,8 +322,7 @@ def todd_coxeter(P, max_cosets, strategy="hlt"):
     if not table.is_complete():
         raise CertificateError("enumeration ended with an incomplete table")
     rows = _compress_and_standardize(table)
-    return CosetTable("complete", len(rows),
-                      tuple(tuple(r) for r in rows), strategy)
+    return CosetTable("complete", len(rows), rows, strategy)
 
 
 @dataclass(frozen=True)
@@ -312,31 +369,26 @@ def group_model(P, max_cosets, strategy="hlt"):
             f"enumeration incomplete after {max_cosets} cosets")
     n = tc.num_cosets
     rows = tc.table
-    # representative words (as column paths) in first-visit order
-    rep_path = [None] * n
-    rep_path[0] = ()
+    # breadth-first spanning tree: element j was first reached from k by
+    # column c, so its representative word is k's followed by c, and
+    # i * j = (i * k) moved along column c; columns of mult are built in
+    # first-visit order from their tree parents
+    by_col = tuple(zip(*rows))
+    mult_cols = [None] * n
+    mult_cols[0] = tuple(range(n))
     queue = deque([0])
     while queue:
-        a = queue.popleft()
-        for c in range(len(rows[a])):
-            b = rows[a][c]
-            if rep_path[b] is None:
-                rep_path[b] = rep_path[a] + (c,)
+        k = queue.popleft()
+        for c, b in enumerate(rows[k]):
+            if mult_cols[b] is None:
+                mult_cols[b] = tuple(map(by_col[c].__getitem__, mult_cols[k]))
                 queue.append(b)
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = i
-            for c in rep_path[j]:
-                e = rows[e][c]
-            row.append(e)
-        mult.append(tuple(row))
+    mult = tuple(zip(*mult_cols))
     inverse = [0] * n
     for i in range(n):
         inverse[i] = mult[i].index(0)
     gen_images = tuple(rows[0][_col(g, 1)] for g in range(P.num_generators))
-    model = FiniteGroupModel(n, tuple(mult), tuple(inverse), gen_images)
+    model = FiniteGroupModel(n, mult, tuple(inverse), gen_images)
     for r in P.relators:
         if model.evaluate_word(r) != 0:
             raise CertificateError("a relator does not hold in the model")

@@ -48,6 +48,14 @@ class GroupRingElement:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _raw(cls, model, coeffs):
+        """Wrap a tuple of model.order ints computed from elements, unchecked."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "model", model)
+        object.__setattr__(z, "coeffs", coeffs)
+        return z
+
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingElement is immutable")
 
@@ -84,20 +92,21 @@ class GroupRingElement:
 
     def __add__(self, other):
         _check_same_model(self, other)
-        return GroupRingElement(self.model,
-                                [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return GroupRingElement._raw(
+            self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         _check_same_model(self, other)
-        return GroupRingElement(self.model,
-                                [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return GroupRingElement._raw(
+            self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return GroupRingElement(self.model, [-a for a in self.coeffs])
+        return GroupRingElement._raw(self.model, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GroupRingElement(self.model, [other * a for a in self.coeffs])
+            return GroupRingElement._raw(self.model,
+                                         tuple(other * a for a in self.coeffs))
         _check_same_model(self, other)
         mult = self.model.mult
         out = [0] * self.model.order
@@ -107,7 +116,7 @@ class GroupRingElement:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[row[j]] += a * b
-        return GroupRingElement(self.model, out)
+        return GroupRingElement._raw(self.model, tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -213,9 +222,10 @@ class GroupRingMatrix:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         out = []
+        zero = GroupRingElement._raw(self.model, (0,) * self.model.order)
         for i in range(self.rows):
             for k in range(other.cols):
-                acc = GroupRingElement.zero(self.model)
+                acc = zero
                 for j in range(self.cols):
                     a = other.entry(j, k)
                     b = self.entry(i, j)
@@ -349,8 +359,8 @@ def unvec_columns(model, rows, cols, X):
     entries = []
     for i in range(rows):
         for k in range(cols):
-            entries.append(GroupRingElement(
-                model, [X.entry(i * n + t, k) for t in range(n)]))
+            entries.append(GroupRingElement._raw(
+                model, tuple(X.entry(i * n + t, k) for t in range(n))))
     return GroupRingMatrix(model, rows, cols, entries)
 
 

@@ -632,8 +632,7 @@ expect("shape-XK", DimensionMismatch, system.add_equation, one, ("s", one))
 
 
 class Disconnected:  # two live cosets that no column joins
-    ncols = 2
-    rows = [[0, 0], [1, 1]]
+    cols = [[0, 1], [0, 1]]
 
     def live(self):
         return [0, 1]

@@ -1,3 +1,7 @@
+import hashlib
+import random
+from pathlib import Path
+
 import pytest
 
 from d2kit.coset import (
@@ -7,7 +11,7 @@ from d2kit.coset import (
     is_trivial_quotient,
     todd_coxeter,
 )
-from d2kit.presentations import parse_presentation
+from d2kit.presentations import Presentation, parse_presentation
 from d2kit.words import Word
 
 TRIVIAL = parse_presentation("gens:\nrels:\n")
@@ -18,6 +22,13 @@ S3 = parse_presentation("gens: a b\nrels: a^2 b^2 (a b)^3\n")
 Q8 = parse_presentation("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n")
 A5 = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^5\n")
 TREFOIL = parse_presentation("gens: x y\nrels: (x^2 y^-3)\n")
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def coset_large(m):
+    """<a,b | a^2, b^3, (ab)^7, [a,b]^m>, the coset-large benchmark groups."""
+    return parse_presentation(
+        f"gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^{m}\n")
 
 
 def perm_group_order(perms):
@@ -112,6 +123,44 @@ def test_group_model_relators_and_reproducibility():
             assert m1.evaluate_word(r) == 0
 
 
+def word_walk_mult(rows):
+    """mult[i][j]: walk j's breadth-first representative word from i."""
+    n = len(rows)
+    rep_path = [None] * n
+    rep_path[0] = ()
+    queue = [0]
+    for a in queue:
+        for c, b in enumerate(rows[a]):
+            if rep_path[b] is None:
+                rep_path[b] = rep_path[a] + (c,)
+                queue.append(b)
+    mult = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = i
+            for c in rep_path[j]:
+                e = rows[e][c]
+            row.append(e)
+        mult.append(tuple(row))
+    return tuple(mult)
+
+
+def test_group_model_mult_matches_word_walk():
+    groups = [parse_presentation(p.read_text())
+              for p in sorted(CORPUS.glob("*.fp"))]
+    groups += [coset_large(4), coset_large(6)]  # PSL(2,7) and order 1092
+    orders = []
+    for P in groups:
+        tc = todd_coxeter(P, 20000)
+        if not tc.complete:
+            continue
+        m = group_model(P, 20000)
+        assert m.mult == word_walk_mult(tc.table)
+        orders.append(m.order)
+    assert orders == [60, 8, 6, 1, 2, 5, 168, 1092]
+
+
 def test_group_model_incomplete_raises():
     with pytest.raises(NotFinitelyEnumerated):
         group_model(TREFOIL, 2000)
@@ -171,3 +220,295 @@ def test_find_normal_generator_non_perfect():
     assert not res.found
     assert "non-perfect" in res.warnings
     assert res.tested == 0
+
+
+# --- golden enumeration results --------------------------------------------
+# Recorded with the row-major table that the column-major one replaced. A
+# change in which cosets get defined or merged shows up here as a different
+# live count on a limit hit or a different table digest.
+
+GOLDEN_LIMITS = (50, 700, 5000)
+
+
+def random_free(seed):
+    """2 or 3 generators, 2-4 random relators of up to 10 letters."""
+    rng = random.Random(seed)
+    ngens = 2 + seed % 2
+    rels = [Word([(rng.randrange(ngens), rng.choice((1, -1)))
+                  for _ in range(rng.randint(2, 10))])
+            for _ in range(rng.randint(2, 4))]
+    return Presentation("abc"[:ngens], rels)
+
+
+def random_powers(seed):
+    """g^k (k in 2..5) for each of 2 or 3 generators, plus 1-2 random words."""
+    rng = random.Random(seed)
+    ngens = 2 + seed % 2
+    rels = [Word([(g, 1)] * rng.randint(2, 5)) for g in range(ngens)]
+    rels += [Word([(rng.randrange(ngens), rng.choice((1, -1)))
+                   for _ in range(rng.randint(4, 10))])
+             for _ in range(rng.randint(1, 2))]
+    return Presentation("abc"[:ngens], rels)
+
+
+def golden_inputs():
+    out = {p.stem: parse_presentation(p.read_text())
+           for p in sorted(CORPUS.glob("*.fp"))}
+    out.update((f"free{s}", random_free(s)) for s in range(20))
+    out.update((f"powers{s}", random_powers(s)) for s in range(24))
+    out.update((f"m{m}", coset_large(m)) for m in (4, 5))
+    return out
+
+
+def table_digest(tc):
+    if not tc.complete:
+        return None
+    return hashlib.sha256(repr(tc.table).encode()).hexdigest()[:16]
+
+
+def golden_row(P, strategy):
+    return tuple((tc.status, tc.num_cosets, table_digest(tc))
+                 for tc in (todd_coxeter(P, limit, strategy)
+                            for limit in GOLDEN_LIMITS))
+
+
+# (input, strategy) -> (status, num_cosets, digest) at limits 50, 700, 5000
+TODD_COXETER_GOLDEN = {
+    ("a5", "hlt"): (("incomplete", 49, None), ("complete", 60, "610d3d697464c289"),
+                    ("complete", 60, "610d3d697464c289")),
+    ("a5", "felsch"): (("incomplete", 50, None), ("complete", 60, "610d3d697464c289"),
+                       ("complete", 60, "610d3d697464c289")),
+    ("f2", "hlt"): (("incomplete", 50, None), ("incomplete", 700, None),
+                    ("incomplete", 5000, None)),
+    ("f2", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                       ("incomplete", 5000, None)),
+    ("q8", "hlt"): (("complete", 8, "e11952981ac076dc"), ("complete", 8, "e11952981ac076dc"),
+                    ("complete", 8, "e11952981ac076dc")),
+    ("q8", "felsch"): (("complete", 8, "e11952981ac076dc"), ("complete", 8, "e11952981ac076dc"),
+                       ("complete", 8, "e11952981ac076dc")),
+    ("s3", "hlt"): (("complete", 6, "296ffe54aae8144d"), ("complete", 6, "296ffe54aae8144d"),
+                    ("complete", 6, "296ffe54aae8144d")),
+    ("s3", "felsch"): (("complete", 6, "296ffe54aae8144d"), ("complete", 6, "296ffe54aae8144d"),
+                       ("complete", 6, "296ffe54aae8144d")),
+    ("trefoil", "hlt"): (("incomplete", 50, None), ("incomplete", 672, None),
+                         ("incomplete", 4817, None)),
+    ("trefoil", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                            ("incomplete", 5000, None)),
+    ("trivial", "hlt"): (("complete", 1, "6af22f1bc2d94295"), ("complete", 1, "6af22f1bc2d94295"),
+                         ("complete", 1, "6af22f1bc2d94295")),
+    ("trivial", "felsch"): (("complete", 1, "6af22f1bc2d94295"), ("complete", 1, "6af22f1bc2d94295"),
+                            ("complete", 1, "6af22f1bc2d94295")),
+    ("z", "hlt"): (("incomplete", 50, None), ("incomplete", 700, None),
+                   ("incomplete", 5000, None)),
+    ("z", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                      ("incomplete", 5000, None)),
+    ("z2", "hlt"): (("complete", 2, "71a6dbfe4aff17b0"), ("complete", 2, "71a6dbfe4aff17b0"),
+                    ("complete", 2, "71a6dbfe4aff17b0")),
+    ("z2", "felsch"): (("complete", 2, "71a6dbfe4aff17b0"), ("complete", 2, "71a6dbfe4aff17b0"),
+                       ("complete", 2, "71a6dbfe4aff17b0")),
+    ("z5", "hlt"): (("complete", 5, "a61025afa2fa6670"), ("complete", 5, "a61025afa2fa6670"),
+                    ("complete", 5, "a61025afa2fa6670")),
+    ("z5", "felsch"): (("complete", 5, "a61025afa2fa6670"), ("complete", 5, "a61025afa2fa6670"),
+                       ("complete", 5, "a61025afa2fa6670")),
+    ("free0", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                       ("complete", 1, "d8f7da685833a9d3")),
+    ("free0", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                          ("complete", 1, "d8f7da685833a9d3")),
+    ("free1", "hlt"): (("incomplete", 29, None), ("incomplete", 354, None),
+                       ("incomplete", 2504, None)),
+    ("free1", "felsch"): (("incomplete", 26, None), ("incomplete", 351, None),
+                          ("incomplete", 2501, None)),
+    ("free2", "hlt"): (("complete", 3, "5f6eddfbb34ded84"), ("complete", 3, "5f6eddfbb34ded84"),
+                       ("complete", 3, "5f6eddfbb34ded84")),
+    ("free2", "felsch"): (("complete", 3, "5f6eddfbb34ded84"), ("complete", 3, "5f6eddfbb34ded84"),
+                          ("complete", 3, "5f6eddfbb34ded84")),
+    ("free3", "hlt"): (("incomplete", 37, None), ("incomplete", 300, None),
+                       ("incomplete", 1775, None)),
+    ("free3", "felsch"): (("incomplete", 47, None), ("incomplete", 584, None),
+                          ("incomplete", 4067, None)),
+    ("free4", "hlt"): (("incomplete", 33, None), ("incomplete", 311, None),
+                       ("incomplete", 2151, None)),
+    ("free4", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                          ("incomplete", 5000, None)),
+    ("free5", "hlt"): (("complete", 1, "f565f5c7e6a88397"), ("complete", 1, "f565f5c7e6a88397"),
+                       ("complete", 1, "f565f5c7e6a88397")),
+    ("free5", "felsch"): (("complete", 1, "f565f5c7e6a88397"), ("complete", 1, "f565f5c7e6a88397"),
+                          ("complete", 1, "f565f5c7e6a88397")),
+    ("free6", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                       ("complete", 1, "d8f7da685833a9d3")),
+    ("free6", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                          ("complete", 1, "d8f7da685833a9d3")),
+    ("free7", "hlt"): (("complete", 5, "6b9ac8f541c2b630"), ("complete", 5, "6b9ac8f541c2b630"),
+                       ("complete", 5, "6b9ac8f541c2b630")),
+    ("free7", "felsch"): (("complete", 5, "6b9ac8f541c2b630"), ("complete", 5, "6b9ac8f541c2b630"),
+                          ("complete", 5, "6b9ac8f541c2b630")),
+    ("free8", "hlt"): (("incomplete", 50, None), ("incomplete", 700, None),
+                       ("incomplete", 5000, None)),
+    ("free8", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                          ("incomplete", 5000, None)),
+    ("free9", "hlt"): (("incomplete", 47, None), ("complete", 3, "f77941e1cebb1051"),
+                       ("complete", 3, "f77941e1cebb1051")),
+    ("free9", "felsch"): (("complete", 3, "f77941e1cebb1051"), ("complete", 3, "f77941e1cebb1051"),
+                          ("complete", 3, "f77941e1cebb1051")),
+    ("free10", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                        ("complete", 1, "d8f7da685833a9d3")),
+    ("free10", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                           ("complete", 1, "d8f7da685833a9d3")),
+    ("free11", "hlt"): (("incomplete", 49, None), ("incomplete", 662, None),
+                        ("incomplete", 4651, None)),
+    ("free11", "felsch"): (("incomplete", 50, None), ("incomplete", 694, None),
+                           ("incomplete", 4913, None)),
+    ("free12", "hlt"): (("complete", 3, "5f6eddfbb34ded84"), ("complete", 3, "5f6eddfbb34ded84"),
+                        ("complete", 3, "5f6eddfbb34ded84")),
+    ("free12", "felsch"): (("complete", 3, "5f6eddfbb34ded84"), ("complete", 3, "5f6eddfbb34ded84"),
+                           ("complete", 3, "5f6eddfbb34ded84")),
+    ("free13", "hlt"): (("incomplete", 50, None), ("incomplete", 678, None),
+                        ("incomplete", 4407, None)),
+    ("free13", "felsch"): (("incomplete", 50, None), ("incomplete", 640, None),
+                           ("incomplete", 4939, None)),
+    ("free14", "hlt"): (("complete", 2, "83f95dd54f1cd46c"), ("complete", 2, "83f95dd54f1cd46c"),
+                        ("complete", 2, "83f95dd54f1cd46c")),
+    ("free14", "felsch"): (("complete", 2, "83f95dd54f1cd46c"), ("complete", 2, "83f95dd54f1cd46c"),
+                           ("complete", 2, "83f95dd54f1cd46c")),
+    ("free15", "hlt"): (("incomplete", 44, None), ("incomplete", 613, None),
+                        ("incomplete", 4377, None)),
+    ("free15", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                           ("incomplete", 5000, None)),
+    ("free16", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                        ("complete", 1, "d8f7da685833a9d3")),
+    ("free16", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                           ("complete", 1, "d8f7da685833a9d3")),
+    ("free17", "hlt"): (("complete", 3, "95f650a8b94b14f7"), ("complete", 3, "95f650a8b94b14f7"),
+                        ("complete", 3, "95f650a8b94b14f7")),
+    ("free17", "felsch"): (("complete", 3, "95f650a8b94b14f7"), ("complete", 3, "95f650a8b94b14f7"),
+                           ("complete", 3, "95f650a8b94b14f7")),
+    ("free18", "hlt"): (("complete", 6, "c61e1c8aee6f046e"), ("complete", 6, "c61e1c8aee6f046e"),
+                        ("complete", 6, "c61e1c8aee6f046e")),
+    ("free18", "felsch"): (("complete", 6, "c61e1c8aee6f046e"), ("complete", 6, "c61e1c8aee6f046e"),
+                           ("complete", 6, "c61e1c8aee6f046e")),
+    ("free19", "hlt"): (("complete", 2, "8ecef713a3387f7d"), ("complete", 2, "8ecef713a3387f7d"),
+                        ("complete", 2, "8ecef713a3387f7d")),
+    ("free19", "felsch"): (("complete", 2, "8ecef713a3387f7d"), ("complete", 2, "8ecef713a3387f7d"),
+                           ("complete", 2, "8ecef713a3387f7d")),
+    ("powers0", "hlt"): (("incomplete", 50, None), ("incomplete", 700, None),
+                         ("incomplete", 5000, None)),
+    ("powers0", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                            ("incomplete", 5000, None)),
+    ("powers1", "hlt"): (("incomplete", 25, None), ("complete", 24, "0565848572e96cb9"),
+                         ("complete", 24, "0565848572e96cb9")),
+    ("powers1", "felsch"): (("complete", 24, "0565848572e96cb9"), ("complete", 24, "0565848572e96cb9"),
+                            ("complete", 24, "0565848572e96cb9")),
+    ("powers2", "hlt"): (("complete", 4, "9173dbffa0bb3ff1"), ("complete", 4, "9173dbffa0bb3ff1"),
+                         ("complete", 4, "9173dbffa0bb3ff1")),
+    ("powers2", "felsch"): (("complete", 4, "9173dbffa0bb3ff1"), ("complete", 4, "9173dbffa0bb3ff1"),
+                            ("complete", 4, "9173dbffa0bb3ff1")),
+    ("powers3", "hlt"): (("incomplete", 45, None), ("complete", 3, "401c2c5d86d4dea9"),
+                         ("complete", 3, "401c2c5d86d4dea9")),
+    ("powers3", "felsch"): (("complete", 3, "401c2c5d86d4dea9"), ("complete", 3, "401c2c5d86d4dea9"),
+                            ("complete", 3, "401c2c5d86d4dea9")),
+    ("powers4", "hlt"): (("incomplete", 49, None), ("complete", 18, "67fec24eff798101"),
+                         ("complete", 18, "67fec24eff798101")),
+    ("powers4", "felsch"): (("incomplete", 50, None), ("complete", 18, "67fec24eff798101"),
+                            ("complete", 18, "67fec24eff798101")),
+    ("powers5", "hlt"): (("incomplete", 37, None), ("incomplete", 105, None),
+                         ("incomplete", 675, None)),
+    ("powers5", "felsch"): (("incomplete", 37, None), ("incomplete", 469, None),
+                            ("incomplete", 3337, None)),
+    ("powers6", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                         ("complete", 1, "d8f7da685833a9d3")),
+    ("powers6", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                            ("complete", 1, "d8f7da685833a9d3")),
+    ("powers7", "hlt"): (("incomplete", 50, None), ("incomplete", 628, None),
+                         ("incomplete", 4596, None)),
+    ("powers7", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                            ("incomplete", 5000, None)),
+    ("powers8", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                         ("complete", 1, "d8f7da685833a9d3")),
+    ("powers8", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                            ("complete", 1, "d8f7da685833a9d3")),
+    ("powers9", "hlt"): (("incomplete", 29, None), ("incomplete", 376, None),
+                         ("incomplete", 2600, None)),
+    ("powers9", "felsch"): (("incomplete", 37, None), ("incomplete", 505, None),
+                            ("incomplete", 3601, None)),
+    ("powers10", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                          ("complete", 1, "d8f7da685833a9d3")),
+    ("powers10", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                             ("complete", 1, "d8f7da685833a9d3")),
+    ("powers11", "hlt"): (("incomplete", 30, None), ("incomplete", 356, None),
+                          ("incomplete", 2504, None)),
+    ("powers11", "felsch"): (("incomplete", 37, None), ("incomplete", 513, None),
+                             ("incomplete", 3661, None)),
+    ("powers12", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                          ("complete", 1, "d8f7da685833a9d3")),
+    ("powers12", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                             ("complete", 1, "d8f7da685833a9d3")),
+    ("powers13", "hlt"): (("incomplete", 41, None), ("incomplete", 512, None),
+                          ("incomplete", 3644, None)),
+    ("powers13", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                             ("incomplete", 5000, None)),
+    ("powers14", "hlt"): (("complete", 3, "c1ae10b84f0e0f8e"), ("complete", 3, "c1ae10b84f0e0f8e"),
+                          ("complete", 3, "c1ae10b84f0e0f8e")),
+    ("powers14", "felsch"): (("complete", 3, "c1ae10b84f0e0f8e"), ("complete", 3, "c1ae10b84f0e0f8e"),
+                             ("complete", 3, "c1ae10b84f0e0f8e")),
+    ("powers15", "hlt"): (("complete", 2, "147e3ee703fd7030"), ("complete", 2, "147e3ee703fd7030"),
+                          ("complete", 2, "147e3ee703fd7030")),
+    ("powers15", "felsch"): (("complete", 2, "147e3ee703fd7030"), ("complete", 2, "147e3ee703fd7030"),
+                             ("complete", 2, "147e3ee703fd7030")),
+    ("powers16", "hlt"): (("complete", 20, "95f52e50385389aa"), ("complete", 20, "95f52e50385389aa"),
+                          ("complete", 20, "95f52e50385389aa")),
+    ("powers16", "felsch"): (("complete", 20, "95f52e50385389aa"), ("complete", 20, "95f52e50385389aa"),
+                             ("complete", 20, "95f52e50385389aa")),
+    ("powers17", "hlt"): (("complete", 1, "f565f5c7e6a88397"), ("complete", 1, "f565f5c7e6a88397"),
+                          ("complete", 1, "f565f5c7e6a88397")),
+    ("powers17", "felsch"): (("complete", 1, "f565f5c7e6a88397"), ("complete", 1, "f565f5c7e6a88397"),
+                             ("complete", 1, "f565f5c7e6a88397")),
+    ("powers18", "hlt"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                          ("complete", 1, "d8f7da685833a9d3")),
+    ("powers18", "felsch"): (("complete", 1, "d8f7da685833a9d3"), ("complete", 1, "d8f7da685833a9d3"),
+                             ("complete", 1, "d8f7da685833a9d3")),
+    ("powers19", "hlt"): (("complete", 1, "f565f5c7e6a88397"), ("complete", 1, "f565f5c7e6a88397"),
+                          ("complete", 1, "f565f5c7e6a88397")),
+    ("powers19", "felsch"): (("complete", 1, "f565f5c7e6a88397"), ("complete", 1, "f565f5c7e6a88397"),
+                             ("complete", 1, "f565f5c7e6a88397")),
+    ("powers20", "hlt"): (("incomplete", 50, None), ("complete", 6, "d7025f1cde3d733e"),
+                          ("complete", 6, "d7025f1cde3d733e")),
+    ("powers20", "felsch"): (("incomplete", 50, None), ("complete", 6, "d7025f1cde3d733e"),
+                             ("complete", 6, "d7025f1cde3d733e")),
+    ("powers21", "hlt"): (("incomplete", 50, None), ("complete", 1, "f565f5c7e6a88397"),
+                          ("complete", 1, "f565f5c7e6a88397")),
+    ("powers21", "felsch"): (("incomplete", 50, None), ("complete", 1, "f565f5c7e6a88397"),
+                             ("complete", 1, "f565f5c7e6a88397")),
+    ("powers22", "hlt"): (("complete", 3, "c1ae10b84f0e0f8e"), ("complete", 3, "c1ae10b84f0e0f8e"),
+                          ("complete", 3, "c1ae10b84f0e0f8e")),
+    ("powers22", "felsch"): (("complete", 3, "c1ae10b84f0e0f8e"), ("complete", 3, "c1ae10b84f0e0f8e"),
+                             ("complete", 3, "c1ae10b84f0e0f8e")),
+    ("powers23", "hlt"): (("complete", 4, "4c6d65fae9af005c"), ("complete", 4, "4c6d65fae9af005c"),
+                          ("complete", 4, "4c6d65fae9af005c")),
+    ("powers23", "felsch"): (("complete", 4, "4c6d65fae9af005c"), ("complete", 4, "4c6d65fae9af005c"),
+                             ("complete", 4, "4c6d65fae9af005c")),
+    ("m4", "hlt"): (("incomplete", 50, None), ("complete", 168, "7e0880b49cddd5bd"),
+                    ("complete", 168, "7e0880b49cddd5bd")),
+    ("m4", "felsch"): (("incomplete", 50, None), ("complete", 168, "7e0880b49cddd5bd"),
+                       ("complete", 168, "7e0880b49cddd5bd")),
+    ("m5", "hlt"): (("incomplete", 50, None), ("incomplete", 570, None),
+                    ("complete", 1, "d8f7da685833a9d3")),
+    ("m5", "felsch"): (("incomplete", 50, None), ("complete", 1, "d8f7da685833a9d3"),
+                       ("complete", 1, "d8f7da685833a9d3")),
+}
+
+
+def test_todd_coxeter_golden():
+    got = {(name, strategy): golden_row(P, strategy)
+           for name, P in golden_inputs().items()
+           for strategy in ("hlt", "felsch")}
+    assert got == TODD_COXETER_GOLDEN
+
+
+@pytest.mark.slow
+def test_todd_coxeter_golden_coset_large():
+    for strategy in ("hlt", "felsch"):
+        tc = todd_coxeter(coset_large(8), 300000, strategy)
+        assert (tc.status, tc.num_cosets, table_digest(tc)) == (
+            "complete", 10752, "da371134fe5f9ef2")
+    assert todd_coxeter(coset_large(9), 200000, "hlt").num_cosets == 159751
+    assert todd_coxeter(coset_large(9), 200000, "felsch").num_cosets == 199816

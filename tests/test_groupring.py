@@ -13,7 +13,7 @@ from d2kit.groupring import (
     unvec_columns,
     vec_columns,
 )
-from d2kit.intlinalg import IntMatrix
+from d2kit.intlinalg import DimensionMismatch, IntMatrix
 from d2kit.presentations import parse_presentation
 
 Z2 = group_model(parse_presentation("gens: x\nrels: x^2\n"), 100)
@@ -36,6 +36,18 @@ def test_multiply_examples_z2():
     assert one_plus_t * one_plus_t == elem(Z2, (0, 2), (1, 2))
     x = elem(Z2, (0, 3), (1, -2))
     assert x * GroupRingElement.one(Z2) == x
+
+
+def test_public_constructor_checks_entries():
+    with pytest.raises(ValueError):
+        GroupRingElement(Z2, ["x", 0])
+    with pytest.raises((TypeError, ValueError)):
+        GroupRingElement.from_pairs(Z2, [(0, "x")])
+    with pytest.raises(ValueError):
+        GroupRingElement.from_element(Z2, 1, "x")
+    assert GroupRingElement(Z2, ["2", 3.0]).coeffs == (2, 3)
+    with pytest.raises(DimensionMismatch):
+        GroupRingElement(Z2, [1])
 
 
 def test_augmentation_multiplicative():
