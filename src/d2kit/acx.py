@@ -35,8 +35,10 @@ from .presentations import parse_presentation, serialize_presentation
 
 # Largest boundary `loads` accepts, in ZG coefficients: rows * cols * |G|
 # (|G| = 1 in symbolic mode, and an empty side counts as 1). It bounds what
-# is allocated before a boundary line is read. d2kit's own complexes stay far
-# below it: the wedged PSL(2,7) complexes have under 2 000.
+# is allocated before a boundary line is read. Each rank f must also keep
+# f * f * |G| under it, since splitting, quotienting and certifying build
+# f x f matrices over ZG. d2kit's own complexes stay far below it: the
+# wedged PSL(2,7) complexes have under 5 000.
 MAX_BOUNDARY_COEFFS = 1_000_000
 
 
@@ -231,6 +233,11 @@ def loads(text):
                 entries[_index(r, rows, "row")][_index(c, cols, "column")] = int(v)
             boundaries.append(IntMatrix(rows, cols,
                                         [x for row in entries for x in row]))
+    for i, f in enumerate(ranks):
+        if f * f * group_order > MAX_BOUNDARY_COEFFS:
+            raise AcxError(f"rank {f} of F_{i} over a group of order "
+                           f"{group_order}: a {f}x{f} matrix exceeds "
+                           f"{MAX_BOUNDARY_COEFFS} coefficients")
     return AlgebraicComplex(ranks, model, tuple(boundaries), presentation)
 
 

@@ -195,7 +195,11 @@ def validate_complex(F, check_exactness=True):
     augmentation kills d_1, and (finite mode, when requested) exactness at
     F_0 and F_1 via integer-lattice comparison; reports the Q-rank of the
     expanded d_2 and the Q-dimension of its kernel (the algebraic pi_2
-    size; in symbolic mode these are shadow quantities)."""
+    size; in symbolic mode these are shadow quantities).
+
+    With check_exactness=False a finite-mode check does no lattice work:
+    d2_rank_q and ker_d2_qdim are None. Symbolic mode still reports its
+    shadow rank, which costs one small field elimination."""
     failures = []
     n = F.top_degree
     chain_ok = True
@@ -218,21 +222,20 @@ def validate_complex(F, check_exactness=True):
     exact0 = exact1 = None
     d2_rank = ker_dim = None
     if F.finite_mode:
-        order = F.model.order
         if check_exactness and n >= 1:
+            order = F.model.order
             E1 = regular_rep_expand(F.boundary(1))
             aug_row = IntMatrix(1, F.ranks[0] * order, [1] * (F.ranks[0] * order))
             exact0 = column_hnf(E1) == kernel_basis(aug_row)
             if not exact0:
                 failures.append("image of d_1 differs from the augmentation ideal")
-        if n >= 2:
-            H2 = column_hnf(regular_rep_expand(F.boundary(2)))
-            if check_exactness:
+            if n >= 2:
+                H2 = column_hnf(regular_rep_expand(F.boundary(2)))
                 exact1 = H2 == kernel_basis(E1)
                 if not exact1:
                     failures.append("ker d_1 differs from image of d_2")
-            d2_rank = len(H2)
-            ker_dim = F.ranks[2] * order - d2_rank
+                d2_rank = len(H2)
+                ker_dim = F.ranks[2] * order - d2_rank
     elif n >= 2:
         d2_rank = rank_over_field(F.shadow(2), "Q")
         ker_dim = F.ranks[2] - d2_rank
@@ -463,50 +466,42 @@ def _lift_chain_map(src, tgt, budget):
     return [phi0, phi1, phi2]
 
 
-def _pi2_isomorphism(phi2, K_src, K_tgt):
-    """Whether phi2 maps the kernel lattice pi_2 = ker d_2 of the source
-    onto that of the target, given their Hermite bases K_src and K_tgt:
-    the ranks agree and the images of K_src have the Hermite form K_tgt."""
-    if len(K_src) != len(K_tgt):
-        return False
-    E = regular_rep_expand(phi2)
-    basis_t = IntMatrix._raw(E.cols, len(K_src),
-                             tuple(x for row in zip(*K_src) for x in row))
-    return column_hnf(E * basis_t) == K_tgt
+def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
+    """Yield (candidate, image) for the phi2 variants that keep the chain
+    condition: phi2 itself, then single and double corrections by a
+    kernel-lattice column of K_tgt placed in one column of the matrix.
 
-
-def _phi2_candidates(phi, src, tgt, K_tgt, budget):
-    """Yield phi2 variants keeping the chain condition: base, then single
-    and double corrections by kernel-lattice columns."""
+    image is regular_rep_expand(candidate) * K_src^T, where K_src^T holds
+    the source kernel basis as columns. phi2 and each single correction are
+    expanded and multiplied once, so a candidate's image is a sum of
+    those."""
     model = src.model
     order = model.order
     s2, t2 = src.ranks[2], tgt.ranks[2]
-    yield phi[2]
+    zero = GroupRingElement.zero(model)
+    basis_t = IntMatrix._raw(s2 * order, len(K_src),
+                             tuple(x for row in zip(*K_src) for x in row))
+    base = regular_rep_expand(phi2) * basis_t
+    yield phi2, base
     singles = []
     for c in range(s2):
         for v in K_tgt:
-            entries = []
-            for i in range(t2):
-                coeffs = v[i * order:(i + 1) * order]
-                entries.append(GroupRingElement(model, coeffs))
             omega = GroupRingMatrix(model, t2, s2, [
-                entries[i] if j == c else GroupRingElement.zero(model)
-                for i in range(t2) for j in range(s2)])
-            singles.append(omega)
-    for omega in singles:
-        for sign in (1, -1):
-            if not budget.spend():
-                return
-            yield phi[2] + (omega if sign > 0 else -omega)
-    for a in range(len(singles)):
-        for b in range(a + 1, len(singles)):
-            for sa in (1, -1):
-                for sb in (1, -1):
+                GroupRingElement(model, v[i * order:(i + 1) * order])
+                if j == c else zero for i in range(t2) for j in range(s2)])
+            image = regular_rep_expand(omega) * basis_t
+            singles.append((omega, image))
+            for w, im in ((omega, image), (-omega, -image)):
+                if not budget.spend():
+                    return
+                yield phi2 + w, base + im
+    for a, (wa, ia) in enumerate(singles):
+        for wb, ib in singles[a + 1:]:
+            for xa, ja in ((wa, ia), (-wa, -ia)):
+                for xb, jb in ((wb, ib), (-wb, -ib)):
                     if not budget.spend():
                         return
-                    omega = (singles[a] if sa > 0 else -singles[a]) + \
-                            (singles[b] if sb > 0 else -singles[b])
-                    yield phi[2] + omega
+                    yield phi2 + (xa + xb), base + (ja + jb)
 
 
 class _GrSystem:
@@ -521,7 +516,7 @@ class _GrSystem:
         self.model = model
         self.unknowns = {}       # name -> (entry offset, rows, cols)
         self.total_entries = 0
-        self.blocks = []         # (rhs entry, unknown entry, element, action)
+        self.blocks = []         # (rhs entry, unknown entry, element, left)
         self.rhs = []            # rhs entries in block-row order
 
     def add_unknown(self, name, rows, cols):
@@ -539,8 +534,7 @@ class _GrSystem:
                 if K.rows != rhs.rows or K.cols != xr or xc != cols:
                     raise DimensionMismatch(f"compose(K, {b}) does not fit")
                 self.blocks += [
-                    (base + i * cols + k, off + j * xc + k, K.entry(i, j),
-                     GroupRingElement.right_action_matrix)
+                    (base + i * cols + k, off + j * xc + k, K.entry(i, j), False)
                     for i in range(K.rows) for j in range(K.cols)
                     for k in range(xc)]
             else:
@@ -548,15 +542,14 @@ class _GrSystem:
                 if xr != rhs.rows or xc != K.rows or K.cols != cols:
                     raise DimensionMismatch(f"compose({a}, K) does not fit")
                 self.blocks += [
-                    (base + i * cols + k, off + i * xc + j, K.entry(j, k),
-                     GroupRingElement.left_action_matrix)
+                    (base + i * cols + k, off + i * xc + j, K.entry(j, k), True)
                     for j in range(K.rows) for k in range(K.cols)
                     for i in range(xr)]
         self.rhs.extend(rhs.entries)
 
     def solve(self):
         big = _assemble_blocks(self.blocks, len(self.rhs), self.total_entries,
-                               self.model.order)
+                               self.model)
         rhs = vec_columns(GroupRingMatrix(self.model, len(self.rhs), 1, self.rhs))
         sol = solve_integer_system(big, rhs)
         if sol is None:
@@ -618,18 +611,19 @@ def _extract_certificate(phi, src, tgt, contraction):
     return back, hom_src, hom_tgt
 
 
-def _attempt_orientation(src, tgt, budget):
+def _attempt_orientation(src, tgt, K_src, K_tgt, budget):
     """Try to certify src ~ tgt by lifting src -> tgt and contracting the
-    cone. Returns (forward src->tgt, backward, hom_src, hom_tgt) or None."""
+    cone; K_src and K_tgt are the Hermite bases of the kernel lattices
+    pi_2 = ker d_2. A phi2 candidate goes on to the cone only when it maps
+    K_src onto K_tgt: the ranks agree and its image has the Hermite form
+    K_tgt. Returns (forward src->tgt, backward, hom_src, hom_tgt) or None."""
     phi = _lift_chain_map(src, tgt, budget)
     if phi is None:
         return None
-    K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
-    K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
-    for phi2 in _phi2_candidates(phi, src, tgt, K_tgt, budget):
+    for phi2, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt, budget):
         if budget.used > budget.limit:
             return None
-        if not _pi2_isomorphism(phi2, K_src, K_tgt):
+        if len(K_src) != len(K_tgt) or column_hnf(image) != K_tgt:
             continue
         cand = [phi[0], phi[1], phi2]
         contraction = _contract_cone(cand, src, tgt, budget)
@@ -672,13 +666,15 @@ def certify_chain_equivalence(F, G, budget=DEFAULT_CERTIFY_BUDGET):
             return CertifyOutcome(
                 "not_equivalent", None,
                 f"homology over {field} differs: {hF} vs {hG}", b.used)
-    res = _attempt_orientation(F, G, b)
+    K_F = kernel_basis(regular_rep_expand(F.boundary(2)))
+    K_G = kernel_basis(regular_rep_expand(G.boundary(2)))
+    res = _attempt_orientation(F, G, K_F, K_G, b)
     if res is not None:
         forward, back, hom_F, hom_G = res
         cert = EquivalenceCertificate(forward, back, hom_F, hom_G)
         if cert.verify(F, G):
             return CertifyOutcome("certificate", cert, "", b.used)
-    res = _attempt_orientation(G, F, b)
+    res = _attempt_orientation(G, F, K_G, K_F, b)
     if res is not None:
         forward, back, hom_G, hom_F = res
         cert = EquivalenceCertificate(back, forward, hom_F, hom_G)

@@ -258,6 +258,8 @@ def cmd_quotient(args):
     F = _read_complex(args.acx)
     if F.top_degree != 3:
         raise CliError(f"{args.acx}: quotient needs a top-degree-3 complex")
+    if not F.finite_mode:
+        raise CliError(f"{args.acx}: quotient requires finite mode")
     rep = split_test(F)
     if not rep.splits:
         raise CliError(f"{args.acx}: top boundary does not split")

@@ -339,9 +339,6 @@ class FiniteGroupModel:
     inverse: tuple
     generator_images: tuple
 
-    def multiply(self, i, j):
-        return self.mult[i][j]
-
     def inverse_of(self, i):
         return self.inverse[i]
 
@@ -361,9 +358,9 @@ class FiniteGroupModel:
         return self.order == other.order and self.mult == other.mult
 
 
-def group_model(P, max_cosets, strategy="hlt"):
+def group_model(P, max_cosets):
     """Multiplication-table model of the (finite) group presented by P."""
-    tc = todd_coxeter(P, max_cosets, strategy)
+    tc = todd_coxeter(P, max_cosets)
     if not tc.complete:
         raise NotFinitelyEnumerated(
             f"enumeration incomplete after {max_cosets} cosets")

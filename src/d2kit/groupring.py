@@ -123,28 +123,6 @@ class GroupRingElement:
             return self * other
         return NotImplemented
 
-    def left_action_matrix(self):
-        """Integer matrix of w -> self * w on coefficient columns."""
-        n = self.model.order
-        mult = self.model.mult
-        out = [0] * (n * n)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n):
-                    out[mult[i][j] * n + j] += a
-        return IntMatrix._raw(n, n, tuple(out))
-
-    def right_action_matrix(self):
-        """Integer matrix of w -> w * self on coefficient columns."""
-        n = self.model.order
-        mult = self.model.mult
-        out = [0] * (n * n)
-        for j, b in enumerate(self.coeffs):
-            if b:
-                for i in range(n):
-                    out[mult[i][j] * n + i] += b
-        return IntMatrix._raw(n, n, tuple(out))
-
     def __eq__(self, other):
         return (isinstance(other, GroupRingElement)
                 and self.model.same_table(other.model)
@@ -170,10 +148,14 @@ class GroupRingMatrix:
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise DimensionMismatch("wrong number of entries")
+        checked = model
         for e in entries:
             if not isinstance(e, GroupRingElement):
                 raise TypeError("entries must be GroupRingElements")
-            _check_same_model(e, entries[0])
+            if e.model is not model and e.model is not checked:
+                if not e.model.same_table(model):
+                    raise ModelMismatch("entry over a different group model")
+                checked = e.model
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -200,11 +182,6 @@ class GroupRingMatrix:
         z = GroupRingElement.zero(model)
         return cls(model, n, n, [one if i == j else z
                                  for i in range(n) for j in range(n)])
-
-    @classmethod
-    def from_int_entries(cls, model, rows, cols, ints):
-        return cls(model, rows, cols,
-                   [GroupRingElement.from_element(model, 0, int(c)) for c in ints])
 
     def entry(self, i, j):
         return self.entries[i * self.cols + j]
@@ -304,29 +281,34 @@ class GroupRingMatrix:
         return f"<GroupRingMatrix {self.rows}x{self.cols} over |G|={self.model.order}>"
 
 
-def _assemble_blocks(blocks, block_rows, block_cols, n):
-    """Dense (block_rows*n) x (block_cols*n) IntMatrix from (bi, bj, z, action)
-    blocks: the n x n integer matrix action(z) of the ZG element z is added
-    at block position (bi, bj). Blocks sharing a position sum."""
+def _assemble_blocks(blocks, block_rows, block_cols, model):
+    """Dense (block_rows*|G|) x (block_cols*|G|) IntMatrix from (bi, bj, z,
+    left) blocks, written straight from the multiplication table: block
+    (bi, bj) gains the action of the ZG element z on coefficient columns,
+    w -> z * w when left, else w -> w * z. A coefficient a of element i adds
+    a at (row mult[i][j], column j) of a left block, for every j, and at
+    (row mult[k][i], column k) of a right block, for every k. Blocks sharing
+    a position sum."""
+    n, mult = model.order, model.mult
+    by_col = tuple(zip(*mult))
     width = block_cols * n
     out = [0] * (block_rows * n * width)
-    for bi, bj, z, action in blocks:
-        if z.is_zero():
-            continue
-        M = action(z)
-        for r in range(n):
-            for c, x in enumerate(M.row(r), (bi * n + r) * width + bj * n):
-                if x:
-                    out[c] += x
+    for bi, bj, z, left in blocks:
+        corner = bi * n * width + bj * n
+        for i, a in enumerate(z.coeffs):
+            if a:
+                for c, r in enumerate(mult[i] if left else by_col[i], corner):
+                    out[r * width + c] += a
     return IntMatrix._raw(block_rows * n, width, tuple(out))
 
 
-def _expand(M, action):
-    """Integer matrix whose block (i, j) is action(M_ij)."""
+def _expand(M, left):
+    """Integer matrix whose block (i, j) is the left (or right) action of
+    M_ij."""
     return _assemble_blocks(
-        ((i, j, M.entry(i, j), action)
+        ((i, j, M.entry(i, j), left)
          for i in range(M.rows) for j in range(M.cols)),
-        M.rows, M.cols, M.model.order)
+        M.rows, M.cols, M.model)
 
 
 def _transpose_grid(M):
@@ -340,7 +322,7 @@ def regular_rep_expand(M):
     """Expand a ZG matrix to the integer matrix of its action on stacked
     coefficient columns. Multiplicative for composition:
     expand(M o N) == expand(M) * expand(N)."""
-    return _expand(M, GroupRingElement.right_action_matrix)
+    return _expand(M, False)
 
 
 def vec_columns(M):
@@ -384,7 +366,7 @@ def gr_integer_system(A, B, side):
         return regular_rep_expand(A), vec_columns(B)
     if A.cols != B.cols:
         raise DimensionMismatch("A and B need equal column counts")
-    return (_expand(_transpose_grid(A), GroupRingElement.left_action_matrix),
+    return (_expand(_transpose_grid(A), True),
             vec_columns(_transpose_grid(B)))
 
 

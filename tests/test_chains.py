@@ -13,7 +13,6 @@ from d2kit.chains import (
     _Budget,
     _lift_chain_map,
     _phi2_candidates,
-    _pi2_isomorphism,
     NotAChainMap,
     NotSplit,
     attach_three_cells,
@@ -34,7 +33,7 @@ from d2kit.groupring import (
     ModelMismatch,
     regular_rep_expand,
 )
-from d2kit.intlinalg import IntMatrix, kernel_basis, solve_integer_system
+from d2kit.intlinalg import IntMatrix, column_hnf, kernel_basis, solve_integer_system
 from d2kit.presentations import Presentation, parse_presentation
 from d2kit.words import Word
 from exact_oracles import determinant
@@ -413,6 +412,26 @@ def test_validate_complex_eliminates_d2_once(monkeypatch):
     assert hnfs.count((18, 12)) == 1
 
 
+def test_read_check_does_no_lattice_work(monkeypatch):
+    from d2kit import intlinalg
+
+    hnfs = []
+    real_hnf = intlinalg.lattice_hnf
+
+    def hnf(vectors, dim):
+        hnfs.append((len(vectors), dim))
+        return real_hnf(vectors, dim)
+
+    monkeypatch.setattr(intlinalg, "lattice_hnf", hnf)
+    rep = validate_complex(presentation_complex(S3P, S3M), check_exactness=False)
+    assert rep.chain_ok and rep.aug_d1_zero
+    assert (rep.d2_rank_q, rep.ker_d2_qdim) == (None, None)
+    assert hnfs == []
+    # symbolic mode keeps its shadow rank
+    rep = validate_complex(presentation_complex(S3P), check_exactness=False)
+    assert rep.d2_rank_q == 2
+
+
 def _pi2_by_determinant(phi2, K_src, K_tgt):
     """The coordinate test the Hermite-form comparison replaced."""
     if len(K_src) != len(K_tgt):
@@ -440,12 +459,47 @@ def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
         phi = _lift_chain_map(src, tgt, budget)
         K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
         K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
-        for phi2 in _phi2_candidates(phi, src, tgt, K_tgt, budget):
-            iso = _pi2_isomorphism(phi2, K_src, K_tgt)
+        K_src_t = IntMatrix.from_rows(K_src).transpose()
+        for phi2, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt,
+                                            budget):
+            assert image == regular_rep_expand(phi2) * K_src_t
+            iso = len(K_src) == len(K_tgt) and column_hnf(image) == K_tgt
             assert iso == _pi2_by_determinant(phi2, K_src, K_tgt)
             decisions.append(iso)
     assert len(decisions) > 100
     assert True in decisions and False in decisions
+
+
+def test_phi2_candidates_order_and_images():
+    # Z/5 is small enough that the budget reaches the double corrections
+    F = stabilize_wedge(presentation_complex(Z5P, Z5M), 1)
+    G = presentation_complex(
+        Presentation(Z5P.generators, Z5P.relators * 2), Z5M)
+    n, z = Z5M.order, GroupRingElement.zero(Z5M)
+    for src, tgt in ((F, G), (G, F)):
+        budget = _Budget(100)
+        phi = _lift_chain_map(src, tgt, budget)
+        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
+        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
+        s2, t2 = src.ranks[2], tgt.ranks[2]
+        signed = []
+        for c in range(s2):
+            for v in K_tgt:
+                w = GroupRingMatrix(Z5M, t2, s2, [
+                    GroupRingElement(Z5M, v[i * n:(i + 1) * n]) if j == c else z
+                    for i in range(t2) for j in range(s2)])
+                signed.append((w, -w))
+        expected = [phi[2]] + [phi[2] + x for pair in signed for x in pair]
+        expected += [phi[2] + (xa + xb)
+                     for a in range(len(signed)) for b in range(a + 1, len(signed))
+                     for xa in signed[a] for xb in signed[b]]
+        got = list(_phi2_candidates(phi[2], src, tgt, K_src, K_tgt, budget))
+        # the lift spent 2 units; every candidate after phi2 spends one
+        assert len(got) == 1 + 98 > 1 + 2 * len(signed)
+        assert [cand for cand, _ in got] == expected[:len(got)]
+        K_src_t = IntMatrix.from_rows(K_src).transpose()
+        for cand, image in got:
+            assert image == regular_rep_expand(cand) * K_src_t
 
 
 def test_acx_round_trip_finite():

@@ -327,3 +327,27 @@ def test_budget_default_per_subcommand():
     for command, rest in cases.items():
         expected = 600 if command == "certify-equiv" else 60
         assert parser.parse_args([command, *rest]).budget == expected, command
+
+
+def test_acx_oversized_rank_rejected(tmp_path, capsys):
+    # each boundary fits, but split builds an f3 x f3 identity and a system
+    # of (f3 |G|) x f3 right-hand sides; at f3 = 200000 that fills memory
+    f = tmp_path / "F.acx"
+    w = tmp_path / "W.acx"
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", str(f)]) == 0
+    assert main(["wedge", str(f), "1", "--attach", "--out", str(w)]) == 0
+    w.write_text(w.read_text().replace("[ranks]\n1 1 2 1\n",
+                                       "[ranks]\n1 1 2 1000\n"))
+    capsys.readouterr()
+    assert main(["split", str(w)]) == 1
+    assert "rank 1000 of F_3 over a group of order 2: a 1000x1000 matrix " \
+           "exceeds 1000000 coefficients" in capsys.readouterr().err
+
+
+def test_quotient_symbolic_rejected(tmp_path, capsys):
+    f = tmp_path / "F.acx"
+    assert main(["chain", str(CORPUS / "trefoil.fp"), "--out", str(f)]) == 0
+    f.write_text(f.read_text().replace("[ranks]\n1 2 1\n", "[ranks]\n1 2 1 0\n"))
+    capsys.readouterr()
+    assert main(["quotient", str(f)]) == 1
+    assert "quotient requires finite mode" in capsys.readouterr().err

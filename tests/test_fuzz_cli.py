@@ -1,0 +1,176 @@
+"""Seeded mutational fuzzing of the command line.
+
+Corpus .fp files, .acx files written by the CLI and the expected.json
+sidecars are mutated (truncated; lines duplicated, dropped or swapped;
+numbers flipped or made huge; short tokens inserted; characters replaced)
+and each mutant runs through one command in-process with small --budget
+and --max-cosets. Every run must end in exit 0, 1 or 2, never in an
+uncaught exception, and within a time limit. Plain `random` with fixed
+seeds, so a failure names its mutant.
+"""
+
+import contextlib
+import io
+import random
+import re
+import time
+from pathlib import Path
+
+import pytest
+
+from d2kit.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+FP_NAMES = ("z2", "z5", "s3", "q8", "trefoil", "trivial", "z", "f2", "a5")
+ACX_NAMES = ("z2", "z5", "s3", "q8")
+FLAGS = ["--budget", "5", "--max-cosets", "200"]
+TIME_LIMIT_S = 10.0
+_NUMBER = re.compile(r"-?\d+")
+_CHARS = "()^-:[] 0123456789abxyz\n"
+_INSERTS = (" ", "\n", " 1", " 2", " 0:1", " 1:-1", "^-1", " a", "x")
+
+
+def _flip_number(text, rng, huge):
+    found = list(_NUMBER.finditer(text))
+    if not found:
+        return text
+    m = rng.choice(found)
+    v = int(m.group())
+    if huge:
+        new = rng.choice((1, -1)) * 10 ** rng.randint(2, 40)
+    else:
+        new = rng.choice((0, 1, -1, v + 1, v - 1, -v, 7 * v + 3,
+                          rng.randrange(1000)))
+    return text[:m.start()] + str(new) + text[m.end():]
+
+
+def mutate(text, rng):
+    """One to three random edits of text."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        op = rng.randrange(9)
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if op == 0:
+            text = text[:rng.randrange(len(text) + 1)]
+        elif op == 1:
+            lines.insert(i, lines[j])
+            text = "\n".join(lines)
+        elif op == 2:
+            del lines[i]
+            text = "\n".join(lines)
+        elif op == 3:
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+        elif op in (4, 5):
+            text = _flip_number(text, rng, huge=False)
+        elif op == 6:
+            text = _flip_number(text, rng, huge=True)
+        elif op == 7:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(_INSERTS) + text[k:]
+        elif text:
+            k = rng.randrange(len(text))
+            text = text[:k] + rng.choice(_CHARS) + text[k + 1:]
+    return text
+
+
+def run_cli(argv):
+    """Exit code of main(argv) with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as e:
+            return e.code
+
+
+@pytest.fixture(scope="module")
+def seeds(tmp_path_factory):
+    """Unmutated inputs: corpus .fp texts and sidecars, and .acx texts of
+    presentation complexes (finite and symbolic), wedged 2-complexes and
+    wedged-and-attached 3-complexes."""
+    d = tmp_path_factory.mktemp("seeds")
+    fp = {n: (CORPUS / f"{n}.fp").read_text() for n in FP_NAMES}
+    expected = {n: (CORPUS / f"{n}.expected.json").read_text() for n in FP_NAMES}
+    acx = {}
+    for n in ACX_NAMES:
+        base, wedged, attached = (str(d / f"{n}.{k}.acx") for k in "bwa")
+        src = str(CORPUS / f"{n}.fp")
+        assert run_cli(["chain", src, "--finite", "--out", base]) == 0
+        assert run_cli(["wedge", base, "1", "--out", wedged]) == 0
+        assert run_cli(["wedge", base, "1", "--attach", "--out", attached]) == 0
+        acx[n] = tuple(Path(p).read_text() for p in (base, wedged, attached))
+    symbolic = str(d / "trefoil.acx")
+    assert run_cli(["chain", str(CORPUS / "trefoil.fp"), "--out", symbolic]) == 0
+    acx["trefoil"] = (Path(symbolic).read_text(),)
+    return fp, expected, acx, d
+
+
+def _fp_job(rng, fp, expected, d):
+    name = rng.choice(FP_NAMES)
+    path = d / "mutant.fp"
+    path.write_text(mutate(fp[name], rng))
+    src = str(path)
+    return rng.choice((
+        ["analyze", src],
+        ["order", src],
+        ["chain", src, "--finite", "--out", str(d / "out.acx")],
+        ["check", src, str(CORPUS / f"{name}.expected.json")],
+    )) + FLAGS
+
+
+def _acx_job(rng, acx, d):
+    name = rng.choice(sorted(acx))
+    texts = acx[name]
+    path = d / "mutant.acx"
+    path.write_text(mutate(rng.choice(texts), rng))
+    src = str(path)
+    other = d / "other.acx"
+    other.write_text(texts[1] if len(texts) > 1 else texts[0])
+    out = str(d / "out.acx")
+    return rng.choice((
+        ["split", src],
+        ["wedge", src, "1", "--attach", "--out", out],
+        ["quotient", src, "--out", out],
+        ["certify-equiv", src, str(other)],
+        ["certify-equiv", str(other), src],
+    )) + FLAGS
+
+
+def _expected_job(rng, expected, d):
+    name = rng.choice(FP_NAMES)
+    path = d / "mutant.json"
+    path.write_text(mutate(expected[name], rng))
+    return ["check", str(CORPUS / f"{name}.fp"), str(path)] + FLAGS
+
+
+def fuzz(seeds, seed, count):
+    fp, expected, acx, d = seeds
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            argv = _fp_job(rng, fp, expected, d)
+        elif kind == 1:
+            argv = _acx_job(rng, acx, d)
+        else:
+            argv = _expected_job(rng, expected, d)
+        start = time.perf_counter()
+        try:
+            code = run_cli(argv)
+        except Exception as e:
+            pytest.fail(f"seed {seed} mutant {k}: {argv[0]} raised "
+                        f"{type(e).__name__}: {e}")
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2), f"seed {seed} mutant {k}: exit {code}"
+        assert elapsed < TIME_LIMIT_S, \
+            f"seed {seed} mutant {k}: {argv[0]} took {elapsed:.1f} s"
+
+
+def test_fuzz_cli(seeds):
+    fuzz(seeds, 0, 300)
+
+
+@pytest.mark.slow
+def test_fuzz_cli_many(seeds):
+    fuzz(seeds, 1, 10_000)

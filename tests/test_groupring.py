@@ -73,6 +73,20 @@ def test_model_mismatch():
         elem(Z2, (0, 1)) * elem(Z5, (0, 1))
 
 
+def test_matrix_entries_live_over_its_model():
+    Z3 = group_model(parse_presentation("gens: x\nrels: x^3\n"), 100)
+    with pytest.raises(ModelMismatch):
+        GroupRingMatrix(Z2, 1, 1, [GroupRingElement.one(Z3)])
+    with pytest.raises(ModelMismatch):
+        GroupRingMatrix(Z3, 1, 2, [GroupRingElement.one(Z3),
+                                   GroupRingElement.one(Z2)])
+    # a separately built model with the same table is the same group
+    Z2_again = group_model(parse_presentation("gens: x\nrels: x^2\n"), 100)
+    assert Z2_again is not Z2
+    M = GroupRingMatrix(Z2, 1, 2, [elem(Z2_again, (1, 1)), elem(Z2, (0, 1))])
+    assert regular_rep_expand(M).to_rows() == [[0, 1, 1, 0], [1, 0, 0, 1]]
+
+
 def test_expand_examples_z2():
     t = elem(Z2, (1, 1))
     M = GroupRingMatrix.from_rows(Z2, [[t]])
