@@ -46,6 +46,23 @@ class AcxError(ValueError):
     pass
 
 
+def check_ranks(ranks, group_order):
+    """Raise AcxError unless a complex with these ranks over a group of this
+    order (1 in symbolic mode) stays under MAX_BOUNDARY_COEFFS: each boundary
+    and each f x f matrix on a rank f."""
+    for i in range(1, len(ranks)):
+        rows, cols = ranks[i - 1], ranks[i]
+        if max(rows, 1) * max(cols, 1) * group_order > MAX_BOUNDARY_COEFFS:
+            raise AcxError(f"[d{i}] of {rows}x{cols} entries over a group of "
+                           f"order {group_order} exceeds "
+                           f"{MAX_BOUNDARY_COEFFS} coefficients")
+    for i, f in enumerate(ranks):
+        if f * f * group_order > MAX_BOUNDARY_COEFFS:
+            raise AcxError(f"rank {f} of F_{i} over a group of order "
+                           f"{group_order}: a {f}x{f} matrix exceeds "
+                           f"{MAX_BOUNDARY_COEFFS} coefficients")
+
+
 def dumps(F):
     lines = ["# d2kit algebraic complex v1", "[group]"]
     if F.finite_mode:
@@ -200,15 +217,11 @@ def loads(text):
         model = FiniteGroupModel(order, mult, inverse, gens)
     elif presentation is None:
         raise AcxError("symbolic mode requires a [presentation] section")
+    check_ranks(ranks, model.order if model else 1)
     boundaries = []
-    group_order = model.order if model else 1
     for i in range(1, len(ranks)):
         key = f"[d{i}]"
         rows, cols = ranks[i - 1], ranks[i]
-        if max(rows, 1) * max(cols, 1) * group_order > MAX_BOUNDARY_COEFFS:
-            raise AcxError(f"{key} of {rows}x{cols} entries over a group of "
-                           f"order {group_order} exceeds "
-                           f"{MAX_BOUNDARY_COEFFS} coefficients")
         body = sec.get(key, [])
         if mode == "finite":
             zero = GroupRingElement.zero(model)
@@ -233,11 +246,6 @@ def loads(text):
                 entries[_index(r, rows, "row")][_index(c, cols, "column")] = int(v)
             boundaries.append(IntMatrix(rows, cols,
                                         [x for row in entries for x in row]))
-    for i, f in enumerate(ranks):
-        if f * f * group_order > MAX_BOUNDARY_COEFFS:
-            raise AcxError(f"rank {f} of F_{i} over a group of order "
-                           f"{group_order}: a {f}x{f} matrix exceeds "
-                           f"{MAX_BOUNDARY_COEFFS} coefficients")
     return AlgebraicComplex(ranks, model, tuple(boundaries), presentation)
 
 

@@ -29,17 +29,13 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
-    _assemble_blocks,
     _gr_solution,
     gr_integer_system,
     regular_rep_expand,
     solve_gr_system,
-    unvec_columns,
-    vec_columns,
 )
 from .intlinalg import (
     CertificateError,
-    DimensionMismatch,
     IntMatrix,
     column_hnf,
     infeasibility_certificate,
@@ -504,88 +500,33 @@ def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
                     yield phi2 + (xa + xb), base + (ja + jb)
 
 
-class _GrSystem:
-    """Integer system linear in unknown ZG matrices.
-
-    Each equation sum(terms) = rhs contributes one |G|-row block per entry
-    of rhs, row-major; each entry of each unknown is one |G|-column block,
-    in the order the unknowns were added.
-    """
-
-    def __init__(self, model):
-        self.model = model
-        self.unknowns = {}       # name -> (entry offset, rows, cols)
-        self.total_entries = 0
-        self.blocks = []         # (rhs entry, unknown entry, element, left)
-        self.rhs = []            # rhs entries in block-row order
-
-    def add_unknown(self, name, rows, cols):
-        self.unknowns[name] = (self.total_entries, rows, cols)
-        self.total_entries += rows * cols
-
-    def add_equation(self, rhs, *terms):
-        """sum(terms) = rhs for a known rhs. A term (K, "x") is compose(K, X):
-        output (i,k) gains the right action of K_ij on X_jk. A term ("x", K)
-        is compose(X, K): output (i,k) gains the left action of K_jk on X_ij."""
-        base, cols = len(self.rhs), rhs.cols
-        for a, b in terms:
-            if isinstance(b, str):
-                K, (off, xr, xc) = a, self.unknowns[b]
-                if K.rows != rhs.rows or K.cols != xr or xc != cols:
-                    raise DimensionMismatch(f"compose(K, {b}) does not fit")
-                self.blocks += [
-                    (base + i * cols + k, off + j * xc + k, K.entry(i, j), False)
-                    for i in range(K.rows) for j in range(K.cols)
-                    for k in range(xc)]
-            else:
-                (off, xr, xc), K = self.unknowns[a], b
-                if xr != rhs.rows or xc != K.rows or K.cols != cols:
-                    raise DimensionMismatch(f"compose({a}, K) does not fit")
-                self.blocks += [
-                    (base + i * cols + k, off + i * xc + j, K.entry(j, k), True)
-                    for j in range(K.rows) for k in range(K.cols)
-                    for i in range(xr)]
-        self.rhs.extend(rhs.entries)
-
-    def solve(self):
-        big = _assemble_blocks(self.blocks, len(self.rhs), self.total_entries,
-                               self.model)
-        rhs = vec_columns(GroupRingMatrix(self.model, len(self.rhs), 1, self.rhs))
-        sol = solve_integer_system(big, rhs)
-        if sol is None:
-            return None
-        x = unvec_columns(self.model, self.total_entries, 1, sol).entries
-        return {name: GroupRingMatrix(self.model, r, c, x[off:off + r * c])
-                for name, (off, r, c) in self.unknowns.items()}
-
-
 def _contract_cone(phi, src, tgt, budget):
-    """Solve D s + s D = id for the mapping cone of phi: src -> tgt, with
-    C_n = src_(n-1) (+) tgt_n; returns (s0, s1, s2) or None."""
+    """Contract the mapping cone of phi: src -> tgt, with C_n = src_(n-1)
+    (+) tgt_n, one degree at a time: solve D1 s0 = 1, D2 s1 = 1 - s0 D1 and
+    D3 s2 = 1 - s1 D2 with solve_gr_system, and accept only if s2 D3 = 1.
+    Returns (s0, s1, s2) or None; the try costs one budget unit.
+
+    D o D = 0 puts each right-hand side in ker D_k. A bounded acyclic
+    complex of free modules is contractible, so then every lift exists
+    whatever the earlier ones chose, and s2 D3 = 1 because D3 is injective:
+    the try succeeds exactly when the cone has a contraction."""
     if not budget.spend():
         return None
     model = src.model
-    dS1, dS2 = src.boundary(1), src.boundary(2)
-    dT1, dT2 = tgt.boundary(1), tgt.boundary(2)
-    s0, s1, s2 = src.ranks
-    t0, t1, t2 = tgt.ranks
-    D1 = phi[0].hstack(dT1)
-    D2 = (-dS1).hstack(GroupRingMatrix.zeros(model, s0, t2)).vstack(
-        phi[1].hstack(dT2))
-    D3 = (-dS2).vstack(phi[2])
-    c0, c1, c2, c3 = t0, s0 + t1, s1 + t2, s2
-    sys = _GrSystem(model)
-    sys.add_unknown("s0", c1, c0)
-    sys.add_unknown("s1", c2, c1)
-    sys.add_unknown("s2", c3, c2)
-    sys.add_equation(GroupRingMatrix.identity(model, c0), (D1, "s0"))
-    sys.add_equation(GroupRingMatrix.identity(model, c1), (D2, "s1"), ("s0", D1))
-    sys.add_equation(GroupRingMatrix.identity(model, c2), (D3, "s2"), ("s1", D2))
-    sys.add_equation(GroupRingMatrix.identity(model, c3), ("s2", D3))
-    sol = sys.solve()
-    if sol is None:
-        return None
-    return sol["s0"], sol["s1"], sol["s2"]
+    D1 = phi[0].hstack(tgt.boundary(1))
+    D2 = (-src.boundary(1)).hstack(
+        GroupRingMatrix.zeros(model, src.ranks[0], tgt.ranks[2])).vstack(
+        phi[1].hstack(tgt.boundary(2)))
+    D3 = (-src.boundary(2)).vstack(phi[2])
+    contraction = []
+    rest = GroupRingMatrix.identity(model, D1.rows)
+    for D in (D1, D2, D3):
+        s = solve_gr_system(D, rest, "right")
+        if s is None:
+            return None
+        contraction.append(s)
+        rest = GroupRingMatrix.identity(model, D.cols) - s.compose(D)
+    return tuple(contraction) if rest.is_zero() else None
 
 
 def _extract_certificate(phi, src, tgt, contraction):
@@ -641,7 +582,9 @@ def certify_chain_equivalence(F, G, budget=DEFAULT_CERTIFY_BUDGET):
     Returns a fully verified EquivalenceCertificate, NotEquivalent with the
     distinguishing invariant (Euler characteristic or field homology), or
     Unknown when the bounded constructive search is exhausted (`budget`
-    counts solver calls and candidate tests).
+    counts solver calls and candidate tests). Each phi2 candidate that maps
+    pi_2 isomorphically costs one unit for a cone contraction, built degree
+    by degree; its blocks are the back maps and homotopies.
     """
     if F.top_degree != 2 or G.top_degree != 2:
         raise ValueError("certification handles top-degree-2 complexes")

@@ -219,18 +219,22 @@ def cmd_wedge(args):
     F = _read_complex(args.acx)
     if F.top_degree != 2:
         raise CliError(f"{args.acx}: wedge needs a top-degree-2 complex")
+    if args.attach and not F.finite_mode:
+        raise CliError("--attach requires a finite-mode complex")
+    f0, f1, f2 = F.ranks
+    ranks = (f0, f1, f2 + args.n) + ((args.n,) if args.attach else ())
+    try:
+        acx.check_ranks(ranks, F.model.order if F.finite_mode else 1)
+    except acx.AcxError as e:
+        raise CliError(f"wedge: {e}")
     W = stabilize_wedge(F, args.n)
-    attached = False
     if args.attach:
-        if not W.finite_mode:
-            raise CliError("--attach requires a finite-mode complex")
-        d3 = GroupRingMatrix.zeros(W.model, W.ranks[2] - args.n, args.n).vstack(
-            GroupRingMatrix.identity(W.model, args.n))
+        d3 = GroupRingMatrix.zeros(F.model, f2, args.n).vstack(
+            GroupRingMatrix.identity(F.model, args.n))
         W = attach_three_cells(W, d3)
-        attached = True
     out = args.out or args.acx
     acx.write_acx(W, out)
-    _emit([("out", out), ("wedged", args.n), ("attached", attached),
+    _emit([("out", out), ("wedged", args.n), ("attached", args.attach),
            ("ranks", " ".join(str(r) for r in W.ranks)),
            ("euler_characteristic", euler_characteristic(W))], args.format)
     return 0

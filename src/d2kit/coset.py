@@ -339,12 +339,9 @@ class FiniteGroupModel:
     inverse: tuple
     generator_images: tuple
 
-    def inverse_of(self, i):
-        return self.inverse[i]
-
-    def evaluate_word(self, w, start=0):
-        """Image of the free word w (right multiplication from `start`)."""
-        e = start
+    def evaluate_word(self, w):
+        """Image of the free word w."""
+        e = 0
         for g, s in w.letters:
             x = self.generator_images[g]
             e = self.mult[e][x if s > 0 else self.inverse[x]]
@@ -451,7 +448,7 @@ def find_normal_generator(P, max_len, max_cosets):
             # same normal closure; skip repeats (performance only)
             e = model.evaluate_word(w)
             key = frozenset(model.conjugacy_class(e)
-                            | model.conjugacy_class(model.inverse_of(e)))
+                            | model.conjugacy_class(model.inverse[e]))
             if key in seen_classes:
                 continue
             seen_classes.add(key)

@@ -186,9 +186,6 @@ class GroupRingMatrix:
     def entry(self, i, j):
         return self.entries[i * self.cols + j]
 
-    def column(self, j):
-        return tuple(self.entry(i, j) for i in range(self.rows))
-
     def compose(self, other):
         """self o other (apply `other` first): entries sum_j other_jk * self_ij."""
         if not isinstance(other, GroupRingMatrix):
@@ -210,8 +207,6 @@ class GroupRingMatrix:
                         acc = acc + a * b
                 out.append(acc)
         return GroupRingMatrix(self.model, self.rows, other.cols, out)
-
-    __matmul__ = compose
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:

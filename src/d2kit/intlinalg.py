@@ -364,34 +364,14 @@ def _is_prime(p):
 
 
 def rank_over_field(A, field):
-    """Rank over Q (field="Q") or F_p (field=p, p prime)."""
+    """Rank over Q (field="Q") or F_p (field=p, p prime): over F_p, the
+    number of Smith invariant factors of A that p does not divide."""
     if field == "Q":
         return len(column_hnf(A))
     p = int(field)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    rows = [[x % p for x in A.row(i)] for i in range(A.rows)]
-    r = 0
-    n = A.cols
-    for j in range(n):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][j] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][j], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return sum(1 for d in smith_normal_form(A).diagonal() if d % p)
 
 
 def solve_integer_system(A, B):

@@ -350,9 +350,8 @@ def replace_subpresentation(P, sub_gens, sub_rels, alternative, lifting,
     enumerates within `max_cosets`; otherwise it is accepted caller-asserted
     and recorded in the notes.
     """
-    sub = subpresentation(P, sub_gens, sub_rels)  # validates
-    sub_gens = sorted(set(sub_gens))
-    sub_rels = sorted(set(sub_rels))
+    subpresentation(P, sub_gens, sub_rels)  # validates
+    sub_rels = set(sub_rels)
     if set(lifting) != set(sub_gens):
         raise ValueError("lifting must cover exactly the sub-presentation generators")
     u = alternative.num_generators
@@ -368,39 +367,25 @@ def replace_subpresentation(P, sub_gens, sub_rels, alternative, lifting,
         notes.append("lifting accepted caller-asserted: alternative group "
                      "did not enumerate within the coset limit")
     else:
-        images = {g: lifting[g] for g in sub_gens}
-        for i in sub_rels:
+        for i in sorted(sub_rels):
             # sub-relators use only sub-generators (validated above)
-            image = P.relators[i].substituted(images)
+            image = P.relators[i].substituted(lifting)
             if model.evaluate_word(image) != 0:
                 raise LiftingViolatesRelator(
                     f"relator {i} does not hold in the alternative group")
         verified = True
 
-    kept = [g for g in range(P.num_generators) if g not in set(sub_gens)]
+    kept = [g for g in range(P.num_generators) if g not in lifting]
     names = list(alternative.generators)
-    kept_names = []
     for g in kept:
         name = P.generators[g]
         while name in names:
             name += "_"
         names.append(name)
-        kept_names.append(name)
-    index_of_kept = {g: u + k for k, g in enumerate(kept)}
-
-    def phi(r):
-        out = []
-        for g, s in r.letters:
-            if g in index_of_kept:
-                out.append((index_of_kept[g], s))
-            else:
-                w = lifting[g]
-                out.extend(w.letters if s > 0 else w.inverse().letters)
-        return Word(out)
-
+    images = dict(lifting)
+    images.update((g, Word.generator(u + k)) for k, g in enumerate(kept))
     rels = list(alternative.relators)
-    for i, r in enumerate(P.relators):
-        if i not in set(sub_rels):
-            rels.append(phi(r))
+    rels += [r.substituted(images) for i, r in enumerate(P.relators)
+             if i not in sub_rels]
     result = Presentation(tuple(names), tuple(rels))
     return ExtensionResult(result, verified, tuple(notes))

@@ -1,9 +1,10 @@
 """Plain reference implementations that the tests check d2kit against.
 
 None of these is used by d2kit itself: the determinant and lattice equality
-are oracles for unimodularity and lattice identity, and `dense_column_echelon`
-is the list-of-rows column elimination that `intlinalg.column_echelon` must
-reproduce exactly.
+are oracles for unimodularity and lattice identity, `rank_mod_p` is Gaussian
+elimination over F_p for the Smith-form ranks of `intlinalg.rank_over_field`,
+and `dense_column_echelon` is the list-of-rows column elimination that
+`intlinalg.column_echelon` must reproduce exactly.
 """
 
 from d2kit.intlinalg import DimensionMismatch, IntMatrix, lattice_hnf
@@ -36,6 +37,27 @@ def determinant(A):
 
 def lattices_equal(vectors_a, vectors_b, dim):
     return lattice_hnf(vectors_a, dim) == lattice_hnf(vectors_b, dim)
+
+
+def rank_mod_p(A, p):
+    """Rank of A over F_p (p prime) by Gauss-Jordan elimination."""
+    rows = [[x % p for x in A.row(i)] for i in range(A.rows)]
+    r = 0
+    for j in range(A.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][j], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                c = rows[i][j]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 def dense_column_echelon(A):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from d2kit.acx import read_acx
 from d2kit.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -191,6 +192,26 @@ def test_wedge_bad_input_rejected(tmp_path, capsys):
     assert "wedge needs a top-degree-2 complex" in capsys.readouterr().err
     assert main(["wedge", str(f), "-1"]) == 1
     assert "must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_wedge_oversized_rejected_before_building(tmp_path, capsys):
+    # the wedged complex is checked against the .acx caps before any matrix
+    # is built: at n = 10^9 the zero block alone would fill memory
+    f = tmp_path / "F.acx"
+    w = tmp_path / "W.acx"
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert main(["wedge", str(f), "1000000000", "--out", str(w)]) == 1
+    assert "wedge: [d2] of 1x1000000001 entries over a group of order 2 " \
+           "exceeds 1000000" in capsys.readouterr().err
+    assert main(["wedge", str(f), "1000000000", "--attach", "--out", str(w)]) == 1
+    assert "[d2] of 1x1000000001" in capsys.readouterr().err
+    # every boundary of the wedge fits, but the attached d3 does not
+    assert main(["wedge", str(f), "707", "--attach", "--out", str(w)]) == 1
+    assert "wedge: [d3] of 708x707 entries" in capsys.readouterr().err
+    assert not w.exists()
+    assert main(["wedge", str(f), "706", "--attach", "--out", str(w)]) == 0
+    assert read_acx(w).ranks == (1, 1, 707, 706)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from d2kit.intlinalg import (
     xgcd,
 )
 
-from exact_oracles import dense_column_echelon, determinant, lattices_equal
+from exact_oracles import dense_column_echelon, determinant, lattices_equal, rank_mod_p
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
@@ -112,6 +112,7 @@ def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
     from d2kit import intlinalg
     from d2kit.chains import certify_chain_equivalence, presentation_complex, stabilize_wedge
     from d2kit.coset import group_model
+    from d2kit.groupring import regular_rep_expand
     from d2kit.presentations import Presentation, parse_presentation
 
     systems = []
@@ -130,8 +131,14 @@ def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
         G = presentation_complex(
             Presentation(P.generators, P.relators + P.relators[:1]), model)
         assert certify_chain_equivalence(F, G).kind == "certificate"
-    # the cone contractions of S3 (|G| = 6) and Q8 (|G| = 8) are among them
-    assert {(372, 270), (352, 264)} <= {(A.rows, A.cols) for A in systems}
+    # the cone lifts D1, D2, D3 of S3 (|G| = 6) and Q8 (|G| = 8) are among them
+    assert {(6, 18), (18, 36), (36, 24), (8, 24), (24, 40), (40, 24)} <= {
+        (A.rows, A.cols) for A in systems}
+    # and one large elimination: the expanded d_2 of PSL(2,7)
+    P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n")
+    E2 = regular_rep_expand(presentation_complex(P, group_model(P, 1000)).boundary(2))
+    assert (E2.rows, E2.cols) == (336, 672)
+    systems.append(E2)
     for A in systems:
         assert real(A) == dense_column_echelon(A)
 
@@ -195,6 +202,18 @@ def test_rank_over_field():
     assert rank_over_field(IntMatrix(3, 0, []), "Q") == 0
     with pytest.raises(NotPrime):
         rank_over_field(D, 4)
+
+
+def test_rank_mod_p_matches_gaussian_elimination():
+    rng = random.Random(17)
+    shapes = [(0, 0), (0, 3), (3, 0)]
+    for p in (2, 3, 5, 7):
+        for rows, cols in shapes:
+            assert rank_over_field(IntMatrix.zeros(rows, cols), p) == 0
+        assert rank_over_field(IntMatrix.zeros(3, 4), p) == 0
+        for _ in range(80):
+            A = random_matrix(rng, max_dim=6, lo=-2 * p, hi=2 * p)
+            assert rank_over_field(A, p) == rank_mod_p(A, p), (A, p)
 
 
 def test_rank_equals_snf_nonzero_count():

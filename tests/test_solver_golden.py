@@ -129,7 +129,7 @@ def test_certificate_s3_duplicated_relator():
     c = out.certificate
     maps = c.forward + c.backward + c.homotopies_gf + c.homotopies_fg
     assert digest([grid(m) for m in maps]) == (
-        "faaa14f62c5f6ce427e46ff1febd4a1be670b41e7a2c43a0099a508d97d2763f")
+        "26cf4cc9cbd59dfb6d6a825355644ff51c7985bb227d6cc08edd188dd06014f3")
 
 
 @pytest.mark.slow
@@ -145,4 +145,4 @@ def test_certificate_s4_duplicated_relator():
     c = out.certificate
     maps = c.forward + c.backward + c.homotopies_gf + c.homotopies_fg
     assert digest([grid(m) for m in maps]) == (
-        "248c09c64ee0daf00c0920909b70fd4673084a773032bbbdb6e07eeed95af0b9")
+        "c3b77f539aeb0c429c62583afbf22f8a73eaa7249671c8f25c679aaaaa4afa0a")
