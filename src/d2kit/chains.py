@@ -311,7 +311,9 @@ def quotient_by_split_summand(F, report):
 
     The complement basis is chosen deterministically: the first subset of
     the (1 - d_3 o R)-images of the standard basis whose expanded columns
-    are a lattice basis of ker(d_3 o R)."""
+    are a lattice basis of ker(d_3 o R). Since R o d_3 = 1, e = d_3 o R is
+    idempotent, so ker e = im(1 - e) over Z and that lattice is read off
+    as the Hermite form of the expanded columns of 1 - e."""
     if F.top_degree != 3:
         raise ValueError("quotient needs a top-degree-3 complex")
     if not report.splits:
@@ -323,7 +325,7 @@ def quotient_by_split_summand(F, report):
     e = d3.compose(R)
     q = GroupRingMatrix.identity(model, f2) - e
     m = f2 - f3
-    K = kernel_basis(regular_rep_expand(e))
+    K = column_hnf(regular_rep_expand(q))
     if len(K) != m * order:
         raise SummandBasisNotFound(
             "kernel lattice rank does not match the expected free rank")

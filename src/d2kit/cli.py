@@ -444,6 +444,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("max_cosets", "budget"):
+            if getattr(args, flag) < 1:
+                raise CliError(f"--{flag.replace('_', '-')} must be at least 1")
         return args.func(args)
     except CliError as e:
         print(f"d2kit: {e}", file=sys.stderr)

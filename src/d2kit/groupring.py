@@ -195,18 +195,23 @@ class GroupRingMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+        n, p = self.cols, other.cols
+        # the nonzero (j, self_ij) of each row and {j: other_jk} of each column
+        rows = [[(j, b) for j, b in enumerate(self.entries[i * n:(i + 1) * n])
+                 if not b.is_zero()] for i in range(self.rows)]
+        cols = [{j: a for j, a in enumerate(other.entries[k::p]) if not a.is_zero()}
+                for k in range(p)]
         out = []
         zero = GroupRingElement._raw(self.model, (0,) * self.model.order)
-        for i in range(self.rows):
-            for k in range(other.cols):
+        for row in rows:
+            for col in cols:
                 acc = zero
-                for j in range(self.cols):
-                    a = other.entry(j, k)
-                    b = self.entry(i, j)
-                    if not (a.is_zero() or b.is_zero()):
+                for j, b in row:
+                    a = col.get(j)
+                    if a is not None:
                         acc = acc + a * b
                 out.append(acc)
-        return GroupRingMatrix(self.model, self.rows, other.cols, out)
+        return GroupRingMatrix(self.model, self.rows, p, out)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:

@@ -22,21 +22,6 @@ class CertificateError(ArithmeticError):
     """An exact re-verification of a computed result failed."""
 
 
-def xgcd(a, b):
-    """Return (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
 class IntMatrix:
     """Immutable dense integer matrix, row-major."""
 
@@ -278,20 +263,39 @@ def smith_normal_form(A):
                        for M, r, c in ((U, m, m), (D, m, n), (V, n, n))))
 
 
-def column_echelon(A):
-    """Column echelon form with transform: A*V = H, V unimodular.
+def _columns(A):
+    """The columns of A as sparse {row: value} dicts."""
+    n = A.cols
+    return [{i: x for i, x in enumerate(A.data[j::n]) if x} for j in range(n)]
 
-    Pivot rows strictly increase along nonzero columns; pivots are positive;
-    columns after the last pivot are zero. Deterministic (minimal absolute
-    value pivot, lowest column index on ties).
 
-    Runs the dense elimination's operations, in its order, on the sparse
-    {row: value} columns of the stacked matrix [A; I]; rows m.. become V.
-    """
-    m, n = A.rows, A.cols
-    C = [{i: x for i, x in enumerate(A.data[j::n]) if x} for j in range(n)]
+def _stacked_columns(A):
+    """The sparse columns of the stacked matrix [A; I]."""
+    C = _columns(A)
     for j, col in enumerate(C):
-        col[m + j] = 1
+        col[A.rows + j] = 1
+    return C
+
+
+def _dense(col, m):
+    """A sparse column as a length-m tuple."""
+    v = [0] * m
+    for i, x in col.items():
+        v[i] = x
+    return tuple(v)
+
+
+def _echelon(C, m):
+    """Bring rows 0..m-1 of the sparse {row: value} columns C to column
+    echelon form in place, carrying rows m.. along; return the pivot count
+    r. Minimal absolute value pivot, lowest column on ties, floor quotients.
+
+    C[:r] is the (unique) Hermite normal form of the lattice the columns
+    span in rows 0..m-1: pivot rows increase, pivots are positive, and each
+    placed pivot reduces the earlier pivot columns into [0, pivot) in its
+    row, which later steps never change, since they only subtract columns
+    that are zero there. C[r:] is zero in rows 0..m-1."""
+    n = len(C)
     c = 0
     for r in range(m):
         if c >= n:
@@ -319,6 +323,22 @@ def column_echelon(A):
             if q:
                 _sub_scaled(C[j], C[c], q)
         c += 1
+    return c
+
+
+def column_echelon(A):
+    """Column echelon form with transform: A*V = H, V unimodular.
+
+    Pivot rows strictly increase along nonzero columns; pivots are positive;
+    columns after the last pivot are zero; the nonzero columns are the
+    Hermite normal form of A's column lattice (see `_echelon`).
+
+    Runs `_echelon` on the sparse columns of the stacked matrix [A; I];
+    rows m.. become V.
+    """
+    m, n = A.rows, A.cols
+    C = _stacked_columns(A)
+    _echelon(C, m)
     out = [0] * ((m + n) * n)
     for j, col in enumerate(C):
         for i, x in col.items():
@@ -337,21 +357,6 @@ def _sub_scaled(dst, src, q):
             del dst[i]
 
 
-def _pivots(H):
-    """(row, column) of each pivot of a column echelon form H; a column is
-    zero above its pivot, and each pivot lies below the one before."""
-    out = []
-    i = 0
-    for j in range(H.cols):
-        col = H.column(j)
-        i = next((t for t in range(i, H.rows) if col[t]), None)
-        if i is None:
-            break
-        out.append((i, j))
-        i += 1
-    return out
-
-
 def _is_prime(p):
     if p < 2:
         return False
@@ -367,7 +372,7 @@ def rank_over_field(A, field):
     """Rank over Q (field="Q") or F_p (field=p, p prime): over F_p, the
     number of Smith invariant factors of A that p does not divide."""
     if field == "Q":
-        return len(column_hnf(A))
+        return _echelon(_columns(A), A.rows)
     p = int(field)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -385,7 +390,14 @@ def solve_integer_system(A, B):
         raise DimensionMismatch("A and B need equal row counts")
     H, V = column_echelon(A)
     n, k = A.cols, B.cols
-    pivots = [(i, j, H.column(j)) for i, j in _pivots(H)]
+    # (pivot row, column, column entries) of each nonzero column of H
+    pivots = []
+    for j in range(n):
+        h = H.column(j)
+        i = next((t for t, x in enumerate(h) if x), None)
+        if i is None:
+            break
+        pivots.append((i, j, h))
     Y = [0] * (n * k)
     for c in range(k):
         b = list(B.column(c))
@@ -451,54 +463,21 @@ def infeasibility_certificate(A, B):
 
 
 def kernel_basis(A):
-    """Canonical basis of the integer kernel lattice {x : A*x = 0}.
-
-    Returns a list of length-`A.cols` tuples, the rows of the Hermite
-    normal form of the kernel lattice (unique, hence golden-test stable).
-    """
-    H, V = column_echelon(A)
-    gens = [V.column(j) for j in range(len(_pivots(H)), A.cols)]
-    return lattice_hnf(gens, A.cols)
-
-
-def lattice_hnf(vectors, dim):
-    """Unique row-style Hermite normal form basis of the lattice spanned
-    by `vectors` in Z^dim: pivot columns strictly increase, pivots are
-    positive, and entries above a pivot are reduced into [0, pivot)."""
-    rows = {}  # pivot column -> the kept row leading there
-    for v0 in vectors:
-        v = list(v0)
-        if len(v) != dim:
-            raise DimensionMismatch("vector length != dim")
-        j = _leading(v, 0)
-        while j < dim:
-            row = rows.get(j)
-            if row is None:
-                rows[j] = v
-                break
-            x, y, g = xgcd(row[j], v[j])
-            qr, qv = row[j] // g, v[j] // g
-            rows[j] = [x * a + y * b for a, b in zip(row, v)]
-            v = [qr * b - qv * a for a, b in zip(row, v)]
-            j = _leading(v, j + 1)
-    pivots = sorted(rows)
-    basis = [rows[j] if rows[j][j] > 0 else [-x for x in rows[j]] for j in pivots]
-    for i, j in enumerate(pivots):
-        p = basis[i][j]
-        for k in range(i):
-            q = basis[k][j] // p
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
-    return [tuple(row) for row in basis]
-
-
-def _leading(v, start):
-    """Index of the first nonzero entry of v at or after start, or len(v)."""
-    return next((t for t in range(start, len(v)) if v[t]), len(v))
+    """Canonical basis of the integer kernel lattice {x : A*x = 0}: the
+    Hermite normal form (unique, hence golden-test stable) as length-`A.cols`
+    tuples. The zero columns of the echelon form of [A; I] span the kernel
+    in rows m..; the same elimination puts them in Hermite form, and no
+    dense V is built."""
+    m, n = A.rows, A.cols
+    C = _stacked_columns(A)
+    r = _echelon(C, m)
+    K = [{i - m: x for i, x in col.items()} for col in C[r:]]
+    return [_dense(col, n) for col in K[:_echelon(K, n)]]
 
 
 def column_hnf(A):
-    """Hermite normal form basis of the lattice spanned by A's columns;
-    its length is the rank of A over Q."""
-    return lattice_hnf([A.data[j::A.cols] for j in range(A.cols)], A.rows)
-
+    """Hermite normal form basis of the lattice spanned by A's columns, as
+    length-`A.rows` tuples: the pivot columns of A's column echelon form,
+    computed without the transform V. Its length is the rank of A over Q."""
+    C = _columns(A)
+    return [_dense(col, A.rows) for col in C[:_echelon(C, A.rows)]]

@@ -1,13 +1,66 @@
 """Plain reference implementations that the tests check d2kit against.
 
 None of these is used by d2kit itself: the determinant and lattice equality
-are oracles for unimodularity and lattice identity, `rank_mod_p` is Gaussian
+are oracles for unimodularity and lattice identity, `lattice_hnf` is the
+xgcd-based row Hermite form that `intlinalg.column_hnf` and
+`intlinalg.kernel_basis` must reproduce exactly, `rank_mod_p` is Gaussian
 elimination over F_p for the Smith-form ranks of `intlinalg.rank_over_field`,
 and `dense_column_echelon` is the list-of-rows column elimination that
 `intlinalg.column_echelon` must reproduce exactly.
 """
 
-from d2kit.intlinalg import DimensionMismatch, IntMatrix, lattice_hnf
+from d2kit.intlinalg import DimensionMismatch, IntMatrix
+
+
+def xgcd(a, b):
+    """Return (x, y, g) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def lattice_hnf(vectors, dim):
+    """Unique row-style Hermite normal form basis of the lattice spanned
+    by `vectors` in Z^dim: pivot columns strictly increase, pivots are
+    positive, and entries above a pivot are reduced into [0, pivot)."""
+    rows = {}  # pivot column -> the kept row leading there
+    for v0 in vectors:
+        v = list(v0)
+        if len(v) != dim:
+            raise DimensionMismatch("vector length != dim")
+        j = _leading(v, 0)
+        while j < dim:
+            row = rows.get(j)
+            if row is None:
+                rows[j] = v
+                break
+            x, y, g = xgcd(row[j], v[j])
+            qr, qv = row[j] // g, v[j] // g
+            rows[j] = [x * a + y * b for a, b in zip(row, v)]
+            v = [qr * b - qv * a for a, b in zip(row, v)]
+            j = _leading(v, j + 1)
+    pivots = sorted(rows)
+    basis = [rows[j] if rows[j][j] > 0 else [-x for x in rows[j]] for j in pivots]
+    for i, j in enumerate(pivots):
+        p = basis[i][j]
+        for k in range(i):
+            q = basis[k][j] // p
+            if q:
+                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+    return [tuple(row) for row in basis]
+
+
+def _leading(v, start):
+    """Index of the first nonzero entry of v at or after start, or len(v)."""
+    return next((t for t in range(start, len(v)) if v[t]), len(v))
 
 
 def determinant(A):

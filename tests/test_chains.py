@@ -220,6 +220,24 @@ def test_quotient_round_trip_structure():
         assert euler_characteristic(Q) == f2 - f3 - f1 + f0
 
 
+def test_quotient_lattice_is_the_image_of_one_minus_e():
+    # R o d_3 = 1 makes e = d_3 o R idempotent, so ker e = im(1 - e) over Z;
+    # the quotient reads that lattice as a Hermite form, without a kernel
+    P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n")
+    m = group_model(P, 20000)
+    W = stabilize_wedge(presentation_complex(P, m), 1)
+    f2 = W.ranks[2]
+    z, one = GroupRingElement.zero(m), GroupRingElement.one(m)
+    d3 = GroupRingMatrix(m, f2, 1, [z] * (f2 - 1) + [one])
+    rep = split_test(attach_three_cells(W, d3))
+    assert rep.splits
+    e = d3.compose(rep.retraction)
+    q = GroupRingMatrix.identity(m, f2) - e
+    K = column_hnf(regular_rep_expand(q))
+    assert len(K) == (f2 - 1) * m.order
+    assert K == kernel_basis(regular_rep_expand(e))
+
+
 def test_quotient_identity_d3_gives_rank_zero():
     F = presentation_complex(Z2P, Z2M)
     # F_2 = ZG has d2 = norm; d3 = identity is not a chain map there, so
@@ -389,48 +407,41 @@ def test_validate_a5_exactness():
     assert rep.ker_d2_qdim == 3 * 60 - 61
 
 
-def test_validate_complex_eliminates_d2_once(monkeypatch):
+def _record_echelons(monkeypatch):
+    """Record (rows eliminated, columns) of every call of the elimination core."""
     from d2kit import intlinalg
 
-    echelons, hnfs = [], []
-    real_echelon, real_hnf = intlinalg.column_echelon, intlinalg.lattice_hnf
+    calls = []
+    real = intlinalg._echelon
 
-    def echelon(A):
-        echelons.append((A.rows, A.cols))
-        return real_echelon(A)
+    def echelon(C, m):
+        calls.append((m, len(C)))
+        return real(C, m)
 
-    def hnf(vectors, dim):
-        hnfs.append((len(vectors), dim))
-        return real_hnf(vectors, dim)
+    monkeypatch.setattr(intlinalg, "_echelon", echelon)
+    return calls
 
-    monkeypatch.setattr(intlinalg, "column_echelon", echelon)
-    monkeypatch.setattr(intlinalg, "lattice_hnf", hnf)
+
+def test_validate_complex_eliminates_d2_once(monkeypatch):
+    calls = _record_echelons(monkeypatch)
     rep = validate_complex(presentation_complex(S3P, S3M))
     assert rep.ok and rep.d2_rank_q == 7
-    # kernels of the augmentation and of d_1 only; d_2 (12 x 18) is put in
-    # Hermite form once and gives both exactness at F_1 and its rank
-    assert echelons == [(1, 6), (6, 12)]
-    assert hnfs.count((18, 12)) == 1
+    # Hermite forms of d_1 and the augmentation kernel, then of d_2 and the
+    # kernel of d_1; d_2 (12 x 18) is eliminated once and gives both
+    # exactness at F_1 and its rank
+    assert calls == [(6, 12), (1, 6), (6, 5), (12, 18), (6, 12), (12, 7)]
 
 
 def test_read_check_does_no_lattice_work(monkeypatch):
-    from d2kit import intlinalg
-
-    hnfs = []
-    real_hnf = intlinalg.lattice_hnf
-
-    def hnf(vectors, dim):
-        hnfs.append((len(vectors), dim))
-        return real_hnf(vectors, dim)
-
-    monkeypatch.setattr(intlinalg, "lattice_hnf", hnf)
+    calls = _record_echelons(monkeypatch)
     rep = validate_complex(presentation_complex(S3P, S3M), check_exactness=False)
     assert rep.chain_ok and rep.aug_d1_zero
     assert (rep.d2_rank_q, rep.ker_d2_qdim) == (None, None)
-    assert hnfs == []
-    # symbolic mode keeps its shadow rank
+    assert calls == []
+    # symbolic mode keeps its shadow rank, one elimination
     rep = validate_complex(presentation_complex(S3P), check_exactness=False)
     assert rep.d2_rank_q == 2
+    assert len(calls) == 1
 
 
 def _pi2_by_determinant(phi2, K_src, K_tgt):

@@ -214,6 +214,20 @@ def test_wedge_oversized_rejected_before_building(tmp_path, capsys):
     assert read_acx(w).ranks == (1, 1, 707, 706)
 
 
+@pytest.mark.slow
+def test_split_and_quotient_at_the_rank_cap(tmp_path, capsys):
+    # the most attached spheres over Z/2 the .acx caps admit
+    f, w, q = (str(tmp_path / name) for name in ("F.acx", "W.acx", "Q.acx"))
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", f]) == 0
+    assert main(["wedge", f, "706", "--attach", "--out", w]) == 0
+    capsys.readouterr()
+    assert main(["split", w]) == 0
+    assert "splits: true" in capsys.readouterr().out
+    assert main(["quotient", w, "--out", q]) == 0
+    assert "ranks: 1 1 1" in capsys.readouterr().out
+    assert read_acx(q).boundaries == read_acx(f).boundaries
+
+
 @pytest.fixture
 def certify_inputs(tmp_path, capsys):
     """Finite Z/2 and Z/5 complexes, a symbolic Z/2 complex and a
@@ -348,6 +362,35 @@ def test_budget_default_per_subcommand():
     for command, rest in cases.items():
         expected = 600 if command == "certify-equiv" else 60
         assert parser.parse_args([command, *rest]).budget == expected, command
+
+
+_LIMIT_FLAG_USERS = {
+    "--max-cosets": ("analyze", "order", "normal-gen", "chain", "report", "check"),
+    "--budget": ("analyze", "report", "check", "certify-equiv"),
+}
+
+
+@pytest.mark.parametrize("flag, command", [
+    (flag, command) for flag, commands in _LIMIT_FLAG_USERS.items()
+    for command in commands] + [("--budget", "split"), ("--max-cosets", "quotient")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_limit_flag_rejected(tmp_path, capsys, flag, command, value):
+    # checked once before dispatch, also where the subcommand ignores it
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    fp, acx_path = str(corpus / "z2.fp"), str(tmp_path / "z2.acx")
+    assert main(["chain", fp, "--finite", "--out", acx_path]) == 0
+    rest = {"analyze": [fp], "order": [fp], "normal-gen": [fp], "check": [fp],
+            "chain": [fp, "--finite", "--out", str(tmp_path / "out.acx")],
+            "report": [str(corpus)], "certify-equiv": [acx_path, acx_path],
+            "split": [acx_path], "quotient": [acx_path]}[command]
+    capsys.readouterr()
+    assert main([command, *rest, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"d2kit: {flag} must be at least 1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out.acx").exists()
+    assert not (corpus / "report.jsonl").exists()
 
 
 def test_acx_oversized_rank_rejected(tmp_path, capsys):

@@ -113,6 +113,28 @@ def test_expand_is_multiplicative_and_injective():
     assert regular_rep_expand(GroupRingMatrix.identity(S3, 3)) == IntMatrix.identity(18)
 
 
+def test_compose_of_sparse_matrices_matches_the_expanded_product():
+    rng = random.Random(11)
+
+    def sparse(model, rows, cols):
+        # about two thirds of the entries zero, and a zero row and column
+        zero_row, zero_col = rng.randrange(rows + 1), rng.randrange(cols + 1)
+        return GroupRingMatrix.from_rows(model, [
+            [random_element(model, rng)
+             if i != zero_row and j != zero_col and rng.random() < 0.35
+             else GroupRingElement.zero(model) for j in range(cols)]
+            for i in range(rows)]) if rows else GroupRingMatrix(model, 0, cols, [])
+
+    for model in (Z2, S3):
+        for _ in range(60):
+            a, b, c = (rng.randint(0, 4) for _ in range(3))
+            M, N = sparse(model, a, b), sparse(model, b, c)
+            MN = M.compose(N)
+            assert (MN.rows, MN.cols) == (a, c)
+            assert regular_rep_expand(MN) == \
+                regular_rep_expand(M) * regular_rep_expand(N)
+
+
 def test_expand_action_matches_composition():
     # expand(M) on stacked coefficients equals the module action
     rng = random.Random(8)

@@ -7,22 +7,33 @@ from d2kit.intlinalg import (
     IntMatrix,
     NotPrime,
     column_echelon,
+    column_hnf,
     infeasibility_certificate,
     kernel_basis,
-    lattice_hnf,
     rank_over_field,
     smith_normal_form,
     solve_integer_system,
-    xgcd,
 )
 
-from exact_oracles import dense_column_echelon, determinant, lattices_equal, rank_mod_p
+from exact_oracles import (
+    dense_column_echelon,
+    determinant,
+    lattice_hnf,
+    lattices_equal,
+    rank_mod_p,
+    xgcd,
+)
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
     return IntMatrix(m, n, [rng.randint(lo, hi) for _ in range(m * n)])
+
+
+def columns_matrix(vectors, dim):
+    """The dim x len(vectors) matrix whose columns are `vectors`."""
+    return IntMatrix(dim, len(vectors), [v[i] for i in range(dim) for v in vectors])
 
 
 def check_snf(A):
@@ -232,7 +243,7 @@ def test_kernel_basis():
         assert sum(a * x for a, x in zip((1, 2, 3), v)) == 0
     # canonical: recomputing from scaled generators gives the same HNF
     doubled = [tuple(2 * x for x in v) for v in basis] + list(basis)
-    assert lattice_hnf(doubled, 3) == lattice_hnf(basis, 3)
+    assert column_hnf(columns_matrix(doubled, 3)) == basis
 
 
 def test_kernel_basis_random():
@@ -246,6 +257,43 @@ def test_kernel_basis_random():
                 assert sum(A.entry(i, j) * v[j] for j in range(A.cols)) == 0
 
 
+def _oracle_inputs():
+    """Seeded random matrices (some of low rank), zero and empty shapes, and
+    the expanded d_1 and d_2 of the A5 presentation complex."""
+    from d2kit.chains import presentation_complex
+    from d2kit.coset import group_model
+    from d2kit.groupring import regular_rep_expand
+    from d2kit.presentations import parse_presentation
+
+    rng = random.Random(59)
+    out = [IntMatrix.zeros(r, c) for r in range(4) for c in range(4)]
+    for _ in range(240):
+        out.append(random_matrix(rng, max_dim=7, lo=-6, hi=6))
+    for _ in range(80):
+        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 3)
+        left = IntMatrix(m, k, [rng.randint(-4, 4) for _ in range(m * k)])
+        right = IntMatrix(k, n, [rng.randint(-4, 4) for _ in range(k * n)])
+        out.append(left * right)
+    P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^5\n")
+    F = presentation_complex(P, group_model(P, 20000))
+    out += [regular_rep_expand(F.boundary(i)) for i in (1, 2)]
+    return out
+
+
+def test_column_hnf_and_kernel_basis_match_the_lattice_hnf_oracle():
+    inputs = _oracle_inputs()
+    assert len(inputs) >= 300
+    assert any(rank_over_field(A, "Q") < min(A.rows, A.cols) for A in inputs)
+    for A in inputs:
+        cols = [A.column(j) for j in range(A.cols)]
+        assert column_hnf(A) == lattice_hnf(cols, A.rows), A
+        # the kernel generators the echelon transform gives, in Hermite form
+        H, V = column_echelon(A)
+        rank = rank_over_field(A, "Q")
+        gens = [V.column(j) for j in range(rank, A.cols)]
+        assert kernel_basis(A) == lattice_hnf(gens, A.cols), A
+
+
 def test_lattice_equality():
     a = [(2, 0), (0, 2)]
     b = [(2, 2), (0, 2)]
@@ -254,13 +302,13 @@ def test_lattice_equality():
     assert not lattices_equal(a, c, 2)
 
 
-def test_lattice_hnf_canonical_under_unimodular_regeneration():
+def test_column_hnf_canonical_under_unimodular_regeneration():
     rng = random.Random(41)
     for _ in range(60):
         dim = rng.randint(1, 5)
         k = rng.randint(1, dim)
         basis = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
-        hnf = lattice_hnf(basis, dim)
+        hnf = column_hnf(columns_matrix(basis, dim))
         # random invertible integer recombinations span the same lattice
         regen = [list(row) for row in basis]
         for _ in range(10):
@@ -270,7 +318,7 @@ def test_lattice_hnf_canonical_under_unimodular_regeneration():
                 regen[i] = [a + q * b for a, b in zip(regen[i], regen[j])]
             elif rng.random() < 0.3:
                 regen[i] = [-a for a in regen[i]]
-        assert lattice_hnf(regen, dim) == hnf
+        assert column_hnf(columns_matrix(regen, dim)) == hnf
 
 
 def _nonzero_invariant_product(rows, dim):
@@ -282,13 +330,13 @@ def _nonzero_invariant_product(rows, dim):
     return len(nonzero), prod
 
 
-def test_lattice_hnf_is_a_hermite_basis_of_the_input_lattice():
+def test_column_hnf_is_a_hermite_basis_of_the_input_lattice():
     rng = random.Random(43)
     for _ in range(150):
         dim = rng.randint(1, 6)
         vectors = [[rng.choice((0, 0, rng.randint(-12, 12))) for _ in range(dim)]
                    for _ in range(rng.randint(0, 7))]
-        hnf = lattice_hnf(vectors, dim)
+        hnf = column_hnf(columns_matrix(vectors, dim))
         pivots = [next(t for t in range(dim) if row[t]) for row in hnf]
         assert pivots == sorted(set(pivots))
         for i, (row, j) in enumerate(zip(hnf, pivots)):
