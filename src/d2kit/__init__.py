@@ -55,7 +55,6 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
-    gr_multiply,
     regular_rep_expand,
     solve_gr_system,
 )
@@ -109,7 +108,7 @@ __all__ = [
     "InvalidMove", "NotASubpresentation", "LiftingViolatesRelator",
     "apply_move", "deficiency_search", "invert_move", "replace_subpresentation",
     "simplify", "subpresentation",
-    "GroupRingElement", "GroupRingMatrix", "ModelMismatch", "gr_multiply",
+    "GroupRingElement", "GroupRingMatrix", "ModelMismatch",
     "regular_rep_expand", "solve_gr_system",
     "AlgebraicComplex", "EquivalenceCertificate", "NotAChainMap", "NotSplit",
     "SplitReport", "ValidationReport", "attach_three_cells",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .chains import AlgebraicComplex
 from .coset import FiniteGroupModel
-from .groupring import GroupRingElement, GroupRingMatrix
+from .groupring import GroupRingMatrix
 from .intlinalg import IntMatrix
 from .presentations import parse_presentation, serialize_presentation
 
@@ -84,13 +84,17 @@ def dumps(F):
         lines.append(f"[d{i}]")
         d = F.boundary(i)
         for r in range(d.rows):
-            for c in range(d.cols):
-                if F.finite_mode:
-                    pairs = d.entry(r, c).to_pairs()
-                    if pairs:
-                        body = " ".join(f"{idx}:{coeff}" for idx, coeff in pairs)
+            if F.finite_mode:
+                # the coefficient vectors of row r are the columns of its
+                # |G| rows of the flat coefficient matrix
+                n = F.model.order
+                block = zip(*(d.vec.row(r * n + t) for t in range(n)))
+                for c, coeffs in enumerate(block):
+                    if any(coeffs):
+                        body = " ".join(f"{t}:{a}" for t, a in enumerate(coeffs) if a)
                         lines.append(f"{r} {c} {body}")
-                else:
+            else:
+                for c in range(d.cols):
                     v = d.entry(r, c)
                     if v:
                         lines.append(f"{r} {c} {v}")
@@ -224,21 +228,22 @@ def loads(text):
         rows, cols = ranks[i - 1], ranks[i]
         body = sec.get(key, [])
         if mode == "finite":
-            zero = GroupRingElement.zero(model)
-            entries = [[zero] * cols for _ in range(rows)]
+            # row r*|G| + t, column c of the flat coefficient matrix holds
+            # the coefficient of element t in entry (r, c)
+            vec = [0] * (rows * order * cols)
             for line in body:
                 parts = line.split()
                 if len(parts) < 2:
                     raise AcxError(f"{key} line {line!r} lacks a row and column")
                 r = _index(parts[0], rows, "row")
                 c = _index(parts[1], cols, "column")
-                pairs = []
+                coeffs = [0] * order
                 for p in parts[2:]:
                     idx, _, coeff = p.partition(":")
-                    pairs.append((_index(idx, order, "element"), int(coeff)))
-                entries[r][c] = GroupRingElement.from_pairs(model, pairs)
-            boundaries.append(GroupRingMatrix.from_rows(model, entries)
-                              if rows else GroupRingMatrix(model, 0, cols, []))
+                    coeffs[_index(idx, order, "element")] += int(coeff)
+                vec[r * order * cols + c:(r + 1) * order * cols:cols] = coeffs
+            boundaries.append(GroupRingMatrix._raw(
+                model, rows, cols, IntMatrix._raw(rows * order, cols, tuple(vec))))
         else:
             entries = [[0] * cols for _ in range(rows)]
             for line in body:

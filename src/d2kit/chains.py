@@ -401,9 +401,8 @@ class EquivalenceCertificate:
 
 def _aug_compatible(f0):
     """Augmentation of each column of f0 must be 1 (eps o f0 = eps)."""
-    return all(
-        sum(f0.entry(i, j).augmentation() for i in range(f0.rows)) == 1
-        for j in range(f0.cols))
+    aug = f0.augmentation_matrix()
+    return all(sum(aug.column(j)) == 1 for j in range(aug.cols))
 
 
 @dataclass(frozen=True)
@@ -438,12 +437,9 @@ def _identity_certificate(F):
 
 def _canonical_degree0(model, t0, s0):
     """t0 x s0 map sending every source basis vector to the first target
-    basis vector (augmentation-compatible)."""
-    one = GroupRingElement.one(model)
-    z = GroupRingElement.zero(model)
-    return GroupRingMatrix(model, t0, s0,
-                           [one if i == 0 else z
-                            for i in range(t0) for j in range(s0)])
+    basis vector (augmentation-compatible): row 0 of its vec is all ones."""
+    return GroupRingMatrix._raw(model, t0, s0, IntMatrix._raw(
+        t0 * model.order, s0, (1,) * s0 + (0,) * ((t0 * model.order - 1) * s0)))
 
 
 def _lift_chain_map(src, tgt, budget):
@@ -476,7 +472,6 @@ def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
     model = src.model
     order = model.order
     s2, t2 = src.ranks[2], tgt.ranks[2]
-    zero = GroupRingElement.zero(model)
     basis_t = IntMatrix._raw(s2 * order, len(K_src),
                              tuple(x for row in zip(*K_src) for x in row))
     base = regular_rep_expand(phi2) * basis_t
@@ -484,9 +479,10 @@ def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
     singles = []
     for c in range(s2):
         for v in K_tgt:
-            omega = GroupRingMatrix(model, t2, s2, [
-                GroupRingElement(model, v[i * order:(i + 1) * order])
-                if j == c else zero for i in range(t2) for j in range(s2)])
+            vec = [0] * (t2 * order * s2)
+            vec[c::s2] = v
+            omega = GroupRingMatrix._raw(model, t2, s2,
+                                         IntMatrix._raw(t2 * order, s2, tuple(vec)))
             image = regular_rep_expand(omega) * basis_t
             singles.append((omega, image))
             for w, im in ((omega, image), (-omega, -image)):

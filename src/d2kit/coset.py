@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .intlinalg import CertificateError
-from .presentations import Presentation
+from .presentations import Presentation, is_perfect
 from .words import Word, words_in_length_lex_order
 
 DEFAULT_MAX_COSETS = 20000
@@ -430,8 +430,6 @@ def find_normal_generator(P, max_len, max_cosets):
     A returned word is certified by the completed enumeration of its
     quotient. "not-found-within-bounds" is never a nonexistence claim.
     """
-    from .presentations import is_perfect
-
     if not is_perfect(P):
         return NormalGeneratorSearch("not-found-within-bounds",
                                      warnings=("non-perfect",))

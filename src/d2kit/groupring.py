@@ -16,15 +16,24 @@ which is exactly the convention under which the Fox-derivative boundary
 matrices of a presentation complex satisfy d1 o d2 = 0 (via the identity
 sum_i (dw/dx_i) * (x_i - 1) = w - 1).
 
+A rows x cols GroupRingMatrix is one (rows*|G|) x cols IntMatrix `vec`:
+row i*|G| + t, column k holds the coefficient of element t in entry (i, k).
+Sums, stacking and equality are IntMatrix operations on `vec`.
+
 `regular_rep_expand` replaces each entry z by the |G| x |G| integer matrix of
 its action on coefficient columns (w -> w * z, the right regular action);
 with the composition above this is multiplicative:
 expand(M o N) = expand(M) * expand(N), and expand(identity) = identity.
-Solving A o X = B or X o A = B over ZG reduces to an integer system whose
-unknowns are the ZG coefficients of X, so equivariance is built in.
+`_action_terms` is the one place that knows that action: the expansion is
+filled from it, and `compose` never builds an expansion. Solving A o X = B
+or X o A = B over ZG is an integer system whose unknowns are the ZG
+coefficients of X, so equivariance is built in.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from operator import itemgetter
 
 from .intlinalg import CertificateError, DimensionMismatch, IntMatrix, solve_integer_system
 
@@ -35,7 +44,7 @@ class ModelMismatch(ValueError):
 
 def _check_same_model(x, y):
     if x.model is not y.model and not x.model.same_table(y.model):
-        raise ModelMismatch("elements live over different group models")
+        raise ModelMismatch("operands live over different group models")
 
 
 class GroupRingElement:
@@ -135,14 +144,11 @@ class GroupRingElement:
         return f"GroupRingElement({self.to_pairs()!r})"
 
 
-def gr_multiply(x, y):
-    return x * y
-
-
 class GroupRingMatrix:
-    """rows x cols matrix over ZG; a left-module map ZG^cols -> ZG^rows."""
+    """rows x cols matrix over ZG; a left-module map ZG^cols -> ZG^rows,
+    stored as the (rows*|G|) x cols coefficient matrix `vec`."""
 
-    __slots__ = ("model", "rows", "cols", "entries")
+    __slots__ = ("model", "rows", "cols", "vec")
 
     def __init__(self, model, rows, cols, entries):
         entries = tuple(entries)
@@ -156,10 +162,24 @@ class GroupRingMatrix:
                 if not e.model.same_table(model):
                     raise ModelMismatch("entry over a different group model")
                 checked = e.model
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        n = model.order
+        data = [0] * (rows * n * cols)
+        for k, e in enumerate(entries):
+            i, j = divmod(k, cols)
+            data[i * n * cols + j:(i + 1) * n * cols:cols] = e.coeffs
+        self._set(model, rows, cols, IntMatrix._raw(rows * n, cols, tuple(data)))
+
+    def _set(self, *values):
+        for name, value in zip(GroupRingMatrix.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _raw(cls, model, rows, cols, vec):
+        """Wrap a (rows*model.order) x cols IntMatrix computed from matrices,
+        unchecked."""
+        M = object.__new__(cls)
+        M._set(model, rows, cols, vec)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingMatrix is immutable")
@@ -173,149 +193,151 @@ class GroupRingMatrix:
 
     @classmethod
     def zeros(cls, model, rows, cols):
-        z = GroupRingElement.zero(model)
-        return cls(model, rows, cols, [z] * (rows * cols))
+        return cls._raw(model, rows, cols, IntMatrix.zeros(rows * model.order, cols))
 
     @classmethod
     def identity(cls, model, n):
-        one = GroupRingElement.one(model)
-        z = GroupRingElement.zero(model)
-        return cls(model, n, n, [one if i == j else z
-                                 for i in range(n) for j in range(n)])
+        data = [0] * (n * model.order * n)
+        data[::model.order * n + 1] = (1,) * n
+        return cls._raw(model, n, n, IntMatrix._raw(n * model.order, n, tuple(data)))
 
     def entry(self, i, j):
-        return self.entries[i * self.cols + j]
+        c = self.cols
+        span = self.model.order * c
+        return GroupRingElement._raw(
+            self.model, self.vec.data[i * span + j:(i + 1) * span:c])
+
+    @property
+    def entries(self):
+        """The entries as GroupRingElements, row by row."""
+        return tuple(self.entry(i, j)
+                     for i in range(self.rows) for j in range(self.cols))
 
     def compose(self, other):
-        """self o other (apply `other` first): entries sum_j other_jk * self_ij."""
+        """self o other (apply `other` first): entries sum_j other_jk * self_ij.
+
+        vec(self o other) = expand(self) * other.vec term by term: a term
+        (i, j, a, perm) adds a * row (j, x) of other.vec to row (i, perm[x])."""
         if not isinstance(other, GroupRingMatrix):
             raise TypeError("compose expects a GroupRingMatrix")
-        if self.model is not other.model and not self.model.same_table(other.model):
-            raise ModelMismatch("matrices live over different group models")
+        _check_same_model(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        n, p = self.cols, other.cols
-        # the nonzero (j, self_ij) of each row and {j: other_jk} of each column
-        rows = [[(j, b) for j, b in enumerate(self.entries[i * n:(i + 1) * n])
-                 if not b.is_zero()] for i in range(self.rows)]
-        cols = [{j: a for j, a in enumerate(other.entries[k::p]) if not a.is_zero()}
-                for k in range(p)]
-        out = []
-        zero = GroupRingElement._raw(self.model, (0,) * self.model.order)
-        for row in rows:
-            for col in cols:
-                acc = zero
-                for j, b in row:
-                    a = col.get(j)
-                    if a is not None:
-                        acc = acc + a * b
-                out.append(acc)
-        return GroupRingMatrix(self.model, self.rows, p, out)
+        n, p, data = self.model.order, other.cols, other.vec.data
+        # the nonzero rows (x, [(k, b), ...]) of each row block j of other.vec
+        blocks = [[] for _ in range(other.rows)]
+        for r in range(other.rows * n):
+            row = data[r * p:(r + 1) * p]
+            if any(row):
+                blocks[r // n].append((r % n, [(k, b) for k, b in enumerate(row) if b]))
+        out = [0] * (self.rows * n * p)
+        for i, j, a, perm in _action_terms(self, False):
+            for x, src in blocks[j]:
+                base = (i * n + perm[x]) * p
+                for k, b in src:
+                    out[base + k] += a * b
+        return GroupRingMatrix._raw(self.model, self.rows, p,
+                                    IntMatrix._raw(self.rows * n, p, tuple(out)))
 
+    # over one model, vec shapes agree exactly when the ZG shapes do
     def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch")
-        return GroupRingMatrix(self.model, self.rows, self.cols,
-                               [a + b for a, b in zip(self.entries, other.entries)])
+        _check_same_model(self, other)
+        return GroupRingMatrix._raw(self.model, self.rows, self.cols,
+                                    self.vec + other.vec)
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch")
-        return GroupRingMatrix(self.model, self.rows, self.cols,
-                               [a - b for a, b in zip(self.entries, other.entries)])
+        _check_same_model(self, other)
+        return GroupRingMatrix._raw(self.model, self.rows, self.cols,
+                                    self.vec - other.vec)
 
     def __neg__(self):
-        return GroupRingMatrix(self.model, self.rows, self.cols,
-                               [-a for a in self.entries])
+        return GroupRingMatrix._raw(self.model, self.rows, self.cols, -self.vec)
 
     def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack needs equal row counts")
-        entries = []
-        for i in range(self.rows):
-            entries.extend(self.entries[i * self.cols:(i + 1) * self.cols])
-            entries.extend(other.entries[i * other.cols:(i + 1) * other.cols])
-        return GroupRingMatrix(self.model, self.rows,
-                               self.cols + other.cols, entries)
+        _check_same_model(self, other)
+        return GroupRingMatrix._raw(self.model, self.rows, self.cols + other.cols,
+                                    self.vec.hstack(other.vec))
 
     def vstack(self, other):
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack needs equal column counts")
-        return GroupRingMatrix(self.model, self.rows + other.rows, self.cols,
-                               self.entries + other.entries)
+        _check_same_model(self, other)
+        return GroupRingMatrix._raw(self.model, self.rows + other.rows, self.cols,
+                                    self.vec.vstack(other.vec))
 
     def submatrix(self, row_indices, col_indices):
-        row_indices = tuple(row_indices)
-        col_indices = tuple(col_indices)
-        return GroupRingMatrix(self.model, len(row_indices), len(col_indices),
-                               [self.entry(i, j) for i in row_indices
-                                for j in col_indices])
+        n, row_indices, col_indices = self.model.order, tuple(row_indices), tuple(col_indices)
+        vrows = [self.vec.row(i * n + t) for i in row_indices for t in range(n)]
+        return GroupRingMatrix._raw(
+            self.model, len(row_indices), len(col_indices),
+            IntMatrix._raw(len(vrows), len(col_indices),
+                           tuple(row[j] for row in vrows for j in col_indices)))
 
     def is_zero(self):
-        return all(e.is_zero() for e in self.entries)
+        return self.vec.is_zero()
 
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        one = GroupRingElement.one(self.model)
-        z = GroupRingElement.zero(self.model)
-        return all(self.entry(i, j) == (one if i == j else z)
-                   for i in range(self.rows) for j in range(self.cols))
+        return (self.rows == self.cols
+                and self.vec == GroupRingMatrix.identity(self.model, self.rows).vec)
 
     def augmentation_matrix(self):
         """Entrywise augmentation (the trivial-coefficient shadow)."""
-        return IntMatrix(self.rows, self.cols,
-                         [e.augmentation() for e in self.entries])
+        span = self.model.order * self.cols
+        data = self.vec.data
+        return IntMatrix._raw(self.rows, self.cols, tuple(
+            sum(data[i * span + j:(i + 1) * span:self.cols])
+            for i in range(self.rows) for j in range(self.cols)))
 
     def __eq__(self, other):
         return (isinstance(other, GroupRingMatrix)
                 and self.rows == other.rows and self.cols == other.cols
                 and self.model.same_table(other.model)
-                and self.entries == other.entries)
+                and self.vec == other.vec)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.vec))
 
     def __repr__(self):
         return f"<GroupRingMatrix {self.rows}x{self.cols} over |G|={self.model.order}>"
 
 
-def _assemble_blocks(blocks, block_rows, block_cols, model):
-    """Dense (block_rows*|G|) x (block_cols*|G|) IntMatrix from (bi, bj, z,
-    left) blocks, written straight from the multiplication table: block
-    (bi, bj) gains the action of the ZG element z on coefficient columns,
-    w -> z * w when left, else w -> w * z. A coefficient a of element i adds
-    a at (row mult[i][j], column j) of a left block, for every j, and at
-    (row mult[k][i], column k) of a right block, for every k. Blocks sharing
-    a position sum."""
-    n, mult = model.order, model.mult
-    by_col = tuple(zip(*mult))
-    width = block_cols * n
-    out = [0] * (block_rows * n * width)
-    for bi, bj, z, left in blocks:
-        corner = bi * n * width + bj * n
-        for i, a in enumerate(z.coeffs):
-            if a:
-                for c, r in enumerate(mult[i] if left else by_col[i], corner):
-                    out[r * width + c] += a
-    return IntMatrix._raw(block_rows * n, width, tuple(out))
+def _action_terms(M, left):
+    """Yield (i, j, a, perm) for each nonzero coefficient a, of element t in
+    entry M_ij: block (i, j) of the action of M gains a at (perm[x], x) for
+    every x, where perm[x] = t * x when left (w -> z * w) and x * t otherwise
+    (w -> w * z). The only matrix code that reads the multiplication table."""
+    n, cols, data, mult = M.model.order, M.cols, M.vec.data, M.model.mult
+    perms = {}
+    for r in range(M.rows * n):
+        row = data[r * cols:(r + 1) * cols]
+        if any(row):
+            i, t = divmod(r, n)
+            perm = perms.get(t)
+            if perm is None:
+                perm = perms[t] = mult[t] if left else tuple(map(itemgetter(t), mult))
+            for j, a in enumerate(row):
+                if a:
+                    yield i, j, a, perm
 
 
 def _expand(M, left):
-    """Integer matrix whose block (i, j) is the left (or right) action of
-    M_ij."""
-    return _assemble_blocks(
-        ((i, j, M.entry(i, j), left)
-         for i in range(M.rows) for j in range(M.cols)),
-        M.rows, M.cols, M.model)
+    """Dense (rows*|G|) x (cols*|G|) integer matrix whose block (i, j) is the
+    left (or right) action of M_ij on coefficient columns."""
+    n = M.model.order
+    width = M.cols * n
+    out = [0] * (M.rows * n * width)
+    for i, j, a, perm in _action_terms(M, left):
+        for c, r in enumerate(perm, i * n * width + j * n):
+            out[r * width + c] += a
+    return IntMatrix._raw(M.rows * n, width, tuple(out))
 
 
 def _transpose_grid(M):
-    """The entries of M in transposed positions (no anti-involution)."""
-    return GroupRingMatrix(M.model, M.cols, M.rows,
-                           [M.entry(i, j) for j in range(M.cols)
-                            for i in range(M.rows)])
+    """The entries of M in transposed positions (no anti-involution): row
+    j*|G| + t of the result's vec is column j of the rows i*|G| + t of M.vec."""
+    n, cols, data = M.model.order, M.cols, M.vec.data
+    return GroupRingMatrix._raw(M.model, cols, M.rows, IntMatrix._raw(
+        cols * n, M.rows, tuple(chain.from_iterable(
+            data[r % n * cols + r // n::n * cols] for r in range(cols * n)))))
 
 
 def regular_rep_expand(M):
@@ -325,49 +347,26 @@ def regular_rep_expand(M):
     return _expand(M, False)
 
 
-def vec_columns(M):
-    """(rows*|G|) x cols integer matrix; column k stacks the coefficient
-    vectors of M's column k."""
-    n = M.model.order
-    return IntMatrix._raw(M.rows * n, M.cols, tuple(
-        x for i in range(M.rows)
-        for row in zip(*(M.entry(i, k).coeffs for k in range(M.cols)))
-        for x in row))
-
-
-def unvec_columns(model, rows, cols, X):
-    """Inverse of vec_columns for a rows x cols ZG matrix."""
-    n = model.order
-    entries = []
-    for i in range(rows):
-        for k in range(cols):
-            entries.append(GroupRingElement._raw(
-                model, tuple(X.entry(i * n + t, k) for t in range(n))))
-    return GroupRingMatrix(model, rows, cols, entries)
-
-
 def gr_integer_system(A, B, side):
     """Integer system (big, rhs) whose solutions x of big * x = rhs are the
     ZG coefficients of the X with A o X = B (side="right") or X o A = B
     (side="left").
 
-    Right: big = regular_rep_expand(A) and x = vec_columns(X). Left: column
-    i of x holds row i of X, since sum_j L(A_jk) X_ij = B_ik with L the left
+    Right: big = regular_rep_expand(A) and x = X.vec. Left: column i of x
+    holds row i of X, since sum_j L(A_jk) X_ij = B_ik with L the left
     action; so big expands the transposed grid of A by left actions and
-    x = vec_columns of the transposed grid of X.
+    x is the vec of the transposed grid of X.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if A.model is not B.model and not A.model.same_table(B.model):
-        raise ModelMismatch("A and B live over different group models")
+    _check_same_model(A, B)
     if side == "right":
         if A.rows != B.rows:
             raise DimensionMismatch("A and B need equal row counts")
-        return regular_rep_expand(A), vec_columns(B)
+        return regular_rep_expand(A), B.vec
     if A.cols != B.cols:
         raise DimensionMismatch("A and B need equal column counts")
-    return (_expand(_transpose_grid(A), True),
-            vec_columns(_transpose_grid(B)))
+    return _expand(_transpose_grid(A), True), _transpose_grid(B).vec
 
 
 def solve_gr_system(A, B, side):
@@ -383,11 +382,11 @@ def solve_gr_system(A, B, side):
 def _gr_solution(A, B, side, sol):
     """X from a solution of gr_integer_system(A, B, side), re-verified."""
     if side == "right":
-        X = unvec_columns(A.model, A.cols, B.cols, sol)
+        X = GroupRingMatrix._raw(A.model, A.cols, B.cols, sol)
         if A.compose(X) != B:
             raise CertificateError("solution fails A o X == B")
     else:
-        X = _transpose_grid(unvec_columns(A.model, A.rows, B.rows, sol))
+        X = _transpose_grid(GroupRingMatrix._raw(A.model, A.rows, B.rows, sol))
         if X.compose(A) != B:
             raise CertificateError("solution fails X o A == B")
     return X

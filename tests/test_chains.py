@@ -585,6 +585,20 @@ _FREE_D1 = ("[group]\nmode: symbolic\n[presentation]\ngens: x\nrels:\n"
             "[ranks]\n1 1\n[d1]\n")
 
 
+def test_acx_entry_lines_sum_pairs_and_later_lines_replace():
+    # pairs repeated on one line add up; a later line for the same entry
+    # replaces the earlier one, including its element coefficients
+    F = acx.loads(_Z2_D1.replace("1 1\n", "1 2\n") +
+                  "0 0 0:1 1:4\n0 1 0:5\n0 0 1:-1 0:-2 1:2\n")
+    t = F.boundary(1)
+    assert t.entries == (GroupRingElement(t.model, (-2, 1)),
+                         GroupRingElement(t.model, (5, 0)))
+    # no rows: the boundary is empty, not an error
+    G = acx.loads("[group]\nmode: finite\norder: 1\nmulttable:\n0\n"
+                  "generators:\n[ranks]\n1 0 2\n")
+    assert (G.boundary(2).rows, G.boundary(2).cols) == (0, 2)
+
+
 @pytest.mark.parametrize("text", [
     _Z2_D1 + "-1 0 0:1\n", _Z2_D1 + "0 -1 0:1\n", _Z2_D1 + "0 0 -1:1\n",
     _Z2_D1 + "1 0 0:1\n", _Z2_D1 + "0 1 0:1\n", _Z2_D1 + "0 0 2:1\n",

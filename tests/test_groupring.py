@@ -7,11 +7,8 @@ from d2kit.groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
-    gr_multiply,
     regular_rep_expand,
     solve_gr_system,
-    unvec_columns,
-    vec_columns,
 )
 from d2kit.intlinalg import DimensionMismatch, IntMatrix
 from d2kit.presentations import parse_presentation
@@ -65,7 +62,6 @@ def test_gr_multiply_associative_bilinear():
         x, y, z = (random_element(S3, rng) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert (x + y) * z == x * z + y * z
-        assert gr_multiply(x, y) == x * y
 
 
 def test_model_mismatch():
@@ -135,6 +131,49 @@ def test_compose_of_sparse_matrices_matches_the_expanded_product():
                 regular_rep_expand(M) * regular_rep_expand(N)
 
 
+def test_compose_matches_its_element_level_definition():
+    # (M o N)_ik = sum_j N_jk * M_ij in GroupRingElement arithmetic, over
+    # non-abelian groups, so a swapped product order is caught
+    Q8 = group_model(parse_presentation("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n"),
+                     100)
+    rng = random.Random(41)
+
+    def sparse_rows(model, rows, cols):
+        return [[random_element(model, rng) if rng.random() < 0.4
+                 else GroupRingElement.zero(model) for _ in range(cols)]
+                for _ in range(rows)]
+
+    def build(model, grid, cols):
+        return (GroupRingMatrix.from_rows(model, grid) if grid
+                else GroupRingMatrix(model, 0, cols, []))
+
+    for model in (S3, Q8):
+        for _ in range(40):
+            a, b, c = (rng.randint(0, 3) for _ in range(3))
+            Mg, Ng = sparse_rows(model, a, b), sparse_rows(model, b, c)
+            M, N = build(model, Mg, b), build(model, Ng, c)
+            # from_rows -> entry / entries returns every element
+            assert all(M.entry(i, j) == Mg[i][j] for i in range(a) for j in range(b))
+            assert M.entries == tuple(e for row in Mg for e in row)
+            expected = [[GroupRingElement.zero(model) for _ in range(c)]
+                        for _ in range(a)]
+            for i in range(a):
+                for k in range(c):
+                    for j in range(b):
+                        expected[i][k] = expected[i][k] + Ng[j][k] * Mg[i][j]
+            MN = M.compose(N)
+            assert (MN.rows, MN.cols) == (a, c)
+            assert MN.entries == tuple(e for row in expected for e in row)
+            assert MN == build(model, expected, c)
+            # the same matrix built two ways is equal and hashes equal
+            flat = GroupRingMatrix(model, a, c, [e for row in expected for e in row])
+            assert flat == MN and hash(flat) == hash(MN)
+    assert GroupRingMatrix(S3, 0, 0, []).compose(GroupRingMatrix(S3, 0, 2, [])) == \
+        GroupRingMatrix.zeros(S3, 0, 2)
+    assert GroupRingMatrix.zeros(Q8, 2, 0).compose(GroupRingMatrix(Q8, 0, 3, [])) == \
+        GroupRingMatrix.zeros(Q8, 2, 3)
+
+
 def test_expand_action_matches_composition():
     # expand(M) on stacked coefficients equals the module action
     rng = random.Random(8)
@@ -142,9 +181,9 @@ def test_expand_action_matches_composition():
         [random_element(S3, rng) for _ in range(3)] for _ in range(2)])
     v = GroupRingMatrix.from_rows(S3, [[random_element(S3, rng)] for _ in range(3)])
     direct = M.compose(v)
-    expanded = regular_rep_expand(M) * vec_columns(v)
-    assert vec_columns(direct) == expanded
-    assert unvec_columns(S3, 2, 1, expanded) == direct
+    expanded = regular_rep_expand(M) * v.vec
+    assert direct.vec == expanded
+    assert GroupRingMatrix._raw(S3, 2, 1, expanded) == direct
 
 
 def test_solve_right_simple():
