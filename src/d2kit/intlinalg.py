@@ -411,7 +411,8 @@ def solve_integer_system(A, B):
         if any(b):
             return None
     # back through the column transform: A*(V*Y) = H*Y = B
-    return V * IntMatrix(n, k, Y)
+    # every entry of Y is an int from `//`, so it needs no checking
+    return V * IntMatrix._raw(n, k, tuple(Y))
 
 
 @dataclass(frozen=True)

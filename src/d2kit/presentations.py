@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .intlinalg import IntMatrix, SNFResult, smith_normal_form
 from .words import Word
@@ -88,10 +89,7 @@ class Presentation:
         """Human-readable display form (not necessarily re-parseable)."""
         if w.is_identity():
             return "1"
-        parts = []
-        for name, k in _syllables(w, self.generators):
-            parts.append(name if k == 1 else f"{name}^{k}")
-        return " ".join(parts)
+        return " ".join(_syllables(w.letters, self.generators))
 
     def __str__(self):
         gens = " ".join(self.generators)
@@ -99,14 +97,29 @@ class Presentation:
         return f"< {gens} | {rels} >"
 
 
-def _syllables(w, names):
+def _syllables(letters, names):
+    """The syllables of a reduced word as text, ``x`` or ``x^k``: its runs
+    of one repeated letter."""
     out = []
-    for g, s in w.letters:
-        if out and out[-1][0] == names[g] and (out[-1][1] > 0) == (s > 0):
-            out[-1] = (names[g], out[-1][1] + s)
-        else:
-            out.append((names[g], s))
+    for (g, s), run in groupby(letters):
+        k = s * sum(1 for _ in run)
+        out.append(names[g] if k == 1 else f"{names[g]}^{k}")
     return out
+
+
+def _relator_chunk(letters, names):
+    """One relator's text on a ``rels:`` line: ``()`` for the empty word, a
+    bare syllable, or its syllables in parentheses."""
+    sylls = _syllables(letters, names)
+    if len(sylls) == 1:
+        return sylls[0]
+    return "(" + " ".join(sylls) + ")"
+
+
+def _presentation_text(names, chunks):
+    """The ``gens:``/``rels:`` text of generator names and relator chunks."""
+    rels = "rels: " + " ".join(chunks) if chunks else "rels:"
+    return "gens: " + " ".join(names) + "\n" + rels + "\n"
 
 
 def _relator_chunks(body, line_no, col0):
@@ -262,20 +275,8 @@ def parse_presentation(text):
 
 def serialize_presentation(P):
     """Canonical text form; parse_presentation round-trips it exactly."""
-    lines = ["gens: " + " ".join(P.generators)]
-    chunks = []
-    for r in P.relators:
-        sylls = _syllables(r, P.generators)
-        if not sylls:
-            chunks.append("()")
-        elif len(sylls) == 1:
-            name, k = sylls[0]
-            chunks.append(name if k == 1 else f"{name}^{k}")
-        else:
-            chunks.append("(" + " ".join(
-                name if k == 1 else f"{name}^{k}" for name, k in sylls) + ")")
-    lines.append("rels: " + " ".join(chunks) if chunks else "rels:")
-    return "\n".join(lines) + "\n"
+    return _presentation_text(P.generators, [
+        _relator_chunk(r.letters, P.generators) for r in P.relators])
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
-from .presentations import Presentation, deficiency, serialize_presentation
+from .presentations import Presentation, _presentation_text, _relator_chunk
 from .words import Word, reduce_letters
 
 
@@ -240,6 +240,19 @@ def simplify(P):
         P.generators, tuple(r.letters for r in P.relators), {}))
 
 
+def _node_text(gens, rels, chunks):
+    """`serialize_presentation(_presentation(gens, rels))`, built from the
+    relator chunks cached in `chunks`, keyed on (generator names, letters):
+    generator elimination renames the generators a relator's letters mean."""
+    parts = []
+    for r in rels:
+        chunk = chunks.get((gens, r))
+        if chunk is None:
+            chunk = chunks[gens, r] = _relator_chunk(r, gens)
+        parts.append(chunk)
+    return _presentation_text(gens, parts)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     best: Presentation
@@ -258,14 +271,18 @@ def deficiency_search(P, budget):
     r_i -> r_i * r_j^s (i != j, s = 1 then -1), each result simplified.
     A node is identified by its generators and its freely reduced relator
     letters. Among the nodes of highest deficiency, the one with the least
-    serialized text (`serialize_presentation`) is returned."""
+    serialized text (`serialize_presentation`) is returned. That text is
+    built from per-relator chunks cached for the search, the same bytes as
+    `serialize_presentation`, and only the returned best is made into a
+    `Presentation`, after the search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     memo = {}
+    chunks = {}
     start = _simplify(P.generators, tuple(r.letters for r in P.relators), memo)
-    best = _presentation(*start)
-    best_deficiency = deficiency(best)
-    best_text = serialize_presentation(best)
+    best_node = start
+    best_deficiency = len(start[0]) - len(start[1])
+    best_text = _node_text(*start, chunks)
     seen = {start}
     generated = set()  # raw neighbours: simplify is deterministic
     queue = deque([start])
@@ -294,11 +311,10 @@ def deficiency_search(P, budget):
                     queue.append(node)
                     d = len(node[0]) - len(node[1])
                     if d >= best_deficiency:
-                        R = _presentation(*node)
-                        text = serialize_presentation(R)
+                        text = _node_text(*node, chunks)
                         if d > best_deficiency or text < best_text:
-                            best, best_deficiency, best_text = R, d, text
-    return SearchResult(best, best_deficiency, exhausted, visited)
+                            best_node, best_deficiency, best_text = node, d, text
+    return SearchResult(_presentation(*best_node), best_deficiency, exhausted, visited)
 
 
 def subpresentation(P, gen_indices, rel_indices):

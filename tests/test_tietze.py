@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from d2kit import presentations, tietze
 from d2kit.coset import todd_coxeter
 from d2kit.presentations import (
     Presentation,
@@ -15,6 +16,9 @@ from d2kit.presentations import (
 )
 from d2kit.tietze import (
     _cyclic_form_key,
+    _node_text,
+    _presentation,
+    _simplify,
     AddGenerator,
     AddRelator,
     ExtensionResult,
@@ -417,9 +421,12 @@ def test_deficiency_search_long_relator_is_linear():
     assert res.deficiency == 0
 
 
-# Recorded with the search as it was before relators became letter tuples:
-# (name, first 16 hex digits of sha256(serialize_presentation(best)),
-#  deficiency, visited, exhausted) at budget 600.
+# (name, budget, first 16 hex digits of sha256(serialize_presentation(best)),
+#  deficiency, visited, exhausted). The first sixteen rows were recorded with
+# the search as it was before relators became letter tuples, the rest with the
+# search as it was before the tie-break text was built from relator chunks.
+# The two corpus variants are `perfbench/workloads.corpus_variant` of q8 and
+# a5 with random.Random(3).
 SEARCH_VARIANTS = {
     "a5-rotated": "gens: a b\nrels: (b a)^5 b^-3 a^2\n",
     "a5-swapped": "gens: b a\nrels: b^3 a^2 (a b)^5\n",
@@ -428,35 +435,102 @@ SEARCH_VARIANTS = {
     "s3-inverted": "gens: a b\nrels: (a b)^-3 b^2 a^2\n",
     "q8-rotated": "gens: a b\nrels: (a b a b^-1) (b^-2 a^2)\n",
     "q8-inverted": "gens: a b\nrels: (a^-1 b^-1 a^-1 b) (b^2 a^-2)\n",
+    "q8-variant-3": "gens: a b\nrels: (a b^-2 a) (b a^-1 b^-1 a^-1)\n",
+    "a5-variant-3": "gens: a b\nrels: b^-3 a^2 "
+                    "(a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1)\n",
 }
 SEARCH_GOLDEN = [
-    ("a5", "8fc511c3bd2f2b95", -1, 600, True),
-    ("f2", "a80ea14a172db730", 2, 1, False),
-    ("q8", "3df101da8104cd72", 0, 600, True),
-    ("s3", "e0b69a7495e605d5", -1, 600, True),
-    ("trefoil", "c8058c5626ae6788", 1, 1, False),
-    ("trivial", "351065a720b4d4e3", 0, 1, False),
-    ("z", "374147ceddca3242", 1, 1, False),
-    ("z2", "465e483d6c71e29e", 0, 1, False),
-    ("z5", "b34746105c198699", 0, 1, False),
-    ("a5-rotated", "e7bed80fc0136514", -1, 600, True),
-    ("a5-swapped", "046d7af991ab7462", -1, 600, True),
-    ("a5-extra-gen", "49f8f3d179eaf6d1", -1, 600, True),
-    ("s3-rotated", "6eaaa2a908e089a6", -1, 600, True),
-    ("s3-inverted", "bc31a393bc836883", -1, 600, True),
-    ("q8-rotated", "01f43672c6308e98", 0, 600, True),
-    ("q8-inverted", "aee44a2ac7c8e7c5", 0, 600, True),
+    ("a5", 600, "8fc511c3bd2f2b95", -1, 600, True),
+    ("f2", 600, "a80ea14a172db730", 2, 1, False),
+    ("q8", 600, "3df101da8104cd72", 0, 600, True),
+    ("s3", 600, "e0b69a7495e605d5", -1, 600, True),
+    ("trefoil", 600, "c8058c5626ae6788", 1, 1, False),
+    ("trivial", 600, "351065a720b4d4e3", 0, 1, False),
+    ("z", 600, "374147ceddca3242", 1, 1, False),
+    ("z2", 600, "465e483d6c71e29e", 0, 1, False),
+    ("z5", 600, "b34746105c198699", 0, 1, False),
+    ("a5-rotated", 600, "e7bed80fc0136514", -1, 600, True),
+    ("a5-swapped", 600, "046d7af991ab7462", -1, 600, True),
+    ("a5-extra-gen", 600, "49f8f3d179eaf6d1", -1, 600, True),
+    ("s3-rotated", 600, "6eaaa2a908e089a6", -1, 600, True),
+    ("s3-inverted", 600, "bc31a393bc836883", -1, 600, True),
+    ("q8-rotated", 600, "01f43672c6308e98", 0, 600, True),
+    ("q8-inverted", 600, "aee44a2ac7c8e7c5", 0, 600, True),
+    # searches whose best changes often
+    ("s3", 2000, "b0dec05f1e7dabd4", 0, 2000, True),
+    ("a5-extra-gen", 1000, "be7d5a3ab00adc69", -1, 1000, True),
+    ("q8-variant-3", 600, "2ef56da4923a8958", 0, 600, True),
+    ("a5-variant-3", 600, "02ed67820aaf97fb", -1, 600, True),
 ]
 
 
-@pytest.mark.parametrize("name, digest, defic, visited, exhausted", SEARCH_GOLDEN,
-                         ids=[case[0] for case in SEARCH_GOLDEN])
-def test_deficiency_search_golden(name, digest, defic, visited, exhausted):
+@pytest.mark.parametrize(
+    "name, budget, digest, defic, visited, exhausted", SEARCH_GOLDEN,
+    ids=[name if budget == 600 else f"{name}-{budget}"
+         for name, budget, *_ in SEARCH_GOLDEN])
+def test_deficiency_search_golden(name, budget, digest, defic, visited, exhausted):
     text = SEARCH_VARIANTS.get(name)
     if text is None:
         text = (CORPUS / f"{name}.fp").read_text(encoding="utf-8")
-    res = deficiency_search(parse_presentation(text), budget=600)
+    res = deficiency_search(parse_presentation(text), budget=budget)
     sha = hashlib.sha256(serialize_presentation(res.best).encode()).hexdigest()
     assert (sha[:16], res.deficiency, res.visited, res.exhausted) == (
         digest, defic, visited, exhausted)
     assert res.deficiency == deficiency(res.best)
+
+
+def test_node_text_matches_serialize_presentation():
+    rng = random.Random(12)
+    nodes = []
+    eliminated = 0
+    for _ in range(300):
+        P = _random_presentation(rng)
+        if rng.random() < 0.5:  # names of three letters
+            P = Presentation(("gen", "x_2", "Yz9")[:P.num_generators], P.relators)
+        node = _simplify(P.generators, tuple(r.letters for r in P.relators), {})
+        eliminated += len(node[0]) < P.num_generators
+        nodes.append(node)
+    x3, y_2 = ((0, 1),) * 3, ((1, -1),) * 2
+    nodes += [
+        (("a", "b"), ()),  # no relators
+        ((), ()),
+        (("abc",), (((0, 1),), ((0, -1),), x3, ((0, -1),) * 7)),  # pure powers
+        (("a", "b"), (y_2, x3 + y_2)),
+        (("a", "c"), (y_2, x3 + y_2)),  # the same letters under another name
+        (("xyz", "b_1"), (x3 + ((1, 1),) + ((0, -1),) * 2, ((1, 1),))),
+    ]
+    chunks = {}
+    for gens, rels in nodes:
+        assert _node_text(gens, rels, chunks) == serialize_presentation(
+            _presentation(gens, rels))
+    assert eliminated > 50
+
+
+def test_deficiency_search_builds_one_presentation(monkeypatch):
+    built, serialized, texts = [], [], []
+    post_init = Presentation.__post_init__
+    serialize = presentations.serialize_presentation
+    node_text = tietze._node_text
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_serialize(P):
+        serialized.append(P)
+        return serialize(P)
+
+    def counting_node_text(*args):
+        texts.append(args)
+        return node_text(*args)
+
+    monkeypatch.setattr(Presentation, "__post_init__", counting_post_init)
+    monkeypatch.setattr(presentations, "serialize_presentation", counting_serialize)
+    monkeypatch.setattr(tietze, "serialize_presentation", counting_serialize,
+                        raising=False)
+    monkeypatch.setattr(tietze, "_node_text", counting_node_text)
+    res = deficiency_search(A5, budget=600)
+    assert res.visited == 600
+    assert len(texts) > 1000  # the tie-break ran on many nodes
+    assert built == [res.best]
+    assert serialized == []
