@@ -8,6 +8,7 @@ Everything runs on arbitrary-precision Python integers; no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 
 class DimensionMismatch(ValueError):
@@ -264,9 +265,14 @@ def smith_normal_form(A):
 
 
 def _columns(A):
-    """The columns of A as sparse {row: value} dicts."""
-    n = A.cols
-    return [{i: x for i, x in enumerate(A.data[j::n]) if x} for j in range(n)]
+    """The columns of A as sparse {row: value} dicts, rows in increasing
+    order; only the nonzero cells of A are visited."""
+    n, data = A.cols, A.data
+    C = [{} for _ in range(n)]
+    for k in compress(range(len(data)), data):
+        i, j = divmod(k, n)
+        C[j][i] = data[k]
+    return C
 
 
 def _stacked_columns(A):
@@ -300,16 +306,16 @@ def _echelon(C, m):
     for r in range(m):
         if c >= n:
             break
-        # clear row r to a single pivot among columns >= c
-        while True:
-            nz = [j for j in range(c, n) if r in C[j]]
-            if len(nz) <= 1:
-                break
+        # clear row r to a single pivot among columns >= c; a reduction only
+        # changes columns in nz, so the others stay zero in row r
+        nz = [j for j in range(c, n) if r in C[j]]
+        while len(nz) > 1:
             j0 = min(nz, key=lambda j: (abs(C[j][r]), j))
             p = C[j0][r]
             for j in nz:
                 if j != j0:
                     _sub_scaled(C[j], C[j0], C[j][r] // p)
+            nz = [j for j in nz if r in C[j]]
         if not nz:
             continue
         j0 = nz[0]
@@ -324,27 +330,6 @@ def _echelon(C, m):
                 _sub_scaled(C[j], C[c], q)
         c += 1
     return c
-
-
-def column_echelon(A):
-    """Column echelon form with transform: A*V = H, V unimodular.
-
-    Pivot rows strictly increase along nonzero columns; pivots are positive;
-    columns after the last pivot are zero; the nonzero columns are the
-    Hermite normal form of A's column lattice (see `_echelon`).
-
-    Runs `_echelon` on the sparse columns of the stacked matrix [A; I];
-    rows m.. become V.
-    """
-    m, n = A.rows, A.cols
-    C = _stacked_columns(A)
-    _echelon(C, m)
-    out = [0] * ((m + n) * n)
-    for j, col in enumerate(C):
-        for i, x in col.items():
-            out[i * n + j] = x
-    return (IntMatrix._raw(m, n, tuple(out[:m * n])),
-            IntMatrix._raw(n, n, tuple(out[m * n:])))
 
 
 def _sub_scaled(dst, src, q):
@@ -383,36 +368,37 @@ def solve_integer_system(A, B):
     """Solve A*X = B over the integers.
 
     Returns X (an IntMatrix) or None when no integer solution exists.
-    The solution is the deterministic one produced by back-substitution
-    through the column echelon form of A.
+    The solution is the deterministic one produced by back-substitution on
+    the sparse column echelon form of [A; I]: each pivot column's rows
+    0..m-1 (its H part) reduce a column of B, and the quotients times its
+    rows m.. (its V part) accumulate into X, so X = V*Y without a dense V.
     """
     if A.rows != B.rows:
         raise DimensionMismatch("A and B need equal row counts")
-    H, V = column_echelon(A)
-    n, k = A.cols, B.cols
-    # (pivot row, column, column entries) of each nonzero column of H
+    m, n, k = A.rows, A.cols, B.cols
+    C = _stacked_columns(A)
+    # (pivot row, pivot, H part, V part) of each pivot column
     pivots = []
-    for j in range(n):
-        h = H.column(j)
-        i = next((t for t, x in enumerate(h) if x), None)
-        if i is None:
-            break
-        pivots.append((i, j, h))
-    Y = [0] * (n * k)
+    for col in C[:_echelon(C, m)]:
+        h = {i: x for i, x in col.items() if i < m}
+        i = min(h)
+        pivots.append((i, h[i], h, [(t - m, x) for t, x in col.items() if t >= m]))
+    X = [0] * (n * k)
     for c in range(k):
         b = list(B.column(c))
-        for i, j, h in pivots:
-            if b[i] % h[i]:
+        for i, p, h, v in pivots:
+            if b[i] % p:
                 return None
-            q = b[i] // h[i]
+            q = b[i] // p
             if q:
-                Y[j * k + c] = q
-                b = [x - q * y for x, y in zip(b, h)]
+                for t, y in h.items():
+                    b[t] -= q * y
+                for t, x in v:
+                    X[t * k + c] += q * x
         if any(b):
             return None
-    # back through the column transform: A*(V*Y) = H*Y = B
-    # every entry of Y is an int from `//`, so it needs no checking
-    return V * IntMatrix._raw(n, k, tuple(Y))
+    # every entry of X is an int sum of products, so it needs no checking
+    return IntMatrix._raw(n, k, tuple(X))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ are oracles for unimodularity and lattice identity, `lattice_hnf` is the
 xgcd-based row Hermite form that `intlinalg.column_hnf` and
 `intlinalg.kernel_basis` must reproduce exactly, `rank_mod_p` is Gaussian
 elimination over F_p for the Smith-form ranks of `intlinalg.rank_over_field`,
-and `dense_column_echelon` is the list-of-rows column elimination that
-`intlinalg.column_echelon` must reproduce exactly.
+`column_echelon` reads the transform A*V = H off d2kit's sparse echelon of
+[A; I], `dense_column_echelon` is the list-of-rows column elimination that
+`column_echelon` must reproduce exactly, and `dense_solve_integer_system`
+is the dense back-substitution followed by V*Y that
+`intlinalg.solve_integer_system` must reproduce exactly.
 """
 
-from d2kit.intlinalg import DimensionMismatch, IntMatrix
+from d2kit.intlinalg import DimensionMismatch, IntMatrix, _echelon, _stacked_columns
 
 
 def xgcd(a, b):
@@ -111,6 +114,56 @@ def rank_mod_p(A, p):
         if r == len(rows):
             break
     return r
+
+
+def column_echelon(A):
+    """Column echelon form with transform: A*V = H, V unimodular.
+
+    Pivot rows strictly increase along nonzero columns; pivots are positive;
+    columns after the last pivot are zero; the nonzero columns are the
+    Hermite normal form of A's column lattice (see `intlinalg._echelon`).
+
+    Runs `_echelon` on the sparse columns of the stacked matrix [A; I];
+    rows m.. become V.
+    """
+    m, n = A.rows, A.cols
+    C = _stacked_columns(A)
+    _echelon(C, m)
+    out = [0] * ((m + n) * n)
+    for j, col in enumerate(C):
+        for i, x in col.items():
+            out[i * n + j] = x
+    return (IntMatrix._raw(m, n, tuple(out[:m * n])),
+            IntMatrix._raw(n, n, tuple(out[m * n:])))
+
+
+def dense_solve_integer_system(A, B):
+    """A*X = B over Z by dense back-substitution through the column echelon
+    form A*V = H, then X = V*Y; None when no integer solution exists."""
+    if A.rows != B.rows:
+        raise DimensionMismatch("A and B need equal row counts")
+    H, V = column_echelon(A)
+    n, k = A.cols, B.cols
+    pivots = []
+    for j in range(n):
+        h = H.column(j)
+        i = next((t for t, x in enumerate(h) if x), None)
+        if i is None:
+            break
+        pivots.append((i, j, h))
+    Y = [0] * (n * k)
+    for c in range(k):
+        b = list(B.column(c))
+        for i, j, h in pivots:
+            if b[i] % h[i]:
+                return None
+            q = b[i] // h[i]
+            if q:
+                Y[j * k + c] = q
+                b = [x - q * y for x, y in zip(b, h)]
+        if any(b):
+            return None
+    return V * IntMatrix(n, k, Y)
 
 
 def dense_column_echelon(A):

@@ -220,6 +220,23 @@ def test_quotient_round_trip_structure():
         assert euler_characteristic(Q) == f2 - f3 - f1 + f0
 
 
+def test_split_and_quotient_make_no_dense_integer_product(monkeypatch):
+    # the solver back-substitutes on the sparse echelon and builds no V * Y
+    W = stabilize_wedge(presentation_complex(S3P, S3M), 2)
+    z, one = GroupRingElement.zero(S3M), GroupRingElement.one(S3M)
+    d3 = GroupRingMatrix(S3M, 5, 2, [z, z, z, z, z, z, one, z, z, one])
+    X = attach_three_cells(W, d3)
+
+    def no_product(self, other):
+        raise AssertionError("IntMatrix.__mul__ called")
+
+    monkeypatch.setattr(IntMatrix, "__mul__", no_product)
+    rep = split_test(X)
+    assert rep.splits
+    Q = quotient_by_split_summand(X, rep)
+    assert Q.ranks == (1, 2, 3)
+
+
 def test_quotient_lattice_is_the_image_of_one_minus_e():
     # R o d_3 = 1 makes e = d_3 o R idempotent, so ker e = im(1 - e) over Z;
     # the quotient reads that lattice as a Hermite form, without a kernel

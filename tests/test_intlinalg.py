@@ -6,7 +6,6 @@ from d2kit.intlinalg import (
     DimensionMismatch,
     IntMatrix,
     NotPrime,
-    column_echelon,
     column_hnf,
     infeasibility_certificate,
     kernel_basis,
@@ -16,7 +15,9 @@ from d2kit.intlinalg import (
 )
 
 from exact_oracles import (
+    column_echelon,
     dense_column_echelon,
+    dense_solve_integer_system,
     determinant,
     lattice_hnf,
     lattices_equal,
@@ -119,21 +120,12 @@ def test_column_echelon_matches_dense_reference():
         assert column_echelon(A) == dense_column_echelon(A), A
 
 
-def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
-    from d2kit import intlinalg
+def _certify_s3_and_q8():
+    """Certify F v S^2 against G (first relator listed twice) for S3 and Q8."""
     from d2kit.chains import certify_chain_equivalence, presentation_complex, stabilize_wedge
     from d2kit.coset import group_model
-    from d2kit.groupring import regular_rep_expand
     from d2kit.presentations import Presentation, parse_presentation
 
-    systems = []
-    real = intlinalg.column_echelon
-
-    def recording(A):
-        systems.append(A)
-        return real(A)
-
-    monkeypatch.setattr(intlinalg, "column_echelon", recording)
     for text in ("gens: a b\nrels: a^2 b^2 (a b)^3\n",
                  "gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n"):
         P = parse_presentation(text)
@@ -142,6 +134,26 @@ def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
         G = presentation_complex(
             Presentation(P.generators, P.relators + P.relators[:1]), model)
         assert certify_chain_equivalence(F, G).kind == "certificate"
+
+
+def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
+    from d2kit import intlinalg
+    from d2kit.chains import presentation_complex
+    from d2kit.coset import group_model
+    from d2kit.groupring import regular_rep_expand
+    from d2kit.presentations import parse_presentation
+
+    # every echelon of [A; I] (the solver's and kernel_basis's) starts here
+    systems = []
+    real = intlinalg._stacked_columns
+
+    def recording(A):
+        systems.append(A)
+        return real(A)
+
+    monkeypatch.setattr(intlinalg, "_stacked_columns", recording)
+    _certify_s3_and_q8()
+    monkeypatch.undo()
     # the cone lifts D1, D2, D3 of S3 (|G| = 6) and Q8 (|G| = 8) are among them
     assert {(6, 18), (18, 36), (36, 24), (8, 24), (24, 40), (40, 24)} <= {
         (A.rows, A.cols) for A in systems}
@@ -151,7 +163,7 @@ def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
     assert (E2.rows, E2.cols) == (336, 672)
     systems.append(E2)
     for A in systems:
-        assert real(A) == dense_column_echelon(A)
+        assert column_echelon(A) == dense_column_echelon(A)
 
 
 def test_public_constructor_checks_entries():
@@ -190,6 +202,65 @@ def test_solve_random_verified_and_crosschecked():
             assert cert is not None
             assert cert.verify(A, B)
     assert feasible > 10 and infeasible > 10
+
+
+def _split_left_system(spheres):
+    """The left system R o d_3 = 1 that split_test solves on Z/2 wedged with
+    `spheres` 2-spheres and `spheres` 3-cells attached along them."""
+    from d2kit.chains import presentation_complex, stabilize_wedge
+    from d2kit.coset import group_model
+    from d2kit.groupring import GroupRingMatrix, gr_integer_system
+    from d2kit.presentations import parse_presentation
+
+    P = parse_presentation("gens: x\nrels: x^2\n")
+    model = group_model(P, 100)
+    F = presentation_complex(P, model)
+    d3 = GroupRingMatrix.zeros(model, F.ranks[2], spheres).vstack(
+        GroupRingMatrix.identity(model, spheres))
+    assert stabilize_wedge(F, spheres).boundary(2).compose(d3).is_zero()
+    return gr_integer_system(d3, GroupRingMatrix.identity(model, spheres), "left")
+
+
+def test_solve_matches_dense_reference_solver(monkeypatch):
+    from d2kit import chains, groupring
+
+    rng = random.Random(99)
+    systems = []
+    for _ in range(300):  # the draws of test_solve_random_verified_and_crosschecked
+        A = random_matrix(rng, max_dim=5, lo=-4, hi=4)
+        systems.append((A, IntMatrix(A.rows, 1, [rng.randint(-6, 6) for _ in range(A.rows)])))
+    for m, n, k in ((0, 3, 2), (3, 0, 2), (0, 0, 0), (3, 2, 0), (0, 3, 0), (3, 0, 0)):
+        systems.append((IntMatrix.zeros(m, n), IntMatrix(m, k, [1] * (m * k))))
+        systems.append((IntMatrix(m, n, [2] * (m * n)), IntMatrix.zeros(m, k)))
+    infeasible = [
+        (IntMatrix.from_rows([[2, 4], [0, 6]]), IntMatrix.from_rows([[2, 1], [3, 0]])),  # mod d
+        (IntMatrix.from_rows([[1, 1], [2, 2]]), IntMatrix.from_rows([[1], [3]])),  # over Q
+        (IntMatrix.zeros(2, 2), IntMatrix.from_rows([[0], [1]])),  # over Q, A = 0
+    ]
+    systems += infeasible
+    recorded = []
+
+    def recording(A, B):
+        recorded.append((A, B))
+        return solve_integer_system(A, B)
+
+    monkeypatch.setattr(groupring, "solve_integer_system", recording)
+    monkeypatch.setattr(chains, "solve_integer_system", recording)
+    _certify_s3_and_q8()
+    monkeypatch.undo()
+    # the cone lifts D1, D2, D3 of S3 and Q8 are among the recorded systems
+    assert {(6, 18), (18, 36), (36, 24), (8, 24), (24, 40), (40, 24)} <= {
+        (A.rows, A.cols) for A, _ in recorded}
+    systems += recorded
+    big, rhs = _split_left_system(100)
+    assert (big.rows, big.cols, rhs.cols) == (200, 202, 100)
+    systems.append((big, rhs))
+    results = [solve_integer_system(A, B) for A, B in systems]
+    for (A, B), X in zip(systems, results):
+        assert X == dense_solve_integer_system(A, B), (A, B)
+    assert all(solve_integer_system(A, B) is None for A, B in infeasible)
+    assert results[-1] is not None
+    assert sum(X is None for X in results) > 10
 
 
 def test_solve_constructed_feasible_systems():
