@@ -44,14 +44,17 @@ class _Table:
     `cols[c][k]` is the coset reached from coset k by column c (generator g
     forward is column 2g, backward 2g + 1), or None while undefined. `p` is
     the union-find parent list: the table has len(p) cosets and the live ones
-    are the roots. Columns are only ever appended to, so a word compiled
-    against them stays valid for the whole enumeration.
+    are the roots. `pairs` holds one (c, cols[c], cols[c ^ 1]) triple per
+    column, the order in which coincidence processing walks a coset's row.
+    Columns are only ever appended to, so a word compiled against them, and
+    `pairs`, stay valid for the whole enumeration.
     """
 
     def __init__(self, ngens, max_cosets):
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
-        self.cols = [[None] for _ in range(self.ncols)]
+        cols = self.cols = [[None] for _ in range(self.ncols)]
+        self.pairs = tuple((c, col, cols[c ^ 1]) for c, col in enumerate(cols))
         self.p = [0]
         self._live = None
 
@@ -65,14 +68,15 @@ class _Table:
         return root
 
     def define(self, a, c):
-        b = len(self.p)
+        p, cols = self.p, self.cols
+        b = len(p)
         if b >= self.max_cosets:
             raise _Limit
-        self.p.append(b)
-        for col in self.cols:
+        p.append(b)
+        for col in cols:
             col.append(None)
-        self.cols[c][a] = b
-        self.cols[c ^ 1][b] = a
+        cols[c][a] = b
+        cols[c ^ 1][b] = a
         return b
 
     def compile(self, word_cols):
@@ -83,8 +87,9 @@ class _Table:
                 tuple(cols[c ^ 1] for c in word_cols))
 
     def coincidence(self, a, b, deductions=None):
-        cols, p, rep = self.cols, self.p, self.rep
+        p, rep, pairs = self.p, self.rep, self.pairs
         queue = deque()
+        pop = queue.popleft
 
         def merge(x, y):
             x = x if p[x] == x else rep(x)
@@ -97,13 +102,14 @@ class _Table:
 
         merge(a, b)
         while queue:
-            gamma = queue.popleft()
-            mu = rep(gamma)
-            for c, col in enumerate(cols):
+            gamma = pop()
+            mu = p[gamma]
+            if p[mu] != mu:
+                mu = rep(mu)
+            for c, col, inv in pairs:
                 delta = col[gamma]
                 if delta is None:
                     continue
-                inv = cols[c ^ 1]
                 inv[delta] = None
                 if deductions is not None:
                     deductions.append((delta, c ^ 1))
@@ -141,8 +147,9 @@ def _preprocess(P):
     return words
 
 
-def _scan_and_fill(table, a, word):
-    """HLT: scan `word` from coset a, defining cosets until it closes.
+def _scan_and_fill(table, define, a, word):
+    """HLT: scan `word` from coset a, defining cosets (with `define`, the
+    table's bound method) until it closes.
 
     A definition fills only the gap's two undefined entries, so the passes
     resume where they stopped (forward from the new coset, backward from
@@ -161,7 +168,7 @@ def _scan_and_fill(table, a, word):
                 break
             f = g
             i += 1
-        if i == r:
+        else:
             if f != a:
                 table.coincidence(f, a)
             return
@@ -171,36 +178,38 @@ def _scan_and_fill(table, a, word):
                 break
             b = g
             j -= 1
-        if j < i:
+        else:
             table.coincidence(f, b)
             return
         if j == i:
             fwd[i][f] = b
             inv[i][b] = f
             return
-        f = table.define(f, w[i])
+        f = define(f, w[i])
         i += 1
 
 
 def _enumerate_hlt(table, relator_cols):
     words = [table.compile(w) for w in relator_cols]
-    cols, p = table.cols, table.p
+    cols, p, define = table.cols, table.p, table.define
     alpha = 0
     while alpha < len(p):
         if p[alpha] == alpha:
             for w in words:
-                _scan_and_fill(table, alpha, w)
+                _scan_and_fill(table, define, alpha, w)
                 if p[alpha] != alpha:
                     break
             if p[alpha] == alpha:
                 for c, col in enumerate(cols):
                     if col[alpha] is None:
-                        table.define(alpha, c)
+                        define(alpha, c)
         alpha += 1
 
 
 def _enumerate_felsch(table, relator_cols):
-    # all cyclic rotations of each relator and its inverse, keyed by first column
+    # all cyclic rotations of each relator and its inverse, keyed by first
+    # column; a compiled rotation carries its last index, where the backward
+    # pass starts
     by_first = [[] for _ in range(table.ncols)]
     seen = set()
     for w in relator_cols:
@@ -209,31 +218,34 @@ def _enumerate_felsch(table, relator_cols):
                 rot = base[k:] + base[:k]
                 if rot not in seen:
                     seen.add(rot)
-                    by_first[rot[0]].append(table.compile(rot))
+                    by_first[rot[0]].append(table.compile(rot) + (len(rot) - 1,))
     cols, p, rep, coincidence = table.cols, table.p, table.rep, table.coincidence
     deductions = []
+    pop, push = deductions.pop, deductions.append
 
     def process():
         # scan each rotation starting with the deduced entry's column, without
         # filling: a scan closes, yields one deduction or is left open
         while deductions:
-            a, c = deductions.pop()
+            a, c = pop()
             if p[a] != a:
                 a = rep(a)
-            for w, fwd, inv in by_first[c]:
+            for w, fwd, inv, last in by_first[c]:
                 f = a
-                for i, col in enumerate(fwd):
+                i = 0
+                for col in fwd:
                     g = col[f]
                     if g is None:
                         break
                     f = g
+                    i += 1
                 else:
                     if f != a:
                         coincidence(f, a, deductions)
                         if p[a] != a:
                             break
                     continue
-                b, j = a, len(w) - 1
+                b, j = a, last
                 while j > i:
                     g = inv[j][b]
                     if g is None:
@@ -246,7 +258,7 @@ def _enumerate_felsch(table, relator_cols):
                     if g is None:
                         col[f] = b
                         inv[i][b] = f
-                        deductions.append((f, w[i]))
+                        push((f, w[i]))
                         continue
                     coincidence(f, g, deductions)
                     if p[a] != a:
@@ -260,7 +272,7 @@ def _enumerate_felsch(table, relator_cols):
                     break
                 if col[alpha] is None:
                     table.define(alpha, c)
-                    deductions.append((alpha, c))
+                    push((alpha, c))
                     process()
         alpha += 1
 

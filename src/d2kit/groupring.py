@@ -32,7 +32,7 @@ coefficients of X, so equivariance is built in.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 
 from .intlinalg import CertificateError, DimensionMismatch, IntMatrix, solve_integer_system
@@ -226,13 +226,16 @@ class GroupRingMatrix:
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         n, p, data = self.model.order, other.cols, other.vec.data
         # the nonzero rows (x, [(k, b), ...]) of each row block j of other.vec
+        nonzero = {}
+        for e in compress(range(len(data)), data):
+            r, k = divmod(e, p)
+            nonzero.setdefault(r, []).append((k, data[e]))
         blocks = [[] for _ in range(other.rows)]
-        for r in range(other.rows * n):
-            row = data[r * p:(r + 1) * p]
-            if any(row):
-                blocks[r // n].append((r % n, [(k, b) for k, b in enumerate(row) if b]))
+        for r, src in nonzero.items():
+            blocks[r // n].append((r % n, src))
         out = [0] * (self.rows * n * p)
-        for i, j, a, perm in _action_terms(self, False):
+        js = [j for j, block in enumerate(blocks) if block]
+        for i, j, a, perm in _action_terms(self, False, js):
             for x, src in blocks[j]:
                 base = (i * n + perm[x]) * p
                 for k, b in src:
@@ -300,23 +303,25 @@ class GroupRingMatrix:
         return f"<GroupRingMatrix {self.rows}x{self.cols} over |G|={self.model.order}>"
 
 
-def _action_terms(M, left):
+def _action_terms(M, left, js=None):
     """Yield (i, j, a, perm) for each nonzero coefficient a, of element t in
     entry M_ij: block (i, j) of the action of M gains a at (perm[x], x) for
     every x, where perm[x] = t * x when left (w -> z * w) and x * t otherwise
-    (w -> w * z). The only matrix code that reads the multiplication table."""
+    (w -> w * z). The only matrix code that reads the multiplication table.
+
+    Terms come column by column, over the columns j in `js` (all by
+    default), and perm is built only for an element t with a term there."""
     n, cols, data, mult = M.model.order, M.cols, M.vec.data, M.model.mult
+    rows = range(M.rows * n)
     perms = {}
-    for r in range(M.rows * n):
-        row = data[r * cols:(r + 1) * cols]
-        if any(row):
+    for j in range(cols) if js is None else js:
+        col = data[j::cols]
+        for r in compress(rows, col):
             i, t = divmod(r, n)
             perm = perms.get(t)
             if perm is None:
                 perm = perms[t] = mult[t] if left else tuple(map(itemgetter(t), mult))
-            for j, a in enumerate(row):
-                if a:
-                    yield i, j, a, perm
+            yield i, j, col[r], perm
 
 
 def _expand(M, left):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from d2kit import coset
 from d2kit.coset import (
     NotFinitelyEnumerated,
     find_normal_generator,
@@ -192,8 +193,6 @@ def test_find_normal_generator_a5():
 
 
 def test_find_normal_generator_enumerates_each_quotient_once(monkeypatch):
-    from d2kit import coset
-
     calls = []
     real = coset.todd_coxeter
 
@@ -223,9 +222,10 @@ def test_find_normal_generator_non_perfect():
 
 
 # --- golden enumeration results --------------------------------------------
-# Recorded with the row-major table that the column-major one replaced. A
-# change in which cosets get defined or merged shows up here as a different
-# live count on a limit hit or a different table digest.
+# Recorded with the row-major table that the column-major one replaced (the
+# m8 and m9 rows with the column-major table, before its hot loops were
+# tightened). A change in which cosets get defined or merged shows up here as
+# a different live count on a limit hit or a different table digest.
 
 GOLDEN_LIMITS = (50, 700, 5000)
 
@@ -256,7 +256,7 @@ def golden_inputs():
            for p in sorted(CORPUS.glob("*.fp"))}
     out.update((f"free{s}", random_free(s)) for s in range(20))
     out.update((f"powers{s}", random_powers(s)) for s in range(24))
-    out.update((f"m{m}", coset_large(m)) for m in (4, 5))
+    out.update((f"m{m}", coset_large(m)) for m in (4, 5, 8, 9))
     return out
 
 
@@ -494,6 +494,14 @@ TODD_COXETER_GOLDEN = {
                     ("complete", 1, "d8f7da685833a9d3")),
     ("m5", "felsch"): (("incomplete", 50, None), ("complete", 1, "d8f7da685833a9d3"),
                        ("complete", 1, "d8f7da685833a9d3")),
+    ("m8", "hlt"): (("incomplete", 50, None), ("incomplete", 666, None),
+                    ("incomplete", 4282, None)),
+    ("m8", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                       ("incomplete", 5000, None)),
+    ("m9", "hlt"): (("incomplete", 50, None), ("incomplete", 674, None),
+                    ("incomplete", 4478, None)),
+    ("m9", "felsch"): (("incomplete", 50, None), ("incomplete", 700, None),
+                       ("incomplete", 5000, None)),
 }
 
 
@@ -504,11 +512,61 @@ def test_todd_coxeter_golden():
     assert got == TODD_COXETER_GOLDEN
 
 
+def enumerate_table(P, limit, strategy):
+    """The `_Table` of todd_coxeter(P, limit, strategy) as the enumeration
+    left it, stopped at the limit or complete."""
+    table = coset._Table(P.num_generators, limit)
+    run = coset._enumerate_hlt if strategy == "hlt" else coset._enumerate_felsch
+    try:
+        run(table, coset._preprocess(P))
+    except coset._Limit:
+        pass
+    return table
+
+
+def table_violations(table):
+    """Defined entries b = cols[c][k] of live cosets k whose inverse entry
+    does not lead back: rep(cols[c ^ 1][rep(b)]) must be k."""
+    rep, cols = table.rep, table.cols
+    bad = []
+    for k in table.live():
+        for c, col in enumerate(cols):
+            b = col[k]
+            if b is None:
+                continue
+            back = cols[c ^ 1][rep(b)]
+            if back is None or rep(back) != k:
+                bad.append((k, c))
+    return bad
+
+
+def test_coset_tables_consistent():
+    # _Limit is raised before define changes the table, so a table stopped at
+    # the limit is as consistent as a complete one
+    cases = [(name, P, limit) for name, P in golden_inputs().items()
+             for limit in GOLDEN_LIMITS]
+    cases.append(("m9", coset_large(9), 20000))
+    bad = [(name, limit, strategy)
+           for name, P, limit in cases for strategy in ("hlt", "felsch")
+           if table_violations(enumerate_table(P, limit, strategy))]
+    assert bad == []
+
+
 @pytest.mark.slow
-def test_todd_coxeter_golden_coset_large():
+def test_coset_large_at_benchmark_size():
+    # the coset-large workload's inputs: m = 8 completes within 300 000
+    # cosets, and m = 9 hits limits inside the workload's seeded band
     for strategy in ("hlt", "felsch"):
         tc = todd_coxeter(coset_large(8), 300000, strategy)
         assert (tc.status, tc.num_cosets, table_digest(tc)) == (
             "complete", 10752, "da371134fe5f9ef2")
-    assert todd_coxeter(coset_large(9), 200000, "hlt").num_cosets == 159751
-    assert todd_coxeter(coset_large(9), 200000, "felsch").num_cosets == 199816
+    table = enumerate_table(coset_large(8), 300000, "hlt")
+    assert len(table.p) == 1 + 272595  # coset 0, then one per definition
+    assert len(table.live()) == 10752 and table_violations(table) == []
+    for limit, strategy, live in ((200000, "hlt", 159751),
+                                  (200000, "felsch", 199816),
+                                  (200146, "hlt", 159825),
+                                  (200146, "felsch", 199962)):
+        table = enumerate_table(coset_large(9), limit, strategy)
+        assert len(table.live()) == live
+        assert table_violations(table) == []
