@@ -443,21 +443,18 @@ def _canonical_degree0(model, t0, s0):
 
 
 def _lift_chain_map(src, tgt, budget):
-    """Degree-wise lift of the identity on Z to a chain map src -> tgt.
-    Returns [phi0, phi1, phi2] or None."""
-    model = src.model
-    phi0 = _canonical_degree0(model, tgt.ranks[0], src.ranks[0])
-    if not budget.spend():
-        return None
-    phi1 = solve_gr_system(tgt.boundary(1), phi0.compose(src.boundary(1)), "right")
-    if phi1 is None:
-        return None
-    if not budget.spend():
-        return None
-    phi2 = solve_gr_system(tgt.boundary(2), phi1.compose(src.boundary(2)), "right")
-    if phi2 is None:
-        return None
-    return [phi0, phi1, phi2]
+    """Degree-wise lift of the identity on Z to a chain map src -> tgt, one
+    budget unit and one solve per degree 1, 2. Returns [phi0, phi1, phi2] or
+    None."""
+    phi = [_canonical_degree0(src.model, tgt.ranks[0], src.ranks[0])]
+    for k in (1, 2):
+        if not budget.spend():
+            return None
+        rhs = phi[-1].compose(src.boundary(k))
+        phi.append(solve_gr_system(tgt.boundary(k), rhs, "right"))
+        if phi[-1] is None:
+            return None
+    return phi
 
 
 def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
@@ -560,8 +557,6 @@ def _attempt_orientation(src, tgt, K_src, K_tgt, budget):
     if phi is None:
         return None
     for phi2, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt, budget):
-        if budget.used > budget.limit:
-            return None
         if len(K_src) != len(K_tgt) or column_hnf(image) != K_tgt:
             continue
         cand = [phi[0], phi[1], phi2]
@@ -609,16 +604,13 @@ def certify_chain_equivalence(F, G, budget=DEFAULT_CERTIFY_BUDGET):
                 f"homology over {field} differs: {hF} vs {hG}", b.used)
     K_F = kernel_basis(regular_rep_expand(F.boundary(2)))
     K_G = kernel_basis(regular_rep_expand(G.boundary(2)))
-    res = _attempt_orientation(F, G, K_F, K_G, b)
-    if res is not None:
-        forward, back, hom_F, hom_G = res
-        cert = EquivalenceCertificate(forward, back, hom_F, hom_G)
-        if cert.verify(F, G):
-            return CertifyOutcome("certificate", cert, "", b.used)
-    res = _attempt_orientation(G, F, K_G, K_F, b)
-    if res is not None:
-        forward, back, hom_G, hom_F = res
-        cert = EquivalenceCertificate(back, forward, hom_F, hom_G)
-        if cert.verify(F, G):
-            return CertifyOutcome("certificate", cert, "", b.used)
+    for flip in (False, True):
+        src, tgt, K_src, K_tgt = (G, F, K_G, K_F) if flip else (F, G, K_F, K_G)
+        res = _attempt_orientation(src, tgt, K_src, K_tgt, b)
+        if res is not None:
+            there, back, hom_src, hom_tgt = res
+            cert = (EquivalenceCertificate(back, there, hom_tgt, hom_src) if flip
+                    else EquivalenceCertificate(there, back, hom_src, hom_tgt))
+            if cert.verify(F, G):
+                return CertifyOutcome("certificate", cert, "", b.used)
     return CertifyOutcome("unknown", None, "constructive search exhausted", b.used)

@@ -64,6 +64,15 @@ def _read_complex(path):
     return F
 
 
+def _require(path, F, degree, what, finite=True):
+    """Raise CliError unless F has top degree `degree` and, if `finite`, a
+    finite group model; `what` names the command in the message."""
+    if F.top_degree != degree:
+        raise CliError(f"{path}: {what} needs a top-degree-{degree} complex")
+    if finite and not F.finite_mode:
+        raise CliError(f"{path}: {what} requires finite mode")
+
+
 def _emit(pairs, fmt, out=None):
     """pairs: ordered (key, value); lists render as YAML-like blocks."""
     if out is None:
@@ -111,16 +120,16 @@ _ANALYZE_FIELDS = ["file", "order", "h1", "perfect", "def_given", "def_found",
                    "mu2_lower", "mu2_upper", "tight", "d2n_upper", "notes"]
 
 
+def _shown(key, value):
+    """A field value as reported: an absent (None) order is `unknown`, any
+    other absent value `n/a`."""
+    if value is None:
+        return "unknown" if key == "order" else "n/a"
+    return value
+
+
 def _analysis_pairs(a):
-    pairs = []
-    for key in _ANALYZE_FIELDS:
-        value = a[key]
-        if key == "order" and value is None:
-            value = "unknown"
-        if key == "d2n_upper" and value is None:
-            value = "n/a"
-        pairs.append((key, value))
-    return pairs
+    return [(key, _shown(key, a[key])) for key in _ANALYZE_FIELDS]
 
 
 def _read_expectations(expected_path):
@@ -217,8 +226,7 @@ def cmd_wedge(args):
         raise CliError("wedge: the number of 2-spheres must be nonnegative, "
                        f"got {args.n}")
     F = _read_complex(args.acx)
-    if F.top_degree != 2:
-        raise CliError(f"{args.acx}: wedge needs a top-degree-2 complex")
+    _require(args.acx, F, 2, "wedge", finite=False)
     if args.attach and not F.finite_mode:
         raise CliError("--attach requires a finite-mode complex")
     f0, f1, f2 = F.ranks
@@ -242,10 +250,7 @@ def cmd_wedge(args):
 
 def cmd_split(args):
     F = _read_complex(args.acx)
-    if F.top_degree != 3:
-        raise CliError(f"{args.acx}: split test needs a top-degree-3 complex")
-    if not F.finite_mode:
-        raise CliError(f"{args.acx}: split test requires finite mode")
+    _require(args.acx, F, 3, "split test")
     rep = split_test(F)
     pairs = [("file", args.acx), ("splits", rep.splits)]
     if rep.splits:
@@ -260,10 +265,7 @@ def cmd_split(args):
 
 def cmd_quotient(args):
     F = _read_complex(args.acx)
-    if F.top_degree != 3:
-        raise CliError(f"{args.acx}: quotient needs a top-degree-3 complex")
-    if not F.finite_mode:
-        raise CliError(f"{args.acx}: quotient requires finite mode")
+    _require(args.acx, F, 3, "quotient")
     rep = split_test(F)
     if not rep.splits:
         raise CliError(f"{args.acx}: top boundary does not split")
@@ -278,11 +280,9 @@ def cmd_quotient(args):
 def cmd_certify_equiv(args):
     F = _read_complex(args.f)
     G = _read_complex(args.g)
+    # both files are read before either is checked
     for path, X in ((args.f, F), (args.g, G)):
-        if X.top_degree != 2:
-            raise CliError(f"{path}: certification needs a top-degree-2 complex")
-        if not X.finite_mode:
-            raise CliError(f"{path}: certification requires finite mode")
+        _require(path, X, 2, "certification")
     if not F.model.same_table(G.model):
         raise CliError(f"{args.f} and {args.g} live over different groups")
     out = certify_chain_equivalence(F, G, budget=args.budget)
@@ -304,39 +304,29 @@ def cmd_report(args):
     directory = Path(args.dir)
     if not directory.is_dir():
         raise CliError(f"{args.dir}: not a directory")
-    files = sorted(directory.glob("*.fp"))
-    rows = []
+    # one record per file: its _analysis dict, or {"file", "error"}
     records = []
-    for path in files:
+    for path in sorted(directory.glob("*.fp")):
         try:
-            P = _read_presentation(path)
-            a = _analysis(P, path.name, args.budget, args.max_cosets)
-            row = {k: a[k] for k in _REPORT_COLUMNS if k != "file"}
-            row["file"] = path.name
-            records.append({k: a[k] for k in _ANALYZE_FIELDS} | {"file": path.name})
+            records.append(_analysis(_read_presentation(path), path.name,
+                                     args.budget, args.max_cosets))
         except CliError as e:
-            row = {k: "-" for k in _REPORT_COLUMNS}
-            row["file"] = path.name
-            row["error"] = str(e)
             records.append({"file": path.name, "error": str(e)})
-        rows.append(row)
 
-    def cell(row, col):
-        v = row.get(col, "-")
-        if v is None:
-            return "unknown" if col == "order" else "n/a"
+    def cell(rec, col):
+        v = _shown(col, rec.get(col, "-"))
         if isinstance(v, bool):
             return "true" if v else "false"
         return str(v)
 
-    widths = {c: max([len(c)] + [len(cell(r, c)) for r in rows])
+    widths = {c: max([len(c)] + [len(cell(r, c)) for r in records])
               for c in _REPORT_COLUMNS}
     out = sys.stdout
     out.write("  ".join(c.ljust(widths[c]) for c in _REPORT_COLUMNS).rstrip() + "\n")
-    for row in rows:
-        line = "  ".join(cell(row, c).ljust(widths[c]) for c in _REPORT_COLUMNS)
-        if "error" in row:
-            line = line.rstrip() + f"  # error: {row['error']}"
+    for rec in records:
+        line = "  ".join(cell(rec, c).ljust(widths[c]) for c in _REPORT_COLUMNS)
+        if "error" in rec:
+            line = line.rstrip() + f"  # error: {rec['error']}"
         out.write(line.rstrip() + "\n")
     sidecar = args.sidecar or str(directory / "report.jsonl")
     with open(sidecar, "w", encoding="utf-8") as fh:

@@ -168,42 +168,20 @@ class SNFResult:
         return tuple(self.D.entry(i, i) for i in range(n))
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, dst, src, q):
-    # row[dst] += q * row[src]
-    rd, rs = m[dst], m[src]
-    for t in range(len(rd)):
-        rd[t] += q * rs[t]
-
-
-def _add_col(m, dst, src, q):
-    for row in m:
-        row[dst] += q * row[src]
-
-
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
-
-
-def _diagonalize(D, U, V):
-    """In-place reduction of D to diagonal form, tracking U (rows), V (cols)."""
-    m = len(D)
-    n = len(D[0]) if m else 0
+def _diagonalize(B, m, n):
+    """Bring the D block of smith_normal_form's working matrix B to diagonal
+    form in place. Row i < m of B is D_i followed by U_i, so a row operation
+    updates D and U at once; rows m.. are V, so an operation on a column
+    j < n updates D and V at once. Pivot: least |x| in the untreated part of
+    D, ties broken by (row, col); then the pivot row is negated if needed
+    and the pivot's column and row are cleared, in index order, with floor
+    quotients taken from D before each operation."""
     for t in range(min(m, n)):
         while True:
-            # minimal absolute value pivot, ties broken by (row, col) index
             pivot = None
             best = None
             for i in range(t, m):
-                row = D[i]
+                row = B[i]
                 for j in range(t, n):
                     x = row[j]
                     if x != 0 and (best is None or abs(x) < best):
@@ -212,56 +190,54 @@ def _diagonalize(D, U, V):
             if pivot is None:
                 return
             i, j = pivot
-            if i != t:
-                _swap_rows(D, t, i)
-                _swap_rows(U, t, i)
+            B[t], B[i] = B[i], B[t]
             if j != t:
-                _swap_cols(D, t, j)
-                _swap_cols(V, t, j)
-            if D[t][t] < 0:
-                _negate_row(D, t)
-                _negate_row(U, t)
-            p = D[t][t]
+                for row in B:
+                    row[t], row[j] = row[j], row[t]
+            top = B[t]
+            if top[t] < 0:
+                B[t] = top = [-x for x in top]
+            p = top[t]
             done = True
             for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // p
-                    _add_row(D, i, t, -q)
-                    _add_row(U, i, t, -q)
-                    if D[i][t]:
+                if B[i][t]:
+                    q = B[i][t] // p
+                    B[i] = row = [x - q * y for x, y in zip(B[i], top)]
+                    if row[t]:
                         done = False
             for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // p
-                    _add_col(D, j, t, -q)
-                    _add_col(V, j, t, -q)
-                    if D[t][j]:
+                if top[j]:
+                    q = top[j] // p
+                    for row in B:
+                        row[j] -= q * row[t]
+                    if top[j]:
                         done = False
             if done:
                 break
 
 
 def smith_normal_form(A):
-    """Smith normal form with unimodular certificates: U*A*V = D."""
+    """Smith normal form with unimodular certificates: U*A*V = D.
+
+    All three live in one working matrix B of m + n rows: the first m rows
+    are [D_i | U_i] (D = A and U = I to start), the last n rows are V_i (V = I
+    to start). Where d_i does not divide d_(i+1), column i + 1 is added to
+    column i and _diagonalize runs again."""
     m, n = A.rows, A.cols
-    D = A.to_rows()
-    U = IntMatrix.identity(m).to_rows()
-    V = IntMatrix.identity(n).to_rows()
+    B = [list(A.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
+    B += [[int(i == k) for k in range(n)] for i in range(n)]
     while True:
-        _diagonalize(D, U, V)
-        # enforce the divisibility chain; a violation re-enters diagonalization
-        violation = None
-        r = min(m, n)
-        for i in range(r - 1):
-            if D[i][i] != 0 and D[i + 1][i + 1] % D[i][i] != 0:
-                violation = i
+        _diagonalize(B, m, n)
+        for i in range(min(m, n) - 1):
+            if B[i][i] and B[i + 1][i + 1] % B[i][i]:
+                for row in B:
+                    row[i] += row[i + 1]
                 break
-        if violation is None:
+        else:
             break
-        _add_col(D, violation, violation + 1, 1)
-        _add_col(V, violation, violation + 1, 1)
-    return SNFResult(*(IntMatrix._raw(r, c, tuple(x for row in M for x in row))
-                       for M, r, c in ((U, m, m), (D, m, n), (V, n, n))))
+    return SNFResult(IntMatrix._raw(m, m, tuple(x for row in B[:m] for x in row[n:])),
+                     IntMatrix._raw(m, n, tuple(x for row in B[:m] for x in row[:n])),
+                     IntMatrix._raw(n, n, tuple(x for row in B[m:] for x in row)))
 
 
 def _columns(A):

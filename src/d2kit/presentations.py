@@ -213,10 +213,11 @@ class _WordParser:
         tok = self.peek()
         if tok is not None and tok[0] == "caret":
             self.i += 1
+            past_caret = tok[2] + 1
             tok = self.peek()
             if tok is None or tok[0] != "int":
-                where = tok[2] if tok else None
-                raise ParseError("expected integer exponent", self.line_no, where)
+                raise ParseError("expected integer exponent", self.line_no,
+                                 tok[2] if tok else past_caret)
             self.i += 1
             digits = tok[1].replace("−", "-")
             if len(digits) > 20:
@@ -241,15 +242,15 @@ def parse_presentation(text):
         if stripped.startswith("gens:"):
             if gens is not None:
                 raise ParseError("duplicate gens: line", line_no, indent + 1)
-            names = stripped[len("gens:"):].split()
-            seen = set()
-            for name in names:
+            gens, seen = [], set()
+            for m in re.finditer(r"\S+", stripped[len("gens:"):]):
+                name, col = m.group(), indent + len("gens:") + m.start() + 1
                 if not _NAME_RE.fullmatch(name):
-                    raise ParseError(f"bad generator name {name!r}", line_no, None)
+                    raise ParseError(f"bad generator name {name!r}", line_no, col)
                 if name in seen:
-                    raise ParseError(f"duplicate generator {name!r}", line_no, None)
+                    raise ParseError(f"duplicate generator {name!r}", line_no, col)
                 seen.add(name)
-            gens = names
+                gens.append(name)
         elif stripped.startswith("rels:"):
             if gens is None:
                 raise ParseError("rels: before gens:", line_no, indent + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -415,3 +416,120 @@ def test_quotient_symbolic_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert main(["quotient", str(f)]) == 1
     assert "quotient requires finite mode" in capsys.readouterr().err
+
+
+TRANSCRIPT = Path(__file__).resolve().parent / "cli_transcript.txt"
+
+# Each step runs `main` on argv, with {t} standing for the work directory.
+# The script covers every command, and every precondition check of the
+# .acx commands with its message.
+_TRANSCRIPT_STEPS = [
+    "analyze {t}/trefoil.fp",
+    "analyze {t}/z5.fp --format json",
+    "analyze {t}/q8.fp --check",
+    "analyze {t}/q8.fp --check {t}/wrong.json",
+    "check {t}/z5.fp",
+    "order {t}/q8.fp",
+    "order {t}/trefoil.fp --max-cosets 2000",
+    "normal-gen {t}/a5.fp --max-len 2",
+    "chain {t}/z2.fp --out {t}/sym.acx",
+    "chain {t}/z2.fp --finite --out {t}/z2.acx",
+    "chain {t}/z5.fp --finite --out {t}/z5.acx",
+    "chain {t}/s3.fp --finite --out {t}/s3w.acx",
+    "chain {t}/s3dup.fp --finite --out {t}/s3dup.acx",
+    "wedge {t}/s3w.acx 1",
+    "wedge {t}/z2.acx 1 --out {t}/z2w.acx",
+    "wedge {t}/z2.acx 1 --attach --out {t}/top3.acx",
+    "split {t}/top3.acx",
+    "split {t}/norm.acx",
+    "quotient {t}/top3.acx --out {t}/q.acx",
+    "quotient {t}/norm.acx",
+    "certify-equiv {t}/q.acx {t}/z2.acx",
+    "certify-equiv {t}/s3w.acx {t}/s3dup.acx",
+    "certify-equiv {t}/s3w.acx {t}/s3dup.acx --budget 5 --format json",
+    "certify-equiv {t}/z2.acx {t}/z2w.acx",
+    "report {t}/dir",
+    # precondition checks
+    "wedge {t}/top3.acx 1",
+    "wedge {t}/sym.acx 1 --attach",
+    "split {t}/z2.acx",
+    "quotient {t}/z2.acx",
+    "split {t}/sym.acx",
+    "split {t}/symtop3.acx",
+    "quotient {t}/symtop3.acx",
+    "certify-equiv {t}/sym.acx {t}/z2.acx",
+    "certify-equiv {t}/z2.acx {t}/sym.acx",
+    "certify-equiv {t}/z2.acx {t}/top3.acx",
+    "certify-equiv {t}/top3.acx {t}/z2.acx",
+    "certify-equiv {t}/symtop3.acx {t}/z2.acx",
+    "certify-equiv {t}/sym.acx {t}/top3.acx",
+    "certify-equiv {t}/z2.acx {t}/z5.acx",
+    "certify-equiv {t}/top3.acx {t}/missing.acx",
+    "certify-equiv {t}/missing.acx {t}/top3.acx",
+]
+
+
+def _transcript_inputs(t):
+    from d2kit import acx
+    from d2kit.chains import attach_three_cells, presentation_complex, stabilize_wedge
+    from d2kit.coset import group_model
+    from d2kit.groupring import GroupRingElement, GroupRingMatrix
+    from d2kit.presentations import parse_presentation
+
+    for name in ("trefoil", "z2", "z5", "q8", "a5", "s3"):
+        for suffix in (".fp", ".expected.json"):
+            shutil.copy(CORPUS / (name + suffix), t / (name + suffix))
+    (t / "s3dup.fp").write_text("gens: a b\nrels: a^2 b^2 (a b)^3 a^2\n")
+    (t / "wrong.json").write_text(json.dumps({"order": 61}))
+    d = t / "dir"
+    d.mkdir()
+    for name in ("z2", "q8", "trefoil"):
+        shutil.copy(CORPUS / f"{name}.fp", d / f"{name}.fp")
+    (d / "bad.fp").write_text("gens: x\nrels: (((\n")
+    # the norm-type non-split complex over Z/2
+    z2 = parse_presentation("gens: x\nrels: x^2\n")
+    m = group_model(z2, 100)
+    W = stabilize_wedge(presentation_complex(z2, m), 1)
+    norm = GroupRingElement.from_pairs(m, [(0, 1), (1, 1)])
+    acx.write_acx(attach_three_cells(
+        W, GroupRingMatrix(m, 2, 1, [GroupRingElement.zero(m), norm])), t / "norm.acx")
+    # a symbolic complex with an empty third boundary
+    text = acx.dumps(presentation_complex(z2))
+    (t / "symtop3.acx").write_text(text.replace("[ranks]\n1 1 1\n", "[ranks]\n1 1 1 0\n"))
+
+
+def _transcript(t, capsys):
+    """Run the script in the directory t and return its text: per step the
+    argv, exit code, stdout, stderr and the sha256 of each file written,
+    with t shown as <t> in all of them."""
+    def files():
+        return {str(p.relative_to(t)): hashlib.sha256(
+                    p.read_bytes().replace(str(t).encode(), b"<t>")).hexdigest()
+                for p in sorted(t.rglob("*")) if p.is_file()}
+
+    _transcript_inputs(t)
+    capsys.readouterr()
+    lines = []
+    before = files()
+    for step in _TRANSCRIPT_STEPS:
+        code = main(step.format(t=t).split())
+        out, err = capsys.readouterr()
+        after = files()
+        lines.append(f"$ d2kit {step.format(t='<t>')}")
+        lines.append(f"exit {code}")
+        lines.append("--- stdout")
+        lines.extend(out.replace(str(t), "<t>").splitlines())
+        lines.append("--- stderr")
+        lines.extend(err.replace(str(t), "<t>").splitlines())
+        lines.append("--- files")
+        lines.extend(f"<t>/{name} {h}" for name, h in after.items()
+                     if before.get(name) != h)
+        before = after
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_transcript(tmp_path, capsys):
+    # exit codes, output and written files of the whole command surface;
+    # an intended output change re-records tests/cli_transcript.txt from
+    # _transcript
+    assert _transcript(tmp_path, capsys) == TRANSCRIPT.read_text(encoding="utf-8")

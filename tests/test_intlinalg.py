@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -77,6 +78,34 @@ def test_snf_zero_and_empty():
     assert check_snf(IntMatrix.zeros(3, 2)).diagonal() == (0, 0)
     res = smith_normal_form(IntMatrix(0, 3, []))
     assert res.D.rows == 0 and res.D.cols == 3
+
+
+def _snf_pin_inputs():
+    """Seeded random matrices of every shape from 0x0 to 6x6 (empty shapes
+    included), about half their entries zero, plus diagonal ones whose
+    invariants need the divisibility fix-up."""
+    rng = random.Random(20261019)
+    mats = [IntMatrix.zeros(m, n) for m in range(7) for n in range(7)]
+    for _ in range(600):
+        m, n = rng.randrange(7), rng.randrange(7)
+        mats.append(IntMatrix(m, n, [rng.choice((0, 0, 0, rng.randint(-40, 40)))
+                                     if rng.random() < 0.5 else rng.randint(-9, 9)
+                                     for _ in range(m * n)]))
+    for diag in ((2, 3), (4, 6, 10), (6, 4, 0, 9), (12, 8, 18, 27)):
+        k = len(diag)
+        mats.append(IntMatrix(k, k, [diag[i] if i == j else 0
+                                     for i in range(k) for j in range(k)]))
+    return mats
+
+
+def test_snf_transforms_pinned():
+    # the pivot rule, quotients and operation order fix U and V as well as
+    # D; split obstructions and certificates print rows of U
+    triples = [(r.U.data, r.D.data, r.V.data)
+               for r in map(smith_normal_form, _snf_pin_inputs())]
+    assert len(triples) == 653
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == (
+        "473ac43f351ce75f4df3988b4ebcabe3870b7fa4be0cd9872ff550070182af67")
 
 
 def test_xgcd():

@@ -78,6 +78,22 @@ def test_parse_errors():
     assert err.line == 2 and err.col is not None
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gens: a a\n", "duplicate generator 'a' (line 1, column 9)"),
+    ("gens: a 1b\n", "bad generator name '1b' (line 1, column 9)"),
+    ("gens: x\nrels: x^\n", "expected integer exponent (line 2, column 9)"),
+    ("gens: x\nrels: x^^2\n", "expected integer exponent (line 2, column 9)"),
+    ("  gens:  b a b\n", "duplicate generator 'b' (line 1, column 14)"),
+], ids=["duplicate", "bad-name", "exponent-at-end", "exponent-caret", "indented"])
+def test_parse_error_columns(text, message):
+    # the 1-based column of the offending name; a missing exponent at the
+    # end of the input is reported just past its caret
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
+    assert info.value.col is not None and "None" not in str(info.value)
+
+
 @pytest.mark.parametrize("text, message, col", [
     ("gens: x\nrels: x^100001\n", "power longer than 100000 letters", 9),
     ("gens: x\nrels: (x^1000)^1000\n", "power longer than 100000 letters", 16),

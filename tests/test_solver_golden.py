@@ -132,6 +132,73 @@ def test_certificate_s3_duplicated_relator():
         "26cf4cc9cbd59dfb6d6a825355644ff51c7985bb227d6cc08edd188dd06014f3")
 
 
+Q8P = parse_presentation("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n")
+Q8 = group_model(Q8P, 1000)
+
+
+def certificate_digest(c):
+    return digest([grid(m) for m in
+                   c.forward + c.backward + c.homotopies_gf + c.homotopies_fg])
+
+
+def _budget_sweep(P, model, dup, budgets):
+    F = stabilize_wedge(presentation_complex(P, model), 1)
+    G = presentation_complex(
+        Presentation(P.generators, P.relators + (P.relators[dup],)), model)
+    sweep = []
+    for budget in budgets:
+        out = certify_chain_equivalence(F, G, budget=budget)
+        maps = None if out.certificate is None else certificate_digest(out.certificate)
+        sweep.append((budget, out.kind, out.reason, out.solver_calls, maps))
+    return sweep
+
+
+@pytest.mark.parametrize("P, model, dup, first, sweep_digest", [
+    (S3P, S3, 0, 106,
+     "0eaa15369f88c0b932a6017f1ad881b03d433ff80f45b0f593ec33574c406cf5"),
+    (Q8P, Q8, 1, 78,
+     "2e7f9ea6dd063440915b74ae4621d60c71df97f35fe1754a2d2b9527479495a5"),
+], ids=["s3", "q8"])
+def test_certification_budget_boundary(P, model, dup, first, sweep_digest):
+    # every budget from 1 to past the first certificate: below it the
+    # forward orientation runs out with one or two failed spends and the
+    # reverse lift's first spend fails too; from it on the forward
+    # orientation certifies with the same maps
+    sweep = _budget_sweep(P, model, dup, range(1, first + 3))
+    assert [kind for _, kind, _, _, _ in sweep] == (
+        ["unknown"] * (first - 1) + ["certificate"] * 3)
+    assert all(calls - budget in (2, 3) for budget, _, _, calls, _ in sweep[:first - 1])
+    assert [calls for _, _, _, calls, _ in sweep[first - 1:]] == [first] * 3
+    assert digest(sweep) == sweep_digest
+
+
+def test_certificate_from_the_reverse_orientation(monkeypatch):
+    # with the F -> G search made to fail, G -> F certifies, and its maps
+    # and homotopies are swapped into the F -> G certificate; G has a
+    # cancelling generator-relator pair, so the homotopies are not zero
+    from d2kit import chains
+
+    real = chains._attempt_orientation
+    attempts = []
+
+    def attempt(src, tgt, K_src, K_tgt, budget):
+        attempts.append((src, tgt))
+        if len(attempts) == 1:
+            return None
+        return real(src, tgt, K_src, K_tgt, budget)
+
+    monkeypatch.setattr(chains, "_attempt_orientation", attempt)
+    F = presentation_complex(S3P, S3)
+    P = parse_presentation("gens: a b c\nrels: a^2 b^2 (a b)^3 c\n")
+    G = presentation_complex(P, group_model(P, 1000))
+    out = certify_chain_equivalence(F, G)
+    assert attempts == [(F, G), (G, F)]
+    assert (out.kind, out.solver_calls) == ("certificate", 3)
+    assert out.certificate.verify(F, G)
+    assert certificate_digest(out.certificate) == (
+        "01b75ad126108255908de320b5379d6a6ee34eb31bc3c13abcf4a0347f4ed5e0")
+
+
 @pytest.mark.slow
 def test_certificate_s4_duplicated_relator():
     P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^4\n")
