@@ -22,13 +22,14 @@ d1 o d2 = 0 for every presentation complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .coset import FiniteGroupModel
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
+    _action_terms,
     _gr_solution,
     gr_integer_system,
     regular_rep_expand,
@@ -37,6 +38,9 @@ from .groupring import (
 from .intlinalg import (
     CertificateError,
     IntMatrix,
+    _columns,
+    _echelon,
+    _sub_scaled,
     column_hnf,
     infeasibility_certificate,
     kernel_basis,
@@ -457,22 +461,55 @@ def _lift_chain_map(src, tgt, budget):
     return phi
 
 
+def _correction_image(omega, c, K_src):
+    """Sparse columns of regular_rep_expand(omega) * K_src^T for an omega
+    that is zero outside matrix column c. The expansion is zero outside
+    column block c, so only slice c*|G|..(c+1)*|G| of each K_src vector
+    meets it: coefficient a of element t in omega_ic adds a * v[c*|G| + x]
+    to row i*|G| + x*t of the image of v."""
+    n = omega.model.order
+    terms = [(i * n, a, perm) for i, _, a, perm in _action_terms(omega, False, (c,))]
+    images = []
+    for v in K_src:
+        seg = v[c * n:(c + 1) * n]
+        hits = [(x, seg[x]) for x in compress(range(n), seg)]
+        col = {}
+        for off, a, perm in terms:
+            for x, y in hits:
+                r = off + perm[x]
+                col[r] = col.get(r, 0) + a * y
+        images.append({r: y for r, y in col.items() if y})
+    return images
+
+
+def _merged(base, *terms):
+    """Fresh sparse columns: base plus sign * image for each (sign, image)
+    in terms, sign = 1 or -1."""
+    cols = [dict(col) for col in base]
+    for sign, image in terms:
+        for col, add in zip(cols, image):
+            _sub_scaled(col, add, -sign)
+    return cols
+
+
 def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
     """Yield (candidate, image) for the phi2 variants that keep the chain
     condition: phi2 itself, then single and double corrections by a
     kernel-lattice column of K_tgt placed in one column of the matrix.
 
-    image is regular_rep_expand(candidate) * K_src^T, where K_src^T holds
-    the source kernel basis as columns. phi2 and each single correction are
-    expanded and multiplied once, so a candidate's image is a sum of
-    those."""
+    image is regular_rep_expand(candidate) * K_src^T (K_src^T holds the
+    source kernel basis as columns) as sparse {row: value} columns in
+    `intlinalg._columns` form, built fresh for each candidate, so the
+    caller may reduce it in place. phi2's image is expanded and multiplied
+    once; each single correction's image is built from its one nonzero
+    column block (`_correction_image`); a candidate's image merges those."""
     model = src.model
     order = model.order
     s2, t2 = src.ranks[2], tgt.ranks[2]
     basis_t = IntMatrix._raw(s2 * order, len(K_src),
                              tuple(x for row in zip(*K_src) for x in row))
-    base = regular_rep_expand(phi2) * basis_t
-    yield phi2, base
+    base = _columns(regular_rep_expand(phi2) * basis_t)
+    yield phi2, _merged(base)
     singles = []
     for c in range(s2):
         for v in K_tgt:
@@ -480,19 +517,20 @@ def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
             vec[c::s2] = v
             omega = GroupRingMatrix._raw(model, t2, s2,
                                          IntMatrix._raw(t2 * order, s2, tuple(vec)))
-            image = regular_rep_expand(omega) * basis_t
-            singles.append((omega, image))
-            for w, im in ((omega, image), (-omega, -image)):
+            image = _correction_image(omega, c, K_src)
+            signed = ((omega, (1, image)), (-omega, (-1, image)))
+            singles.append(signed)
+            for w, term in signed:
                 if not budget.spend():
                     return
-                yield phi2 + w, base + im
-    for a, (wa, ia) in enumerate(singles):
-        for wb, ib in singles[a + 1:]:
-            for xa, ja in ((wa, ia), (-wa, -ia)):
-                for xb, jb in ((wb, ib), (-wb, -ib)):
+                yield phi2 + w, _merged(base, term)
+    for a, sa in enumerate(singles):
+        for sb in singles[a + 1:]:
+            for xa, ta in sa:
+                for xb, tb in sb:
                     if not budget.spend():
                         return
-                    yield phi2 + (xa + xb), base + (ja + jb)
+                    yield phi2 + (xa + xb), _merged(base, ta, tb)
 
 
 def _contract_cone(phi, src, tgt, budget):
@@ -552,12 +590,20 @@ def _attempt_orientation(src, tgt, K_src, K_tgt, budget):
     cone; K_src and K_tgt are the Hermite bases of the kernel lattices
     pi_2 = ker d_2. A phi2 candidate goes on to the cone only when it maps
     K_src onto K_tgt: the ranks agree and its image has the Hermite form
-    K_tgt. Returns (forward src->tgt, backward, hom_src, hom_tgt) or None."""
+    K_tgt. Returns (forward src->tgt, backward, hom_src, hom_tgt) or None.
+
+    The test reduces each candidate's sparse image columns in place with
+    `intlinalg._echelon`, whose pivot columns are the Hermite normal form of
+    the lattice they span, and compares them with K_tgt as sparse columns.
+    The Hermite form is unique, so this is the same decision as
+    `column_hnf(image) == K_tgt` on the dense image, in exact integers."""
     phi = _lift_chain_map(src, tgt, budget)
     if phi is None:
         return None
+    m = tgt.ranks[2] * tgt.model.order
+    goal = [{i: x for i, x in enumerate(v) if x} for v in K_tgt]
     for phi2, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt, budget):
-        if len(K_src) != len(K_tgt) or column_hnf(image) != K_tgt:
+        if len(K_src) != len(K_tgt) or image[:_echelon(image, m)] != goal:
             continue
         cand = [phi[0], phi[1], phi2]
         contraction = _contract_cone(cand, src, tgt, budget)

@@ -228,7 +228,7 @@ def cmd_wedge(args):
     F = _read_complex(args.acx)
     _require(args.acx, F, 2, "wedge", finite=False)
     if args.attach and not F.finite_mode:
-        raise CliError("--attach requires a finite-mode complex")
+        raise CliError(f"{args.acx}: --attach requires a finite-mode complex")
     f0, f1, f2 = F.ranks
     ranks = (f0, f1, f2 + args.n) + ((args.n,) if args.attach else ())
     try:

@@ -12,6 +12,7 @@ from d2kit.chains import (
     AlgebraicComplex,
     _Budget,
     _contract_cone,
+    _correction_image,
     _lift_chain_map,
     _phi2_candidates,
     NotAChainMap,
@@ -34,7 +35,14 @@ from d2kit.groupring import (
     ModelMismatch,
     regular_rep_expand,
 )
-from d2kit.intlinalg import IntMatrix, column_hnf, kernel_basis, solve_integer_system
+from d2kit.intlinalg import (
+    IntMatrix,
+    _columns,
+    _echelon,
+    column_hnf,
+    kernel_basis,
+    solve_integer_system,
+)
 from d2kit.presentations import Presentation, parse_presentation
 from d2kit.words import Word
 from exact_oracles import determinant
@@ -461,6 +469,14 @@ def test_read_check_does_no_lattice_work(monkeypatch):
     assert len(calls) == 1
 
 
+def _dup_pair(P, model, dup):
+    """(P wedge S^2, P with relator dup listed twice) over model."""
+    F = stabilize_wedge(presentation_complex(P, model), 1)
+    G = presentation_complex(
+        Presentation(P.generators, P.relators + (P.relators[dup],)), model)
+    return F, G
+
+
 def _pi2_by_determinant(phi2, K_src, K_tgt):
     """The coordinate test the Hermite-form comparison replaced."""
     if len(K_src) != len(K_tgt):
@@ -475,13 +491,11 @@ def _pi2_by_determinant(phi2, K_src, K_tgt):
 @pytest.mark.parametrize("text, dup", [
     ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 2),
     ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 1),
-], ids=["s3", "q8"])
+    ("gens: a b\nrels: a^2 b^2 (a b)^5\n", 0),
+], ids=["s3", "q8", "d5"])
 def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
     P = parse_presentation(text)
-    m = group_model(P, 1000)
-    F = stabilize_wedge(presentation_complex(P, m), 1)
-    G = presentation_complex(
-        Presentation(P.generators, P.relators + (P.relators[dup],)), m)
+    F, G = _dup_pair(P, group_model(P, 1000), dup)
     decisions = []
     for src, tgt in ((F, G), (G, F)):
         budget = _Budget(120)
@@ -489,10 +503,13 @@ def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
         K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
         K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
         K_src_t = IntMatrix.from_rows(K_src).transpose()
+        m = tgt.ranks[2] * tgt.model.order
+        goal = [{i: x for i, x in enumerate(v) if x} for v in K_tgt]
         for phi2, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt,
                                             budget):
-            assert image == regular_rep_expand(phi2) * K_src_t
-            iso = len(K_src) == len(K_tgt) and column_hnf(image) == K_tgt
+            assert image == _columns(regular_rep_expand(phi2) * K_src_t)
+            # the sparse Hermite comparison that _attempt_orientation makes
+            iso = len(K_src) == len(K_tgt) and image[:_echelon(image, m)] == goal
             assert iso == _pi2_by_determinant(phi2, K_src, K_tgt)
             decisions.append(iso)
     assert len(decisions) > 100
@@ -553,7 +570,48 @@ def test_phi2_candidates_order_and_images():
         assert [cand for cand, _ in got] == expected[:len(got)]
         K_src_t = IntMatrix.from_rows(K_src).transpose()
         for cand, image in got:
-            assert image == regular_rep_expand(cand) * K_src_t
+            assert image == _columns(regular_rep_expand(cand) * K_src_t)
+
+
+@pytest.mark.parametrize("P, model, budget", [
+    (Z5P, Z5M, 100), (S3P, S3M, 160)], ids=["z5", "s3"])
+def test_phi2_candidate_images_survive_in_place_reduction(P, model, budget):
+    # _attempt_orientation reduces each image in place with _echelon; that
+    # must not reach the base or correction images later candidates merge
+    F, G = _dup_pair(P, model, 0)
+    for src, tgt in ((F, G), (G, F)):
+        b = _Budget(budget)
+        phi = _lift_chain_map(src, tgt, b)
+        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
+        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
+        K_src_t = IntMatrix.from_rows(K_src).transpose()
+        m = tgt.ranks[2] * model.order
+        seen = 0
+        for cand, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt, b):
+            assert image == _columns(regular_rep_expand(cand) * K_src_t)
+            _echelon(image, m)
+            seen += 1
+        # the budget reaches the double corrections
+        assert seen > 1 + 2 * src.ranks[2] * len(K_tgt)
+
+
+@pytest.mark.parametrize("P, model", [(Z5P, Z5M), (S3P, S3M)], ids=["z5", "s3"])
+def test_correction_image_matches_the_dense_product(P, model):
+    F, G = _dup_pair(P, model, 0)
+    n = model.order
+    for src, tgt in ((F, G), (G, F)):
+        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
+        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
+        K_src_t = IntMatrix.from_rows(K_src).transpose()
+        s2, t2 = src.ranks[2], tgt.ranks[2]
+        z = GroupRingElement.zero(model)
+        for c in range(s2):
+            for v in K_tgt:
+                omega = GroupRingMatrix(model, t2, s2, [
+                    GroupRingElement(model, v[i * n:(i + 1) * n]) if j == c else z
+                    for i in range(t2) for j in range(s2)])
+                assert (_correction_image(omega, c, K_src)
+                        == _columns(regular_rep_expand(omega) * K_src_t))
 
 
 def test_acx_round_trip_finite():
