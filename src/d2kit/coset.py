@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .intlinalg import CertificateError
 from .presentations import Presentation, is_perfect
-from .words import Word, words_in_length_lex_order
+from .words import Word, letter_code, words_in_length_lex_order
 
 DEFAULT_MAX_COSETS = 20000
 
@@ -30,12 +30,8 @@ class _Limit(Exception):
     pass
 
 
-def _col(g, s):
-    return 2 * g + (0 if s > 0 else 1)
-
-
 def _word_cols(w):
-    return tuple(_col(g, s) for g, s in w.letters)
+    return tuple(letter_code(g, s) for g, s in w.letters)
 
 
 class _Table:
@@ -393,7 +389,7 @@ def group_model(P, max_cosets):
     inverse = [0] * n
     for i in range(n):
         inverse[i] = mult[i].index(0)
-    gen_images = tuple(rows[0][_col(g, 1)] for g in range(P.num_generators))
+    gen_images = tuple(rows[0][letter_code(g, 1)] for g in range(P.num_generators))
     model = FiniteGroupModel(n, mult, tuple(inverse), gen_images)
     for r in P.relators:
         if model.evaluate_word(r) != 0:

@@ -18,6 +18,8 @@ A presentation is one `gens:` line followed by optional `rels:` lines::
 * A relator has at most ``MAX_RELATOR_LETTERS`` (100 000) letters. The
   parser checks each power and the running length of the relator before it
   builds them, so ``x^1000000000`` is a ``ParseError``, not a huge word.
+* A presentation has at most ``MAX_GENERATORS`` (100 000) generators. The
+  parser counts the names on the ``gens:`` line before it checks them.
 * Multiple ``rels:`` lines concatenate. ``gens:`` with no names is the trivial
   presentation and is legal only when there are no relators.
 """
@@ -26,10 +28,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
 
 from .intlinalg import IntMatrix, SNFResult, smith_normal_form
-from .words import Word
+from .words import Word, encode
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -37,6 +38,10 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # base's length times the exponent, and the terms of a word add up before
 # free reduction, so the check comes before any letter is built.
 MAX_RELATOR_LETTERS = 100_000
+
+# The most generators a presentation may have. It keeps every letter code
+# 2g + 1 (words.letter_code) a valid character of an encoded word.
+MAX_GENERATORS = 100_000
 
 
 class ParseError(ValueError):
@@ -63,6 +68,8 @@ class Presentation:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators", tuple(self.relators))
+        if len(self.generators) > MAX_GENERATORS:
+            raise ValueError(f"more than {MAX_GENERATORS} generators")
         seen = set()
         for name in self.generators:
             if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
@@ -89,7 +96,7 @@ class Presentation:
         """Human-readable display form (not necessarily re-parseable)."""
         if w.is_identity():
             return "1"
-        return " ".join(_syllables(w.letters, self.generators))
+        return " ".join(_syllables(encode(w.letters), self.generators))
 
     def __str__(self):
         gens = " ".join(self.generators)
@@ -97,20 +104,30 @@ class Presentation:
         return f"< {gens} | {rels} >"
 
 
-def _syllables(letters, names):
-    """The syllables of a reduced word as text, ``x`` or ``x^k``: its runs
-    of one repeated letter."""
+# a run of one repeated character, and the character; re.S, since chr(10)
+# is a letter code
+_RUN_RE = re.compile(r"((.)\2*)", re.S)
+
+
+def _syllables(text, names):
+    """The syllables of a reduced encoded word (`words.encode`) as text,
+    ``x`` or ``x^k``: its runs of one repeated letter code."""
     out = []
-    for (g, s), run in groupby(letters):
-        k = s * sum(1 for _ in run)
-        out.append(names[g] if k == 1 else f"{names[g]}^{k}")
+    for run, code in _RUN_RE.findall(text):
+        c = ord(code)
+        k = len(run)
+        name = names[c >> 1]
+        if c & 1:
+            out.append(f"{name}^-{k}")
+        else:
+            out.append(name if k == 1 else f"{name}^{k}")
     return out
 
 
-def _relator_chunk(letters, names):
-    """One relator's text on a ``rels:`` line: ``()`` for the empty word, a
-    bare syllable, or its syllables in parentheses."""
-    sylls = _syllables(letters, names)
+def _relator_chunk(text, names):
+    """One relator's text on a ``rels:`` line, from its encoded word: ``()``
+    for the empty word, a bare syllable, or its syllables in parentheses."""
+    sylls = _syllables(text, names)
     if len(sylls) == 1:
         return sylls[0]
     return "(" + " ".join(sylls) + ")"
@@ -243,8 +260,13 @@ def parse_presentation(text):
             if gens is not None:
                 raise ParseError("duplicate gens: line", line_no, indent + 1)
             gens, seen = [], set()
-            for m in re.finditer(r"\S+", stripped[len("gens:"):]):
-                name, col = m.group(), indent + len("gens:") + m.start() + 1
+            col0 = indent + len("gens:") + 1
+            names = list(re.finditer(r"\S+", stripped[len("gens:"):]))
+            if len(names) > MAX_GENERATORS:
+                raise ParseError(f"more than {MAX_GENERATORS} generators",
+                                 line_no, col0 + names[MAX_GENERATORS].start())
+            for m in names:
+                name, col = m.group(), col0 + m.start()
                 if not _NAME_RE.fullmatch(name):
                     raise ParseError(f"bad generator name {name!r}", line_no, col)
                 if name in seen:
@@ -277,7 +299,7 @@ def parse_presentation(text):
 def serialize_presentation(P):
     """Canonical text form; parse_presentation round-trips it exactly."""
     return _presentation_text(P.generators, [
-        _relator_chunk(r.letters, P.generators) for r in P.relators])
+        _relator_chunk(encode(r.letters), P.generators) for r in P.relators])
 
 
 @dataclass(frozen=True)

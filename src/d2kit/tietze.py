@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
 from .presentations import Presentation, _presentation_text, _relator_chunk
-from .words import Word, reduce_letters
+from .words import Word, decode, encode
 
 
 class InvalidMove(ValueError):
@@ -69,34 +69,96 @@ def derived_word(relators, derivation):
 
 
 def _presentation(gens, rels):
-    """The Presentation of a (generators, reduced relator letters) pair."""
-    return Presentation(gens, tuple(Word._reduced(r) for r in rels))
+    """The Presentation of a (generators, reduced encoded relators) pair."""
+    return Presentation(gens, tuple(Word._reduced(decode(r)) for r in rels))
 
 
-def _eliminate_generator(gens, rels, gen, i):
+# Encoded words (`words.encode`): the search runs on them with str operations.
+
+def _flip_table(num_generators):
+    """The str whose character at code c is chr(c ^ 1), the inverse letter:
+    a `str.translate` table that inverts every letter of an encoded word
+    over at most `num_generators` generators."""
+    return "".join([chr(c ^ 1) for c in range(2 * num_generators)])
+
+
+def _inverse(text, flip):
+    return text[::-1].translate(flip)
+
+
+def _product(a, a_inv, b):
+    """The product of reduced encoded words a and b, given a's inverse: the
+    letters that cancel at the seam are the common prefix of a^-1 and b."""
+    t, n = 0, min(len(a), len(b))
+    while t < n and a_inv[t] == b[t]:
+        t += 1
+    return a[:len(a) - t] + b[t:]
+
+
+def _cyclic_core(text, flip):
+    """The cyclically reduced core of a reduced encoded word."""
+    a, b = 0, len(text)
+    while b - a >= 2 and text[a] == flip[ord(text[b - 1])]:
+        a += 1
+        b -= 1
+    return text[a:b]
+
+
+def _free_reduce(text, flip):
+    """Freely reduce an encoded word (stack cancellation)."""
+    out = []
+    for c, inv in zip(text, text.translate(flip)):
+        if out and out[-1] == inv:
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def _is_duplicate(r, r_inv, doubled):
+    """Whether cyclically reduced r is a rotation of a relator k, or of k's
+    inverse, for some k + k in `doubled`: then r or r^-1 is a substring of
+    k + k, which has twice r's length."""
+    n = 2 * len(r)
+    for kk in doubled:
+        if len(kk) == n and (r in kk or r_inv in kk):
+            return True
+    return False
+
+
+def _single_generators(r, flip):
+    """The generators occurring exactly once in encoded word r."""
+    counts = Counter(r)
+    return frozenset(ord(c) >> 1 for c, n in counts.items()
+                     if n == 1 and flip[ord(c)] not in counts)
+
+
+def _eliminate_generator(gens, rels, gen, i, flip):
     """Solve relator `i`, in which generator `gen` occurs exactly once, for
     `gen`, substitute the solution into the other relators and drop `gen`,
-    reindexing the later generators down by one. Works on reduced letter
-    tuples."""
+    renumbering the later generators down by one. Works on reduced encoded
+    relators; `flip` is `_flip_table` of len(gens) or more generators."""
     r = rels[i]
-    pos = next(k for k, (g, _) in enumerate(r) if g == gen)
-    # r = u gen^s v, so gen = (u^-1 v^-1)^s = (v u)^-s
-    vu = Word(r[pos + 1:] + r[:pos])
-    solved = vu.inverse() if r[pos][1] > 0 else vu
-    images = {}
-    for s, w in ((1, solved), (-1, solved.inverse())):
-        images[s] = tuple((g - 1 if g > gen else g, t) for g, t in w.letters)
+    forward, backward = chr(2 * gen), chr(2 * gen + 1)
+    pos = r.find(forward)
+    # r = u gen^s v, so gen = (u^-1 v^-1)^s = (v u)^-s; v u need not be
+    # reduced, since every relator it replaces a letter of is reduced after
+    if pos >= 0:
+        solved = _inverse(r[pos + 1:] + r[:pos], flip)
+    else:
+        pos = r.find(backward)
+        solved = r[pos + 1:] + r[:pos]
+    shift = {c: c - 2 for c in range(2 * gen + 2, 2 * len(gens))}
+    solved = solved.translate(shift)
+    table = {2 * gen: solved, 2 * gen + 1: _inverse(solved, flip), **shift}
     out = []
     for k, w in enumerate(rels):
         if k == i:
             continue
-        letters = []
-        for g, s in w:
-            if g == gen:
-                letters.extend(images[s])
-            else:
-                letters.append((g - 1 if g > gen else g, s))
-        out.append(reduce_letters(letters))
+        if forward in w or backward in w:
+            out.append(_free_reduce(w.translate(table), flip))
+        else:
+            out.append(w.translate(shift))
     return gens[:gen] + gens[gen + 1:], tuple(out)
 
 
@@ -125,7 +187,8 @@ def apply_move(P, move):
         if i is None:
             raise InvalidMove("no relator with a single occurrence of the generator")
         return _presentation(*_eliminate_generator(
-            P.generators, tuple(r.letters for r in P.relators), gen, i))
+            P.generators, tuple(encode(r.letters) for r in P.relators), gen, i,
+            _flip_table(P.num_generators)))
     if isinstance(move, AddRelator):
         if move.word.max_generator() >= P.num_generators:
             raise InvalidMove("relator uses unknown generators")
@@ -162,71 +225,44 @@ def invert_move(P, move):
     raise TypeError(f"not a Tietze move: {move!r}")
 
 
-def _cyclic_form_key(letters):
-    """Canonical key of a cyclically reduced relator up to cyclic rotation
-    and inversion: the least rotation of its letters or of its inverse's."""
-    inverse = Word._reduced(letters).inverse().letters
-    return min(_least_rotation(letters), _least_rotation(inverse))
-
-
-def _least_rotation(w):
-    """Lexicographically least rotation of a nonempty tuple, in linear time
-    (Booth's algorithm: a failure function over w + w)."""
-    s = w + w
-    fail = [-1] * len(s)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(s)):
-        x = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and x != s[k + i + 1]:
-            if x < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if x != s[k + i + 1]:  # here i == -1
-            if x < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return w[k:] + w[:k]
-
-
-def _simplify(gens, rels, memo):
-    """`simplify` on (generator names, reduced relator letter tuples).
-    `memo` maps a cyclically reduced relator's letters to its
-    `_cyclic_form_key` and the set of generators occurring once in it."""
+def _simplify(gens, rels, memo, flip):
+    """`simplify` on (generator names, reduced encoded relators); `flip` is
+    `_flip_table` of len(gens) or more generators. `memo` maps a cyclically
+    reduced relator r to r + r, r^-1 and the set of generators occurring
+    once in r. A relator is dropped as a duplicate when it is a rotation of
+    a kept relator or of its inverse (`_is_duplicate`): rotation or
+    inversion is an equivalence and the kept relators are pairwise
+    inequivalent, so this keeps the first relator of each class."""
     while True:
         changed = False
         # cyclic reduction (relator -> conjugate core), then drop empties
         # and duplicates up to rotation/inversion
-        seen = set()
         kept = []
+        doubled = []
         singles = []
         for r in rels:
-            if r and r[0] == (r[-1][0], -r[-1][1]):
-                r = Word._reduced(r).cyclically_reduced()[0].letters
+            if r and r[0] == flip[ord(r[-1])]:
+                r = _cyclic_core(r, flip)
                 changed = True
             if not r:
                 changed = True
                 continue
             info = memo.get(r)
             if info is None:
-                counts = Counter(g for g, _ in r)
-                info = memo[r] = (_cyclic_form_key(r), frozenset(
-                    g for g, n in counts.items() if n == 1))
-            if info[0] in seen:
+                info = memo[r] = (r + r, _inverse(r, flip), _single_generators(r, flip))
+            if _is_duplicate(r, info[1], doubled):
                 changed = True
                 continue
-            seen.add(info[0])
             kept.append(r)
-            singles.append(info[1])
+            doubled.append(info[0])
+            singles.append(info[2])
         rels = tuple(kept)
         # generator elimination, lowest generator index first, solved from
         # the first relator it occurs once in
         gen = min(frozenset().union(*singles), default=None)
         if gen is not None:
             i = next(i for i, ones in enumerate(singles) if gen in ones)
-            gens, rels = _eliminate_generator(gens, rels, gen, i)
+            gens, rels = _eliminate_generator(gens, rels, gen, i, flip)
             changed = True
         if not changed:
             return gens, rels
@@ -237,13 +273,14 @@ def simplify(P):
     empty and cyclically-duplicate relators, eliminate generators that
     occur exactly once in some relator. Deterministic."""
     return _presentation(*_simplify(
-        P.generators, tuple(r.letters for r in P.relators), {}))
+        P.generators, tuple(encode(r.letters) for r in P.relators), {},
+        _flip_table(P.num_generators)))
 
 
 def _node_text(gens, rels, chunks):
     """`serialize_presentation(_presentation(gens, rels))`, built from the
-    relator chunks cached in `chunks`, keyed on (generator names, letters):
-    generator elimination renames the generators a relator's letters mean."""
+    relator chunks cached in `chunks`, keyed on (generator names, encoded
+    relator): generator elimination renames the generators a code means."""
     parts = []
     for r in rels:
         chunk = chunks.get((gens, r))
@@ -269,17 +306,23 @@ def deficiency_search(P, budget):
 
     The search starts from simplify(P). Each node is expanded by the moves
     r_i -> r_i * r_j^s (i != j, s = 1 then -1), each result simplified.
-    A node is identified by its generators and its freely reduced relator
-    letters. Among the nodes of highest deficiency, the one with the least
+    A node is identified by its generators and its relators as encoded
+    words (`words.encode`, one character per letter), which the search
+    multiplies, inverts, reduces and deduplicates with str operations; the
+    relators are encoded once on entry and only the returned best is
+    decoded. Among the nodes of highest deficiency, the one with the least
     serialized text (`serialize_presentation`) is returned. That text is
     built from per-relator chunks cached for the search, the same bytes as
     `serialize_presentation`, and only the returned best is made into a
     `Presentation`, after the search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
+    # generators only disappear during the search, so one table serves it
+    flip = _flip_table(P.num_generators)
     memo = {}
     chunks = {}
-    start = _simplify(P.generators, tuple(r.letters for r in P.relators), memo)
+    start = _simplify(P.generators, tuple(encode(r.letters) for r in P.relators),
+                      memo, flip)
     best_node = start
     best_deficiency = len(start[0]) - len(start[1])
     best_text = _node_text(*start, chunks)
@@ -294,17 +337,17 @@ def deficiency_search(P, budget):
             break
         gens, rels = queue.popleft()
         visited += 1
-        factors = [(w, w.inverse()) for w in map(Word._reduced, rels)]
-        for i, (w, _) in enumerate(factors):
+        factors = [(w, memo[w][1]) for w in rels]  # every node relator is in memo
+        for i, (w, w_inv) in enumerate(factors):
             for j, pair in enumerate(factors):
                 if i == j:
                     continue
                 for f in pair:
-                    raw = (gens, rels[:i] + ((w * f).letters,) + rels[i + 1:])
+                    raw = (gens, rels[:i] + (_product(w, w_inv, f),) + rels[i + 1:])
                     if raw in generated:
                         continue
                     generated.add(raw)
-                    node = _simplify(*raw, memo)
+                    node = _simplify(*raw, memo, flip)
                     if node in seen:
                         continue
                     seen.add(node)

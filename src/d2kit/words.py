@@ -2,9 +2,29 @@
 
 A letter is a pair (generator index, sign) with sign +1 or -1. Words are
 immutable and always stored freely reduced; the empty word is the identity.
+
+A letter's code is 2g for (g, +1) and 2g + 1 for (g, -1): a letter and its
+inverse differ in the last bit, and codes order letters as
+(0, +1) < (0, -1) < (1, +1) < ... An *encoded* word is a str with one
+character chr(code) per letter.
 """
 
 from __future__ import annotations
+
+
+def letter_code(g, s):
+    """The code of letter (g, s)."""
+    return 2 * g + (s < 0)
+
+
+def encode(letters):
+    """A letter sequence as an encoded word."""
+    return "".join([chr(letter_code(g, s)) for g, s in letters])
+
+
+def decode(text):
+    """The letter tuple of an encoded word."""
+    return tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, text))
 
 
 def reduce_letters(letters):
@@ -114,8 +134,7 @@ class Word:
         return self._lex_key() < other._lex_key()
 
     def _lex_key(self):
-        return (len(self.letters),
-                tuple(2 * g + (0 if s > 0 else 1) for g, s in self.letters))
+        return len(self.letters), tuple(letter_code(g, s) for g, s in self.letters)
 
     def __repr__(self):
         return f"Word({self.letters!r})"

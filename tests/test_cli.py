@@ -274,6 +274,16 @@ def test_overlong_relator_rejected(tmp_path, capsys):
     assert "power longer than 100000 letters (line 2, column 9)" in err
 
 
+def test_too_many_generators_rejected(tmp_path, capsys):
+    bad = tmp_path / "wide.fp"
+    names = " ".join(f"g{i}" for i in range(100_001))
+    bad.write_text(f"gens: {names}\nrels: g0^2\n")
+    assert main(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    col = len("gens: ") + names.index("g100000") + 1
+    assert f"more than 100000 generators (line 1, column {col})" in err
+
+
 def test_round_trip_under_python_optimize(tmp_path):
     # chain -> wedge --attach -> split -> quotient -> certify-equiv on S3;
     # with the interpreter's asserts stripped, every exit code, stdout and

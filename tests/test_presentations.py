@@ -1,6 +1,7 @@
 import pytest
 
 from d2kit.presentations import (
+    MAX_GENERATORS,
     MAX_RELATOR_LETTERS,
     EmptyGeneratorList,
     ParseError,
@@ -111,6 +112,26 @@ def test_parse_relator_length_cap_is_inclusive():
     P = parse_presentation(f"gens: x y\nrels: x^{MAX_RELATOR_LETTERS} "
                            "(x y)^50000 (x x^-1)^99999999\n")
     assert [len(r) for r in P.relators] == [MAX_RELATOR_LETTERS, 100000, 0]
+
+
+def _names(n):
+    return [f"g{i}" for i in range(n)]
+
+
+def test_parse_generator_cap():
+    P = parse_presentation("gens: " + " ".join(_names(MAX_GENERATORS)) + "\n")
+    assert P.num_generators == MAX_GENERATORS
+    # the first excess name is reported, before any name is checked
+    text = "gens:  " + " ".join(_names(MAX_GENERATORS) + ["1bad"]) + "\n"
+    with pytest.raises(ParseError, match="more than 100000 generators") as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.col) == (1, text.index("1bad") + 1)
+
+
+def test_presentation_generator_cap():
+    assert Presentation(tuple(_names(MAX_GENERATORS)), ()).num_generators == MAX_GENERATORS
+    with pytest.raises(ValueError, match="more than 100000 generators"):
+        Presentation(tuple(_names(MAX_GENERATORS + 1)), ())
 
 
 def test_trivial_presentations_legal():

@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
+import io
 import random
 import time
 from pathlib import Path
 
 import pytest
 
-from d2kit import presentations, tietze
+from d2kit import invariants, presentations, tietze
+from d2kit.cli import main
 from d2kit.coset import todd_coxeter
 from d2kit.presentations import (
     Presentation,
@@ -15,10 +18,17 @@ from d2kit.presentations import (
     serialize_presentation,
 )
 from d2kit.tietze import (
-    _cyclic_form_key,
+    _cyclic_core,
+    _eliminate_generator,
+    _flip_table,
+    _free_reduce,
+    _inverse,
+    _is_duplicate,
     _node_text,
     _presentation,
+    _product,
     _simplify,
+    _single_generators,
     AddGenerator,
     AddRelator,
     ExtensionResult,
@@ -35,7 +45,7 @@ from d2kit.tietze import (
     simplify,
     subpresentation,
 )
-from d2kit.words import Word
+from d2kit.words import Word, decode, encode
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -396,20 +406,161 @@ def test_simplify_matches_reference_on_random_presentations():
     assert eliminated > 50  # the generator elimination path is exercised
 
 
-def test_cyclic_form_key_matches_all_rotations():
+# generator pools of the random words, with code '\n' (generator 5), codes
+# past one byte (generators 128 and up) and surrogate code points
+# (generators 27648 to 28671)
+_POOLS = ((0,), (0, 1), (0, 1, 2), (4, 5, 6), (5,), (0, 5, 130), (128, 129, 300),
+          (2, 27700, 28000))
+_FLIP = _flip_table(28001)
+
+
+def _random_letters(rng, pool, length):
+    return [(rng.choice(pool), rng.choice((1, -1))) for _ in range(length)]
+
+
+def test_encoded_helpers_match_words():
     rng = random.Random(1980)
-    checked = periodic = 0
+    checked = periodic = duplicates = substituted = 0
     for _ in range(3000):
-        d = rng.randint(1, 3)
-        base = [(rng.randrange(d), rng.choice((1, -1))) for _ in range(rng.randint(1, 9))]
-        if rng.random() < 0.3:
-            base *= rng.randint(2, 5)
+        pool = rng.choice(_POOLS)
+        raw = _random_letters(rng, pool, rng.randint(0, 9))
+        if raw and rng.random() < 0.3:
+            raw *= rng.randint(2, 5)
             periodic += 1
-        core, _ = Word(base).cyclically_reduced()
+        w = Word(raw)
+        text = encode(w.letters)
+        assert decode(encode(raw)) == tuple(raw)
+        assert decode(text) == w.letters and len(text) == len(w)
+        assert _free_reduce(encode(raw), _FLIP) == text
+        inv = _inverse(text, _FLIP)
+        assert inv == encode(w.inverse().letters)
+        # a right factor that often cancels part of w at the seam
+        v = Word(list(w.inverse().letters[:rng.randint(0, len(w))])
+                 + _random_letters(rng, pool, rng.randint(0, 4)))
+        assert _product(text, inv, encode(v.letters)) == encode((w * v).letters)
+        core = _cyclic_core(text, _FLIP)
+        assert core == encode(w.cyclically_reduced()[0].letters)
+        assert _single_generators(text, _FLIP) == {
+            g for g in pool if w.generator_count(g) == 1}
+        if w:
+            g = rng.choice(w.letters)[0]
+            image = Word(_random_letters(rng, pool, rng.randint(0, 5)))
+            images = {h: Word.generator(h) for h in pool}
+            images[g] = image
+            table = {2 * g: encode(image.letters),
+                     2 * g + 1: encode(image.inverse().letters)}
+            assert _free_reduce(text.translate(table), _FLIP) == encode(
+                w.substituted(images).letters)
+            substituted += 1
+        if not core:
+            continue
+        r = Word._reduced(decode(core))
+        # a rotation of r or of its inverse, or another word of its length
+        other = rng.choice((r, r.inverse())).letters
+        k = rng.randrange(len(other))
+        other = other[k:] + other[:k]
+        if rng.random() < 0.5:
+            other = _random_letters(rng, pool, len(other))
+        o = Word(other).cyclically_reduced()[0]
+        if not o:
+            continue
+        o_text = encode(o.letters)
+        same = _reference_cyclic_form_key(r) == _reference_cyclic_form_key(o)
+        assert _is_duplicate(core, _inverse(core, _FLIP), [o_text + o_text]) == same
+        checked += 1
+        duplicates += same
+    assert checked > 1500 and periodic > 500 and substituted > 2000
+    assert 500 < duplicates < checked - 500
+
+
+def test_eliminate_generator_renumbers_past_code_ten():
+    # eliminating b moves f from codes 10, 11 to 8, 9 and g onto 10, 11
+    gens = tuple("abcdefg")
+    P = Presentation(gens, (Word([(1, 1), (5, -1), (6, 1)]),
+                            Word([(1, -1), (6, 1), (5, 1), (5, 1)]),
+                            Word([(6, 1), (6, 1), (0, 1)])))
+    expected = parse_presentation(
+        "gens: a c d e f g\nrels: (f^-1 g^2 f^2) (g^2 a)\n")
+    assert apply_move(P, RemoveGenerator(1)) == expected
+    node = _eliminate_generator(gens, tuple(encode(r.letters) for r in P.relators),
+                                1, 0, _flip_table(7))
+    assert node[1][1] == "\n\n\x00" and _presentation(*node) == expected
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_analyze_long_relator_pin(tmp_path, monkeypatch):
+    # a relator at the parse cap; Booth's least rotation on letter tuples
+    # made this take about 9 s
+    monkeypatch.chdir(tmp_path)
+    Path("long.fp").write_text("gens: a b\nrels: a^2 b^-100000 (a b)^3\n")
+    start = time.perf_counter()
+    code, out = _stdout(["analyze", "long.fp", "--budget", "5", "--max-cosets", "200"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2a1407bb045d31e5f2bbe14f6cb46a4444f0c95605c8c4ecdbecff58cb993710")
+
+
+def _corpus_variant(P, rng):
+    """`perfbench/workloads.corpus_variant`: each relator cyclically rotated
+    and inverted at random, and the relator order shuffled."""
+    rels = []
+    for r in P.relators:
+        core, _ = r.cyclically_reduced()
         if core:
-            assert _cyclic_form_key(core.letters) == _reference_cyclic_form_key(core)
-            checked += 1
-    assert checked > 2000 and periodic > 500
+            k = rng.randrange(len(core))
+            core = Word(core.letters[k:] + core.letters[:k])
+            if rng.random() < 0.5:
+                core = core.inverse()
+        rels.append(core)
+    rng.shuffle(rels)
+    return serialize_presentation(Presentation(P.generators, rels))
+
+
+@pytest.mark.slow
+def test_analyze_identity_sweep(tmp_path, monkeypatch):
+    # `analyze --format json` on the corpus and on seeded variants of each,
+    # with every search's best text, deficiency, visited and exhausted;
+    # recorded with the search on letter tuples
+    monkeypatch.chdir(tmp_path)
+    searches = []
+    search = invariants.deficiency_search
+
+    def recording(P, budget):
+        res = search(P, budget)
+        searches.append(f"{serialize_presentation(res.best)}{res.deficiency} "
+                        f"{res.visited} {res.exhausted}\n")
+        return res
+
+    monkeypatch.setattr(invariants, "deficiency_search", recording)
+    runs = [(seed, budget) for budget in (5, 600) for seed in range(10)]
+    runs += [(seed, 2000) for seed in range(3)]
+    digest = hashlib.sha256()
+    for path in sorted(CORPUS.glob("*.fp")):
+        text = path.read_text(encoding="utf-8")
+        Path(path.name).write_text(text, encoding="utf-8")
+        files = [(path.name, budget) for budget in (5, 600, 2000)]
+        P = parse_presentation(text)
+        for seed, budget in runs:
+            name = f"{path.stem}.{seed}.fp"
+            Path(name).write_text(_corpus_variant(
+                P, random.Random(f"{path.stem}/{seed}")), encoding="utf-8")
+            files.append((name, budget))
+        for name, budget in files:
+            code, out = _stdout(["analyze", name, "--format", "json",
+                                 "--budget", str(budget)])
+            assert code == 0
+            digest.update(out.encode())
+    assert len(searches) == 234
+    digest.update("".join(searches).encode())
+    assert digest.hexdigest() == (
+        "58484356d48d168567daa4321c1d45c2b56fde2e2b0f2677f08941c9298d61ba")
 
 
 def test_deficiency_search_long_relator_is_linear():
@@ -426,7 +577,9 @@ def test_deficiency_search_long_relator_is_linear():
 # the search as it was before relators became letter tuples, the rest with the
 # search as it was before the tie-break text was built from relator chunks.
 # The two corpus variants are `perfbench/workloads.corpus_variant` of q8 and
-# a5 with random.Random(3).
+# a5 with random.Random(3). cycle-7 eliminates generators below f and g
+# throughout, so their codes cross chr(10) and are renumbered; it was
+# recorded with the search on letter tuples.
 SEARCH_VARIANTS = {
     "a5-rotated": "gens: a b\nrels: (b a)^5 b^-3 a^2\n",
     "a5-swapped": "gens: b a\nrels: b^3 a^2 (a b)^5\n",
@@ -438,6 +591,8 @@ SEARCH_VARIANTS = {
     "q8-variant-3": "gens: a b\nrels: (a b^-2 a) (b a^-1 b^-1 a^-1)\n",
     "a5-variant-3": "gens: a b\nrels: b^-3 a^2 "
                     "(a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1)\n",
+    "cycle-7": "gens: a b c d e f g\nrels: (a^2 b^3) (b^-2 c^3) (c^-2 d^3) "
+               "(d^-2 e^3) (e^-2 f^3) (f^-2 g^3) (g^-2 a^3)\n",
 }
 SEARCH_GOLDEN = [
     ("a5", 600, "8fc511c3bd2f2b95", -1, 600, True),
@@ -461,6 +616,7 @@ SEARCH_GOLDEN = [
     ("a5-extra-gen", 1000, "be7d5a3ab00adc69", -1, 1000, True),
     ("q8-variant-3", 600, "2ef56da4923a8958", 0, 600, True),
     ("a5-variant-3", 600, "02ed67820aaf97fb", -1, 600, True),
+    ("cycle-7", 300, "c1ea25ad3b68aa0c", 0, 300, True),
 ]
 
 
@@ -487,18 +643,24 @@ def test_node_text_matches_serialize_presentation():
         P = _random_presentation(rng)
         if rng.random() < 0.5:  # names of three letters
             P = Presentation(("gen", "x_2", "Yz9")[:P.num_generators], P.relators)
-        node = _simplify(P.generators, tuple(r.letters for r in P.relators), {})
+        node = _simplify(P.generators, tuple(encode(r.letters) for r in P.relators),
+                         {}, _flip_table(P.num_generators))
         eliminated += len(node[0]) < P.num_generators
         nodes.append(node)
     x3, y_2 = ((0, 1),) * 3, ((1, -1),) * 2
-    nodes += [
+    f3_g = ((5, 1),) * 3 + ((6, -1),) * 2 + ((5, -1),)
+    wide = ((128, 1), (300, -1), (300, -1), (5, 1), (0, -1))
+    for gens, rels in [
         (("a", "b"), ()),  # no relators
         ((), ()),
         (("abc",), (((0, 1),), ((0, -1),), x3, ((0, -1),) * 7)),  # pure powers
         (("a", "b"), (y_2, x3 + y_2)),
         (("a", "c"), (y_2, x3 + y_2)),  # the same letters under another name
         (("xyz", "b_1"), (x3 + ((1, 1),) + ((0, -1),) * 2, ((1, 1),))),
-    ]
+        (tuple("abcdefg"), (f3_g, ((5, 1),) * 10)),  # code 10 is f
+        (tuple(f"g{i}" for i in range(301)), (wide, ((129, -1),) * 2)),
+    ]:
+        nodes.append((gens, tuple(encode(r) for r in rels)))
     chunks = {}
     for gens, rels in nodes:
         assert _node_text(gens, rels, chunks) == serialize_presentation(
