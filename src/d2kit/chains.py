@@ -124,9 +124,10 @@ def fox_derivative(model, word, gen):
     """Fox derivative dw/dx_gen evaluated in ZG through `model`."""
     coeffs = [0] * model.order
     prefix = 0
-    for g, s in word.letters:
+    for c in map(ord, word.text):
+        g = c >> 1
         image = model.generator_images[g]
-        if s > 0:
+        if not c & 1:
             if g == gen:
                 coeffs[prefix] += 1
             prefix = model.mult[prefix][image]

@@ -191,6 +191,8 @@ def cmd_order(args):
 
 
 def cmd_normal_gen(args):
+    if args.max_len < 0:
+        raise CliError("--max-len must be at least 0")
     P = _read_presentation(args.file)
     res = find_normal_generator(P, args.max_len, args.max_cosets)
     pairs = [("file", args.file)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .intlinalg import CertificateError
 from .presentations import Presentation, is_perfect
-from .words import Word, letter_code, words_in_length_lex_order
+from .words import Word, words_in_length_lex_order
 
 DEFAULT_MAX_COSETS = 20000
 
@@ -28,10 +28,6 @@ class NotFinitelyEnumerated(ValueError):
 
 class _Limit(Exception):
     pass
-
-
-def _word_cols(w):
-    return tuple(letter_code(g, s) for g, s in w.letters)
 
 
 class _Table:
@@ -139,7 +135,7 @@ def _preprocess(P):
     for r in P.relators:
         core, _ = r.cyclically_reduced()
         if core:
-            words.append(_word_cols(core))
+            words.append(tuple(map(ord, core.text)))
     return words
 
 
@@ -350,9 +346,9 @@ class FiniteGroupModel:
     def evaluate_word(self, w):
         """Image of the free word w."""
         e = 0
-        for g, s in w.letters:
-            x = self.generator_images[g]
-            e = self.mult[e][x if s > 0 else self.inverse[x]]
+        for c in map(ord, w.text):
+            x = self.generator_images[c >> 1]
+            e = self.mult[e][self.inverse[x] if c & 1 else x]
         return e
 
     def conjugacy_class(self, i):
@@ -389,7 +385,7 @@ def group_model(P, max_cosets):
     inverse = [0] * n
     for i in range(n):
         inverse[i] = mult[i].index(0)
-    gen_images = tuple(rows[0][letter_code(g, 1)] for g in range(P.num_generators))
+    gen_images = tuple(rows[0][2 * g] for g in range(P.num_generators))
     model = FiniteGroupModel(n, mult, tuple(inverse), gen_images)
     for r in P.relators:
         if model.evaluate_word(r) != 0:

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .intlinalg import IntMatrix, SNFResult, smith_normal_form
-from .words import Word, encode
+from .words import Word, flip_for, free_reduce
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -39,8 +39,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # free reduction, so the check comes before any letter is built.
 MAX_RELATOR_LETTERS = 100_000
 
-# The most generators a presentation may have. It keeps every letter code
-# 2g + 1 (words.letter_code) a valid character of an encoded word.
+# The most generators a presentation may have. It bounds the letter codes,
+# and so the flip tables (words.flip_table) of its relators' encoded text.
 MAX_GENERATORS = 100_000
 
 
@@ -96,7 +96,7 @@ class Presentation:
         """Human-readable display form (not necessarily re-parseable)."""
         if w.is_identity():
             return "1"
-        return " ".join(_syllables(encode(w.letters), self.generators))
+        return " ".join(_syllables(w.text, self.generators))
 
     def __str__(self):
         gens = " ".join(self.generators)
@@ -110,7 +110,7 @@ _RUN_RE = re.compile(r"((.)\2*)", re.S)
 
 
 def _syllables(text, names):
-    """The syllables of a reduced encoded word (`words.encode`) as text,
+    """The syllables of a reduced encoded word (`Word.text`) as text,
     ``x`` or ``x^k``: its runs of one repeated letter code."""
     out = []
     for run, code in _RUN_RE.findall(text):
@@ -197,18 +197,21 @@ class _WordParser:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def parse_word(self, stop_at_rpar=False):
-        letters = []
+        terms = []
+        length = 0
         while True:
             tok = self.peek()
             if tok is None or (stop_at_rpar and tok[0] == "rpar"):
                 break
             col = tok[2]
             term = self.parse_term()
-            if len(letters) + len(term) > MAX_RELATOR_LETTERS:
+            length += len(term)
+            if length > MAX_RELATOR_LETTERS:
                 raise ParseError("relator longer than "
                                  f"{MAX_RELATOR_LETTERS} letters", self.line_no, col)
-            letters.extend(term.letters)
-        return Word(letters)
+            terms.append(term.text)
+        text = "".join(terms)
+        return Word._reduced(free_reduce(text, flip_for(text)))
 
     def parse_term(self):
         kind, text, col = self.tokens[self.i]
@@ -299,7 +302,7 @@ def parse_presentation(text):
 def serialize_presentation(P):
     """Canonical text form; parse_presentation round-trips it exactly."""
     return _presentation_text(P.generators, [
-        _relator_chunk(encode(r.letters), P.generators) for r in P.relators])
+        _relator_chunk(r.text, P.generators) for r in P.relators])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
 from .presentations import Presentation, _presentation_text, _relator_chunk
-from .words import Word, decode, encode
+from .words import Word, cyclic_core, flip_for, inverse, product, substitute
 
 
 class InvalidMove(ValueError):
@@ -70,49 +70,14 @@ def derived_word(relators, derivation):
 
 def _presentation(gens, rels):
     """The Presentation of a (generators, reduced encoded relators) pair."""
-    return Presentation(gens, tuple(Word._reduced(decode(r)) for r in rels))
+    return Presentation(gens, tuple(map(Word._reduced, rels)))
 
 
-# Encoded words (`words.encode`): the search runs on them with str operations.
-
-def _flip_table(num_generators):
-    """The str whose character at code c is chr(c ^ 1), the inverse letter:
-    a `str.translate` table that inverts every letter of an encoded word
-    over at most `num_generators` generators."""
-    return "".join([chr(c ^ 1) for c in range(2 * num_generators)])
-
-
-def _inverse(text, flip):
-    return text[::-1].translate(flip)
-
-
-def _product(a, a_inv, b):
-    """The product of reduced encoded words a and b, given a's inverse: the
-    letters that cancel at the seam are the common prefix of a^-1 and b."""
-    t, n = 0, min(len(a), len(b))
-    while t < n and a_inv[t] == b[t]:
-        t += 1
-    return a[:len(a) - t] + b[t:]
-
-
-def _cyclic_core(text, flip):
-    """The cyclically reduced core of a reduced encoded word."""
-    a, b = 0, len(text)
-    while b - a >= 2 and text[a] == flip[ord(text[b - 1])]:
-        a += 1
-        b -= 1
-    return text[a:b]
-
-
-def _free_reduce(text, flip):
-    """Freely reduce an encoded word (stack cancellation)."""
-    out = []
-    for c, inv in zip(text, text.translate(flip)):
-        if out and out[-1] == inv:
-            out.pop()
-        else:
-            out.append(c)
-    return "".join(out)
+def _relator_texts(P):
+    """P's relators as encoded words, and a flip table covering them: every
+    word the search or an elimination builds from them uses no higher code."""
+    rels = tuple(r.text for r in P.relators)
+    return rels, flip_for("".join(rels))
 
 
 def _is_duplicate(r, r_inv, doubled):
@@ -137,36 +102,29 @@ def _eliminate_generator(gens, rels, gen, i, flip):
     """Solve relator `i`, in which generator `gen` occurs exactly once, for
     `gen`, substitute the solution into the other relators and drop `gen`,
     renumbering the later generators down by one. Works on reduced encoded
-    relators; `flip` is `_flip_table` of len(gens) or more generators."""
+    relators; `flip` covers their codes."""
     r = rels[i]
     forward, backward = chr(2 * gen), chr(2 * gen + 1)
     pos = r.find(forward)
     # r = u gen^s v, so gen = (u^-1 v^-1)^s = (v u)^-s; v u need not be
     # reduced, since every relator it replaces a letter of is reduced after
     if pos >= 0:
-        solved = _inverse(r[pos + 1:] + r[:pos], flip)
+        solved = inverse(r[pos + 1:] + r[:pos], flip)
     else:
         pos = r.find(backward)
         solved = r[pos + 1:] + r[:pos]
     shift = {c: c - 2 for c in range(2 * gen + 2, 2 * len(gens))}
     solved = solved.translate(shift)
-    table = {2 * gen: solved, 2 * gen + 1: _inverse(solved, flip), **shift}
+    table = {2 * gen: solved, 2 * gen + 1: inverse(solved, flip), **shift}
     out = []
     for k, w in enumerate(rels):
         if k == i:
             continue
         if forward in w or backward in w:
-            out.append(_free_reduce(w.translate(table), flip))
+            out.append(substitute(w, table, flip))
         else:
             out.append(w.translate(shift))
     return gens[:gen] + gens[gen + 1:], tuple(out)
-
-
-def _single_occurrence_relator(P, gen):
-    for i, r in enumerate(P.relators):
-        if r.generator_count(gen) == 1:
-            return i
-    return None
 
 
 def apply_move(P, move):
@@ -183,12 +141,12 @@ def apply_move(P, move):
         gen = move.index
         if not 0 <= gen < P.num_generators:
             raise InvalidMove("generator index out of range")
-        i = _single_occurrence_relator(P, gen)
+        i = next((i for i, r in enumerate(P.relators)
+                  if r.generator_count(gen) == 1), None)
         if i is None:
             raise InvalidMove("no relator with a single occurrence of the generator")
-        return _presentation(*_eliminate_generator(
-            P.generators, tuple(encode(r.letters) for r in P.relators), gen, i,
-            _flip_table(P.num_generators)))
+        rels, flip = _relator_texts(P)
+        return _presentation(*_eliminate_generator(P.generators, rels, gen, i, flip))
     if isinstance(move, AddRelator):
         if move.word.max_generator() >= P.num_generators:
             raise InvalidMove("relator uses unknown generators")
@@ -226,13 +184,13 @@ def invert_move(P, move):
 
 
 def _simplify(gens, rels, memo, flip):
-    """`simplify` on (generator names, reduced encoded relators); `flip` is
-    `_flip_table` of len(gens) or more generators. `memo` maps a cyclically
-    reduced relator r to r + r, r^-1 and the set of generators occurring
-    once in r. A relator is dropped as a duplicate when it is a rotation of
-    a kept relator or of its inverse (`_is_duplicate`): rotation or
-    inversion is an equivalence and the kept relators are pairwise
-    inequivalent, so this keeps the first relator of each class."""
+    """`simplify` on (generator names, reduced encoded relators); `flip`
+    covers their codes. `memo` maps a cyclically reduced relator r to r + r,
+    r^-1 and the set of generators occurring once in r. A relator is
+    dropped as a duplicate when it is a rotation of a kept relator or of its
+    inverse (`_is_duplicate`): rotation or inversion is an equivalence and
+    the kept relators are pairwise inequivalent, so this keeps the first
+    relator of each class."""
     while True:
         changed = False
         # cyclic reduction (relator -> conjugate core), then drop empties
@@ -242,14 +200,14 @@ def _simplify(gens, rels, memo, flip):
         singles = []
         for r in rels:
             if r and r[0] == flip[ord(r[-1])]:
-                r = _cyclic_core(r, flip)
+                r = cyclic_core(r, flip)
                 changed = True
             if not r:
                 changed = True
                 continue
             info = memo.get(r)
             if info is None:
-                info = memo[r] = (r + r, _inverse(r, flip), _single_generators(r, flip))
+                info = memo[r] = (r + r, inverse(r, flip), _single_generators(r, flip))
             if _is_duplicate(r, info[1], doubled):
                 changed = True
                 continue
@@ -272,9 +230,8 @@ def simplify(P):
     """Greedy verified simplification: cyclically reduce relators, drop
     empty and cyclically-duplicate relators, eliminate generators that
     occur exactly once in some relator. Deterministic."""
-    return _presentation(*_simplify(
-        P.generators, tuple(encode(r.letters) for r in P.relators), {},
-        _flip_table(P.num_generators)))
+    rels, flip = _relator_texts(P)
+    return _presentation(*_simplify(P.generators, rels, {}, flip))
 
 
 def _node_text(gens, rels, chunks):
@@ -306,23 +263,20 @@ def deficiency_search(P, budget):
 
     The search starts from simplify(P). Each node is expanded by the moves
     r_i -> r_i * r_j^s (i != j, s = 1 then -1), each result simplified.
-    A node is identified by its generators and its relators as encoded
-    words (`words.encode`, one character per letter), which the search
-    multiplies, inverts, reduces and deduplicates with str operations; the
-    relators are encoded once on entry and only the returned best is
-    decoded. Among the nodes of highest deficiency, the one with the least
-    serialized text (`serialize_presentation`) is returned. That text is
-    built from per-relator chunks cached for the search, the same bytes as
+    A node is identified by its generators and its relators' encoded text
+    (`Word.text`), which the search multiplies, inverts, reduces and
+    deduplicates with the str functions of `words`. Among the nodes of
+    highest deficiency, the one with the least serialized text
+    (`serialize_presentation`) is returned. That text is built from
+    per-relator chunks cached for the search, the same bytes as
     `serialize_presentation`, and only the returned best is made into a
     `Presentation`, after the search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    # generators only disappear during the search, so one table serves it
-    flip = _flip_table(P.num_generators)
+    rels, flip = _relator_texts(P)  # one table serves the whole search
     memo = {}
     chunks = {}
-    start = _simplify(P.generators, tuple(encode(r.letters) for r in P.relators),
-                      memo, flip)
+    start = _simplify(P.generators, rels, memo, flip)
     best_node = start
     best_deficiency = len(start[0]) - len(start[1])
     best_text = _node_text(*start, chunks)
@@ -343,7 +297,7 @@ def deficiency_search(P, budget):
                 if i == j:
                     continue
                 for f in pair:
-                    raw = (gens, rels[:i] + (_product(w, w_inv, f),) + rels[i + 1:])
+                    raw = (gens, rels[:i] + (product(w, w_inv, f),) + rels[i + 1:])
                     if raw in generated:
                         continue
                     generated.add(raw)
@@ -372,16 +326,17 @@ def subpresentation(P, gen_indices, rel_indices):
     for i in rel_indices:
         if not 0 <= i < P.num_relators:
             raise IndexError(f"relator index {i} out of range")
-    reindex = {g: k for k, g in enumerate(gen_indices)}
+    # renumbering generators keeps a word freely reduced
+    codes = {2 * g + b: 2 * k + b for k, g in enumerate(gen_indices) for b in (0, 1)}
     rels = []
     for i in rel_indices:
-        r = P.relators[i]
-        for g, _ in r.letters:
-            if g not in reindex:
+        text = P.relators[i].text
+        for c in map(ord, text):
+            if c not in codes:
                 raise NotASubpresentation(
-                    f"relator {i} uses generator {P.generators[g]!r} "
+                    f"relator {i} uses generator {P.generators[c >> 1]!r} "
                     "outside the sub-presentation")
-        rels.append(Word([(reindex[g], s) for g, s in r.letters]))
+        rels.append(Word._reduced(text.translate(codes)))
     gens = tuple(P.generators[i] for i in gen_indices)
     return Presentation(gens, tuple(rels))
 

@@ -1,25 +1,34 @@
 """Freely reduced words over an indexed generating set.
 
-A letter is a pair (generator index, sign) with sign +1 or -1. Words are
-immutable and always stored freely reduced; the empty word is the identity.
+A letter is a pair (generator index, sign) with sign +1 or -1. Its code is
+2g for (g, +1) and 2g + 1 for (g, -1): a letter and its inverse differ in
+the last bit, and codes order letters as (0, +1) < (0, -1) < (1, +1) < ...
+A `Word` *is* its encoded text: an immutable, freely reduced str with one
+character chr(code) per letter. The empty word is the identity.
 
-A letter's code is 2g for (g, +1) and 2g + 1 for (g, -1): a letter and its
-inverse differ in the last bit, and codes order letters as
-(0, +1) < (0, -1) < (1, +1) < ... An *encoded* word is a str with one
-character chr(code) per letter.
+The functions on encoded text below take a flip table (`flip_table`), the
+`str.translate` table that maps each code in use to its inverse letter.
+`Word`'s methods wrap them; the deficiency search calls them on raw text.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 
-def letter_code(g, s):
-    """The code of letter (g, s)."""
-    return 2 * g + (s < 0)
+# generator indices whose two letter codes are characters
+_MAX_INDEX = 0x110000 // 2
 
 
 def encode(letters):
-    """A letter sequence as an encoded word."""
-    return "".join([chr(letter_code(g, s)) for g, s in letters])
+    """A letter sequence as (unreduced) encoded text."""
+    codes = []
+    for g, s in letters:
+        if s not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {s!r}")
+        if not 0 <= g < _MAX_INDEX:
+            raise ValueError(f"generator index must be in [0, {_MAX_INDEX}), got {g!r}")
+        codes.append(2 * int(g) + (s < 0))
+    return "".join(map(chr, codes))
 
 
 def decode(text):
@@ -27,120 +36,146 @@ def decode(text):
     return tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, text))
 
 
-def reduce_letters(letters):
-    """Freely reduce a letter sequence (stack cancellation)."""
+@lru_cache(maxsize=None)
+def flip_table(n):
+    """The str whose character at code c < n is chr(c ^ 1): inverts every
+    letter of a text whose codes are below n."""
+    return "".join([chr(c ^ 1) for c in range(n)])
+
+
+def flip_for(text):
+    """The flip table of the least power of two above every code of text's
+    generators (at most all characters): it also inverts text's inverse."""
+    n = 1 << (ord(max(text, default="\0")) | 1).bit_length()
+    return flip_table(min(n, 2 * _MAX_INDEX))
+
+
+def free_reduce(text, flip):
+    """Freely reduce an encoded word (stack cancellation)."""
     out = []
-    for g, s in letters:
-        if s not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {s!r}")
-        if out and out[-1][0] == g and out[-1][1] == -s:
+    for c, inv in zip(text, text.translate(flip)):
+        if out and out[-1] == inv:
             out.pop()
         else:
-            out.append((int(g), s))
-    return tuple(out)
+            out.append(c)
+    return "".join(out)
+
+
+def inverse(text, flip):
+    return text[::-1].translate(flip)
+
+
+def product(a, a_inv, b):
+    """The product of reduced encoded words a and b, given a's inverse: the
+    letters that cancel at the seam are the common prefix of a^-1 and b."""
+    t, n = 0, min(len(a), len(b))
+    while t < n and a_inv[t] == b[t]:
+        t += 1
+    return a[:len(a) - t] + b[t:]
+
+
+def cyclic_core(text, flip):
+    """The cyclically reduced core of a reduced encoded word."""
+    a, b = 0, len(text)
+    while b - a >= 2 and text[a] == flip[ord(text[b - 1])]:
+        a += 1
+        b -= 1
+    return text[a:b]
+
+
+def substitute(text, table, flip):
+    """Replace each letter code of `text` by its image in the `str.translate`
+    table `table` and freely reduce; `flip` covers the images' codes."""
+    return free_reduce(text.translate(table), flip)
 
 
 class Word:
-    __slots__ = ("letters",)
+    __slots__ = ("text",)
 
     def __init__(self, letters=()):
-        object.__setattr__(self, "letters", reduce_letters(letters))
+        text = encode(letters)
+        object.__setattr__(self, "text", free_reduce(text, flip_for(text)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
-
-    @classmethod
-    def identity(cls):
-        return _IDENTITY
 
     @classmethod
     def generator(cls, index, sign=1):
         return cls(((index, sign),))
 
     @classmethod
-    def _reduced(cls, letters):
-        """Wrap a letter tuple already known to be freely reduced, unchecked."""
+    def _reduced(cls, text):
+        """Wrap an encoded word already known to be freely reduced, unchecked."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "text", text)
         return w
 
+    @property
+    def letters(self):
+        return decode(self.text)
+
     def __len__(self):
-        return len(self.letters)
+        return len(self.text)
 
     def __bool__(self):
-        return bool(self.letters)
+        return bool(self.text)
 
     def is_identity(self):
-        return not self.letters
+        return not self.text
 
     def __mul__(self, other):
-        # both factors are reduced, so cancellation happens only at the seam
-        a, b = self.letters, other.letters
-        t, n = 0, min(len(a), len(b))
-        while t < n and a[-1 - t] == (b[t][0], -b[t][1]):
-            t += 1
-        return Word._reduced(a[:len(a) - t] + b[t:])
+        a = self.text
+        return Word._reduced(product(a, inverse(a, flip_for(a)), other.text))
 
     def inverse(self):
-        return Word._reduced(tuple((g, -s) for g, s in reversed(self.letters)))
-
-    __invert__ = inverse
+        return Word._reduced(inverse(self.text, flip_for(self.text)))
 
     def __pow__(self, n):
-        if n == 0:
-            return _IDENTITY
-        base = self if n > 0 else self.inverse()
-        return Word(base.letters * abs(n))
+        text = (self if n >= 0 else self.inverse()).text * abs(n)
+        return Word._reduced(free_reduce(text, flip_for(text)))
 
     def conjugated_by(self, u):
         """u * self * u^-1."""
         return u * self * u.inverse()
 
     def exponent_sum(self, gen):
-        return sum(s for g, s in self.letters if g == gen)
+        return self.text.count(chr(2 * gen)) - self.text.count(chr(2 * gen + 1))
 
     def generator_count(self, gen):
-        return sum(1 for g, _ in self.letters if g == gen)
+        return self.text.count(chr(2 * gen)) + self.text.count(chr(2 * gen + 1))
 
     def max_generator(self):
-        return max(self.letters, default=(-1, 0))[0]
+        return ord(max(self.text)) >> 1 if self.text else -1
 
     def cyclically_reduced(self):
         """Return (core, conjugator) with self == conjugator * core * conjugator^-1
         and core cyclically reduced."""
-        letters = self.letters
-        a, b = 0, len(letters)
-        while b - a >= 2 and letters[a] == (letters[b - 1][0], -letters[b - 1][1]):
-            a += 1
-            b -= 1
-        return Word._reduced(letters[a:b]), Word._reduced(letters[:a])
+        text = self.text
+        core = cyclic_core(text, flip_for(text))
+        return Word._reduced(core), Word._reduced(text[:(len(text) - len(core)) // 2])
 
     def substituted(self, images):
         """Replace generator i by the word images[i] (extended to inverses)."""
-        out = []
-        for g, s in self.letters:
-            w = images[g]
-            out.extend(w.letters if s > 0 else w.inverse().letters)
-        return Word(out)
+        gens = {ord(c) >> 1 for c in self.text}
+        flip = flip_for("".join([images[g].text for g in gens]))
+        table = {}
+        for g in gens:
+            table[2 * g] = images[g].text
+            table[2 * g + 1] = inverse(images[g].text, flip)
+        return Word._reduced(substitute(self.text, table, flip))
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self.text == other.text
 
     def __hash__(self):
-        return hash(self.letters)
+        return hash(self.text)
 
     def __lt__(self, other):
         # length-lexicographic; letter order (0,+1) < (0,-1) < (1,+1) < ...
-        return self._lex_key() < other._lex_key()
-
-    def _lex_key(self):
-        return len(self.letters), tuple(letter_code(g, s) for g, s in self.letters)
+        return (len(self.text), self.text) < (len(other.text), other.text)
 
     def __repr__(self):
         return f"Word({self.letters!r})"
-
-
-_IDENTITY = Word._reduced(())
 
 
 def reduce_word(w):
@@ -153,16 +188,15 @@ def reduce_word(w):
 def words_in_length_lex_order(num_generators, max_length):
     """Yield all freely reduced words up to max_length, shortest first,
     ties broken lexicographically by (generator index, +1 before -1)."""
-    alphabet = [(g, s) for g in range(num_generators) for s in (1, -1)]
+    alphabet = [chr(c) for c in range(2 * num_generators)]
     yield Word()
-    level = [()]
+    level = [""]
     for _ in range(max_length):
         nxt = []
         for prefix in level:
-            for g, s in alphabet:
-                if prefix and prefix[-1] == (g, -s):
-                    continue
-                letters = prefix + ((g, s),)
-                nxt.append(letters)
-                yield Word(letters)
+            back = chr(ord(prefix[-1]) ^ 1) if prefix else ""
+            for c in alphabet:
+                if c != back:
+                    nxt.append(prefix + c)
+                    yield Word._reduced(prefix + c)
         level = nxt

@@ -9,7 +9,9 @@ elimination over F_p for the Smith-form ranks of `intlinalg.rank_over_field`,
 [A; I], `dense_column_echelon` is the list-of-rows column elimination that
 `column_echelon` must reproduce exactly, and `dense_solve_integer_system`
 is the dense back-substitution followed by V*Y that
-`intlinalg.solve_integer_system` must reproduce exactly.
+`intlinalg.solve_integer_system` must reproduce exactly. The `letters_*`
+functions are the word algebra on letter tuples ((generator, +1 or -1)
+pairs) that `words` and `Word` must agree with on encoded text.
 """
 
 from d2kit.intlinalg import DimensionMismatch, IntMatrix, _echelon, _stacked_columns
@@ -207,3 +209,50 @@ def dense_column_echelon(A):
         c += 1
     return (IntMatrix(m, n, [x for row in H for x in row]),
             IntMatrix(n, n, [x for row in V for x in row]))
+
+
+def letters_reduce(letters):
+    """Freely reduce a letter sequence (stack cancellation)."""
+    out = []
+    for g, s in letters:
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return tuple(out)
+
+
+def letters_inverse(letters):
+    return tuple((g, -s) for g, s in reversed(letters))
+
+
+def letters_product(a, b):
+    """The product of reduced letter tuples; cancellation only at the seam."""
+    t, n = 0, min(len(a), len(b))
+    while t < n and a[-1 - t] == (b[t][0], -b[t][1]):
+        t += 1
+    return a[:len(a) - t] + b[t:]
+
+
+def letters_cyclic_core(letters):
+    """(core, conjugator) of a reduced letter tuple: letters is conjugator *
+    core * conjugator^-1 with core cyclically reduced."""
+    a, b = 0, len(letters)
+    while b - a >= 2 and letters[a] == (letters[b - 1][0], -letters[b - 1][1]):
+        a += 1
+        b -= 1
+    return letters[a:b], letters[:a]
+
+
+def letters_substitute(letters, images):
+    """Replace generator g by the letter tuple images[g] (extended to
+    inverses) and freely reduce."""
+    out = []
+    for g, s in letters:
+        out.extend(images[g] if s > 0 else letters_inverse(images[g]))
+    return letters_reduce(out)
+
+
+def letters_order_key(letters):
+    """Length-lexicographic key, letters ordered (0, +1) < (0, -1) < (1, +1) < ..."""
+    return len(letters), tuple(2 * g + (s < 0) for g, s in letters)

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance (all are
 exact) and reports one line in the terminal summary (see conftest.py)."""
 
+import os
 import random
 import shutil
 import subprocess
@@ -259,16 +260,17 @@ def test_criterion_11_subpresentation_extension_counts():
 
 def test_criterion_12_report_determinism(tmp_path):
     """Repeated runs of `d2kit report corpus/` produce byte-identical
-    stdout and sidecar."""
+    stdout and sidecar, also under different str hash seeds."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for fp in CORPUS.glob("*.fp"):
         shutil.copy(fp, corpus)
     outputs = []
     sidecars = []
-    for _ in range(2):
+    for seed in ("1", "2"):
         r = subprocess.run([sys.executable, "-m", "d2kit.cli", "report",
-                            str(corpus)], capture_output=True)
+                            str(corpus)], capture_output=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed})
         assert r.returncode == 0
         outputs.append(r.stdout)
         sidecars.append((corpus / "report.jsonl").read_bytes())

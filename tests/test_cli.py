@@ -404,6 +404,17 @@ def test_nonpositive_limit_flag_rejected(tmp_path, capsys, flag, command, value)
     assert not (corpus / "report.jsonl").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_negative_max_len_rejected(capsys, value):
+    fp = str(CORPUS / "a5.fp")
+    assert main(["normal-gen", fp, "--max-len", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "d2kit: --max-len must be at least 0\n"
+    assert captured.out == ""
+    assert main(["normal-gen", fp, "--max-len", "0"]) == 0
+    assert "tested: 1" in capsys.readouterr().out
+
+
 def test_acx_oversized_rank_rejected(tmp_path, capsys):
     # each boundary fits, but split builds an f3 x f3 identity and a system
     # of (f3 |G|) x f3 right-hand sides; at f3 = 200000 that fills memory

@@ -3,6 +3,7 @@ import hashlib
 import io
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,15 +19,10 @@ from d2kit.presentations import (
     serialize_presentation,
 )
 from d2kit.tietze import (
-    _cyclic_core,
     _eliminate_generator,
-    _flip_table,
-    _free_reduce,
-    _inverse,
     _is_duplicate,
     _node_text,
     _presentation,
-    _product,
     _simplify,
     _single_generators,
     AddGenerator,
@@ -45,7 +41,25 @@ from d2kit.tietze import (
     simplify,
     subpresentation,
 )
-from d2kit.words import Word, decode, encode
+from d2kit.words import (
+    Word,
+    cyclic_core,
+    decode,
+    encode,
+    flip_table,
+    free_reduce,
+    inverse,
+    product,
+    substitute,
+)
+from exact_oracles import (
+    letters_cyclic_core,
+    letters_inverse,
+    letters_order_key,
+    letters_product,
+    letters_reduce,
+    letters_substitute,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -314,10 +328,9 @@ def test_name_clash_renaming():
 # --- the search and simplify against the implementation they replaced ------
 
 def _reference_cyclic_form_key(w):
-    core, _ = w.cyclically_reduced()
-    letters = core.letters
+    core, _ = letters_cyclic_core(w.letters)
     best = None
-    for cand in (letters, core.inverse().letters):
+    for cand in (core, letters_inverse(core)):
         n = len(cand)
         for k in range(max(n, 1)):
             rot = cand[k:] + cand[:k]
@@ -411,7 +424,7 @@ def test_simplify_matches_reference_on_random_presentations():
 # (generators 27648 to 28671)
 _POOLS = ((0,), (0, 1), (0, 1, 2), (4, 5, 6), (5,), (0, 5, 130), (128, 129, 300),
           (2, 27700, 28000))
-_FLIP = _flip_table(28001)
+_FLIP = flip_table(2 * 28001)
 
 
 def _random_letters(rng, pool, length):
@@ -419,6 +432,8 @@ def _random_letters(rng, pool, length):
 
 
 def test_encoded_helpers_match_words():
+    # words.py's str functions and Word's methods against the letter-tuple
+    # algebra of exact_oracles
     rng = random.Random(1980)
     checked = periodic = duplicates = substituted = 0
     for _ in range(3000):
@@ -427,34 +442,43 @@ def test_encoded_helpers_match_words():
         if raw and rng.random() < 0.3:
             raw *= rng.randint(2, 5)
             periodic += 1
+        letters = letters_reduce(raw)
         w = Word(raw)
-        text = encode(w.letters)
+        text = w.text
         assert decode(encode(raw)) == tuple(raw)
-        assert decode(text) == w.letters and len(text) == len(w)
-        assert _free_reduce(encode(raw), _FLIP) == text
-        inv = _inverse(text, _FLIP)
-        assert inv == encode(w.inverse().letters)
+        assert decode(text) == w.letters == letters and len(text) == len(w)
+        assert free_reduce(encode(raw), _FLIP) == text
+        inv = inverse(text, _FLIP)
+        assert decode(inv) == w.inverse().letters == letters_inverse(letters)
         # a right factor that often cancels part of w at the seam
-        v = Word(list(w.inverse().letters[:rng.randint(0, len(w))])
-                 + _random_letters(rng, pool, rng.randint(0, 4)))
-        assert _product(text, inv, encode(v.letters)) == encode((w * v).letters)
-        core = _cyclic_core(text, _FLIP)
-        assert core == encode(w.cyclically_reduced()[0].letters)
-        assert _single_generators(text, _FLIP) == {
-            g for g in pool if w.generator_count(g) == 1}
-        if w:
-            g = rng.choice(w.letters)[0]
-            image = Word(_random_letters(rng, pool, rng.randint(0, 5)))
-            images = {h: Word.generator(h) for h in pool}
-            images[g] = image
-            table = {2 * g: encode(image.letters),
-                     2 * g + 1: encode(image.inverse().letters)}
-            assert _free_reduce(text.translate(table), _FLIP) == encode(
-                w.substituted(images).letters)
+        v = letters_reduce(list(letters_inverse(letters)[:rng.randint(0, len(w))])
+                           + _random_letters(rng, pool, rng.randint(0, 4)))
+        expected = letters_product(letters, v)
+        assert decode(product(text, inv, encode(v))) == expected
+        assert (w * Word(v)).letters == expected
+        assert (w < Word(v)) == (letters_order_key(letters) < letters_order_key(v))
+        core = cyclic_core(text, _FLIP)
+        ref_core, ref_conjugator = letters_cyclic_core(letters)
+        assert decode(core) == ref_core
+        assert [x.letters for x in w.cyclically_reduced()] == [ref_core, ref_conjugator]
+        counts = Counter(g for g, _ in letters)
+        assert _single_generators(text, _FLIP) == {g for g in pool if counts[g] == 1}
+        for g in pool:
+            assert w.generator_count(g) == counts[g]
+            assert w.exponent_sum(g) == sum(s for h, s in letters if h == g)
+        if letters:
+            g = rng.choice(letters)[0]
+            images = {h: ((h, 1),) for h in pool}
+            images[g] = letters_reduce(_random_letters(rng, pool, rng.randint(0, 5)))
+            expected = letters_substitute(letters, images)
+            table = {2 * g: encode(images[g]),
+                     2 * g + 1: encode(letters_inverse(images[g]))}
+            assert decode(substitute(text, table, _FLIP)) == expected
+            assert w.substituted({h: Word(x) for h, x in images.items()}).letters == expected
             substituted += 1
         if not core:
             continue
-        r = Word._reduced(decode(core))
+        r = Word._reduced(core)
         # a rotation of r or of its inverse, or another word of its length
         other = rng.choice((r, r.inverse())).letters
         k = rng.randrange(len(other))
@@ -464,9 +488,8 @@ def test_encoded_helpers_match_words():
         o = Word(other).cyclically_reduced()[0]
         if not o:
             continue
-        o_text = encode(o.letters)
         same = _reference_cyclic_form_key(r) == _reference_cyclic_form_key(o)
-        assert _is_duplicate(core, _inverse(core, _FLIP), [o_text + o_text]) == same
+        assert _is_duplicate(core, inverse(core, _FLIP), [o.text + o.text]) == same
         checked += 1
         duplicates += same
     assert checked > 1500 and periodic > 500 and substituted > 2000
@@ -482,8 +505,8 @@ def test_eliminate_generator_renumbers_past_code_ten():
     expected = parse_presentation(
         "gens: a c d e f g\nrels: (f^-1 g^2 f^2) (g^2 a)\n")
     assert apply_move(P, RemoveGenerator(1)) == expected
-    node = _eliminate_generator(gens, tuple(encode(r.letters) for r in P.relators),
-                                1, 0, _flip_table(7))
+    node = _eliminate_generator(gens, tuple(r.text for r in P.relators),
+                                1, 0, flip_table(14))
     assert node[1][1] == "\n\n\x00" and _presentation(*node) == expected
 
 
@@ -643,8 +666,8 @@ def test_node_text_matches_serialize_presentation():
         P = _random_presentation(rng)
         if rng.random() < 0.5:  # names of three letters
             P = Presentation(("gen", "x_2", "Yz9")[:P.num_generators], P.relators)
-        node = _simplify(P.generators, tuple(encode(r.letters) for r in P.relators),
-                         {}, _flip_table(P.num_generators))
+        node = _simplify(P.generators, tuple(r.text for r in P.relators),
+                         {}, flip_table(2 * P.num_generators))
         eliminated += len(node[0]) < P.num_generators
         nodes.append(node)
     x3, y_2 = ((0, 1),) * 3, ((1, -1),) * 2

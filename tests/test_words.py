@@ -1,6 +1,8 @@
 import random
 
-from d2kit.words import Word, reduce_letters, reduce_word, words_in_length_lex_order
+import pytest
+
+from d2kit.words import Word, reduce_word, words_in_length_lex_order
 
 
 def W(*letters):
@@ -24,7 +26,17 @@ def test_reduce_idempotent_and_length_nonincreasing():
         w = Word(letters)
         assert reduce_word(w) == w
         assert len(w) <= len(letters)
-        assert reduce_letters(w.letters) == w.letters
+        assert Word(w.letters) == w
+
+
+def test_generator_index_out_of_range_rejected():
+    # negative indices, and indices whose letter codes pass U+10FFFF
+    for g in (-1, -7, 0x110000 // 2, 10**9):
+        with pytest.raises(ValueError, match="generator index must be in"):
+            Word([(0, 1), (g, 1)])
+        with pytest.raises(ValueError, match="generator index must be in"):
+            Word.generator(g, -1)
+    assert Word.generator(0x110000 // 2 - 1, -1).text == chr(0x10FFFF)
 
 
 def test_reduce_is_multiplicative():
