@@ -132,6 +132,16 @@ def _index(text, bound, what):
     return i
 
 
+def _position(key, line, parts, rows, cols, seen):
+    """The (row, column) of a [dN] entry line, added to `seen`; an entry
+    may be given once per section."""
+    rc = (_index(parts[0], rows, "row"), _index(parts[1], cols, "column"))
+    if rc in seen:
+        raise AcxError(f"{key} line {line!r} repeats entry {rc[0]} {rc[1]}")
+    seen.add(rc)
+    return rc
+
+
 def _check_group(mult, gens):
     """Raise AcxError unless `mult` is the table of a group with identity 0.
 
@@ -227,6 +237,7 @@ def loads(text):
         key = f"[d{i}]"
         rows, cols = ranks[i - 1], ranks[i]
         body = sec.get(key, [])
+        seen = set()
         if mode == "finite":
             # row r*|G| + t, column c of the flat coefficient matrix holds
             # the coefficient of element t in entry (r, c)
@@ -235,8 +246,7 @@ def loads(text):
                 parts = line.split()
                 if len(parts) < 2:
                     raise AcxError(f"{key} line {line!r} lacks a row and column")
-                r = _index(parts[0], rows, "row")
-                c = _index(parts[1], cols, "column")
+                r, c = _position(key, line, parts, rows, cols, seen)
                 coeffs = [0] * order
                 for p in parts[2:]:
                     idx, _, coeff = p.partition(":")
@@ -247,8 +257,12 @@ def loads(text):
         else:
             entries = [[0] * cols for _ in range(rows)]
             for line in body:
-                r, c, v = line.split()
-                entries[_index(r, rows, "row")][_index(c, cols, "column")] = int(v)
+                parts = line.split()
+                if len(parts) != 3:
+                    raise AcxError(f"{key} line {line!r} is not a row, a column "
+                                   "and a coefficient")
+                r, c = _position(key, line, parts, rows, cols, seen)
+                entries[r][c] = int(parts[2])
             boundaries.append(IntMatrix(rows, cols,
                                         [x for row in entries for x in row]))
     return AlgebraicComplex(ranks, model, tuple(boundaries), presentation)

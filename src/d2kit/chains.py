@@ -22,14 +22,13 @@ d1 o d2 = 0 for every presentation complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 from .coset import FiniteGroupModel
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
-    _action_terms,
     _gr_solution,
     gr_integer_system,
     regular_rep_expand,
@@ -442,9 +441,19 @@ def _identity_certificate(F):
 
 def _canonical_degree0(model, t0, s0):
     """t0 x s0 map sending every source basis vector to the first target
-    basis vector (augmentation-compatible): row 0 of its vec is all ones."""
-    return GroupRingMatrix._raw(model, t0, s0, IntMatrix._raw(
-        t0 * model.order, s0, (1,) * s0 + (0,) * ((t0 * model.order - 1) * s0)))
+    basis vector (augmentation-compatible)."""
+    one, zero = GroupRingElement.one(model), GroupRingElement.zero(model)
+    return GroupRingMatrix(model, t0, s0, [one if i == 0 else zero
+                                           for i in range(t0) for _ in range(s0)])
+
+
+def _pi2(F):
+    """pi_2 = ker d_2 as an f_2 x k ZG matrix whose vec columns are the
+    Hermite basis of the kernel lattice of the expanded d_2."""
+    n, f2 = F.model.order, F.ranks[2]
+    K = kernel_basis(regular_rep_expand(F.boundary(2)))
+    return GroupRingMatrix(F.model, f2, len(K), [
+        GroupRingElement(F.model, v[i * n:(i + 1) * n]) for i in range(f2) for v in K])
 
 
 def _lift_chain_map(src, tgt, budget):
@@ -462,27 +471,6 @@ def _lift_chain_map(src, tgt, budget):
     return phi
 
 
-def _correction_image(omega, c, K_src):
-    """Sparse columns of regular_rep_expand(omega) * K_src^T for an omega
-    that is zero outside matrix column c. The expansion is zero outside
-    column block c, so only slice c*|G|..(c+1)*|G| of each K_src vector
-    meets it: coefficient a of element t in omega_ic adds a * v[c*|G| + x]
-    to row i*|G| + x*t of the image of v."""
-    n = omega.model.order
-    terms = [(i * n, a, perm) for i, _, a, perm in _action_terms(omega, False, (c,))]
-    images = []
-    for v in K_src:
-        seg = v[c * n:(c + 1) * n]
-        hits = [(x, seg[x]) for x in compress(range(n), seg)]
-        col = {}
-        for off, a, perm in terms:
-            for x, y in hits:
-                r = off + perm[x]
-                col[r] = col.get(r, 0) + a * y
-        images.append({r: y for r, y in col.items() if y})
-    return images
-
-
 def _merged(base, *terms):
     """Fresh sparse columns: base plus sign * image for each (sign, image)
     in terms, sign = 1 or -1."""
@@ -493,45 +481,40 @@ def _merged(base, *terms):
     return cols
 
 
-def _phi2_candidates(phi2, src, tgt, K_src, K_tgt, budget):
-    """Yield (candidate, image) for the phi2 variants that keep the chain
-    condition: phi2 itself, then single and double corrections by a
-    kernel-lattice column of K_tgt placed in one column of the matrix.
+def _phi2_candidates(phi2, K_src, K_tgt, budget):
+    """Yield (corrections, image) for the phi2 variants that keep the chain
+    condition: phi2 itself, then phi2 plus single and double corrections,
+    one budget unit each. A correction is (sign, omega) with omega = v e_c^T
+    for a column v of K_tgt placed in matrix column c, sign 1 or -1.
 
-    image is regular_rep_expand(candidate) * K_src^T (K_src^T holds the
-    source kernel basis as columns) as sparse {row: value} columns in
-    `intlinalg._columns` form, built fresh for each candidate, so the
-    caller may reduce it in place. phi2's image is expanded and multiplied
-    once; each single correction's image is built from its one nonzero
-    column block (`_correction_image`); a candidate's image merges those."""
-    model = src.model
-    order = model.order
-    s2, t2 = src.ranks[2], tgt.ranks[2]
-    basis_t = IntMatrix._raw(s2 * order, len(K_src),
-                             tuple(x for row in zip(*K_src) for x in row))
-    base = _columns(regular_rep_expand(phi2) * basis_t)
-    yield phi2, _merged(base)
+    image is the vec of (phi2 + sum sign * omega) o K_src as fresh sparse
+    `intlinalg._columns`, which the caller may reduce in place. It merges
+    phi2 o K_src with v o (row c of K_src) = omega o K_src, each composed
+    once per orientation."""
+    model, s2, t2 = K_src.model, K_src.rows, K_tgt.rows
+    base = _columns(phi2.compose(K_src).vec)
+    yield (), _merged(base)
+    units = GroupRingMatrix.identity(model, s2)
+    targets = [K_tgt.submatrix(range(t2), (j,)) for j in range(K_tgt.cols)]
     singles = []
     for c in range(s2):
-        for v in K_tgt:
-            vec = [0] * (t2 * order * s2)
-            vec[c::s2] = v
-            omega = GroupRingMatrix._raw(model, t2, s2,
-                                         IntMatrix._raw(t2 * order, s2, tuple(vec)))
-            image = _correction_image(omega, c, K_src)
-            signed = ((omega, (1, image)), (-omega, (-1, image)))
-            singles.append(signed)
-            for w, term in signed:
+        row = K_src.submatrix((c,), range(K_src.cols))
+        unit = units.submatrix((c,), range(s2))
+        for v in targets:
+            omega, image = v.compose(unit), _columns(v.compose(row).vec)
+            singles.append((omega, image))
+            for sign in (1, -1):
                 if not budget.spend():
                     return
-                yield phi2 + w, _merged(base, term)
-    for a, sa in enumerate(singles):
-        for sb in singles[a + 1:]:
-            for xa, ta in sa:
-                for xb, tb in sb:
+                yield ((sign, omega),), _merged(base, (sign, image))
+    for a, (wa, ia) in enumerate(singles):
+        for wb, ib in singles[a + 1:]:
+            for sa in (1, -1):
+                for sb in (1, -1):
                     if not budget.spend():
                         return
-                    yield phi2 + (xa + xb), _merged(base, ta, tb)
+                    yield (((sa, wa), (sb, wb)),
+                           _merged(base, (sa, ia), (sb, ib)))
 
 
 def _contract_cone(phi, src, tgt, budget):
@@ -588,24 +571,27 @@ def _extract_certificate(phi, src, tgt, contraction):
 
 def _attempt_orientation(src, tgt, K_src, K_tgt, budget):
     """Try to certify src ~ tgt by lifting src -> tgt and contracting the
-    cone; K_src and K_tgt are the Hermite bases of the kernel lattices
-    pi_2 = ker d_2. A phi2 candidate goes on to the cone only when it maps
-    K_src onto K_tgt: the ranks agree and its image has the Hermite form
-    K_tgt. Returns (forward src->tgt, backward, hom_src, hom_tgt) or None.
+    cone; K_src and K_tgt are pi_2 = ker d_2 as ZG matrices (`_pi2`). A
+    phi2 candidate goes on to the cone only when it maps K_src onto K_tgt:
+    the ranks agree and its image has the Hermite form K_tgt.vec. Only then
+    is its matrix built. Returns (forward src->tgt, backward, hom_src,
+    hom_tgt) or None.
 
     The test reduces each candidate's sparse image columns in place with
     `intlinalg._echelon`, whose pivot columns are the Hermite normal form of
-    the lattice they span, and compares them with K_tgt as sparse columns.
+    the lattice they span, and compares them with the columns of K_tgt.vec.
     The Hermite form is unique, so this is the same decision as
     `column_hnf(image) == K_tgt` on the dense image, in exact integers."""
     phi = _lift_chain_map(src, tgt, budget)
     if phi is None:
         return None
-    m = tgt.ranks[2] * tgt.model.order
-    goal = [{i: x for i, x in enumerate(v) if x} for v in K_tgt]
-    for phi2, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt, budget):
-        if len(K_src) != len(K_tgt) or image[:_echelon(image, m)] != goal:
+    goal, m = _columns(K_tgt.vec), K_tgt.vec.rows
+    for corrections, image in _phi2_candidates(phi[2], K_src, K_tgt, budget):
+        if K_src.cols != K_tgt.cols or image[:_echelon(image, m)] != goal:
             continue
+        phi2 = phi[2]
+        for sign, omega in corrections:
+            phi2 = phi2 + omega if sign > 0 else phi2 - omega
         cand = [phi[0], phi[1], phi2]
         contraction = _contract_cone(cand, src, tgt, budget)
         if contraction is None:
@@ -649,8 +635,7 @@ def certify_chain_equivalence(F, G, budget=DEFAULT_CERTIFY_BUDGET):
             return CertifyOutcome(
                 "not_equivalent", None,
                 f"homology over {field} differs: {hF} vs {hG}", b.used)
-    K_F = kernel_basis(regular_rep_expand(F.boundary(2)))
-    K_G = kernel_basis(regular_rep_expand(G.boundary(2)))
+    K_F, K_G = _pi2(F), _pi2(G)
     for flip in (False, True):
         src, tgt, K_src, K_tgt = (G, F, K_G, K_F) if flip else (F, G, K_F, K_G)
         res = _attempt_orientation(src, tgt, K_src, K_tgt, b)

@@ -45,6 +45,8 @@ def _read_presentation(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: {e}")
     try:
         return parse_presentation(text)
     except ParseError as e:
@@ -62,6 +64,14 @@ def _read_complex(path):
     if not rep.chain_ok:
         raise CliError(f"{path}: corrupted complex: " + "; ".join(rep.failures))
     return F
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror}")
 
 
 def _require(path, F, degree, what, finite=True):
@@ -137,6 +147,8 @@ def _read_expectations(expected_path):
         expected = json.loads(Path(expected_path).read_text(encoding="utf-8"))
     except OSError as e:
         raise CliError(f"cannot read expectations {expected_path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise CliError(f"{expected_path}: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"{expected_path}: bad JSON: {e}")
     if not isinstance(expected, dict):
@@ -216,7 +228,7 @@ def cmd_chain(args):
         except Exception as e:
             raise CliError(f"{args.file}: cannot build finite model: {e}")
     F = presentation_complex(P, model)
-    acx.write_acx(F, args.out)
+    _write(args.out, acx.dumps(F))
     _emit([("out", args.out), ("mode", "finite" if model else "symbolic"),
            ("ranks", " ".join(str(r) for r in F.ranks)),
            ("euler_characteristic", euler_characteristic(F))], args.format)
@@ -243,7 +255,7 @@ def cmd_wedge(args):
             GroupRingMatrix.identity(F.model, args.n))
         W = attach_three_cells(W, d3)
     out = args.out or args.acx
-    acx.write_acx(W, out)
+    _write(out, acx.dumps(W))
     _emit([("out", out), ("wedged", args.n), ("attached", args.attach),
            ("ranks", " ".join(str(r) for r in W.ranks)),
            ("euler_characteristic", euler_characteristic(W))], args.format)
@@ -273,7 +285,7 @@ def cmd_quotient(args):
         raise CliError(f"{args.acx}: top boundary does not split")
     Q = quotient_by_split_summand(F, rep)
     out = args.out or args.acx
-    acx.write_acx(Q, out)
+    _write(out, acx.dumps(Q))
     _emit([("out", out), ("ranks", " ".join(str(r) for r in Q.ranks)),
            ("euler_characteristic", euler_characteristic(Q))], args.format)
     return 0
@@ -314,6 +326,10 @@ def cmd_report(args):
                                      args.budget, args.max_cosets))
         except CliError as e:
             records.append({"file": path.name, "error": str(e)})
+    # the sidecar first, so that a path that cannot be written prints no table
+    sidecar = args.sidecar or str(directory / "report.jsonl")
+    _write(sidecar, "".join(json.dumps(rec, sort_keys=True, default=str) + "\n"
+                            for rec in records))
 
     def cell(rec, col):
         v = _shown(col, rec.get(col, "-"))
@@ -330,10 +346,6 @@ def cmd_report(args):
         if "error" in rec:
             line = line.rstrip() + f"  # error: {rec['error']}"
         out.write(line.rstrip() + "\n")
-    sidecar = args.sidecar or str(directory / "report.jsonl")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, default=str) + "\n")
     return 0
 
 

@@ -39,8 +39,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # free reduction, so the check comes before any letter is built.
 MAX_RELATOR_LETTERS = 100_000
 
-# The most generators a presentation may have. It bounds the letter codes,
-# and so the flip tables (words.flip_table) of its relators' encoded text.
+# The most generators a presentation may have. It bounds the letter codes
+# of its relators' encoded text.
 MAX_GENERATORS = 100_000
 
 

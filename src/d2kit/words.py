@@ -36,18 +36,37 @@ def decode(text):
     return tuple((c >> 1, -1 if c & 1 else 1) for c in map(ord, text))
 
 
-@lru_cache(maxsize=None)
 def flip_table(n):
     """The str whose character at code c < n is chr(c ^ 1): inverts every
     letter of a text whose codes are below n."""
     return "".join([chr(c ^ 1) for c in range(n)])
 
 
+class _Flip:
+    """The flip table of every code, one lookup at a time."""
+    __slots__ = ()
+
+    def __getitem__(self, c):
+        return chr(c ^ 1)
+
+
+# codes below this get a cached flip table: at most 17 tables (one per
+# power of two), 256 KB in all, since their characters fit in two bytes
+_SMALL_FLIP = 1 << 16
+_small_flip_table = lru_cache(maxsize=None)(flip_table)
+_EVERY_FLIP = _Flip()
+
+
 def flip_for(text):
-    """The flip table of the least power of two above every code of text's
-    generators (at most all characters): it also inverts text's inverse."""
-    n = 1 << (ord(max(text, default="\0")) | 1).bit_length()
-    return flip_table(min(n, 2 * _MAX_INDEX))
+    """A flip table for the codes of text's generators and every lower code,
+    so it also inverts text's inverse and any renumbering down: the cached
+    flip_table of the least power of two above them when that is at most
+    _SMALL_FLIP, else a table that flips each code as it is looked up, so
+    that no large table is built or kept."""
+    top = ord(max(text, default="\0")) | 1
+    if top < _SMALL_FLIP:
+        return _small_flip_table(1 << top.bit_length())
+    return _EVERY_FLIP
 
 
 def free_reduce(text, flip):

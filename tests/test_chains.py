@@ -12,9 +12,9 @@ from d2kit.chains import (
     AlgebraicComplex,
     _Budget,
     _contract_cone,
-    _correction_image,
     _lift_chain_map,
     _phi2_candidates,
+    _pi2,
     NotAChainMap,
     NotSplit,
     attach_three_cells,
@@ -488,6 +488,34 @@ def _pi2_by_determinant(phi2, K_src, K_tgt):
     return Y is not None and determinant(Y) in (1, -1)
 
 
+def _corrected(phi2, corrections):
+    """phi2 plus sign * omega for each correction (sign, omega)."""
+    for sign, omega in corrections:
+        phi2 = phi2 + omega if sign > 0 else phi2 - omega
+    return phi2
+
+
+def _kernel(F):
+    """The Hermite basis of pi_2 = ker d_2 as tuples, built without _pi2."""
+    return kernel_basis(regular_rep_expand(F.boundary(2)))
+
+
+@pytest.mark.parametrize("text, k", [
+    ("gens: x\nrels: x^5\n", 4),
+    ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 11),
+    ("gens: a\nrels: a\n", 0),
+], ids=["z5", "s3", "trivial-a"])
+def test_pi2_is_the_kernel_of_d2(text, k):
+    P = parse_presentation(text)
+    F = presentation_complex(P, group_model(P, 1000))
+    # a wedged 2-sphere adds one free ZG summand, |G| lattice vectors
+    for X, rank in ((F, k), (stabilize_wedge(F, 1), k + F.model.order)):
+        K = _pi2(X)
+        assert (K.rows, K.cols) == (X.ranks[2], rank)
+        assert X.boundary(2).compose(K).is_zero()
+        assert [K.vec.column(j) for j in range(K.cols)] == _kernel(X)
+
+
 @pytest.mark.parametrize("text, dup", [
     ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 2),
     ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 1),
@@ -500,13 +528,13 @@ def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
     for src, tgt in ((F, G), (G, F)):
         budget = _Budget(120)
         phi = _lift_chain_map(src, tgt, budget)
-        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
-        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
+        K_src, K_tgt = _kernel(src), _kernel(tgt)
         K_src_t = IntMatrix.from_rows(K_src).transpose()
         m = tgt.ranks[2] * tgt.model.order
         goal = [{i: x for i, x in enumerate(v) if x} for v in K_tgt]
-        for phi2, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt,
-                                            budget):
+        for corrections, image in _phi2_candidates(phi[2], _pi2(src), _pi2(tgt),
+                                                   budget):
+            phi2 = _corrected(phi[2], corrections)
             assert image == _columns(regular_rep_expand(phi2) * K_src_t)
             # the sparse Hermite comparison that _attempt_orientation makes
             iso = len(K_src) == len(K_tgt) and image[:_echelon(image, m)] == goal
@@ -550,8 +578,7 @@ def test_phi2_candidates_order_and_images():
     for src, tgt in ((F, G), (G, F)):
         budget = _Budget(100)
         phi = _lift_chain_map(src, tgt, budget)
-        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
-        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
+        K_src, K_tgt = _kernel(src), _kernel(tgt)
         s2, t2 = src.ranks[2], tgt.ranks[2]
         signed = []
         for c in range(s2):
@@ -564,12 +591,13 @@ def test_phi2_candidates_order_and_images():
         expected += [phi[2] + (xa + xb)
                      for a in range(len(signed)) for b in range(a + 1, len(signed))
                      for xa in signed[a] for xb in signed[b]]
-        got = list(_phi2_candidates(phi[2], src, tgt, K_src, K_tgt, budget))
+        got = list(_phi2_candidates(phi[2], _pi2(src), _pi2(tgt), budget))
         # the lift spent 2 units; every candidate after phi2 spends one
         assert len(got) == 1 + 98 > 1 + 2 * len(signed)
-        assert [cand for cand, _ in got] == expected[:len(got)]
+        cands = [_corrected(phi[2], corrections) for corrections, _ in got]
+        assert cands == expected[:len(got)]
         K_src_t = IntMatrix.from_rows(K_src).transpose()
-        for cand, image in got:
+        for cand, (_, image) in zip(cands, got):
             assert image == _columns(regular_rep_expand(cand) * K_src_t)
 
 
@@ -582,36 +610,16 @@ def test_phi2_candidate_images_survive_in_place_reduction(P, model, budget):
     for src, tgt in ((F, G), (G, F)):
         b = _Budget(budget)
         phi = _lift_chain_map(src, tgt, b)
-        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
-        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
-        K_src_t = IntMatrix.from_rows(K_src).transpose()
+        K_src_t = IntMatrix.from_rows(_kernel(src)).transpose()
         m = tgt.ranks[2] * model.order
         seen = 0
-        for cand, image in _phi2_candidates(phi[2], src, tgt, K_src, K_tgt, b):
+        for corrections, image in _phi2_candidates(phi[2], _pi2(src), _pi2(tgt), b):
+            cand = _corrected(phi[2], corrections)
             assert image == _columns(regular_rep_expand(cand) * K_src_t)
             _echelon(image, m)
             seen += 1
         # the budget reaches the double corrections
-        assert seen > 1 + 2 * src.ranks[2] * len(K_tgt)
-
-
-@pytest.mark.parametrize("P, model", [(Z5P, Z5M), (S3P, S3M)], ids=["z5", "s3"])
-def test_correction_image_matches_the_dense_product(P, model):
-    F, G = _dup_pair(P, model, 0)
-    n = model.order
-    for src, tgt in ((F, G), (G, F)):
-        K_src = kernel_basis(regular_rep_expand(src.boundary(2)))
-        K_tgt = kernel_basis(regular_rep_expand(tgt.boundary(2)))
-        K_src_t = IntMatrix.from_rows(K_src).transpose()
-        s2, t2 = src.ranks[2], tgt.ranks[2]
-        z = GroupRingElement.zero(model)
-        for c in range(s2):
-            for v in K_tgt:
-                omega = GroupRingMatrix(model, t2, s2, [
-                    GroupRingElement(model, v[i * n:(i + 1) * n]) if j == c else z
-                    for i in range(t2) for j in range(s2)])
-                assert (_correction_image(omega, c, K_src)
-                        == _columns(regular_rep_expand(omega) * K_src_t))
+        assert seen > 1 + 2 * src.ranks[2] * len(_kernel(tgt))
 
 
 def test_acx_round_trip_finite():
@@ -660,14 +668,17 @@ _FREE_D1 = ("[group]\nmode: symbolic\n[presentation]\ngens: x\nrels:\n"
             "[ranks]\n1 1\n[d1]\n")
 
 
-def test_acx_entry_lines_sum_pairs_and_later_lines_replace():
-    # pairs repeated on one line add up; a later line for the same entry
-    # replaces the earlier one, including its element coefficients
+def test_acx_entry_lines_sum_pairs_and_repeated_entries_rejected():
+    # pairs repeated on one line add up; a second line for the same entry
+    # is rejected in both modes, not read over the first
     F = acx.loads(_Z2_D1.replace("1 1\n", "1 2\n") +
-                  "0 0 0:1 1:4\n0 1 0:5\n0 0 1:-1 0:-2 1:2\n")
+                  "0 1 0:5\n0 0 1:-1 0:-2 1:2\n")
     t = F.boundary(1)
     assert t.entries == (GroupRingElement(t.model, (-2, 1)),
                          GroupRingElement(t.model, (5, 0)))
+    for text in (_Z2_D1 + "0 0 0:1 1:4\n0 0 1:1\n", _FREE_D1 + "0 0 1\n0 0 2\n"):
+        with pytest.raises(acx.AcxError, match="repeats entry 0 0"):
+            acx.loads(text)
     # no rows: the boundary is empty, not an error
     G = acx.loads("[group]\nmode: finite\norder: 1\nmulttable:\n0\n"
                   "generators:\n[ranks]\n1 0 2\n")

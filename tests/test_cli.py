@@ -163,12 +163,61 @@ def test_acx_index_out_of_range_rejected(tmp_path, capsys):
     ("[group]\nmode: finite\norder: 5\nmulttable:\n0 1 2 3 4\n1 0 3 4 2\n"
      "2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\ngenerators: 1 2\n[ranks]\n1\n",
      "not associative"),
-], ids=["no-order", "empty-ranks", "order-2-not-a-group", "loop5-not-a-group"])
+    ("[group]\nmode: symbolic\n[presentation]\ngens: x\nrels: x^2\n[ranks]\n1 1 1\n"
+     "[d2]\n0 0\n", "[d2] line '0 0' is not a row, a column and a coefficient"),
+    ("[group]\nmode: symbolic\n[presentation]\ngens: x\nrels: x^2\n[ranks]\n1 1 1\n"
+     "[d2]\n0 0 2\n0 0 3\n", "[d2] line '0 0 3' repeats entry 0 0"),
+    ("[group]\nmode: finite\norder: 2\nmulttable:\n0 1\n1 0\ngenerators: 1\n"
+     "[ranks]\n1 1\n[d1]\n0 0 0:-1 1:1\n0 0 1:1\n", "[d1] line '0 0 1:1' repeats entry 0 0"),
+], ids=["no-order", "empty-ranks", "order-2-not-a-group", "loop5-not-a-group",
+        "symbolic-two-fields", "symbolic-repeated-entry", "finite-repeated-entry"])
 def test_malformed_acx_header_rejected(tmp_path, capsys, text, message):
     f = tmp_path / "F.acx"
     f.write_text(text)
     assert main(["split", str(f)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["chain", "wedge", "quotient", "report"])
+def test_unwritable_output_rejected(tmp_path, capsys, command):
+    f, w = tmp_path / "F.acx", tmp_path / "W.acx"
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", str(f)]) == 0
+    assert main(["wedge", str(f), "1", "--attach", "--out", str(w)]) == 0
+    (tmp_path / "z2.fp").write_text("gens: x\nrels: x^2\n")
+    capsys.readouterr()
+    bad = tmp_path / "missing" / "out"
+    argv = {"chain": ["chain", str(CORPUS / "z2.fp"), "--finite", "--out", str(bad)],
+            "wedge": ["wedge", str(f), "1", "--out", str(bad)],
+            "quotient": ["quotient", str(w), "--out", str(bad)],
+            "report": ["report", str(tmp_path), "--sidecar", str(bad)]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"d2kit: cannot write {bad}: No such file or directory\n")
+
+
+def test_non_utf8_input_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.fp"
+    bad.write_bytes(b"gens: x\nrels: x^\xff2\n")
+    expected = tmp_path / "bad.json"
+    expected.write_bytes(b'{"order": "\xfe"}')
+    fp_error = f"{bad}: 'utf-8' codec can't decode byte 0xff in position 16"
+    json_error = f"{expected}: 'utf-8' codec can't decode byte 0xfe in position 11"
+    for argv, message in (
+            (["analyze", str(bad)], fp_error),
+            (["check", str(bad)], fp_error),
+            (["analyze", str(CORPUS / "z2.fp"), "--check", str(expected)], json_error),
+            (["check", str(CORPUS / "z2.fp"), str(expected)], json_error)):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"d2kit: {message}")
+    # report records the file as an error row and goes on
+    (tmp_path / "good.fp").write_text("gens: x\nrels: x^2\n")
+    assert main(["report", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and f"# error: {fp_error}" in lines[1]
+    records = [json.loads(line) for line in
+               (tmp_path / "report.jsonl").read_text().splitlines()]
+    assert [("error" in r, r["file"]) for r in records] == [(True, "bad.fp"),
+                                                          (False, "good.fp")]
 
 
 def test_acx_oversized_ranks_rejected(tmp_path, capsys):

@@ -144,6 +144,20 @@ def _expected_job(rng, expected, d):
     return ["check", str(CORPUS / f"{name}.fp"), str(path)] + FLAGS
 
 
+def _run_mutant(seed, k, argv):
+    """Run one mutant's command: exit 0, 1 or 2 within the time limit."""
+    start = time.perf_counter()
+    try:
+        code = run_cli(argv)
+    except Exception as e:
+        pytest.fail(f"seed {seed} mutant {k}: {argv[0]} raised "
+                    f"{type(e).__name__}: {e}")
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), f"seed {seed} mutant {k}: exit {code}"
+    assert elapsed < TIME_LIMIT_S, \
+        f"seed {seed} mutant {k}: {argv[0]} took {elapsed:.1f} s"
+
+
 def fuzz(seeds, seed, count):
     fp, expected, acx, d = seeds
     rng = random.Random(seed)
@@ -155,16 +169,7 @@ def fuzz(seeds, seed, count):
             argv = _acx_job(rng, acx, d)
         else:
             argv = _expected_job(rng, expected, d)
-        start = time.perf_counter()
-        try:
-            code = run_cli(argv)
-        except Exception as e:
-            pytest.fail(f"seed {seed} mutant {k}: {argv[0]} raised "
-                        f"{type(e).__name__}: {e}")
-        elapsed = time.perf_counter() - start
-        assert code in (0, 1, 2), f"seed {seed} mutant {k}: exit {code}"
-        assert elapsed < TIME_LIMIT_S, \
-            f"seed {seed} mutant {k}: {argv[0]} took {elapsed:.1f} s"
+        _run_mutant(seed, k, argv)
 
 
 def test_fuzz_cli(seeds):
@@ -174,3 +179,57 @@ def test_fuzz_cli(seeds):
 @pytest.mark.slow
 def test_fuzz_cli_many(seeds):
     fuzz(seeds, 1, 10_000)
+
+
+# bytes that are not UTF-8 on their own: continuation and lead bytes, a
+# surrogate, an overlong encoding, and NUL
+_BYTE_INSERTS = (b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf",
+                 b"\x00")
+
+
+def mutate_bytes(data, rng):
+    """One to three byte edits: a byte replaced by any byte, or a byte
+    sequence from _BYTE_INSERTS inserted."""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(data) + 1)
+        if rng.randrange(2) and k < len(data):
+            data = data[:k] + bytes((rng.randrange(256),)) + data[k + 1:]
+        else:
+            data = data[:k] + rng.choice(_BYTE_INSERTS) + data[k:]
+    return data
+
+
+def fuzz_bytes(seeds, seed, count):
+    """Byte-mutated .fp, expected.json and .acx inputs, among them invalid
+    UTF-8; `report` reads the mutant .fp next to a valid one."""
+    fp, expected, acx, d = seeds
+    rng = random.Random(seed)
+    corpus = d / "byte-corpus"
+    corpus.mkdir(exist_ok=True)
+    (corpus / "z2.fp").write_text(fp["z2"])
+    for k in range(count):
+        name = rng.choice(FP_NAMES)
+        kind = rng.randrange(3)
+        if kind == 0:
+            path = corpus / "mutant.fp"
+            path.write_bytes(mutate_bytes(fp[name].encode(), rng))
+            argv = rng.choice((
+                ["analyze", str(path)],
+                ["check", str(path), str(CORPUS / f"{name}.expected.json")],
+                ["report", str(corpus), "--sidecar", str(d / "report.jsonl")],
+            ))
+        elif kind == 1:
+            path = d / "mutant.json"
+            path.write_bytes(mutate_bytes(expected[name].encode(), rng))
+            argv = ["check", str(CORPUS / f"{name}.fp"), str(path)]
+        else:
+            texts = acx[rng.choice(sorted(acx))]
+            path = d / "mutant.acx"
+            path.write_bytes(mutate_bytes(rng.choice(texts).encode(), rng))
+            argv = rng.choice((["split", str(path)],
+                               ["wedge", str(path), "1", "--out", str(d / "out.acx")]))
+        _run_mutant(seed, k, argv + FLAGS)
+
+
+def test_fuzz_cli_bytes(seeds):
+    fuzz_bytes(seeds, 0, 200)

@@ -510,6 +510,24 @@ def test_eliminate_generator_renumbers_past_code_ten():
     assert node[1][1] == "\n\n\x00" and _presentation(*node) == expected
 
 
+def test_eliminate_generator_renumbers_past_code_2_16():
+    # the same elimination with every index raised by 32767: b is generator
+    # 32768, so the flip table is looked up per code, and it must flip the
+    # renumbered codes of c..g, which no relator held before
+    shift = 32767
+    gens = tuple(f"x{k}" for k in range(shift)) + tuple("abcdefg")
+    small = (((1, 1), (5, -1), (6, 1)), ((1, -1), (6, 1), (5, 1), (5, 1)),
+             ((6, 1), (6, 1), (0, 1)))
+    P = Presentation(gens, tuple(Word([(g + shift, s) for g, s in r])
+                                 for r in small))
+    expected = parse_presentation(
+        "gens: a c d e f g\nrels: (f^-1 g^2 f^2) (g^2 a)\n")
+    got = apply_move(P, RemoveGenerator(1 + shift))
+    assert got.generators == gens[:shift + 1] + gens[shift + 2:]
+    assert [r.letters for r in got.relators] == [
+        tuple((g + shift, s) for g, s in r.letters) for r in expected.relators]
+
+
 def _stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from d2kit.words import Word, reduce_word, words_in_length_lex_order
+from d2kit.words import (
+    Word,
+    _small_flip_table,
+    flip_for,
+    reduce_word,
+    words_in_length_lex_order,
+)
 
 
 def W(*letters):
@@ -37,6 +43,28 @@ def test_generator_index_out_of_range_rejected():
         with pytest.raises(ValueError, match="generator index must be in"):
             Word.generator(g, -1)
     assert Word.generator(0x110000 // 2 - 1, -1).text == chr(0x10FFFF)
+
+
+def test_large_codes_keep_no_flip_table():
+    # from code 2^16 on, flip_for flips each code as it is looked up, so
+    # only the power-of-two tables of smaller codes are cached
+    _small_flip_table.cache_clear()
+    for g in (32_768, 100_000, 0x110000 // 2 - 1):
+        x, y = Word.generator(g), Word.generator(1)
+        w = x * y * x.inverse()
+        assert w.letters == ((g, 1), (1, 1), (g, -1))
+        assert w.inverse().letters == ((g, 1), (1, -1), (g, -1))
+        assert (w * w.inverse()).is_identity() and ((w ** -2) * w ** 2).is_identity()
+        assert w.cyclically_reduced() == (y, x)
+        assert w.substituted({g: y * y, 1: x}).letters == (
+            (1, 1), (1, 1), (g, 1), (1, -1), (1, -1))
+        flip = flip_for(w.text)
+        assert not isinstance(flip, str)
+        assert [flip[c] for c in (0, 3, 2 * g, 2 * g + 1)] == [
+            chr(1), chr(2), chr(2 * g + 1), chr(2 * g)]
+    # the one table kept is the 4-code table of generator 1
+    assert _small_flip_table.cache_info().currsize == 1
+    assert len(flip_for(chr(3))) == 4 and flip_for(chr(3)) is flip_for(chr(2))
 
 
 def test_reduce_is_multiplicative():
