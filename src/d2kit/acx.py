@@ -21,7 +21,9 @@ Layout (sections in fixed order, deterministic output)::
     0 0 2                   (symbolic: `i j coeff`, zeros omitted)
 
 Group-ring entries serialize as sorted (element index, coefficient) pairs
-with zeros omitted; a zero entry is simply absent.
+with zeros omitted; a zero entry is simply absent. `loads` rejects what it
+would otherwise ignore: a section other than these (or a [dN] above the top
+degree), a second [ranks] line, and an unknown or repeated [group] key.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ from .presentations import parse_presentation, serialize_presentation
 # f x f matrices over ZG. d2kit's own complexes stay far below it: the
 # wedged PSL(2,7) complexes have under 5 000.
 MAX_BOUNDARY_COEFFS = 1_000_000
+
+
+# The keys of a [group] section; symbolic mode has only `mode`.
+GROUP_KEYS = ("mode", "order", "multtable", "generators")
 
 
 class AcxError(ValueError):
@@ -200,19 +206,28 @@ def loads(text):
             mult_rows.append([int(x) for x in line.split()])
             continue
         in_table = False
-        key, _, value = line.partition(":")
+        key, colon, value = line.partition(":")
         key = key.strip()
+        if not colon or key not in GROUP_KEYS:
+            raise AcxError(f"[group] line {line.strip()!r} is not a "
+                           f"{'/'.join(GROUP_KEYS)} key")
+        if key in fields:
+            raise AcxError(f"[group] key {key} is repeated")
         fields[key] = value.strip()
         if key == "multtable":
             in_table = True
     mode = fields.get("mode")
     if mode not in ("finite", "symbolic"):
         raise AcxError(f"bad mode {mode!r}")
+    if mode == "symbolic" and len(fields) > 1:
+        raise AcxError("symbolic [group] section has keys other than mode")
     presentation = None
     if "[presentation]" in sec:
         presentation = parse_presentation("\n".join(sec["[presentation]"]) + "\n")
     if not sec["[ranks]"]:
         raise AcxError("empty [ranks] section")
+    if len(sec["[ranks]"]) > 1:
+        raise AcxError("[ranks] section has more than one line")
     ranks = tuple(int(x) for x in sec["[ranks]"][0].split())
     if any(r < 0 for r in ranks):
         raise AcxError(f"negative rank in [ranks]: {sec['[ranks]'][0].strip()}")
@@ -232,6 +247,12 @@ def loads(text):
     elif presentation is None:
         raise AcxError("symbolic mode requires a [presentation] section")
     check_ranks(ranks, model.order if model else 1)
+    known = {"[group]", "[presentation]", "[ranks]"}
+    known.update(f"[d{i}]" for i in range(1, len(ranks)))
+    for name in sec:
+        if name not in known:
+            raise AcxError(f"unknown section {name} in a complex of top "
+                           f"degree {len(ranks) - 1}")
     boundaries = []
     for i in range(1, len(ranks)):
         key = f"[d{i}]"

@@ -133,12 +133,6 @@ def _relator_chunk(text, names):
     return "(" + " ".join(sylls) + ")"
 
 
-def _presentation_text(names, chunks):
-    """The ``gens:``/``rels:`` text of generator names and relator chunks."""
-    rels = "rels: " + " ".join(chunks) if chunks else "rels:"
-    return "gens: " + " ".join(names) + "\n" + rels + "\n"
-
-
 def _relator_chunks(body, line_no, col0):
     """Split a rels-line body into top-level chunks (paren depth 0 whitespace)."""
     chunks = []
@@ -301,8 +295,10 @@ def parse_presentation(text):
 
 def serialize_presentation(P):
     """Canonical text form; parse_presentation round-trips it exactly."""
-    return _presentation_text(P.generators, [
-        _relator_chunk(r.text, P.generators) for r in P.relators])
+    names = P.generators
+    chunks = [_relator_chunk(r.text, names) for r in P.relators]
+    rels = "rels: " + " ".join(chunks) if chunks else "rels:"
+    return "gens: " + " ".join(names) + "\n" + rels + "\n"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
-from .presentations import Presentation, _presentation_text, _relator_chunk
+from .presentations import Presentation, _relator_chunk
 from .words import Word, cyclic_core, flip_for, inverse, product, substitute
 
 
@@ -190,9 +190,10 @@ def _simplify(gens, rels, memo, flip):
     dropped as a duplicate when it is a rotation of a kept relator or of its
     inverse (`_is_duplicate`): rotation or inversion is an equivalence and
     the kept relators are pairwise inequivalent, so this keeps the first
-    relator of each class."""
+    relator of each class. A pass that eliminates no generator is the last:
+    it leaves every relator cyclically reduced, nonempty and inequivalent to
+    the earlier ones, so a further pass would change nothing."""
     while True:
-        changed = False
         # cyclic reduction (relator -> conjugate core), then drop empties
         # and duplicates up to rotation/inversion
         kept = []
@@ -201,29 +202,23 @@ def _simplify(gens, rels, memo, flip):
         for r in rels:
             if r and r[0] == flip[ord(r[-1])]:
                 r = cyclic_core(r, flip)
-                changed = True
             if not r:
-                changed = True
                 continue
             info = memo.get(r)
             if info is None:
                 info = memo[r] = (r + r, inverse(r, flip), _single_generators(r, flip))
             if _is_duplicate(r, info[1], doubled):
-                changed = True
                 continue
             kept.append(r)
             doubled.append(info[0])
             singles.append(info[2])
-        rels = tuple(kept)
         # generator elimination, lowest generator index first, solved from
         # the first relator it occurs once in
         gen = min(frozenset().union(*singles), default=None)
-        if gen is not None:
-            i = next(i for i, ones in enumerate(singles) if gen in ones)
-            gens, rels = _eliminate_generator(gens, rels, gen, i, flip)
-            changed = True
-        if not changed:
-            return gens, rels
+        if gen is None:
+            return gens, tuple(kept)
+        i = next(i for i, ones in enumerate(singles) if gen in ones)
+        gens, rels = _eliminate_generator(gens, kept, gen, i, flip)
 
 
 def simplify(P):
@@ -234,17 +229,24 @@ def simplify(P):
     return _presentation(*_simplify(P.generators, rels, {}, flip))
 
 
-def _node_text(gens, rels, chunks):
-    """`serialize_presentation(_presentation(gens, rels))`, built from the
-    relator chunks cached in `chunks`, keyed on (generator names, encoded
-    relator): generator elimination renames the generators a code means."""
+def _node_key(gens, rels, chunks):
+    """(generator names, relator chunks) of a node, which orders and compares
+    as its `serialize_presentation` text. Chunks are cached in `chunks` on
+    (generator names, encoded relator), as elimination renames codes.
+    Names match [A-Za-z][A-Za-z0-9_]*; a chunk is a bare syllable or one
+    parenthesised group whose only ")" is its last character. Where a name
+    or chunk is a proper prefix of its counterpart, the text goes on with
+    " " or "\n" after the shorter and with one of [A-Za-z0-9_^-], which all
+    sort above both, in the longer. Where one tuple of names or chunks is a
+    prefix of the other, "\n" follows the shorter and " " the longer, and
+    "\n" < " ". The text also determines the tuple."""
     parts = []
     for r in rels:
         chunk = chunks.get((gens, r))
         if chunk is None:
             chunk = chunks[gens, r] = _relator_chunk(r, gens)
         parts.append(chunk)
-    return _presentation_text(gens, parts)
+    return gens, tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -267,10 +269,11 @@ def deficiency_search(P, budget):
     (`Word.text`), which the search multiplies, inverts, reduces and
     deduplicates with the str functions of `words`. Among the nodes of
     highest deficiency, the one with the least serialized text
-    (`serialize_presentation`) is returned. That text is built from
-    per-relator chunks cached for the search, the same bytes as
-    `serialize_presentation`, and only the returned best is made into a
-    `Presentation`, after the search."""
+    (`serialize_presentation`) is returned. Ties compare a node's
+    (generator names, relator chunks) key (`_node_key`), which orders as
+    that text does, with the chunks cached for the search; no text is
+    joined, and only the returned best is made into a `Presentation`,
+    after the search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     rels, flip = _relator_texts(P)  # one table serves the whole search
@@ -279,7 +282,7 @@ def deficiency_search(P, budget):
     start = _simplify(P.generators, rels, memo, flip)
     best_node = start
     best_deficiency = len(start[0]) - len(start[1])
-    best_text = _node_text(*start, chunks)
+    best_key = _node_key(*start, chunks)
     seen = {start}
     generated = set()  # raw neighbours: simplify is deterministic
     queue = deque([start])
@@ -308,9 +311,9 @@ def deficiency_search(P, budget):
                     queue.append(node)
                     d = len(node[0]) - len(node[1])
                     if d >= best_deficiency:
-                        text = _node_text(*node, chunks)
-                        if d > best_deficiency or text < best_text:
-                            best_node, best_deficiency, best_text = node, d, text
+                        key = _node_key(*node, chunks)
+                        if d > best_deficiency or key < best_key:
+                            best_node, best_deficiency, best_key = node, d, key
     return SearchResult(_presentation(*best_node), best_deficiency, exhausted, visited)
 
 

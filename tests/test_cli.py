@@ -153,6 +153,19 @@ def test_acx_index_out_of_range_rejected(tmp_path, capsys):
     assert "column index 5 out of range" in capsys.readouterr().err
 
 
+# what `d2kit chain corpus/z2.fp --finite` writes
+_Z2_ACX = ("# d2kit algebraic complex v1\n[group]\nmode: finite\norder: 2\n"
+           "multtable:\n0 1\n1 0\ngenerators: 1\n[presentation]\ngens: x\n"
+           "rels: x^2\n[ranks]\n1 1 1\n[d1]\n0 0 0:-1 1:1\n[d2]\n0 0 0:1 1:1\n")
+
+
+def test_z2_acx_is_what_chain_writes(tmp_path):
+    f = tmp_path / "F.acx"
+    assert main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", str(f)]) == 0
+    assert f.read_text() == _Z2_ACX
+    assert main(["wedge", str(f), "1", "--out", str(tmp_path / "W.acx")]) == 0
+
+
 @pytest.mark.parametrize("text, message", [
     ("[group]\nmode: finite\nmulttable:\n0\ngenerators:\n[ranks]\n1\n",
      "lacks an order"),
@@ -169,13 +182,29 @@ def test_acx_index_out_of_range_rejected(tmp_path, capsys):
      "[d2]\n0 0 2\n0 0 3\n", "[d2] line '0 0 3' repeats entry 0 0"),
     ("[group]\nmode: finite\norder: 2\nmulttable:\n0 1\n1 0\ngenerators: 1\n"
      "[ranks]\n1 1\n[d1]\n0 0 0:-1 1:1\n0 0 1:1\n", "[d1] line '0 0 1:1' repeats entry 0 0"),
+    # content the reader would otherwise ignore: [D2] would leave d2 zero,
+    # and a misspelt generators key would drop the generator images
+    (_Z2_ACX.replace("[d2]", "[D2]"), "unknown section [D2] in a complex of top degree 2"),
+    (_Z2_ACX + "[d3]\n0 0 0:1\n", "unknown section [d3] in a complex of top degree 2"),
+    (_Z2_ACX + "[foo]\n", "unknown section [foo]"),
+    (_Z2_ACX.replace("1 1 1\n", "1 1 1\n1 1 1\n"), "[ranks] section has more than one line"),
+    (_Z2_ACX.replace("generators:", "genrators:"),
+     "[group] line 'genrators: 1' is not a mode/order/multtable/generators key"),
+    (_Z2_ACX.replace("generators: 1\n", "generators: 1\nstray\n"),
+     "[group] line 'stray' is not a mode/order/multtable/generators key"),
+    (_Z2_ACX.replace("order: 2\n", "order: 2\norder: 2\n"), "[group] key order is repeated"),
+    ("[group]\nmode: symbolic\norder: 2\n[presentation]\ngens: x\nrels: x^2\n"
+     "[ranks]\n1\n", "symbolic [group] section has keys other than mode"),
 ], ids=["no-order", "empty-ranks", "order-2-not-a-group", "loop5-not-a-group",
-        "symbolic-two-fields", "symbolic-repeated-entry", "finite-repeated-entry"])
+        "symbolic-two-fields", "symbolic-repeated-entry", "finite-repeated-entry",
+        "section-typo", "section-above-top", "unknown-section", "two-rank-lines",
+        "misspelt-key", "stray-group-line", "repeated-key", "symbolic-extra-key"])
 def test_malformed_acx_header_rejected(tmp_path, capsys, text, message):
     f = tmp_path / "F.acx"
     f.write_text(text)
     assert main(["split", str(f)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"d2kit: {f}: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["chain", "wedge", "quotient", "report"])

@@ -137,6 +137,37 @@ def _acx_job(rng, acx, d):
     )) + FLAGS
 
 
+def _ignored_content_mutants(text):
+    """(mutant, message) pairs of a written .acx: edits that add content
+    the reader would otherwise ignore."""
+    ranks = text.split("[ranks]\n", 1)[1].split("\n", 1)[0]
+    top = len(ranks.split()) - 1
+    return [
+        (text.replace(f"[d{top}]", f"[D{top}]"), f"unknown section [D{top}]"),
+        (text + f"[d{top + 1}]\n", f"unknown section [d{top + 1}]"),
+        (text + "[foo]\n", "unknown section [foo]"),
+        (text.replace(f"[ranks]\n{ranks}\n", f"[ranks]\n{ranks}\n{ranks}\n"),
+         "[ranks] section has more than one line"),
+        (text.replace("[group]\n", "[group]\ngenrators: 1\n"),
+         "[group] line 'genrators: 1' is not a"),
+        (text.replace("[group]\n", "[group]\nstray\n"), "[group] line 'stray' is not a"),
+    ]
+
+
+def test_ignored_acx_content_rejected(seeds):
+    _, _, acx, d = seeds
+    path = d / "mutant.acx"
+    for texts in acx.values():
+        for text in texts:
+            for mutant, message in _ignored_content_mutants(text):
+                path.write_text(mutant)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main(["split", str(path)]) == 1
+                assert err.getvalue().startswith(f"d2kit: {path}: ")
+                assert message in err.getvalue(), mutant
+
+
 def _expected_job(rng, expected, d):
     name = rng.choice(FP_NAMES)
     path = d / "mutant.json"

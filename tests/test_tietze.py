@@ -21,7 +21,7 @@ from d2kit.presentations import (
 from d2kit.tietze import (
     _eliminate_generator,
     _is_duplicate,
-    _node_text,
+    _node_key,
     _presentation,
     _simplify,
     _single_generators,
@@ -125,6 +125,25 @@ def test_simplify_examples():
     # empty + duplicate relators vanish
     P = parse_presentation("gens: x\nrels: () x^2 x^2 (x x^2 x^-1)\n")
     assert simplify(P) == parse_presentation("gens: x\nrels: x^2\n")
+
+
+def test_simplify_stops_after_a_pass_without_elimination(monkeypatch):
+    # the first pass cyclically reduces a b^2 a^-1 and drops b a b a, a
+    # rotation of (a b)^2, but eliminates no generator: it is the only pass
+    calls = []
+    is_duplicate = tietze._is_duplicate
+
+    def counting(*args):
+        calls.append(args[0])
+        return is_duplicate(*args)
+
+    monkeypatch.setattr(tietze, "_is_duplicate", counting)
+    P = parse_presentation("gens: a b\nrels: (a b^2 a^-1) a^3 (a b)^2 (b a b a)\n")
+    rels = tuple(r.text for r in P.relators)
+    node = _simplify(P.generators, rels, {}, flip_table(4))
+    assert len(calls) == 4  # one duplicate test per relator of the one pass
+    assert _presentation(*node) == parse_presentation(
+        "gens: a b\nrels: b^2 a^3 (a b)^2\n")
 
 
 def _defining_relator_index(P, gen):
@@ -620,7 +639,9 @@ def test_deficiency_search_long_relator_is_linear():
 # The two corpus variants are `perfbench/workloads.corpus_variant` of q8 and
 # a5 with random.Random(3). cycle-7 eliminates generators below f and g
 # throughout, so their codes cross chr(10) and are renumbered; it was
-# recorded with the search on letter tuples.
+# recorded with the search on letter tuples. prefix-names, whose generator a
+# is a prefix of ab, ties on more than 10 000 nodes; it was recorded with the
+# tie-break on the whole serialized text.
 SEARCH_VARIANTS = {
     "a5-rotated": "gens: a b\nrels: (b a)^5 b^-3 a^2\n",
     "a5-swapped": "gens: b a\nrels: b^3 a^2 (a b)^5\n",
@@ -634,6 +655,7 @@ SEARCH_VARIANTS = {
                     "(a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1)\n",
     "cycle-7": "gens: a b c d e f g\nrels: (a^2 b^3) (b^-2 c^3) (c^-2 d^3) "
                "(d^-2 e^3) (e^-2 f^3) (f^-2 g^3) (g^-2 a^3)\n",
+    "prefix-names": "gens: a ab b\nrels: a^2 ab^2 b^3 (a ab b)^2\n",
 }
 SEARCH_GOLDEN = [
     ("a5", 600, "8fc511c3bd2f2b95", -1, 600, True),
@@ -658,6 +680,7 @@ SEARCH_GOLDEN = [
     ("q8-variant-3", 600, "2ef56da4923a8958", 0, 600, True),
     ("a5-variant-3", 600, "02ed67820aaf97fb", -1, 600, True),
     ("cycle-7", 300, "c1ea25ad3b68aa0c", 0, 300, True),
+    ("prefix-names", 600, "488715a46fb28f64", -1, 600, True),
 ]
 
 
@@ -676,7 +699,7 @@ def test_deficiency_search_golden(name, budget, digest, defic, visited, exhauste
     assert res.deficiency == deficiency(res.best)
 
 
-def test_node_text_matches_serialize_presentation():
+def test_node_key_orders_as_serialized_text():
     rng = random.Random(12)
     nodes = []
     eliminated = 0
@@ -691,7 +714,7 @@ def test_node_text_matches_serialize_presentation():
     x3, y_2 = ((0, 1),) * 3, ((1, -1),) * 2
     f3_g = ((5, 1),) * 3 + ((6, -1),) * 2 + ((5, -1),)
     wide = ((128, 1), (300, -1), (300, -1), (5, 1), (0, -1))
-    for gens, rels in [
+    cases = [
         (("a", "b"), ()),  # no relators
         ((), ()),
         (("abc",), (((0, 1),), ((0, -1),), x3, ((0, -1),) * 7)),  # pure powers
@@ -700,20 +723,37 @@ def test_node_text_matches_serialize_presentation():
         (("xyz", "b_1"), (x3 + ((1, 1),) + ((0, -1),) * 2, ((1, 1),))),
         (tuple("abcdefg"), (f3_g, ((5, 1),) * 10)),  # code 10 is f
         (tuple(f"g{i}" for i in range(301)), (wide, ((129, -1),) * 2)),
-    ]:
+    ]
+    # names that are prefixes of others, generator tuples that are prefixes
+    # of others, and chunks a, a^2, a^-1, a^-12, (a b) that are prefixes of
+    # others or of one relator tuple
+    for gens in (("a",), ("ab",), ("a_1",), ("a", "b"), ("ab", "b"),
+                 ("a_1", "b"), ("a", "ab"), ("a", "ab", "b"), ("a", "b", "ab")):
+        cases.append((gens, ()))
+        for word in (((0, 1),), ((0, 1),) * 2, ((0, -1),), ((0, -1),) * 12,
+                     ((0, 1), (1, 1)), ((1, 1),), ((1, 1), (0, 1))):
+            if max(g for g, _ in word) < len(gens):
+                cases.append((gens, (word,)))
+                cases.append((gens, (word, ((0, 1),))))
+                cases.append((gens, (word, ((0, 1),) * 2)))
+    for gens, rels in cases:
         nodes.append((gens, tuple(encode(r) for r in rels)))
     chunks = {}
-    for gens, rels in nodes:
-        assert _node_text(gens, rels, chunks) == serialize_presentation(
-            _presentation(gens, rels))
+    keyed = [(_node_key(gens, rels, chunks),
+              serialize_presentation(_presentation(gens, rels)))
+             for gens, rels in nodes]
+    for key, text in keyed:
+        for other_key, other_text in keyed:
+            assert (key < other_key) == (text < other_text), (text, other_text)
+            assert (key == other_key) == (text == other_text), (text, other_text)
     assert eliminated > 50
 
 
 def test_deficiency_search_builds_one_presentation(monkeypatch):
-    built, serialized, texts = [], [], []
+    built, serialized, keys = [], [], []
     post_init = Presentation.__post_init__
     serialize = presentations.serialize_presentation
-    node_text = tietze._node_text
+    node_key = tietze._node_key
 
     def counting_post_init(self):
         built.append(self)
@@ -723,17 +763,17 @@ def test_deficiency_search_builds_one_presentation(monkeypatch):
         serialized.append(P)
         return serialize(P)
 
-    def counting_node_text(*args):
-        texts.append(args)
-        return node_text(*args)
+    def counting_node_key(*args):
+        keys.append(args)
+        return node_key(*args)
 
     monkeypatch.setattr(Presentation, "__post_init__", counting_post_init)
     monkeypatch.setattr(presentations, "serialize_presentation", counting_serialize)
     monkeypatch.setattr(tietze, "serialize_presentation", counting_serialize,
                         raising=False)
-    monkeypatch.setattr(tietze, "_node_text", counting_node_text)
+    monkeypatch.setattr(tietze, "_node_key", counting_node_key)
     res = deficiency_search(A5, budget=600)
     assert res.visited == 600
-    assert len(texts) > 1000  # the tie-break ran on many nodes
+    assert len(keys) > 1000  # the tie-break ran on many nodes
     assert built == [res.best]
     assert serialized == []
