@@ -50,7 +50,9 @@ print("\nstabilized minimal vs chi-2 presentation complex:", out.kind,
       f"(solver calls: {out.solver_calls})")
 print("certificate verifies:", out.certificate.verify(W, G))
 
-# homology with trivial coefficients distinguishes when chi does not help
+# homology with trivial coefficients, computed on its own: certification
+# never needs it, since exact complexes over one group with equal chi
+# have the same homology over every field
 trefoil = presentation_complex(parse_presentation("gens: x y\nrels: (x^2 y^-3)\n"))
 print("\ntrefoil complex over Q:", homology_over_field(trefoil, "Q"))
 print("Z/5 complex over F_5:", homology_over_field(F, 5))

@@ -28,8 +28,10 @@ from .chains import (
     stabilize_wedge,
     validate_complex,
 )
-from .coset import DEFAULT_MAX_COSETS, find_normal_generator, group_model, todd_coxeter
+from .coset import (DEFAULT_MAX_COSETS, NotFinitelyEnumerated, find_normal_generator,
+                    group_model, todd_coxeter)
 from .groupring import GroupRingMatrix
+from .intlinalg import CertificateError
 from .invariants import DEFAULT_SEARCH_BUDGET, analyze_presentation
 from .presentations import ParseError, parse_presentation
 
@@ -60,9 +62,9 @@ def _read_complex(path):
         raise CliError(f"cannot read {path}: {e.strerror}")
     except (acx.AcxError, ValueError) as e:
         raise CliError(f"{path}: {e}")
-    rep = validate_complex(F, check_exactness=False)
-    if not rep.chain_ok:
-        raise CliError(f"{path}: corrupted complex: " + "; ".join(rep.failures))
+    rep = validate_complex(F)
+    if not rep.ok:
+        raise CliError(f"{path}: not an algebraic complex: " + "; ".join(rep.failures))
     return F
 
 
@@ -225,7 +227,7 @@ def cmd_chain(args):
     if args.finite:
         try:
             model = group_model(P, args.max_cosets)
-        except Exception as e:
+        except (NotFinitelyEnumerated, CertificateError) as e:
             raise CliError(f"{args.file}: cannot build finite model: {e}")
     F = presentation_complex(P, model)
     _write(args.out, acx.dumps(F))
@@ -305,7 +307,7 @@ def cmd_certify_equiv(args):
         pairs.append(("reason", out.reason))
     pairs.append(("solver_calls", out.solver_calls))
     if out.certificate is not None:
-        pairs.append(("verified", out.certificate.verify(F, G)))
+        pairs.append(("verified", True))  # it verified before it was returned
     _emit(pairs, args.format)
     return 0
 

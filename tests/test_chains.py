@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -134,7 +135,7 @@ def test_validate_corrupted_d2():
     F = presentation_complex(Z5P, Z5M)
     bad = GroupRingMatrix(Z5M, 1, 1, [F.boundary(2).entry(0, 0) + elem(Z5M, (2, 1))])
     G = AlgebraicComplex(F.ranks, Z5M, (F.boundary(1), bad))
-    rep = validate_complex(G, check_exactness=False)
+    rep = validate_complex(G)
     assert not rep.chain_ok
     assert any("d_1 o d_2" in f for f in rep.failures)
 
@@ -338,6 +339,30 @@ def test_certify_classification_pair():
     assert back.certificate.verify(G, F)
 
 
+def test_certificate_verify_rejects_misfits_and_surfaces_faults(monkeypatch):
+    F = stabilize_wedge(presentation_complex(Z5P, Z5M), 1)
+    z5b = parse_presentation("gens: x y\nrels: x^5 y y\n")
+    G = presentation_complex(z5b, group_model(z5b, 100))
+    cert = certify_chain_equivalence(F, G).certificate
+    assert cert.verify(F, G)
+    # a certificate that does not fit the complexes raises a ValueError
+    # inside the check: DimensionMismatch, ModelMismatch, tuple arity
+    z2 = stabilize_wedge(presentation_complex(Z2P, Z2M), 1)
+    assert z2.ranks == F.ranks
+    assert not cert.verify(F, stabilize_wedge(F, 1))
+    assert not cert.verify(z2, z2)
+    assert not dataclasses.replace(cert, forward=cert.forward[:2]).verify(F, G)
+    assert not dataclasses.replace(cert, homotopies_fg=cert.forward).verify(F, G)
+
+    # a fault in the arithmetic is not a failed check
+    def compose(self, other):
+        raise RuntimeError("compose fault")
+
+    monkeypatch.setattr(GroupRingMatrix, "compose", compose)
+    with pytest.raises(RuntimeError, match="compose fault"):
+        cert.verify(F, G)
+
+
 def test_certify_chi_mismatch():
     F = presentation_complex(Z5P, Z5M)
     W = stabilize_wedge(F, 1)
@@ -458,13 +483,26 @@ def test_validate_complex_eliminates_d2_once(monkeypatch):
 
 
 def test_read_check_does_no_lattice_work(monkeypatch):
+    """Lattice work runs only on a chain complex killed by the augmentation."""
     calls = _record_echelons(monkeypatch)
-    rep = validate_complex(presentation_complex(S3P, S3M), check_exactness=False)
-    assert rep.chain_ok and rep.aug_d1_zero
+    F = presentation_complex(S3P, S3M)
+    # d_2 plus 1 in entry (0, 0): d_1 o d_2 != 0, and d_1 is untouched
+    f1, f2 = F.ranks[1:]
+    bump = GroupRingMatrix(S3M, f1, f2, [elem(S3M, (0, 1))] + [elem(S3M)] * (f1 * f2 - 1))
+    bad = F.boundary(2) + bump
+    rep = validate_complex(AlgebraicComplex(F.ranks, S3M, (F.boundary(1), bad)))
+    assert not rep.chain_ok and rep.aug_d1_zero and not rep.ok
+    assert (rep.exact_at_f0, rep.exact_at_f1) == (None, None)
     assert (rep.d2_rank_q, rep.ker_d2_qdim) == (None, None)
+    # a chain complex whose d_1 the augmentation does not kill
+    ones = GroupRingMatrix(S3M, 1, f1, [elem(S3M, (0, 1))] * f1)
+    zero = GroupRingMatrix.zeros(S3M, f1, f2)
+    rep = validate_complex(AlgebraicComplex(F.ranks, S3M, (ones, zero)))
+    assert rep.chain_ok and not rep.aug_d1_zero and not rep.ok
+    assert (rep.exact_at_f0, rep.exact_at_f1, rep.d2_rank_q) == (None, None, None)
     assert calls == []
     # symbolic mode keeps its shadow rank, one elimination
-    rep = validate_complex(presentation_complex(S3P), check_exactness=False)
+    rep = validate_complex(presentation_complex(S3P))
     assert rep.d2_rank_q == 2
     assert len(calls) == 1
 

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from d2kit import cli
 from d2kit.acx import read_acx
+from d2kit.chains import EquivalenceCertificate
 from d2kit.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -101,6 +103,23 @@ def test_chain_pipeline_round_trip(tmp_path, capsys):
     assert main(["certify-equiv", str(q), str(orig)]) == 0
     out = capsys.readouterr().out
     assert "status: certificate" in out and "verified: true" in out
+
+
+def test_chain_finite_model_errors(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "F.acx")
+    assert main(["chain", str(CORPUS / "a5.fp"), "--finite", "--out", out,
+                 "--max-cosets", "10"]) == 1
+    assert capsys.readouterr().err == (f"d2kit: {CORPUS / 'a5.fp'}: cannot build "
+                                       "finite model: enumeration incomplete after "
+                                       "10 cosets\n")
+    # only the errors group_model documents become messages; a fault surfaces
+
+    def group_model(P, max_cosets):
+        raise RuntimeError("model fault")
+
+    monkeypatch.setattr(cli, "group_model", group_model)
+    with pytest.raises(RuntimeError, match="model fault"):
+        main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", out])
 
 
 def test_chain_artifacts_reproducible(tmp_path):
@@ -334,6 +353,32 @@ def test_certify_equiv_top_degree_3_rejected(certify_inputs, capsys):
 def test_certify_equiv_symbolic_rejected(certify_inputs, capsys):
     assert main(["certify-equiv", certify_inputs["symbolic"], certify_inputs["z2"]]) == 1
     assert "certification requires finite mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["wedged", "identical"])
+def test_certify_equiv_verifies_once(tmp_path, monkeypatch, capsys, pair):
+    # certify_chain_equivalence returns only a certificate that verified;
+    # the `verified:` line reports that check instead of running it again
+    calls = []
+    real = EquivalenceCertificate.verify
+
+    def verify(self, F, G):
+        calls.append((F, G))
+        return real(self, F, G)
+
+    monkeypatch.setattr(EquivalenceCertificate, "verify", verify)
+    fp = tmp_path / "z5b.fp"
+    fp.write_text("gens: x y\nrels: x^5 y y\n")
+    f, w, g = (str(tmp_path / f"{n}.acx") for n in ("f", "w", "g"))
+    assert main(["chain", str(CORPUS / "z5.fp"), "--finite", "--out", f]) == 0
+    assert main(["wedge", f, "1", "--out", w]) == 0
+    assert main(["chain", str(fp), "--finite", "--out", g]) == 0
+    capsys.readouterr()
+    argv = [w, g] if pair == "wedged" else [f, f]
+    assert main(["certify-equiv", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "status: certificate" in out and "verified: true" in out
+    assert len(calls) == 1
 
 
 def test_check_expectations_not_an_object_rejected(tmp_path, capsys):

@@ -168,6 +168,55 @@ def test_ignored_acx_content_rejected(seeds):
                 assert message in err.getvalue(), mutant
 
 
+def _scaled(block, factor):
+    """An .acx entry block with every coefficient multiplied by factor."""
+    return re.sub(r":(-?\d+)", lambda m: f":{int(m.group(1)) * factor}", block)
+
+
+_NOT_EXACT_AT_F1 = "ker d_1 differs from image of d_2"
+_NOT_EXACT_AT_F0 = "image of d_1 differs from the augmentation ideal"
+
+
+def _inexact_mutants(text):
+    """(mutant, failure) pairs of a written finite .acx that keep d o d = 0
+    and the augmentation but break exactness: every [d2] coefficient
+    doubled, an empty [d2], and every [d1] coefficient doubled."""
+    head, rest = text.split("[d1]\n", 1)
+    d1, rest = rest.split("[d2]\n", 1)
+    d2, d3, tail = rest.partition("[d3]\n")
+    return [
+        (f"{head}[d1]\n{d1}[d2]\n{_scaled(d2, 2)}{d3}{tail}", _NOT_EXACT_AT_F1),
+        (f"{head}[d1]\n{d1}[d2]\n{d3}{tail}", _NOT_EXACT_AT_F1),
+        (f"{head}[d1]\n{_scaled(d1, 2)}[d2]\n{d2}{d3}{tail}", _NOT_EXACT_AT_F0),
+    ]
+
+
+def test_inexact_acx_rejected(seeds):
+    """Chain complexes that are not exact are not algebraic complexes: every
+    command that reads one exits 1 and says which exactness fails."""
+    _, _, acx, d = seeds
+    path, real, out = d / "inexact.acx", d / "real.acx", str(d / "out.acx")
+    for name in ACX_NAMES:
+        for text in acx[name]:
+            real.write_text(text)
+            runs = [["wedge", str(path), "1", "--out", out],
+                    ["certify-equiv", str(path), str(path)],
+                    ["certify-equiv", str(path), str(real)],
+                    ["certify-equiv", str(real), str(path)]]
+            if "[d3]" in text:
+                runs += [["split", str(path)], ["quotient", str(path), "--out", out]]
+            for mutant, failure in _inexact_mutants(text):
+                assert mutant != text
+                path.write_text(mutant)
+                for argv in runs:
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(err):
+                        assert main(argv + FLAGS) == 1, (name, argv, mutant)
+                    assert err.getvalue() == \
+                        f"d2kit: {path}: not an algebraic complex: {failure}\n"
+
+
 def _expected_job(rng, expected, d):
     name = rng.choice(FP_NAMES)
     path = d / "mutant.json"
