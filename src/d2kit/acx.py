@@ -43,6 +43,14 @@ from .presentations import parse_presentation, serialize_presentation
 # wedged PSL(2,7) complexes have under 5 000.
 MAX_BOUNDARY_COEFFS = 1_000_000
 
+# Largest integer expansion of a boundary or of an f x f matrix, in cells:
+# rows * cols * |G|^2 (again counting an empty side as 1). Every CLI read
+# expands d_1 and d_2 for the exactness check, so this bounds what a read
+# allocates; with f_0 >= 1 it also bounds the |G|^2 multiplication table.
+# The largest expansions d2kit builds stay under half of it: Z/2 with 706
+# attached spheres (2.0 M) and PSL(2,7) wedged and attached (705 600).
+MAX_EXPANDED_CELLS = 1 << 22
+
 
 # The keys of a [group] section; symbolic mode has only `mode`.
 GROUP_KEYS = ("mode", "order", "multtable", "generators")
@@ -54,56 +62,39 @@ class AcxError(ValueError):
 
 def check_ranks(ranks, group_order):
     """Raise AcxError unless a complex with these ranks over a group of this
-    order (1 in symbolic mode) stays under MAX_BOUNDARY_COEFFS: each boundary
-    and each f x f matrix on a rank f."""
-    for i in range(1, len(ranks)):
-        rows, cols = ranks[i - 1], ranks[i]
-        if max(rows, 1) * max(cols, 1) * group_order > MAX_BOUNDARY_COEFFS:
-            raise AcxError(f"[d{i}] of {rows}x{cols} entries over a group of "
-                           f"order {group_order} exceeds "
-                           f"{MAX_BOUNDARY_COEFFS} coefficients")
-    for i, f in enumerate(ranks):
-        if f * f * group_order > MAX_BOUNDARY_COEFFS:
-            raise AcxError(f"rank {f} of F_{i} over a group of order "
-                           f"{group_order}: a {f}x{f} matrix exceeds "
-                           f"{MAX_BOUNDARY_COEFFS} coefficients")
+    order (1 in symbolic mode) stays under MAX_BOUNDARY_COEFFS and, expanded
+    over Z, under MAX_EXPANDED_CELLS: each boundary and each f x f matrix
+    on a rank f. The coefficient checks come first."""
+    over = f"over a group of order {group_order}"
+    sizes = [(f"[d{i}] of {ranks[i - 1]}x{ranks[i]} entries {over}",
+              max(ranks[i - 1], 1) * max(ranks[i], 1)) for i in range(1, len(ranks))]
+    sizes += [(f"rank {f} of F_{i} {over}: a {f}x{f} matrix", f * f)
+              for i, f in enumerate(ranks)]
+    for what, entries in sizes:
+        if entries * group_order > MAX_BOUNDARY_COEFFS:
+            raise AcxError(f"{what} exceeds {MAX_BOUNDARY_COEFFS} coefficients")
+    for what, entries in sizes:
+        if max(entries, 1) * group_order ** 2 > MAX_EXPANDED_CELLS:
+            raise AcxError(f"{what} expands to more than {MAX_EXPANDED_CELLS} "
+                           "integer cells")
 
 
 def dumps(F):
     lines = ["# d2kit algebraic complex v1", "[group]"]
+    n = F.model.order if F.finite_mode else 1
     if F.finite_mode:
-        m = F.model
-        lines.append("mode: finite")
-        lines.append(f"order: {m.order}")
-        lines.append("multtable:")
-        for row in m.mult:
-            lines.append(" ".join(str(x) for x in row))
-        lines.append("generators: " + " ".join(str(x) for x in m.generator_images))
+        lines += ["mode: finite", f"order: {n}", "multtable:"]
+        lines += [" ".join(str(x) for x in row) for row in F.model.mult]
+        lines.append("generators: " + " ".join(str(x) for x in F.model.generator_images))
     else:
         lines.append("mode: symbolic")
     if F.presentation is not None:
         lines.append("[presentation]")
         lines.extend(serialize_presentation(F.presentation).rstrip("\n").splitlines())
-    lines.append("[ranks]")
-    lines.append(" ".join(str(r) for r in F.ranks))
-    for i in range(1, F.top_degree + 1):
+    lines += ["[ranks]", " ".join(map(str, F.ranks))]
+    for i, d in enumerate(F.boundaries, start=1):
         lines.append(f"[d{i}]")
-        d = F.boundary(i)
-        for r in range(d.rows):
-            if F.finite_mode:
-                # the coefficient vectors of row r are the columns of its
-                # |G| rows of the flat coefficient matrix
-                n = F.model.order
-                block = zip(*(d.vec.row(r * n + t) for t in range(n)))
-                for c, coeffs in enumerate(block):
-                    if any(coeffs):
-                        body = " ".join(f"{t}:{a}" for t, a in enumerate(coeffs) if a)
-                        lines.append(f"{r} {c} {body}")
-            else:
-                for c in range(d.cols):
-                    v = d.entry(r, c)
-                    if v:
-                        lines.append(f"{r} {c} {v}")
+        _write_block(lines, d.vec if F.finite_mode else d, n, F.finite_mode)
     return "\n".join(lines) + "\n"
 
 
@@ -138,14 +129,43 @@ def _index(text, bound, what):
     return i
 
 
-def _position(key, line, parts, rows, cols, seen):
-    """The (row, column) of a [dN] entry line, added to `seen`; an entry
-    may be given once per section."""
-    rc = (_index(parts[0], rows, "row"), _index(parts[1], cols, "column"))
-    if rc in seen:
-        raise AcxError(f"{key} line {line!r} repeats entry {rc[0]} {rc[1]}")
-    seen.add(rc)
-    return rc
+def _write_block(lines, flat, n, finite):
+    """Append the entry lines of a boundary from its flat coefficient
+    matrix (n = |G|, 1 in symbolic mode): row r*n + t, column c holds the
+    coefficient of element t in entry (r, c). Only the entry syntax depends
+    on the mode: `r c t:a ...` or `r c a`."""
+    for r in range(flat.rows // n):
+        for c, coeffs in enumerate(zip(*(flat.row(r * n + t) for t in range(n)))):
+            if any(coeffs):
+                terms = (" ".join(f"{t}:{a}" for t, a in enumerate(coeffs) if a)
+                         if finite else coeffs[0])
+                lines.append(f"{r} {c} {terms}")
+
+
+def _read_block(key, body, rows, cols, n, finite):
+    """The flat coefficient matrix of section `key` from its lines: the
+    inverse of _write_block. An entry may be given once, and its `t:a`
+    pairs add up."""
+    vec = [0] * (rows * n * cols)
+    seen = set()
+    for line in body:
+        parts = line.split()
+        if finite and len(parts) < 2:
+            raise AcxError(f"{key} line {line!r} lacks a row and column")
+        if not finite and len(parts) != 3:
+            raise AcxError(f"{key} line {line!r} is not a row, a column "
+                           "and a coefficient")
+        rc = (_index(parts[0], rows, "row"), _index(parts[1], cols, "column"))
+        if rc in seen:
+            raise AcxError(f"{key} line {line!r} repeats entry {rc[0]} {rc[1]}")
+        seen.add(rc)
+        coeffs = [0] * n
+        for p in parts[2:]:
+            # a symbolic coefficient is that of the identity, element 0
+            idx, _, coeff = p.partition(":") if finite else ("0", "", p)
+            coeffs[_index(idx, n, "element")] += int(coeff)
+        vec[rc[0] * n * cols + rc[1]:(rc[0] + 1) * n * cols:cols] = coeffs
+    return IntMatrix._raw(rows * n, cols, tuple(vec))
 
 
 def _check_group(mult, gens):
@@ -197,15 +217,17 @@ def loads(text):
     sec = _sections(text)
     if "[group]" not in sec or "[ranks]" not in sec:
         raise AcxError("missing [group] or [ranks] section")
-    glines = sec["[group]"]
     fields = {}
-    mult_rows = []
+    table = []  # kept as text until the ranks are checked against the order
     in_table = False
-    for line in glines:
+    for line in sec["[group]"]:
         if in_table and ":" not in line:
-            mult_rows.append([int(x) for x in line.split()])
+            # a row that is not plain digits is converted now, so that a bad
+            # entry is reported before the [ranks] and later [group] checks
+            if not line.replace(" ", "").isdecimal():
+                [int(x) for x in line.split()]
+            table.append(line)
             continue
-        in_table = False
         key, colon, value = line.partition(":")
         key = key.strip()
         if not colon or key not in GROUP_KEYS:
@@ -214,8 +236,7 @@ def loads(text):
         if key in fields:
             raise AcxError(f"[group] key {key} is repeated")
         fields[key] = value.strip()
-        if key == "multtable":
-            in_table = True
+        in_table = key == "multtable"
     mode = fields.get("mode")
     if mode not in ("finite", "symbolic"):
         raise AcxError(f"bad mode {mode!r}")
@@ -231,22 +252,22 @@ def loads(text):
     ranks = tuple(int(x) for x in sec["[ranks]"][0].split())
     if any(r < 0 for r in ranks):
         raise AcxError(f"negative rank in [ranks]: {sec['[ranks]'][0].strip()}")
+    if mode == "symbolic" and presentation is None:
+        raise AcxError("symbolic mode requires a [presentation] section")
+    if mode == "finite" and "order" not in fields:
+        raise AcxError("finite [group] section lacks an order")
+    order = int(fields.get("order", 1))
+    check_ranks(ranks, order)
     model = None
     if mode == "finite":
-        if "order" not in fields:
-            raise AcxError("finite [group] section lacks an order")
-        order = int(fields["order"])
-        if len(mult_rows) != order or any(len(r) != order for r in mult_rows):
+        mult = tuple(tuple(map(int, line.split())) for line in table)
+        if len(mult) != order or any(len(row) != order for row in mult):
             raise AcxError("multiplication table has the wrong shape")
-        mult = tuple(tuple(x) for x in mult_rows)
         gens = tuple(_index(x, order, "generator")
                      for x in fields.get("generators", "").split())
         _check_group(mult, gens)
         inverse = tuple(row.index(0) for row in mult)
         model = FiniteGroupModel(order, mult, inverse, gens)
-    elif presentation is None:
-        raise AcxError("symbolic mode requires a [presentation] section")
-    check_ranks(ranks, model.order if model else 1)
     known = {"[group]", "[presentation]", "[ranks]"}
     known.update(f"[d{i}]" for i in range(1, len(ranks)))
     for name in sec:
@@ -255,37 +276,10 @@ def loads(text):
                            f"degree {len(ranks) - 1}")
     boundaries = []
     for i in range(1, len(ranks)):
-        key = f"[d{i}]"
-        rows, cols = ranks[i - 1], ranks[i]
-        body = sec.get(key, [])
-        seen = set()
-        if mode == "finite":
-            # row r*|G| + t, column c of the flat coefficient matrix holds
-            # the coefficient of element t in entry (r, c)
-            vec = [0] * (rows * order * cols)
-            for line in body:
-                parts = line.split()
-                if len(parts) < 2:
-                    raise AcxError(f"{key} line {line!r} lacks a row and column")
-                r, c = _position(key, line, parts, rows, cols, seen)
-                coeffs = [0] * order
-                for p in parts[2:]:
-                    idx, _, coeff = p.partition(":")
-                    coeffs[_index(idx, order, "element")] += int(coeff)
-                vec[r * order * cols + c:(r + 1) * order * cols:cols] = coeffs
-            boundaries.append(GroupRingMatrix._raw(
-                model, rows, cols, IntMatrix._raw(rows * order, cols, tuple(vec))))
-        else:
-            entries = [[0] * cols for _ in range(rows)]
-            for line in body:
-                parts = line.split()
-                if len(parts) != 3:
-                    raise AcxError(f"{key} line {line!r} is not a row, a column "
-                                   "and a coefficient")
-                r, c = _position(key, line, parts, rows, cols, seen)
-                entries[r][c] = int(parts[2])
-            boundaries.append(IntMatrix(rows, cols,
-                                        [x for row in entries for x in row]))
+        key, rows, cols = f"[d{i}]", ranks[i - 1], ranks[i]
+        flat = _read_block(key, sec.get(key, []), rows, cols, order, mode == "finite")
+        boundaries.append(GroupRingMatrix._raw(model, rows, cols, flat)
+                          if model else flat)
     return AlgebraicComplex(ranks, model, tuple(boundaries), presentation)
 
 

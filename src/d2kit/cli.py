@@ -37,9 +37,7 @@ from .presentations import ParseError, parse_presentation
 
 
 class CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
+    pass
 
 
 def _read_presentation(path):
@@ -85,10 +83,9 @@ def _require(path, F, degree, what, finite=True):
         raise CliError(f"{path}: {what} requires finite mode")
 
 
-def _emit(pairs, fmt, out=None):
+def _emit(pairs, fmt):
     """pairs: ordered (key, value); lists render as YAML-like blocks."""
-    if out is None:
-        out = sys.stdout
+    out = sys.stdout
     if fmt == "json":
         out.write(json.dumps(dict(pairs), sort_keys=True, indent=2,
                              default=str) + "\n")
@@ -229,6 +226,11 @@ def cmd_chain(args):
             model = group_model(P, args.max_cosets)
         except (NotFinitelyEnumerated, CertificateError) as e:
             raise CliError(f"{args.file}: cannot build finite model: {e}")
+    try:
+        acx.check_ranks((1, P.num_generators, P.num_relators),
+                        model.order if model else 1)
+    except acx.AcxError as e:
+        raise CliError(f"chain: {e}")
     F = presentation_complex(P, model)
     _write(args.out, acx.dumps(F))
     _emit([("out", args.out), ("mode", "finite" if model else "symbolic"),
@@ -456,7 +458,7 @@ def main(argv=None):
         return args.func(args)
     except CliError as e:
         print(f"d2kit: {e}", file=sys.stderr)
-        return e.code
+        return 1
 
 
 if __name__ == "__main__":

@@ -218,10 +218,7 @@ class _WordParser:
         elif kind == "lpar":
             self.i += 1
             atom = self.parse_word(stop_at_rpar=True)
-            tok = self.peek()
-            if tok is None or tok[0] != "rpar":
-                raise ParseError("missing ')'", self.line_no, col)
-            self.i += 1
+            self.i += 1  # the chunk is balanced, so this is the matching ')'
         else:
             raise ParseError(f"unexpected token {text!r}", self.line_no, col)
         tok = self.peek()
@@ -278,12 +275,8 @@ def parse_presentation(text):
             gen_index = {name: i for i, name in enumerate(gens)}
             for chunk, col in _relator_chunks(body, line_no, col0):
                 tokens = _tokenize(chunk, line_no, col)
-                parser = _WordParser(tokens, gen_index, line_no)
-                w = parser.parse_word()
-                if parser.peek() is not None:
-                    _, text_, col_ = parser.tokens[parser.i]
-                    raise ParseError(f"unexpected token {text_!r}", line_no, col_)
-                relators.append(w)
+                # at the top level parse_word reads every token
+                relators.append(_WordParser(tokens, gen_index, line_no).parse_word())
         else:
             raise ParseError("expected 'gens:' or 'rels:' line", line_no, indent + 1)
     if gens is None:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from d2kit import acx
 from d2kit.chains import (
     AlgebraicComplex,
     _Budget,
+    _augmentation_ideal_basis,
     _contract_cone,
     _lift_chain_map,
     _phi2_candidates,
@@ -457,6 +459,11 @@ def test_validate_a5_exactness():
     assert rep.ker_d2_qdim == 3 * 60 - 61
 
 
+def test_augmentation_ideal_basis_is_the_kernel_of_the_ones_row():
+    for N in [*range(1, 65), 120, 168]:
+        assert _augmentation_ideal_basis(N) == kernel_basis(IntMatrix(1, N, [1] * N))
+
+
 def _record_echelons(monkeypatch):
     """Record (rows eliminated, columns) of every call of the elimination core."""
     from d2kit import intlinalg
@@ -476,10 +483,10 @@ def test_validate_complex_eliminates_d2_once(monkeypatch):
     calls = _record_echelons(monkeypatch)
     rep = validate_complex(presentation_complex(S3P, S3M))
     assert rep.ok and rep.d2_rank_q == 7
-    # Hermite forms of d_1 and the augmentation kernel, then of d_2 and the
-    # kernel of d_1; d_2 (12 x 18) is eliminated once and gives both
-    # exactness at F_1 and its rank
-    assert calls == [(6, 12), (1, 6), (6, 5), (12, 18), (6, 12), (12, 7)]
+    # the Hermite form of d_1 (the augmentation ideal needs no elimination),
+    # then of d_2 and the kernel of d_1; d_2 (12 x 18) is eliminated once
+    # and gives both exactness at F_1 and its rank
+    assert calls == [(6, 12), (12, 18), (6, 12), (12, 7)]
 
 
 def test_read_check_does_no_lattice_work(monkeypatch):
@@ -687,6 +694,51 @@ def test_acx_round_trip_top3(tmp_path):
     acx.write_acx(X, path)
     Y = acx.read_acx(path)
     assert Y.ranks == X.ranks and Y.boundaries == X.boundaries
+
+
+Q8P = parse_presentation("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n")
+_CODEC_GROUPS = [(Z2P, Z2M), (S3P, S3M), (Q8P, group_model(Q8P, 100)),
+                 (A5P, group_model(A5P, 1000)), (TREFOILP, None)]
+# sha256 of every text the codec round trip writes, in order: a change to
+# the .acx bytes shows here
+_CODEC_SHA256 = "50247cde5028c3550d34bc303c0173d3a483e6bef1497dd2eab8d15a409c0e9b"
+
+
+def _random_complex(rng, P, model):
+    """A seeded complex of top degree 1, 2 or 3 over model (symbolic when
+    None): rank-0 degrees, all-zero blocks, negative and multi-digit
+    coefficients. Its boundaries need not compose to zero."""
+    top = rng.randint(1, 3)
+    ranks = (rng.randint(1, 3),) + tuple(rng.randint(0, 3) for _ in range(top))
+    n = model.order if model else 1
+    boundaries = []
+    for rows, cols in zip(ranks, ranks[1:]):
+        density = rng.choice((0, 0.05, 0.5))
+        flat = IntMatrix(rows * n, cols, [
+            rng.choice((-40321, -12, -1, 1, 3, 1000)) if rng.random() < density
+            else 0 for _ in range(rows * n * cols)])
+        boundaries.append(GroupRingMatrix._raw(model, rows, cols, flat)
+                          if model else flat)
+    keep = model is None or rng.random() < 0.5
+    return AlgebraicComplex(ranks, model, tuple(boundaries), P if keep else None)
+
+
+def test_acx_codec_round_trip():
+    # loads inverts dumps and dumps inverts loads, in both modes, and the
+    # written bytes are pinned
+    rng = random.Random(2015)
+    texts = []
+    for P, model in _CODEC_GROUPS:
+        for _ in range(12):
+            F = _random_complex(rng, P, model)
+            text = acx.dumps(F)
+            assert acx.loads(text) == F
+            assert acx.dumps(acx.loads(text)) == text
+            texts.append(text)
+    assert any("[d3]\n" in t for t in texts)
+    assert any(t.endswith("]\n") for t in texts)  # an empty last block
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == _CODEC_SHA256
 
 
 def test_acx_bad_input():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from d2kit import cli
+from d2kit import acx, chains, cli
 from d2kit.acx import read_acx
 from d2kit.chains import EquivalenceCertificate
 from d2kit.cli import build_parser, main
@@ -551,6 +551,42 @@ def test_acx_oversized_rank_rejected(tmp_path, capsys):
     assert main(["split", str(w)]) == 1
     assert "rank 1000 of F_3 over a group of order 2: a 1000x1000 matrix " \
            "exceeds 1000000 coefficients" in capsys.readouterr().err
+
+
+def test_acx_expansion_bounded_before_expanding(tmp_path, capsys, monkeypatch):
+    # over A5 ranks 1 129 129 keep every boundary under the coefficient cap,
+    # but d_2 would expand to 7740 x 7740 integer cells for the exactness check
+    calls = []
+    real = chains.regular_rep_expand
+    monkeypatch.setattr(chains, "regular_rep_expand",
+                        lambda M: calls.append(M) or real(M))
+    f = tmp_path / "F.acx"
+    assert main(["chain", str(CORPUS / "a5.fp"), "--finite", "--out", str(f)]) == 0
+    f.write_text(f.read_text().replace("[ranks]\n1 2 3\n", "[ranks]\n1 129 129\n"))
+    capsys.readouterr()
+    assert main(["wedge", str(f), "1"]) == 1
+    assert "[d2] of 129x129 entries over a group of order 60 expands to more " \
+           "than 4194304 integer cells" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_acx_table_bounded_before_its_shape():
+    # the size rule runs on the order before the table is read
+    with pytest.raises(acx.AcxError, match="rank 1 of F_0 over a group of order "
+                       "10752: a 1x1 matrix expands to more than 4194304"):
+        acx.loads("[group]\nmode: finite\norder: 10752\nmulttable:\n0 1 2\n"
+                  "generators:\n[ranks]\n1\n")
+
+
+def test_chain_checks_the_size_rule_before_writing(tmp_path, capsys):
+    # Z/3000 has a 9 000 000-cell table: chain would write a file no read accepts
+    fp, out = tmp_path / "z3000.fp", tmp_path / "F.acx"
+    fp.write_text("gens: x\nrels: x^3000\n")
+    assert main(["chain", str(fp), "--finite", "--max-cosets", "4000",
+                 "--out", str(out)]) == 1
+    assert "chain: [d1] of 1x1 entries over a group of order 3000 expands to " \
+           "more than 4194304 integer cells" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quotient_symbolic_rejected(tmp_path, capsys):
