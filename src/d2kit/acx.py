@@ -21,14 +21,16 @@ Layout (sections in fixed order, deterministic output)::
     0 0 2                   (symbolic: `i j coeff`, zeros omitted)
 
 Group-ring entries serialize as sorted (element index, coefficient) pairs
-with zeros omitted; a zero entry is simply absent. `loads` rejects what it
+with zeros omitted; a zero entry is simply absent. A symbolic boundary is a
+matrix over the one-element group (`chains.ONE_ELEMENT`), so its entries
+are written as their single coefficient. `loads` rejects what it
 would otherwise ignore: a section other than these (or a [dN] above the top
 degree), a second [ranks] line, and an unknown or repeated [group] key.
 """
 
 from __future__ import annotations
 
-from .chains import AlgebraicComplex
+from .chains import ONE_ELEMENT, AlgebraicComplex
 from .coset import FiniteGroupModel
 from .groupring import GroupRingMatrix
 from .intlinalg import IntMatrix
@@ -81,9 +83,8 @@ def check_ranks(ranks, group_order):
 
 def dumps(F):
     lines = ["# d2kit algebraic complex v1", "[group]"]
-    n = F.model.order if F.finite_mode else 1
     if F.finite_mode:
-        lines += ["mode: finite", f"order: {n}", "multtable:"]
+        lines += ["mode: finite", f"order: {F.model.order}", "multtable:"]
         lines += [" ".join(str(x) for x in row) for row in F.model.mult]
         lines.append("generators: " + " ".join(str(x) for x in F.model.generator_images))
     else:
@@ -94,7 +95,7 @@ def dumps(F):
     lines += ["[ranks]", " ".join(map(str, F.ranks))]
     for i, d in enumerate(F.boundaries, start=1):
         lines.append(f"[d{i}]")
-        _write_block(lines, d.vec if F.finite_mode else d, n, F.finite_mode)
+        _write_block(lines, d, F.finite_mode)
     return "\n".join(lines) + "\n"
 
 
@@ -129,12 +130,13 @@ def _index(text, bound, what):
     return i
 
 
-def _write_block(lines, flat, n, finite):
-    """Append the entry lines of a boundary from its flat coefficient
-    matrix (n = |G|, 1 in symbolic mode): row r*n + t, column c holds the
+def _write_block(lines, d, finite):
+    """Append the entry lines of boundary d from its flat coefficient matrix
+    d.vec (n = |G|, 1 in symbolic mode): row r*n + t, column c holds the
     coefficient of element t in entry (r, c). Only the entry syntax depends
     on the mode: `r c t:a ...` or `r c a`."""
-    for r in range(flat.rows // n):
+    flat, n = d.vec, d.model.order
+    for r in range(d.rows):
         for c, coeffs in enumerate(zip(*(flat.row(r * n + t) for t in range(n)))):
             if any(coeffs):
                 terms = (" ".join(f"{t}:{a}" for t, a in enumerate(coeffs) if a)
@@ -142,10 +144,11 @@ def _write_block(lines, flat, n, finite):
                 lines.append(f"{r} {c} {terms}")
 
 
-def _read_block(key, body, rows, cols, n, finite):
-    """The flat coefficient matrix of section `key` from its lines: the
-    inverse of _write_block. An entry may be given once, and its `t:a`
-    pairs add up."""
+def _read_block(key, body, rows, cols, ring, finite):
+    """The boundary over `ring` of section `key` from its lines: the inverse
+    of _write_block. An entry may be given once, and its `t:a` pairs add
+    up."""
+    n = ring.order
     vec = [0] * (rows * n * cols)
     seen = set()
     for line in body:
@@ -165,7 +168,8 @@ def _read_block(key, body, rows, cols, n, finite):
             idx, _, coeff = p.partition(":") if finite else ("0", "", p)
             coeffs[_index(idx, n, "element")] += int(coeff)
         vec[rc[0] * n * cols + rc[1]:(rc[0] + 1) * n * cols:cols] = coeffs
-    return IntMatrix._raw(rows * n, cols, tuple(vec))
+    return GroupRingMatrix._raw(ring, rows, cols,
+                                IntMatrix._raw(rows * n, cols, tuple(vec)))
 
 
 def _check_group(mult, gens):
@@ -274,13 +278,11 @@ def loads(text):
         if name not in known:
             raise AcxError(f"unknown section {name} in a complex of top "
                            f"degree {len(ranks) - 1}")
-    boundaries = []
-    for i in range(1, len(ranks)):
-        key, rows, cols = f"[d{i}]", ranks[i - 1], ranks[i]
-        flat = _read_block(key, sec.get(key, []), rows, cols, order, mode == "finite")
-        boundaries.append(GroupRingMatrix._raw(model, rows, cols, flat)
-                          if model else flat)
-    return AlgebraicComplex(ranks, model, tuple(boundaries), presentation)
+    boundaries = tuple(
+        _read_block(f"[d{i}]", sec.get(f"[d{i}]", []), ranks[i - 1], ranks[i],
+                    model or ONE_ELEMENT, mode == "finite")
+        for i in range(1, len(ranks)))
+    return AlgebraicComplex(ranks, model, boundaries, presentation)
 
 
 def read_acx(path):

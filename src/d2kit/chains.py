@@ -6,9 +6,10 @@ F_n -> ... -> F_1 -> F_0 -> Z -> 0 of the trivial module, recorded as ranks
 
 * finite mode: boundaries are GroupRingMatrix over a FiniteGroupModel, and
   every check is exact in ZG;
-* symbolic mode (infinite or unenumerated groups): boundaries carry only
-  their trivial-coefficient shadow (entrywise augmentation, an IntMatrix),
-  which is enough for Euler characteristics and field homology.
+* symbolic mode (infinite or unenumerated groups): boundaries are only
+  their trivial-coefficient shadows, the complex pushed down to Z = Z[1],
+  as GroupRingMatrix over ONE_ELEMENT; enough for Euler characteristics
+  and field homology, so both modes share one code path.
 
 Boundary d_i maps F_i -> F_(i-1) and is stored as a ranks[i-1] x ranks[i]
 matrix acting on column vectors; compositions use GroupRingMatrix.compose
@@ -52,6 +53,9 @@ from .presentations import Presentation
 # correction search needs more room than the deficiency search
 DEFAULT_CERTIFY_BUDGET = 600
 
+# the group of order 1: the ring of a symbolic complex's boundaries is Z[1] = Z
+ONE_ELEMENT = FiniteGroupModel(1, ((0,),), (0,), ())
+
 
 class NotAChainMap(ValueError):
     pass
@@ -69,9 +73,10 @@ class SummandBasisNotFound(ValueError):
 class AlgebraicComplex:
     """ranks = (f_0, ..., f_n); boundaries = (d_1, ..., d_n).
 
-    model is a FiniteGroupModel (finite mode, GroupRingMatrix boundaries) or
-    None (symbolic mode, IntMatrix shadows). presentation records provenance
-    when the complex came from one.
+    Every boundary is a GroupRingMatrix over `model`, a FiniteGroupModel
+    (finite mode), or over ONE_ELEMENT when model is None (symbolic mode:
+    the group is unknown). presentation records provenance when the
+    complex came from one.
     """
     ranks: tuple
     model: FiniteGroupModel | None
@@ -89,15 +94,12 @@ class AlgebraicComplex:
             raise ValueError("top degree at most 3")
         if len(self.boundaries) != len(self.ranks) - 1:
             raise ValueError("need one boundary per positive degree")
+        ring = self.model or ONE_ELEMENT
         for i, d in enumerate(self.boundaries, start=1):
-            if self.model is None:
-                if not isinstance(d, IntMatrix):
-                    raise TypeError("symbolic boundaries must be IntMatrix shadows")
-            else:
-                if not isinstance(d, GroupRingMatrix):
-                    raise TypeError("finite-mode boundaries must be GroupRingMatrix")
-                if not d.model.same_table(self.model):
-                    raise ModelMismatch("boundary over a different group model")
+            if not isinstance(d, GroupRingMatrix):
+                raise TypeError("boundaries must be GroupRingMatrix")
+            if not d.model.same_table(ring):
+                raise ModelMismatch("boundary over a different group model")
             if (d.rows, d.cols) != (self.ranks[i - 1], self.ranks[i]):
                 raise ValueError(f"d_{i} has shape {d.rows}x{d.cols}, "
                                  f"expected {self.ranks[i - 1]}x{self.ranks[i]}")
@@ -115,8 +117,7 @@ class AlgebraicComplex:
 
     def shadow(self, i):
         """Trivial-coefficient image of d_i (an IntMatrix), in either mode."""
-        d = self.boundaries[i - 1]
-        return d.augmentation_matrix() if self.finite_mode else d
+        return self.boundaries[i - 1].augmentation_matrix()
 
 
 def fox_derivative(model, word, gen):
@@ -142,13 +143,14 @@ def presentation_complex(P, model=None):
     entries x_i - 1, d_2 the Fox derivative matrix (d r_j / d x_i at (i,j)).
 
     With a FiniteGroupModel the boundaries are exact ZG matrices (the model
-    must present the same group); without one, only the exponent shadows.
+    must present the same group); without one, they are their shadows over
+    ONE_ELEMENT: d_1 = 0 and d_2 the exponent sums.
     """
     d, k = P.num_generators, P.num_relators
     if model is None:
-        d1 = IntMatrix.zeros(1, d)
-        d2 = IntMatrix(d, k, [P.relators[j].exponent_sum(i)
-                              for i in range(d) for j in range(k)])
+        d1 = GroupRingMatrix.zeros(ONE_ELEMENT, 1, d)
+        d2 = GroupRingMatrix._raw(ONE_ELEMENT, d, k, IntMatrix(d, k, [
+            P.relators[j].exponent_sum(i) for i in range(d) for j in range(k)]))
         return AlgebraicComplex((1, d, k), None, (d1, d2), P)
     if len(model.generator_images) != d:
         raise ModelMismatch("model generator count differs from presentation")
@@ -197,50 +199,41 @@ def _augmentation_ideal_basis(N):
 
 
 def validate_complex(F):
-    """Check d o d = 0 (exactly in finite mode, shadows otherwise), that the
+    """Check d o d = 0 exactly over the boundaries' ring, that the
     augmentation kills d_1, and (finite mode) exactness at F_0 and F_1 via
     integer-lattice comparison; reports the Q-rank of the expanded d_2 and
     the Q-dimension of its kernel (the algebraic pi_2 size; in symbolic
-    mode these are shadow quantities). Finite mode does the lattice work
-    only when the first two checks pass; otherwise those fields are None."""
+    mode these are shadow quantities). The lattice and rank work runs only
+    when the first two checks pass; otherwise those fields are None."""
     failures = []
     n = F.top_degree
     chain_ok = True
     for i in range(1, n):
-        if F.finite_mode:
-            zero = F.boundary(i).compose(F.boundary(i + 1)).is_zero()
-        else:
-            zero = (F.shadow(i) * F.shadow(i + 1)).is_zero()
-        if not zero:
+        if not F.boundary(i).compose(F.boundary(i + 1)).is_zero():
             chain_ok = False
             failures.append(f"d_{i} o d_{i + 1} != 0")
     # the augmented complex needs eps o d_1 = 0: column sums of the shadow
-    aug_ok = True
-    if n >= 1:
-        sh = F.shadow(1)
-        aug_ok = all(sum(sh.entry(i, j) for i in range(sh.rows)) == 0
-                     for j in range(sh.cols))
+    sh = F.shadow(1) if n >= 1 else None
+    aug_ok = n < 1 or all(sum(sh.column(j)) == 0 for j in range(sh.cols))
     if not aug_ok:
         failures.append("augmentation does not kill d_1")
-    exact0 = exact1 = None
-    d2_rank = ker_dim = None
-    if F.finite_mode:
-        if chain_ok and aug_ok and n >= 1:
-            order = F.model.order
-            E1 = regular_rep_expand(F.boundary(1))
+    exact0 = exact1 = d2_rank = ker_dim = None
+    if chain_ok and aug_ok and n >= 1:
+        order = F.boundary(1).model.order
+        E1 = regular_rep_expand(F.boundary(1))
+        # exactness is a statement about a known group
+        if F.finite_mode:
             exact0 = column_hnf(E1) == _augmentation_ideal_basis(F.ranks[0] * order)
             if not exact0:
                 failures.append("image of d_1 differs from the augmentation ideal")
-            if n >= 2:
-                H2 = column_hnf(regular_rep_expand(F.boundary(2)))
+        if n >= 2:
+            H2 = column_hnf(regular_rep_expand(F.boundary(2)))
+            if F.finite_mode:
                 exact1 = H2 == kernel_basis(E1)
                 if not exact1:
                     failures.append("ker d_1 differs from image of d_2")
-                d2_rank = len(H2)
-                ker_dim = F.ranks[2] * order - d2_rank
-    elif n >= 2:
-        d2_rank = rank_over_field(F.shadow(2), "Q")
-        ker_dim = F.ranks[2] - d2_rank
+            d2_rank = len(H2)
+            ker_dim = F.ranks[2] * order - d2_rank
     return ValidationReport("finite" if F.finite_mode else "symbolic",
                             chain_ok, aug_ok, exact0, exact1,
                             d2_rank, ker_dim, tuple(failures))
@@ -257,10 +250,7 @@ def stabilize_wedge(F, n):
         return F
     f0, f1, f2 = F.ranks
     d2 = F.boundary(2)
-    if F.finite_mode:
-        ext = d2.hstack(GroupRingMatrix.zeros(F.model, f1, n))
-    else:
-        ext = d2.hstack(IntMatrix.zeros(f1, n))
+    ext = d2.hstack(GroupRingMatrix.zeros(d2.model, f1, n))
     return AlgebraicComplex((f0, f1, f2 + n), F.model,
                             (F.boundary(1), ext), F.presentation)
 

@@ -29,7 +29,7 @@ from .chains import (
     validate_complex,
 )
 from .coset import (DEFAULT_MAX_COSETS, NotFinitelyEnumerated, find_normal_generator,
-                    group_model, todd_coxeter)
+                    table_model, todd_coxeter)
 from .groupring import GroupRingMatrix
 from .intlinalg import CertificateError
 from .invariants import DEFAULT_SEARCH_BUDGET, analyze_presentation
@@ -220,15 +220,18 @@ def cmd_normal_gen(args):
 
 def cmd_chain(args):
     P = _read_presentation(args.file)
-    model = None
-    if args.finite:
-        try:
-            model = group_model(P, args.max_cosets)
-        except (NotFinitelyEnumerated, CertificateError) as e:
-            raise CliError(f"{args.file}: cannot build finite model: {e}")
     try:
+        # one enumeration, whose order is checked before the |G|^2 table is built
+        if args.finite:
+            tc = todd_coxeter(P, args.max_cosets)
+            if not tc.complete:
+                raise NotFinitelyEnumerated(
+                    f"enumeration incomplete after {args.max_cosets} cosets")
         acx.check_ranks((1, P.num_generators, P.num_relators),
-                        model.order if model else 1)
+                        tc.num_cosets if args.finite else 1)
+        model = table_model(P, tc.table) if args.finite else None
+    except (NotFinitelyEnumerated, CertificateError) as e:
+        raise CliError(f"{args.file}: cannot build finite model: {e}")
     except acx.AcxError as e:
         raise CliError(f"chain: {e}")
     F = presentation_complex(P, model)
@@ -250,7 +253,7 @@ def cmd_wedge(args):
     f0, f1, f2 = F.ranks
     ranks = (f0, f1, f2 + args.n) + ((args.n,) if args.attach else ())
     try:
-        acx.check_ranks(ranks, F.model.order if F.finite_mode else 1)
+        acx.check_ranks(ranks, F.boundary(2).model.order)
     except acx.AcxError as e:
         raise CliError(f"wedge: {e}")
     W = stabilize_wedge(F, args.n)

@@ -363,10 +363,14 @@ def group_model(P, max_cosets):
     """Multiplication-table model of the (finite) group presented by P."""
     tc = todd_coxeter(P, max_cosets)
     if not tc.complete:
-        raise NotFinitelyEnumerated(
-            f"enumeration incomplete after {max_cosets} cosets")
-    n = tc.num_cosets
-    rows = tc.table
+        raise NotFinitelyEnumerated(f"enumeration incomplete after {max_cosets} cosets")
+    return table_model(P, tc.table)
+
+
+def table_model(P, rows):
+    """Model of P from the `table` of its complete `todd_coxeter` run; it
+    builds the |G|^2 multiplication table, so a caller may check |G| first."""
+    n = len(rows)
     # breadth-first spanning tree: element j was first reached from k by
     # column c, so its representative word is k's followed by c, and
     # i * j = (i * k) moved along column c; columns of mult are built in

@@ -201,18 +201,17 @@ def realization_check(F, sandwich, certified_finite=None):
     caller-asserted for infinite groups and impossible for finite ones
     (finite groups have no finite-dimensional classifying space), so the
     clause is suppressed there. The computable shadow reported here is the
-    Q-dimension of ker d_2, which vanishes for an aspherical complex."""
+    Q-dimension of ker d_2 over the boundaries' ring (ZG, or Z in symbolic
+    mode), which vanishes for an aspherical complex."""
     if F.top_degree != 2:
         raise ValueError("realization check applies to top-degree-2 complexes")
     if certified_finite is None:
         certified_finite = F.finite_mode
     chi = euler_characteristic(F)
     notes = []
-    if F.finite_mode:
-        E2 = regular_rep_expand(F.boundary(2))
-        kernel_qdim = F.ranks[2] * F.model.order - rank_over_field(E2, "Q")
-    else:
-        kernel_qdim = F.ranks[2] - rank_over_field(F.shadow(2), "Q")
+    E2 = regular_rep_expand(F.boundary(2))
+    kernel_qdim = E2.cols - rank_over_field(E2, "Q")
+    if not F.finite_mode:
         notes.append("kernel dimension is the exponent-shadow value "
                      "(strictly weaker than the ZG statement)")
     if not sandwich.tight:

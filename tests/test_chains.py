@@ -11,6 +11,7 @@ import pytest
 import d2kit
 from d2kit import acx
 from d2kit.chains import (
+    ONE_ELEMENT,
     AlgebraicComplex,
     _Budget,
     _augmentation_ideal_basis,
@@ -92,6 +93,26 @@ def test_presentation_complex_symbolic_trefoil():
     assert F.ranks == (1, 2, 1)
     assert F.shadow(2).to_rows() == [[2], [-3]]
     assert F.shadow(1).is_zero()
+
+
+def test_every_boundary_is_a_group_ring_matrix():
+    # a symbolic complex lives over the one-element group; its shadows are
+    # the exponent-sum matrices symbolic complexes always had
+    for P, shadows in [(S3P, ([[0, 0]], [[2, 0, 3], [0, 2, 3]])),
+                       (TREFOILP, ([[0, 0]], [[2], [-3]]))]:
+        F = presentation_complex(P)
+        assert all(d.model is ONE_ELEMENT for d in F.boundaries)
+        assert (F.shadow(1), F.shadow(2)) == tuple(map(IntMatrix.from_rows, shadows))
+        with pytest.raises(TypeError):
+            AlgebraicComplex(F.ranks, None, (F.shadow(1), F.shadow(2)), P)
+    Z2F = presentation_complex(Z2P, Z2M)
+    with pytest.raises(TypeError):
+        AlgebraicComplex(Z2F.ranks, Z2M, (Z2F.shadow(1), Z2F.boundary(2)))
+    # the ring is fixed by the mode: Z[1] in symbolic mode, ZG in finite mode
+    with pytest.raises(ModelMismatch):
+        AlgebraicComplex(Z2F.ranks, None, Z2F.boundaries)
+    with pytest.raises(ModelMismatch):
+        AlgebraicComplex(Z2F.ranks, Z2M, presentation_complex(Z2P).boundaries)
 
 
 def test_presentation_complex_trivial():
@@ -512,6 +533,12 @@ def test_read_check_does_no_lattice_work(monkeypatch):
     rep = validate_complex(presentation_complex(S3P))
     assert rep.d2_rank_q == 2
     assert len(calls) == 1
+    # and, as in finite mode, no rank when the augmentation does not kill d_1
+    S = presentation_complex(S3P)
+    bump = GroupRingMatrix.from_rows(ONE_ELEMENT, [[elem(ONE_ELEMENT, (0, 1))] * 2])
+    rep = validate_complex(AlgebraicComplex(S.ranks, None, (bump, S.boundary(2))))
+    assert not rep.aug_d1_zero and (rep.d2_rank_q, rep.ker_d2_qdim) == (None, None)
+    assert len(calls) == 1
 
 
 def _dup_pair(P, model, dup):
@@ -710,15 +737,15 @@ def _random_complex(rng, P, model):
     coefficients. Its boundaries need not compose to zero."""
     top = rng.randint(1, 3)
     ranks = (rng.randint(1, 3),) + tuple(rng.randint(0, 3) for _ in range(top))
-    n = model.order if model else 1
+    ring = model or ONE_ELEMENT
+    n = ring.order
     boundaries = []
     for rows, cols in zip(ranks, ranks[1:]):
         density = rng.choice((0, 0.05, 0.5))
         flat = IntMatrix(rows * n, cols, [
             rng.choice((-40321, -12, -1, 1, 3, 1000)) if rng.random() < density
             else 0 for _ in range(rows * n * cols)])
-        boundaries.append(GroupRingMatrix._raw(model, rows, cols, flat)
-                          if model else flat)
+        boundaries.append(GroupRingMatrix._raw(ring, rows, cols, flat))
     keep = model is None or rng.random() < 0.5
     return AlgebraicComplex(ranks, model, tuple(boundaries), P if keep else None)
 
@@ -739,6 +766,66 @@ def test_acx_codec_round_trip():
     assert any(t.endswith("]\n") for t in texts)  # an empty last block
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == _CODEC_SHA256
+
+
+# per corpus file, the symbolic complex: sha256 of its .acx text, its
+# validate_complex fields and its homology over Q, F_2, F_3 and F_5
+_SYMBOLIC_PINS = {
+    "a5.fp": (
+        "a3ee1685063de9eeb380215eafded90c40f3a205bfdc5e65a40179eb27caadf2",
+        ("symbolic", True, True, None, None, 2, 1, ()),
+        ((1, 0, 1), (1, 0, 1), (1, 0, 1), (1, 0, 1))),
+    "f2.fp": (
+        "603ba75d806449702371fa3452166768c4f57b2be53f7257e0cdc5d6f045f08b",
+        ("symbolic", True, True, None, None, 0, 0, ()),
+        ((1, 2, 0), (1, 2, 0), (1, 2, 0), (1, 2, 0))),
+    "q8.fp": (
+        "7654f4943479b181c738211dc10a50b140b5665627917527e87e874a4119a4b1",
+        ("symbolic", True, True, None, None, 2, 0, ()),
+        ((1, 0, 0), (1, 2, 2), (1, 0, 0), (1, 0, 0))),
+    "s3.fp": (
+        "ec2e74277ab39e81004a0363d6eebdb1f29fcaec1b51af169bc6217e1796cd58",
+        ("symbolic", True, True, None, None, 2, 1, ()),
+        ((1, 0, 1), (1, 1, 2), (1, 0, 1), (1, 0, 1))),
+    "trefoil.fp": (
+        "11826d2bc94e4c46b48a8bf9af839807d6851b0a12940fd6e15b25528adcaa67",
+        ("symbolic", True, True, None, None, 1, 0, ()),
+        ((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0))),
+    "trivial.fp": (
+        "49dce1c050b55ead1fc6262437eb6e5c8c26603f2480eea32e6fc1b4a4ad6fac",
+        ("symbolic", True, True, None, None, 0, 0, ()),
+        ((1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0))),
+    "z.fp": (
+        "b6695b6814d93fed8546f9ce8cd60a182a3a807528e183f6d8f536b885b6c770",
+        ("symbolic", True, True, None, None, 0, 0, ()),
+        ((1, 1, 0), (1, 1, 0), (1, 1, 0), (1, 1, 0))),
+    "z2.fp": (
+        "3fb93a7a0a08f603858271989f543d753cbf190fb81d9c214f0dc94cbf5ae27f",
+        ("symbolic", True, True, None, None, 1, 0, ()),
+        ((1, 0, 0), (1, 1, 1), (1, 0, 0), (1, 0, 0))),
+    "z5.fp": (
+        "b0510e4b8353055c726feb2704fa50d6c911ae053f6dca9002e3238f0f18b399",
+        ("symbolic", True, True, None, None, 1, 0, ()),
+        ((1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 1, 1))),
+}
+# sha256 of the .acx texts of every corpus file's symbolic complex wedged
+# with two 2-spheres, in file order
+_SYMBOLIC_WEDGE_SHA256 = "56e9a93ee679787099ee23c25327cea5d532befdd8f0ff0dea3e826a60377284"
+
+
+def test_symbolic_complexes_are_pinned():
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    paths = sorted(corpus.glob("*.fp"))
+    assert [p.name for p in paths] == sorted(_SYMBOLIC_PINS)
+    wedges = hashlib.sha256()
+    for path in paths:
+        F = presentation_complex(parse_presentation(path.read_text()))
+        digest, report, homology = _SYMBOLIC_PINS[path.name]
+        assert hashlib.sha256(acx.dumps(F).encode()).hexdigest() == digest, path.name
+        assert dataclasses.astuple(validate_complex(F)) == report, path.name
+        assert tuple(homology_over_field(F, f) for f in ("Q", 2, 3, 5)) == homology
+        wedges.update(acx.dumps(stabilize_wedge(F, 2)).encode())
+    assert wedges.hexdigest() == _SYMBOLIC_WEDGE_SHA256
 
 
 def test_acx_bad_input():

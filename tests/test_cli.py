@@ -112,12 +112,12 @@ def test_chain_finite_model_errors(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (f"d2kit: {CORPUS / 'a5.fp'}: cannot build "
                                        "finite model: enumeration incomplete after "
                                        "10 cosets\n")
-    # only the errors group_model documents become messages; a fault surfaces
+    # only the errors table_model documents become messages; a fault surfaces
 
-    def group_model(P, max_cosets):
+    def table_model(P, rows):
         raise RuntimeError("model fault")
 
-    monkeypatch.setattr(cli, "group_model", group_model)
+    monkeypatch.setattr(cli, "table_model", table_model)
     with pytest.raises(RuntimeError, match="model fault"):
         main(["chain", str(CORPUS / "z2.fp"), "--finite", "--out", out])
 
@@ -578,10 +578,16 @@ def test_acx_table_bounded_before_its_shape():
                   "generators:\n[ranks]\n1\n")
 
 
-def test_chain_checks_the_size_rule_before_writing(tmp_path, capsys):
-    # Z/3000 has a 9 000 000-cell table: chain would write a file no read accepts
+def test_chain_checks_the_size_rule_before_writing(tmp_path, capsys, monkeypatch):
+    # Z/3000 has a 9 000 000-cell table: chain would write a file no read
+    # accepts, and stops on the coset count before it builds that table
     fp, out = tmp_path / "z3000.fp", tmp_path / "F.acx"
     fp.write_text("gens: x\nrels: x^3000\n")
+
+    def table_model(P, rows):
+        raise AssertionError("multiplication table built")
+
+    monkeypatch.setattr(cli, "table_model", table_model)
     assert main(["chain", str(fp), "--finite", "--max-cosets", "4000",
                  "--out", str(out)]) == 1
     assert "chain: [d1] of 1x1 entries over a group of order 3000 expands to " \
