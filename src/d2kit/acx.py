@@ -31,7 +31,7 @@ degree), a second [ranks] line, and an unknown or repeated [group] key.
 from __future__ import annotations
 
 from .chains import ONE_ELEMENT, AlgebraicComplex
-from .coset import FiniteGroupModel
+from .coset import MAX_EXPANDED_CELLS, FiniteGroupModel
 from .groupring import GroupRingMatrix
 from .intlinalg import IntMatrix
 from .presentations import parse_presentation, serialize_presentation
@@ -44,14 +44,6 @@ from .presentations import parse_presentation, serialize_presentation
 # f x f matrices over ZG. d2kit's own complexes stay far below it: the
 # wedged PSL(2,7) complexes have under 5 000.
 MAX_BOUNDARY_COEFFS = 1_000_000
-
-# Largest integer expansion of a boundary or of an f x f matrix, in cells:
-# rows * cols * |G|^2 (again counting an empty side as 1). Every CLI read
-# expands d_1 and d_2 for the exactness check, so this bounds what a read
-# allocates; with f_0 >= 1 it also bounds the |G|^2 multiplication table.
-# The largest expansions d2kit builds stay under half of it: Z/2 with 706
-# attached spheres (2.0 M) and PSL(2,7) wedged and attached (705 600).
-MAX_EXPANDED_CELLS = 1 << 22
 
 
 # The keys of a [group] section; symbolic mode has only `mode`.

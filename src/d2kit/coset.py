@@ -21,6 +21,15 @@ from .words import Word, words_in_length_lex_order
 
 DEFAULT_MAX_COSETS = 20000
 
+# Largest |G|^2 multiplication table, or integer expansion of a boundary or
+# of an f x f matrix over ZG, that d2kit builds, in cells: rows * cols *
+# |G|^2 for a matrix, an empty side counting as 1 (`acx.check_ranks`). Every
+# CLI read of a complex expands d_1 and d_2 for the exactness check, so this
+# bounds what a read allocates. The largest expansions d2kit builds stay
+# under half of it: Z/2 with 706 attached spheres (2.0 M) and PSL(2,7)
+# wedged and attached (705 600).
+MAX_EXPANDED_CELLS = 1 << 22
+
 
 class NotFinitelyEnumerated(ValueError):
     pass
@@ -437,21 +446,27 @@ def find_normal_generator(P, max_len, max_cosets):
     non-perfect input returns immediately with a "non-perfect" warning.
     A returned word is certified by the completed enumeration of its
     quotient. "not-found-within-bounds" is never a nonexistence claim.
+
+    Words whose images are conjugate, or inverse-conjugate, have the same
+    normal closure, so with a model of the group all but the first are
+    skipped. The model's |G|^2 table is built only within
+    MAX_EXPANDED_CELLS; above it every word is tested, with the warning
+    "conjugates-not-skipped".
     """
     if not is_perfect(P):
         return NormalGeneratorSearch("not-found-within-bounds",
                                      warnings=("non-perfect",))
-    try:
-        model = group_model(P, max_cosets)
-    except NotFinitelyEnumerated:
-        model = None
+    tc = todd_coxeter(P, max_cosets)
+    model = None
+    warnings = []
+    if tc.complete and tc.num_cosets ** 2 <= MAX_EXPANDED_CELLS:
+        model = table_model(P, tc.table)
+    elif tc.complete:
+        warnings.append("conjugates-not-skipped")
     seen_classes = set()
     tested = 0
-    warnings = []
     for w in words_in_length_lex_order(P.num_generators, max_len):
         if model is not None:
-            # words with conjugate (or inverse-conjugate) images generate the
-            # same normal closure; skip repeats (performance only)
             e = model.evaluate_word(w)
             key = frozenset(model.conjugacy_class(e)
                             | model.conjugacy_class(model.inverse[e]))
@@ -461,7 +476,8 @@ def find_normal_generator(P, max_len, max_cosets):
         tested += 1
         res = is_trivial_quotient(P, (w,), max_cosets)
         if res.kind == "trivial":
-            return NormalGeneratorSearch("found", w, tested)
+            return NormalGeneratorSearch("found", w, tested,
+                                         tuple(dict.fromkeys(warnings)))
         elif res.kind == "unknown":
             warnings.append("unknown-quotients-encountered")
     return NormalGeneratorSearch("not-found-within-bounds", None, tested,

@@ -192,7 +192,9 @@ def _simplify(gens, rels, memo, flip):
     the kept relators are pairwise inequivalent, so this keeps the first
     relator of each class. A pass that eliminates no generator is the last:
     it leaves every relator cyclically reduced, nonempty and inequivalent to
-    the earlier ones, so a further pass would change nothing."""
+    the earlier ones, so a further pass would change nothing. The search
+    simplifies a neighbour, whose relators are all of this form but one,
+    with `_neighbour`, which checks that one alone."""
     while True:
         # cyclic reduction (relator -> conjugate core), then drop empties
         # and duplicates up to rotation/inversion
@@ -221,6 +223,36 @@ def _simplify(gens, rels, memo, flip):
         gens, rels = _eliminate_generator(gens, kept, gen, i, flip)
 
 
+def _neighbour(gens, rels, i, r, memo, flip):
+    """`_simplify` of the node (gens, rels) with relator i replaced by the
+    reduced encoded word r. The node is `_simplify` output: its relators are
+    cyclically reduced, nonempty, pairwise inequivalent and in `memo`, and
+    no generator occurs once in any of them. So a pass over the neighbour
+    keeps every other relator, except one equivalent to r after it, and
+    finds a generator to eliminate only in r."""
+    if r and r[0] == flip[ord(r[-1])]:
+        r = cyclic_core(r, flip)
+    if not r:
+        return gens, rels[:i] + rels[i + 1:]
+    info = memo.get(r)
+    if info is None:
+        info = memo[r] = (r + r, inverse(r, flip), _single_generators(r, flip))
+    doubled, r_inv, ones = info
+    for k, w in enumerate(rels):
+        kk = memo[w][0]  # `_is_duplicate` against w alone, inlined
+        if len(kk) == len(doubled) and k != i and (r in kk or r_inv in kk):
+            # the first relator of a class is kept; r, like w, has no
+            # generator occurring once
+            if k < i:
+                return gens, rels[:i] + rels[i + 1:]
+            return gens, rels[:i] + (r,) + rels[i + 1:k] + rels[k + 1:]
+    rels = rels[:i] + (r,) + rels[i + 1:]
+    if not ones:
+        return gens, rels
+    return _simplify(*_eliminate_generator(gens, rels, min(ones), i, flip),
+                     memo, flip)
+
+
 def simplify(P):
     """Greedy verified simplification: cyclically reduce relators, drop
     empty and cyclically-duplicate relators, eliminate generators that
@@ -240,13 +272,27 @@ def _node_key(gens, rels, chunks):
     sort above both, in the longer. Where one tuple of names or chunks is a
     prefix of the other, "\n" follows the shorter and " " the longer, and
     "\n" < " ". The text also determines the tuple."""
-    parts = []
-    for r in rels:
-        chunk = chunks.get((gens, r))
-        if chunk is None:
-            chunk = chunks[gens, r] = _relator_chunk(r, gens)
-        parts.append(chunk)
-    return gens, tuple(parts)
+    return gens, tuple(_chunk(gens, r, chunks) for r in rels)
+
+
+def _chunk(gens, r, chunks):
+    """Relator r's chunk, formatted once per (generator names, r)."""
+    chunk = chunks.get((gens, r))
+    if chunk is None:
+        chunk = chunks[gens, r] = _relator_chunk(r, gens)
+    return chunk
+
+
+def _precedes(gens, rels, key, chunks):
+    """Whether `_node_key(gens, rels, chunks) < key`, formatting chunks only
+    up to the first one that differs from key's."""
+    if gens != key[0]:
+        return gens < key[0]
+    for r, other in zip(rels, key[1]):
+        chunk = _chunk(gens, r, chunks)
+        if chunk != other:
+            return chunk < other
+    return len(rels) < len(key[1])
 
 
 @dataclass(frozen=True)
@@ -264,16 +310,20 @@ def deficiency_search(P, budget):
     budget cut the search short.
 
     The search starts from simplify(P). Each node is expanded by the moves
-    r_i -> r_i * r_j^s (i != j, s = 1 then -1), each result simplified.
-    A node is identified by its generators and its relators' encoded text
-    (`Word.text`), which the search multiplies, inverts, reduces and
-    deduplicates with the str functions of `words`. Among the nodes of
-    highest deficiency, the one with the least serialized text
-    (`serialize_presentation`) is returned. Ties compare a node's
-    (generator names, relator chunks) key (`_node_key`), which orders as
-    that text does, with the chunks cached for the search; no text is
-    joined, and only the returned best is made into a `Presentation`,
-    after the search."""
+    r_i -> r_i * r_j^s (i != j, s = 1 then -1), each result simplified;
+    since the node is already simplified, only the new relator r_i is
+    checked (`_neighbour`), which is cheap enough that a neighbour met
+    again is simplified again rather than remembered. A node is identified
+    by its generators and its relators' encoded text (`Word.text`), which
+    the search multiplies, inverts, reduces and deduplicates with the str
+    functions of `words`. Among the nodes of highest deficiency, the one
+    with the least serialized text (`serialize_presentation`) is returned.
+    The best is held as its (generator names, relator chunks) key
+    (`_node_key`), which orders as that text does; a tie compares the
+    names, then the chunks in turn, and settles at the first that differs
+    (`_precedes`), formatting no chunk past it. Chunks are cached for the
+    search, no text is joined, and only the returned best is made into a
+    `Presentation`, after the search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     rels, flip = _relator_texts(P)  # one table serves the whole search
@@ -284,7 +334,6 @@ def deficiency_search(P, budget):
     best_deficiency = len(start[0]) - len(start[1])
     best_key = _node_key(*start, chunks)
     seen = {start}
-    generated = set()  # raw neighbours: simplify is deterministic
     queue = deque([start])
     visited = 0
     exhausted = False
@@ -300,20 +349,16 @@ def deficiency_search(P, budget):
                 if i == j:
                     continue
                 for f in pair:
-                    raw = (gens, rels[:i] + (product(w, w_inv, f),) + rels[i + 1:])
-                    if raw in generated:
-                        continue
-                    generated.add(raw)
-                    node = _simplify(*raw, memo, flip)
+                    node = _neighbour(gens, rels, i, product(w, w_inv, f), memo, flip)
                     if node in seen:
                         continue
                     seen.add(node)
                     queue.append(node)
                     d = len(node[0]) - len(node[1])
-                    if d >= best_deficiency:
-                        key = _node_key(*node, chunks)
-                        if d > best_deficiency or key < best_key:
-                            best_node, best_deficiency, best_key = node, d, key
+                    if d > best_deficiency or (
+                            d == best_deficiency and _precedes(*node, best_key, chunks)):
+                        best_node, best_deficiency = node, d
+                        best_key = _node_key(*node, chunks)
     return SearchResult(_presentation(*best_node), best_deficiency, exhausted, visited)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from d2kit import acx, chains, cli
+from d2kit import acx, chains, cli, coset
 from d2kit.acx import read_acx
 from d2kit.chains import EquivalenceCertificate
 from d2kit.cli import build_parser, main
@@ -593,6 +593,30 @@ def test_chain_checks_the_size_rule_before_writing(tmp_path, capsys, monkeypatch
     assert "chain: [d1] of 1x1 entries over a group of order 3000 expands to " \
            "more than 4194304 integer cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_normal_gen_tests_every_word_above_the_size_rule(tmp_path, capsys, monkeypatch):
+    # A5 x A5 is perfect of order 3600, whose 12 960 000-cell table is over
+    # the size rule: no table, and no conjugate word skipped
+    fp = tmp_path / "a5xa5.fp"
+    fp.write_text("gens: a b c d\nrels: a^2 b^3 (a b)^5 c^2 d^3 (c d)^5 "
+                  "(a c a^-1 c^-1) (a d a^-1 d^-1) (b c b^-1 c^-1) (b d b^-1 d^-1)\n")
+
+    def table_model(P, rows):
+        raise AssertionError("multiplication table built")
+
+    monkeypatch.setattr(coset, "table_model", table_model)
+    assert 3600 ** 2 > acx.MAX_EXPANDED_CELLS
+    assert main(["normal-gen", str(fp), "--max-len", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "file": str(fp), "status": "not-found-within-bounds", "tested": 1,
+        "warnings": ["conjugates-not-skipped"]}
+    # a c is found after every word before it, a^-1 and c^-1 included,
+    # where a model skips the words conjugate to an earlier one or its inverse
+    assert main(["normal-gen", str(fp), "--max-len", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "file": str(fp), "status": "found", "word": "a c", "tested": 13,
+        "warnings": ["conjugates-not-skipped"]}
 
 
 def test_quotient_symbolic_rejected(tmp_path, capsys):

@@ -21,7 +21,9 @@ from d2kit.presentations import (
 from d2kit.tietze import (
     _eliminate_generator,
     _is_duplicate,
+    _neighbour,
     _node_key,
+    _precedes,
     _presentation,
     _simplify,
     _single_generators,
@@ -438,6 +440,50 @@ def test_simplify_matches_reference_on_random_presentations():
     assert eliminated > 50  # the generator elimination path is exercised
 
 
+def test_neighbour_matches_simplify_of_the_raw_neighbour():
+    # `_neighbour(gens, rels, i, r)` against `_simplify` of rels with relator
+    # i replaced by r, on seeded `_simplify` nodes: every r = r_i r_j^s the
+    # search makes, and for each i the empty word (no product of two
+    # inequivalent relators is empty), a conjugate of a rotation of each
+    # other relator or of its inverse, and a random word
+    rng = random.Random(24)
+    kinds = Counter()
+    for _ in range(1500):
+        P = _random_presentation(rng)
+        flip = flip_table(2 * P.num_generators)
+        memo = {}
+        gens, rels = _simplify(P.generators, tuple(r.text for r in P.relators),
+                               memo, flip)
+        for i, w in enumerate(rels):
+            words = [product(w, memo[w][1], f) for j, k in enumerate(rels)
+                     if j != i for f in (k, memo[k][1])]
+            words.append("")
+            for k in rels[:i] + rels[i + 1:]:
+                k = rng.choice((k, memo[k][1]))
+                t = rng.randrange(len(k))
+                x = encode([(rng.randrange(len(gens)), rng.choice((1, -1)))])
+                words.append(free_reduce(x + k[t:] + k[:t] + inverse(x, flip), flip))
+            words.append(free_reduce(encode(_random_letters(
+                rng, range(len(gens)), rng.randint(1, 8))), flip))
+            for r in words:
+                raw = rels[:i] + (r,) + rels[i + 1:]
+                assert _neighbour(gens, rels, i, r, memo, flip) == _simplify(
+                    gens, raw, {}, flip), (gens, raw)
+                core = cyclic_core(r, flip)
+                same = [k for k, v in enumerate(rels) if k != i and _is_duplicate(
+                    core, inverse(core, flip), [v + v])]
+                if not core:
+                    kinds["empty"] += 1
+                elif same:
+                    kinds["earlier" if same[0] < i else "later"] += 1
+                elif _single_generators(core, flip):
+                    kinds["eliminates"] += 1
+                else:
+                    kinds["kept"] += 1
+    assert min(kinds[k] for k in ("empty", "earlier", "later", "eliminates",
+                                  "kept")) > 100, kinds
+
+
 # generator pools of the random words, with code '\n' (generator 5), codes
 # past one byte (generators 128 and up) and surrogate code points
 # (generators 27648 to 28671)
@@ -623,6 +669,34 @@ def test_analyze_identity_sweep(tmp_path, monkeypatch):
         "58484356d48d168567daa4321c1d45c2b56fde2e2b0f2677f08941c9298d61ba")
 
 
+@pytest.mark.slow
+def test_search_identity_sweep():
+    # deficiency_search and simplify on the corpus at budget 600, the
+    # corpus-report variants (`perfbench/workloads.setup_corpus_report`) of
+    # seeds 0-59 at budget 600 and of seeds 0-9 at budgets 5 and 2000, and
+    # prefix-names: one sha256 over each best text, deficiency, visited,
+    # exhausted and simplify(P); recorded with the search that formatted
+    # every chunk of a tied node and simplified every relator of a neighbour
+    corpus = [parse_presentation(path.read_text(encoding="utf-8"))
+              for path in sorted(CORPUS.glob("*.fp"))]
+    inputs = [(P, 600) for P in corpus]
+    for budget, seeds in ((600, 60), (5, 10), (2000, 10)):
+        for seed in range(seeds):
+            rng = random.Random(f"corpus-report/{seed}")
+            inputs += [(parse_presentation(_corpus_variant(P, rng)), budget)
+                       for P in corpus]
+    inputs.append((parse_presentation(SEARCH_VARIANTS["prefix-names"]), 600))
+    digest = hashlib.sha256()
+    for P, budget in inputs:
+        res = deficiency_search(P, budget)
+        digest.update(f"{serialize_presentation(res.best)}{res.deficiency} "
+                      f"{res.visited} {res.exhausted}\n"
+                      f"{serialize_presentation(simplify(P))}".encode())
+    assert len(inputs) == 730
+    assert digest.hexdigest() == (
+        "5e6793082d5ad4508aa72a3ab33b782c8aea98520bebb2d9376e14ab70290930")
+
+
 def test_deficiency_search_long_relator_is_linear():
     # the all-rotations key took minutes on this relator
     P = parse_presentation("gens: x y\nrels: (x^20000 y) y^3\n")
@@ -699,7 +773,10 @@ def test_deficiency_search_golden(name, budget, digest, defic, visited, exhauste
     assert res.deficiency == deficiency(res.best)
 
 
-def test_node_key_orders_as_serialized_text():
+def _key_test_nodes():
+    """Seeded `_simplify` nodes, half with three-letter names, and written
+    nodes whose names, generator tuples, chunks or relator tuples are
+    prefixes of others'."""
     rng = random.Random(12)
     nodes = []
     eliminated = 0
@@ -738,22 +815,49 @@ def test_node_key_orders_as_serialized_text():
                 cases.append((gens, (word, ((0, 1),) * 2)))
     for gens, rels in cases:
         nodes.append((gens, tuple(encode(r) for r in rels)))
+    assert eliminated > 50
+    return nodes
+
+
+def test_node_key_orders_as_serialized_text():
     chunks = {}
     keyed = [(_node_key(gens, rels, chunks),
               serialize_presentation(_presentation(gens, rels)))
-             for gens, rels in nodes]
+             for gens, rels in _key_test_nodes()]
     for key, text in keyed:
         for other_key, other_text in keyed:
             assert (key < other_key) == (text < other_text), (text, other_text)
             assert (key == other_key) == (text == other_text), (text, other_text)
-    assert eliminated > 50
+
+
+def test_precedes_agrees_with_node_key():
+    # the lazy tie comparison against the whole-key one, on every pair; with
+    # an empty cache it formats the chunks up to the first that differs and
+    # none past it, and none at all when the names differ
+    nodes = _key_test_nodes()
+    chunks = {}
+    keys = [_node_key(*node, chunks) for node in nodes]
+    rng = random.Random(7)
+    for node, key in zip(nodes, keys):
+        for other in keys:
+            assert _precedes(*node, other, chunks) == (key < other), (node, other)
+        for other in rng.sample(keys, 20) + [key]:
+            fresh = {}
+            _precedes(*node, other, fresh)
+            if key[0] != other[0]:
+                assert fresh == {}
+                continue
+            n = min(len(key[1]), len(other[1]))
+            m = next((m + 1 for m in range(n) if key[1][m] != other[1][m]), n)
+            assert set(fresh) == {(node[0], r) for r in node[1][:m]}
 
 
 def test_deficiency_search_builds_one_presentation(monkeypatch):
-    built, serialized, keys = [], [], []
+    built, serialized, ties, formatted = [], [], [], []
     post_init = Presentation.__post_init__
     serialize = presentations.serialize_presentation
-    node_key = tietze._node_key
+    precedes = tietze._precedes
+    relator_chunk = tietze._relator_chunk
 
     def counting_post_init(self):
         built.append(self)
@@ -763,17 +867,24 @@ def test_deficiency_search_builds_one_presentation(monkeypatch):
         serialized.append(P)
         return serialize(P)
 
-    def counting_node_key(*args):
-        keys.append(args)
-        return node_key(*args)
+    def counting_precedes(*args):
+        ties.append(args)
+        return precedes(*args)
+
+    def counting_relator_chunk(*args):
+        formatted.append(args)
+        return relator_chunk(*args)
 
     monkeypatch.setattr(Presentation, "__post_init__", counting_post_init)
     monkeypatch.setattr(presentations, "serialize_presentation", counting_serialize)
     monkeypatch.setattr(tietze, "serialize_presentation", counting_serialize,
                         raising=False)
-    monkeypatch.setattr(tietze, "_node_key", counting_node_key)
+    monkeypatch.setattr(tietze, "_precedes", counting_precedes)
+    monkeypatch.setattr(tietze, "_relator_chunk", counting_relator_chunk)
     res = deficiency_search(A5, budget=600)
     assert res.visited == 600
-    assert len(keys) > 1000  # the tie-break ran on many nodes
+    assert len(ties) > 1000  # the tie-break ran on many nodes
+    # formatting every chunk of each tied node took 1653 chunks
+    assert len(formatted) < 1653 // 2
     assert built == [res.best]
     assert serialized == []
