@@ -30,9 +30,9 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
+    _expanded_columns,
     _gr_solution,
     gr_integer_system,
-    regular_rep_expand,
     solve_gr_system,
 )
 from .intlinalg import (
@@ -40,10 +40,10 @@ from .intlinalg import (
     IntMatrix,
     _columns,
     _echelon,
+    _kernel,
+    _matrix,
     _sub_scaled,
-    column_hnf,
     infeasibility_certificate,
-    kernel_basis,
     rank_over_field,
     solve_integer_system,
 )
@@ -193,9 +193,9 @@ class ValidationReport:
 
 
 def _augmentation_ideal_basis(N):
-    """kernel_basis of the 1 x N all-ones row, known without an elimination:
-    the columns e_i - e_{N-1} for i < N - 1, already in Hermite form."""
-    return [(0,) * i + (1,) + (0,) * (N - 2 - i) + (-1,) for i in range(N - 1)]
+    """The Hermite basis of the kernel of the 1 x N all-ones row, as sparse
+    columns, known without an elimination: e_i - e_{N-1} for i < N - 1."""
+    return [{i: 1, N - 1: -1} for i in range(N - 1)]
 
 
 def validate_complex(F):
@@ -204,7 +204,8 @@ def validate_complex(F):
     integer-lattice comparison; reports the Q-rank of the expanded d_2 and
     the Q-dimension of its kernel (the algebraic pi_2 size; in symbolic
     mode these are shadow quantities). The lattice and rank work runs only
-    when the first two checks pass; otherwise those fields are None."""
+    when the first two checks pass; otherwise those fields are None. It
+    compares Hermite forms as sparse columns of the expanded boundaries."""
     failures = []
     n = F.top_degree
     chain_ok = True
@@ -220,16 +221,19 @@ def validate_complex(F):
     exact0 = exact1 = d2_rank = ker_dim = None
     if chain_ok and aug_ok and n >= 1:
         order = F.boundary(1).model.order
-        E1 = regular_rep_expand(F.boundary(1))
+        m0, m1 = F.ranks[0] * order, F.ranks[1] * order
         # exactness is a statement about a known group
         if F.finite_mode:
-            exact0 = column_hnf(E1) == _augmentation_ideal_basis(F.ranks[0] * order)
+            E1 = _expanded_columns(F.boundary(1), False)
+            H1 = [dict(col) for col in E1]
+            exact0 = H1[:_echelon(H1, m0)] == _augmentation_ideal_basis(m0)
             if not exact0:
                 failures.append("image of d_1 differs from the augmentation ideal")
         if n >= 2:
-            H2 = column_hnf(regular_rep_expand(F.boundary(2)))
+            H2 = _expanded_columns(F.boundary(2), False)
+            H2 = H2[:_echelon(H2, m1)]
             if F.finite_mode:
-                exact1 = H2 == kernel_basis(E1)
+                exact1 = H2 == _kernel(E1, m0)
                 if not exact1:
                     failures.append("ker d_1 differs from image of d_2")
             d2_rank = len(H2)
@@ -310,8 +314,9 @@ def quotient_by_split_summand(F, report):
     the (1 - d_3 o R)-images of the standard basis whose expanded columns
     are a lattice basis of ker(d_3 o R). Since R o d_3 = 1, e = d_3 o R is
     idempotent, so ker e = im(1 - e) over Z and that lattice is read off
-    as the Hermite form of the expanded columns of 1 - e. F must pass
-    `validate_complex` (not re-checked)."""
+    as the Hermite form of the expanded columns of 1 - e. 1 - e is expanded
+    once; a subset's expanded columns are copies of its column blocks. F
+    must pass `validate_complex` (not re-checked)."""
     if F.top_degree != 3:
         raise ValueError("quotient needs a top-degree-3 complex")
     if not report.splits:
@@ -322,14 +327,17 @@ def quotient_by_split_summand(F, report):
     d3, R = F.boundary(3), report.retraction
     e = d3.compose(R)
     q = GroupRingMatrix.identity(model, f2) - e
-    m = f2 - f3
-    K = column_hnf(regular_rep_expand(q))
+    m, rows = f2 - f3, f2 * order
+    Q = _expanded_columns(q, False)
+    K = [dict(col) for col in Q]
+    K = K[:_echelon(K, rows)]
     if len(K) != m * order:
         raise SummandBasisNotFound(
             "kernel lattice rank does not match the expected free rank")
     for subset in combinations(range(f2), m):
-        J = q.submatrix(range(f2), subset)
-        if column_hnf(regular_rep_expand(J)) == K:
+        H = [dict(col) for j in subset for col in Q[j * order:(j + 1) * order]]
+        if H[:_echelon(H, rows)] == K:
+            J = q.submatrix(range(f2), subset)
             d2_new = F.boundary(2).compose(J)
             return AlgebraicComplex((f0, f1, m), model,
                                     (F.boundary(1), d2_new), F.presentation)
@@ -444,10 +452,9 @@ def _canonical_degree0(model, t0, s0):
 def _pi2(F):
     """pi_2 = ker d_2 as an f_2 x k ZG matrix whose vec columns are the
     Hermite basis of the kernel lattice of the expanded d_2."""
-    n, f2 = F.model.order, F.ranks[2]
-    K = kernel_basis(regular_rep_expand(F.boundary(2)))
-    return GroupRingMatrix(F.model, f2, len(K), [
-        GroupRingElement(F.model, v[i * n:(i + 1) * n]) for i in range(f2) for v in K])
+    n, f1, f2 = F.model.order, F.ranks[1], F.ranks[2]
+    K = _kernel(_expanded_columns(F.boundary(2), False), f1 * n)
+    return GroupRingMatrix._raw(F.model, f2, len(K), _matrix(K, f2 * n))
 
 
 def _lift_chain_map(src, tgt, budget):

@@ -35,7 +35,13 @@ from __future__ import annotations
 from itertools import chain, compress
 from operator import itemgetter
 
-from .intlinalg import CertificateError, DimensionMismatch, IntMatrix, solve_integer_system
+from .intlinalg import (
+    CertificateError,
+    DimensionMismatch,
+    IntMatrix,
+    _matrix,
+    solve_integer_system,
+)
 
 
 class ModelMismatch(ValueError):
@@ -324,16 +330,23 @@ def _action_terms(M, left, js=None):
             yield i, j, col[r], perm
 
 
-def _expand(M, left):
-    """Dense (rows*|G|) x (cols*|G|) integer matrix whose block (i, j) is the
-    left (or right) action of M_ij on coefficient columns."""
+def _expanded_columns(M, left):
+    """The columns, as sparse {row: value} dicts, of the (rows*|G|) x
+    (cols*|G|) integer matrix whose block (i, j) is the left (or right)
+    action of M_ij on coefficient columns. Within one entry distinct
+    elements t give distinct perm[x], so no cell gets two terms."""
     n = M.model.order
-    width = M.cols * n
-    out = [0] * (M.rows * n * width)
+    C = [{} for _ in range(M.cols * n)]
     for i, j, a, perm in _action_terms(M, left):
-        for c, r in enumerate(perm, i * n * width + j * n):
-            out[r * width + c] += a
-    return IntMatrix._raw(M.rows * n, width, tuple(out))
+        base = i * n
+        for col, y in zip(C[j * n:(j + 1) * n], perm):
+            col[base + y] = a
+    return C
+
+
+def _expand(M, left):
+    """The expansion `_expanded_columns(M, left)` as a dense IntMatrix."""
+    return _matrix(_expanded_columns(M, left), M.rows * M.model.order)
 
 
 def _transpose_grid(M):

@@ -251,11 +251,11 @@ def _columns(A):
     return C
 
 
-def _stacked_columns(A):
-    """The sparse columns of the stacked matrix [A; I]."""
-    C = _columns(A)
+def _stacked_columns(C, m):
+    """Stack the identity under the m-row sparse columns C, in place: C
+    becomes the columns of [A; I]."""
     for j, col in enumerate(C):
-        col[A.rows + j] = 1
+        col[m + j] = 1
     return C
 
 
@@ -267,6 +267,16 @@ def _dense(col, m):
     return tuple(v)
 
 
+def _matrix(C, m):
+    """The m x len(C) IntMatrix whose columns are the sparse columns C."""
+    n = len(C)
+    data = [0] * (m * n)
+    for j, col in enumerate(C):
+        for i, x in col.items():
+            data[i * n + j] = x
+    return IntMatrix._raw(m, n, tuple(data))
+
+
 def _echelon(C, m):
     """Bring rows 0..m-1 of the sparse {row: value} columns C to column
     echelon form in place, carrying rows m.. along; return the pivot count
@@ -276,34 +286,83 @@ def _echelon(C, m):
     span in rows 0..m-1: pivot rows increase, pivots are positive, and each
     placed pivot reduces the earlier pivot columns into [0, pivot) in its
     row, which later steps never change, since they only subtract columns
-    that are zero there. C[r:] is zero in rows 0..m-1."""
+    that are zero there. C[r:] is zero in rows 0..m-1.
+
+    No row is scanned. At row r every non-pivot column is zero above r, so
+    each is filed in `lead` under its lowest row below m, and row r's
+    columns are exactly lead[r]. `hits[k]` lists the pivot positions that
+    may be nonzero in row k: a position joins when its pivot is placed and
+    when an earlier-pivot reduction creates its entry in row k, and is never
+    removed, so a probe may find a zero. The operations, their quotients
+    and their order within each column are those of a scan of every column."""
     n = len(C)
+    lead = [[] for _ in range(m)]
+    row_of = [m] * n  # the row position j is filed under, m if none
+    for j, col in enumerate(C):
+        if col:
+            k = min(col)
+            if k < m:
+                lead[k].append(j)
+                row_of[j] = k
+    hits = [[] for _ in range(m)]
     c = 0
     for r in range(m):
         if c >= n:
             break
+        nz = lead[r]
+        if not nz:
+            continue
         # clear row r to a single pivot among columns >= c; a reduction only
         # changes columns in nz, so the others stay zero in row r
-        nz = [j for j in range(c, n) if r in C[j]]
+        nz.sort()
         while len(nz) > 1:
             j0 = min(nz, key=lambda j: (abs(C[j][r]), j))
             p = C[j0][r]
             for j in nz:
                 if j != j0:
                     _sub_scaled(C[j], C[j0], C[j][r] // p)
-            nz = [j for j in nz if r in C[j]]
-        if not nz:
-            continue
+            kept = []
+            for j in nz:
+                col = C[j]
+                if r in col:
+                    kept.append(j)
+                    continue
+                # the entry in row r cancelled: file j under its new lowest row
+                k = min(col) if col else m
+                if k < m:
+                    lead[k].append(j)
+                row_of[j] = k
+            nz = kept
         j0 = nz[0]
-        C[c], C[j0] = C[j0], C[c]
-        if C[c][r] < 0:
-            C[c] = {i: -x for i, x in C[c].items()}
+        if j0 != c:
+            C[c], C[j0] = C[j0], C[c]
+            k = row_of[c]
+            if k < m:
+                filed = lead[k]
+                filed[filed.index(c)] = j0
+            row_of[j0] = k
+        col = C[c]
+        if col[r] < 0:
+            C[c] = col = {i: -x for i, x in col.items()}
         # reduce earlier pivot columns against this pivot for determinism
-        p = C[c][r]
-        for j in range(c):
-            q = C[j].get(r, 0) // p
+        p = col[r]
+        for j in hits[r]:
+            dst = C[j]
+            q = dst.get(r, 0) // p
             if q:
-                _sub_scaled(C[j], C[c], q)
+                for i, x in col.items():
+                    v = dst.get(i)
+                    if v is None:
+                        dst[i] = -q * x
+                        if i < m:
+                            hits[i].append(j)
+                    elif v != q * x:
+                        dst[i] = v - q * x
+                    else:
+                        del dst[i]
+        for i in col:
+            if r < i < m:
+                hits[i].append(c)
         c += 1
     return c
 
@@ -352,7 +411,7 @@ def solve_integer_system(A, B):
     if A.rows != B.rows:
         raise DimensionMismatch("A and B need equal row counts")
     m, n, k = A.rows, A.cols, B.cols
-    C = _stacked_columns(A)
+    C = _stacked_columns(_columns(A), m)
     # (pivot row, pivot, H part, V part) of each pivot column
     pivots = []
     for col in C[:_echelon(C, m)]:
@@ -425,17 +484,24 @@ def infeasibility_certificate(A, B):
     return None
 
 
+def _kernel(C, m):
+    """Hermite normal form basis of the integer kernel lattice of the m-row
+    sparse columns C, as sparse columns over len(C) rows; C is stacked and
+    reduced in place. The zero columns of the echelon form of [A; I] span
+    the kernel in rows m..; the same elimination puts them in Hermite form,
+    and no dense V is built."""
+    n = len(C)
+    C = _stacked_columns(C, m)
+    r = _echelon(C, m)
+    K = [{i - m: x for i, x in col.items()} for col in C[r:]]
+    return K[:_echelon(K, n)]
+
+
 def kernel_basis(A):
     """Canonical basis of the integer kernel lattice {x : A*x = 0}: the
     Hermite normal form (unique, hence golden-test stable) as length-`A.cols`
-    tuples. The zero columns of the echelon form of [A; I] span the kernel
-    in rows m..; the same elimination puts them in Hermite form, and no
-    dense V is built."""
-    m, n = A.rows, A.cols
-    C = _stacked_columns(A)
-    r = _echelon(C, m)
-    K = [{i - m: x for i, x in col.items()} for col in C[r:]]
-    return [_dense(col, n) for col in K[:_echelon(K, n)]]
+    tuples (see `_kernel`)."""
+    return [_dense(col, A.cols) for col in _kernel(_columns(A), A.rows)]
 
 
 def column_hnf(A):

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import euler_characteristic, regular_rep_expand
+from .chains import euler_characteristic
 from .coset import DEFAULT_MAX_COSETS, todd_coxeter
-from .intlinalg import rank_over_field
+from .groupring import _expanded_columns
+from .intlinalg import _echelon
 from .presentations import abelianization, deficiency
 from .tietze import deficiency_search, subpresentation
 
@@ -209,8 +210,9 @@ def realization_check(F, sandwich, certified_finite=None):
         certified_finite = F.finite_mode
     chi = euler_characteristic(F)
     notes = []
-    E2 = regular_rep_expand(F.boundary(2))
-    kernel_qdim = E2.cols - rank_over_field(E2, "Q")
+    d2 = F.boundary(2)
+    E2 = _expanded_columns(d2, False)
+    kernel_qdim = len(E2) - _echelon(E2, d2.rows * d2.model.order)
     if not F.finite_mode:
         notes.append("kernel dimension is the exponent-shadow value "
                      "(strictly weaker than the ZG statement)")

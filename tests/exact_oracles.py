@@ -14,7 +14,7 @@ functions are the word algebra on letter tuples ((generator, +1 or -1)
 pairs) that `words` and `Word` must agree with on encoded text.
 """
 
-from d2kit.intlinalg import DimensionMismatch, IntMatrix, _echelon, _stacked_columns
+from d2kit.intlinalg import DimensionMismatch, IntMatrix, _columns, _echelon, _stacked_columns
 
 
 def xgcd(a, b):
@@ -129,7 +129,7 @@ def column_echelon(A):
     rows m.. become V.
     """
     m, n = A.rows, A.cols
-    C = _stacked_columns(A)
+    C = _stacked_columns(_columns(A), m)
     _echelon(C, m)
     out = [0] * ((m + n) * n)
     for j, col in enumerate(C):

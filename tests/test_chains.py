@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -37,19 +38,22 @@ from d2kit.groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
+    _expanded_columns,
     regular_rep_expand,
 )
 from d2kit.intlinalg import (
     IntMatrix,
     _columns,
+    _dense,
     _echelon,
+    _matrix,
     column_hnf,
     kernel_basis,
     solve_integer_system,
 )
 from d2kit.presentations import Presentation, parse_presentation
 from d2kit.words import Word
-from exact_oracles import determinant
+from exact_oracles import column_echelon, dense_column_echelon, determinant
 
 Z2P = parse_presentation("gens: x\nrels: x^2\n")
 Z5P = parse_presentation("gens: x\nrels: x^5\n")
@@ -287,6 +291,33 @@ def test_quotient_lattice_is_the_image_of_one_minus_e():
     assert K == kernel_basis(regular_rep_expand(e))
 
 
+def test_quotient_eliminations_match_the_dense_reference():
+    # the A5 quotient of F v 2 S^2 by a 3-cell on both spheres: its
+    # expanded 1 - e (300 x 300) and the expanded columns J of every
+    # subset it tries, against the dense elimination, H and V
+    m = group_model(A5P, 20000)
+    W = stabilize_wedge(presentation_complex(A5P, m), 2)
+    f2, n = W.ranks[2], m.order
+    z, one = GroupRingElement.zero(m), GroupRingElement.one(m)
+    u = GroupRingElement.from_pairs(m, [(0, 2), (7, -1), (31, 1)])
+    X = attach_three_cells(W, GroupRingMatrix(m, f2, 1, [z] * (f2 - 2) + [u, one]))
+    rep = split_test(X)
+    assert rep.splits
+    q = GroupRingMatrix.identity(m, f2) - X.boundary(3).compose(rep.retraction)
+    Q = _expanded_columns(q, False)
+    systems = [_matrix(Q, f2 * n)]
+    assert systems[0] == regular_rep_expand(q)
+    assert (systems[0].rows, systems[0].cols) == (300, 300)
+    for subset in combinations(range(f2), f2 - 1):
+        # a subset's expansion is the subset's column blocks of Q
+        J = _matrix([col for j in subset for col in Q[j * n:(j + 1) * n]], f2 * n)
+        assert J == regular_rep_expand(q.submatrix(range(f2), subset))
+        systems.append(J)
+    for A in systems:
+        assert column_echelon(A) == dense_column_echelon(A)
+    assert quotient_by_split_summand(X, rep).ranks == (1, 2, 4)
+
+
 def test_quotient_identity_d3_gives_rank_zero():
     F = presentation_complex(Z2P, Z2M)
     # F_2 = ZG has d2 = norm; d3 = identity is not a chain map there, so
@@ -482,12 +513,14 @@ def test_validate_a5_exactness():
 
 def test_augmentation_ideal_basis_is_the_kernel_of_the_ones_row():
     for N in [*range(1, 65), 120, 168]:
-        assert _augmentation_ideal_basis(N) == kernel_basis(IntMatrix(1, N, [1] * N))
+        basis = [_dense(col, N) for col in _augmentation_ideal_basis(N)]
+        assert basis == kernel_basis(IntMatrix(1, N, [1] * N))
 
 
 def _record_echelons(monkeypatch):
-    """Record (rows eliminated, columns) of every call of the elimination core."""
-    from d2kit import intlinalg
+    """Record (rows eliminated, columns) of every call of the elimination core,
+    in every module that binds it."""
+    from d2kit import chains, intlinalg, invariants
 
     calls = []
     real = intlinalg._echelon
@@ -496,7 +529,8 @@ def _record_echelons(monkeypatch):
         calls.append((m, len(C)))
         return real(C, m)
 
-    monkeypatch.setattr(intlinalg, "_echelon", echelon)
+    for module in (intlinalg, chains, invariants):
+        monkeypatch.setattr(module, "_echelon", echelon)
     return calls
 
 

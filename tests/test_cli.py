@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from d2kit import acx, chains, cli, coset
+from d2kit import acx, chains, cli, coset, groupring, invariants
 from d2kit.acx import read_acx
 from d2kit.chains import EquivalenceCertificate
 from d2kit.cli import build_parser, main
@@ -555,11 +555,14 @@ def test_acx_oversized_rank_rejected(tmp_path, capsys):
 
 def test_acx_expansion_bounded_before_expanding(tmp_path, capsys, monkeypatch):
     # over A5 ranks 1 129 129 keep every boundary under the coefficient cap,
-    # but d_2 would expand to 7740 x 7740 integer cells for the exactness check
+    # but d_2 would expand to 7740 x 7740 integer cells for the exactness check;
+    # every expansion (regular_rep_expand included) is _expanded_columns, so
+    # it is recorded in every module that binds it
     calls = []
-    real = chains.regular_rep_expand
-    monkeypatch.setattr(chains, "regular_rep_expand",
-                        lambda M: calls.append(M) or real(M))
+    real = groupring._expanded_columns
+    for module in (groupring, chains, invariants):
+        monkeypatch.setattr(module, "_expanded_columns",
+                            lambda M, left: calls.append(M) or real(M, left))
     f = tmp_path / "F.acx"
     assert main(["chain", str(CORPUS / "a5.fp"), "--finite", "--out", str(f)]) == 0
     f.write_text(f.read_text().replace("[ranks]\n1 2 3\n", "[ranks]\n1 129 129\n"))

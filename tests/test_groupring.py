@@ -7,15 +7,20 @@ from d2kit.groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
+    _expanded_columns,
+    _transpose_grid,
+    gr_integer_system,
     regular_rep_expand,
     solve_gr_system,
 )
-from d2kit.intlinalg import DimensionMismatch, IntMatrix
+from d2kit.intlinalg import DimensionMismatch, IntMatrix, _columns
 from d2kit.presentations import parse_presentation
 
 Z2 = group_model(parse_presentation("gens: x\nrels: x^2\n"), 100)
 Z5 = group_model(parse_presentation("gens: x\nrels: x^5\n"), 100)
 S3 = group_model(parse_presentation("gens: a b\nrels: a^2 b^2 (a b)^3\n"), 1000)
+Q8 = group_model(parse_presentation("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n"), 1000)
+A5 = group_model(parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^5\n"), 1000)
 
 
 def elem(model, *pairs):
@@ -107,6 +112,42 @@ def test_expand_is_multiplicative_and_injective():
             if M != N:
                 assert regular_rep_expand(M) != regular_rep_expand(N)
     assert regular_rep_expand(GroupRingMatrix.identity(S3, 3)) == IntMatrix.identity(18)
+
+
+def expansion_by_products(M, left):
+    """The sparse columns of the expansion read off ring products: column
+    j*|G| + x holds M_ij * e_x (left) or e_x * M_ij (right) in rows i*|G|.."""
+    n = M.model.order
+    cols = []
+    for j in range(M.cols):
+        for x in range(n):
+            ex = GroupRingElement.from_element(M.model, x)
+            col = {}
+            for i in range(M.rows):
+                z = M.entry(i, j)
+                w = z * ex if left else ex * z
+                col.update((i * n + y, c) for y, c in enumerate(w.coeffs) if c)
+            cols.append(col)
+    return cols
+
+
+def test_expanded_columns_match_the_dense_expansions():
+    rng = random.Random(20261019)
+    for model in (S3, Q8, A5):
+        for _ in range(12):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            M = GroupRingMatrix.from_rows(model, [[
+                GroupRingElement.from_pairs(model, [
+                    (rng.randrange(model.order), rng.choice((-3, -1, 1, 2)))
+                    for _ in range(rng.choice((0, 0, 1, 3, 8)))])
+                for _ in range(cols)] for _ in range(rows)])
+            right = _expanded_columns(M, False)
+            assert right == _columns(regular_rep_expand(M))
+            assert right == expansion_by_products(M, False)
+            big, _ = gr_integer_system(M, GroupRingMatrix.zeros(model, 1, cols), "left")
+            left = _expanded_columns(_transpose_grid(M), True)
+            assert left == _columns(big)
+            assert left == expansion_by_products(_transpose_grid(M), True)
 
 
 def test_compose_of_sparse_matrices_matches_the_expanded_product():

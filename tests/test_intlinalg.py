@@ -7,6 +7,9 @@ from d2kit.intlinalg import (
     DimensionMismatch,
     IntMatrix,
     NotPrime,
+    _columns,
+    _echelon,
+    _matrix,
     column_hnf,
     infeasibility_certificate,
     kernel_basis,
@@ -172,13 +175,14 @@ def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
     from d2kit.groupring import regular_rep_expand
     from d2kit.presentations import parse_presentation
 
-    # every echelon of [A; I] (the solver's and kernel_basis's) starts here
+    # every echelon of [A; I] (the solver's and the kernel's, which _pi2
+    # runs on the sparse expansion of d_2) starts here
     systems = []
     real = intlinalg._stacked_columns
 
-    def recording(A):
-        systems.append(A)
-        return real(A)
+    def recording(C, m):
+        systems.append(_matrix(C, m))
+        return real(C, m)
 
     monkeypatch.setattr(intlinalg, "_stacked_columns", recording)
     _certify_s3_and_q8()
@@ -193,6 +197,38 @@ def test_column_echelon_matches_dense_reference_on_cone_systems(monkeypatch):
     systems.append(E2)
     for A in systems:
         assert column_echelon(A) == dense_column_echelon(A)
+
+
+def check_echelon_against_dense(A):
+    """The core on [A; I] gives the dense H and V, and on A alone the dense H."""
+    H, V = dense_column_echelon(A)
+    assert column_echelon(A) == (H, V), A
+    C = _columns(A)
+    _echelon(C, A.rows)
+    assert _matrix(C, A.rows) == H, A
+
+
+def test_column_echelon_matches_dense_reference_on_sparse_matrices():
+    cases = [IntMatrix.from_rows(rows) for rows in (
+        # a reduction zeroes a whole column
+        [[2, 4], [1, 2]],
+        # a cancelled row-0 entry files its column under row 1
+        [[2, 4, 0], [1, 3, 0], [0, 0, 5]],
+        # the columns swapped out of position c are filed under later rows
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        # reducing pivot 0 against pivot 1 creates its entry in row 2,
+        # which pivot 2 must then reduce
+        [[1, 0, 0], [3, 2, 0], [0, 1, 1]],
+    )]
+    rng = random.Random(20261019)
+    for _ in range(40):
+        m, n = rng.randint(1, 60), rng.randint(1, 120)
+        density = rng.choice((0.01, 0.03, 0.05))
+        cases.append(IntMatrix(m, n, [
+            rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+            for _ in range(m * n)]))
+    for A in cases:
+        check_echelon_against_dense(A)
 
 
 def test_public_constructor_checks_entries():
