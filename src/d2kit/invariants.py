@@ -29,19 +29,23 @@ class NotCertifiedFinite(ValueError):
     pass
 
 
-def _certified_order(P, max_cosets):
-    """|G| certified by one coset enumeration, or None when it is incomplete."""
+def _certified_order(P, max_cosets, h1):
+    """|G| certified by one coset enumeration, or None when it is incomplete.
+    `h1` is P's abelianization (its invariant factors): when b_1 > 0 the
+    group is infinite, no enumeration can complete, and none is run."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
+    if h1.free_rank > 0:
+        return None
     tc = todd_coxeter(P, max_cosets)
     return tc.num_cosets if tc.complete else None
 
 
-def _mu2_lower(P, order, h1=None):
-    """(bound, provenance) for mu_2 given the certified order or None; b_1
-    is read from `h1` (the abelianization's invariant factors) when given."""
+def _mu2_lower(order, h1):
+    """(bound, provenance) for mu_2 given the certified order or None, and
+    the abelianization's invariant factors `h1`."""
     if order is not None:
         return 1, f"finite group of order {order}: rational Betti numbers vanish"
-    if h1 is None:
-        h1 = abelianization(P).invariant_factors
     b1 = h1.free_rank
     return 1 - b1, f"1 - b_1 with b_1 = {b1} (rational first Betti number)"
 
@@ -52,12 +56,14 @@ def mu2_lower_bound(P, order=None, max_cosets=DEFAULT_MAX_COSETS):
     With a certified finite order (supplied, or found here by coset
     enumeration) the bound is 1; otherwise 1 - b_1 from the abelianization
     (the nonnegative b_2 term of the rational bound is dropped, which keeps
-    it a valid lower bound).
+    it a valid lower bound). The abelianization comes first: when b_1 > 0
+    the group is infinite and no enumeration is run.
     Returns (bound, provenance string).
     """
+    h1 = abelianization(P).invariant_factors
     if order is None:
-        order = _certified_order(P, max_cosets)
-    return _mu2_lower(P, order)
+        order = _certified_order(P, max_cosets, h1)
+    return _mu2_lower(order, h1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,8 @@ def mu2_sandwich(P, search_budget=DEFAULT_SEARCH_BUDGET,
     """Two-sided estimate of mu_2: lower from rational homology, upper as
     1 - def(best presentation found). When tight, def(G) = 1 - mu_2(G) and
     both invariants are exactly determined."""
-    lower = _mu2_lower(P, _certified_order(P, max_cosets))
+    h1 = abelianization(P).invariant_factors
+    lower = _mu2_lower(_certified_order(P, max_cosets, h1), h1)
     return _sandwich(deficiency_search(P, search_budget), *lower)
 
 
@@ -123,8 +130,9 @@ def swan_inequality_check(P, max_cosets=DEFAULT_MAX_COSETS):
     """Verify def(P) <= 1 - mu2_lower_bound for this presentation, plus the
     finite-group bound def <= 0 when finiteness is certified; records the
     conjecture-conditional bound def >= -mu2 without asserting it."""
-    order = _certified_order(P, max_cosets)
-    return _swan_report(deficiency(P), _mu2_lower(P, order)[0], order is not None)
+    h1 = abelianization(P).invariant_factors
+    order = _certified_order(P, max_cosets, h1)
+    return _swan_report(deficiency(P), _mu2_lower(order, h1)[0], order is not None)
 
 
 @dataclass(frozen=True)
@@ -149,17 +157,19 @@ def _d2n(search, lower, lower_prov):
 
 def d2n_estimate(P, search_budget=DEFAULT_SEARCH_BUDGET,
                  max_cosets=DEFAULT_MAX_COSETS):
-    order = _certified_order(P, max_cosets)
+    h1 = abelianization(P).invariant_factors
+    order = _certified_order(P, max_cosets, h1)
     if order is None:
         raise NotCertifiedFinite(
             "the wedge index bound applies to certified finite groups only")
-    return _d2n(deficiency_search(P, search_budget), *_mu2_lower(P, order))
+    return _d2n(deficiency_search(P, search_budget), *_mu2_lower(order, h1))
 
 
 @dataclass(frozen=True)
 class PresentationAnalysis:
-    """One-pass bundle for the full invariant pipeline (one enumeration,
-    one abelianization, one deficiency search shared by all reports)."""
+    """One-pass bundle for the full invariant pipeline (one abelianization,
+    at most one enumeration, none when b_1 > 0, and one deficiency search
+    shared by all reports)."""
     order: int | None
     h1: object
     perfect: bool
@@ -171,10 +181,10 @@ class PresentationAnalysis:
 
 def analyze_presentation(P, search_budget=DEFAULT_SEARCH_BUDGET,
                          max_cosets=DEFAULT_MAX_COSETS):
-    order = _certified_order(P, max_cosets)
     h1 = abelianization(P).invariant_factors
+    order = _certified_order(P, max_cosets, h1)
     search = deficiency_search(P, search_budget)
-    lower = _mu2_lower(P, order, h1)
+    lower = _mu2_lower(order, h1)
     return PresentationAnalysis(
         order, h1, h1.is_trivial(), deficiency(P), _sandwich(search, *lower),
         _swan_report(deficiency(P), lower[0], order is not None),

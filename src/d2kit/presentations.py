@@ -109,19 +109,19 @@ class Presentation:
 _RUN_RE = re.compile(r"((.)\2*)", re.S)
 
 
+def _syllable(c, k, names):
+    """The text of k letters of code c: ``x``, ``x^k`` or ``x^-k``."""
+    name = names[c >> 1]
+    if c & 1:
+        return f"{name}^-{k}"
+    return name if k == 1 else f"{name}^{k}"
+
+
 def _syllables(text, names):
     """The syllables of a reduced encoded word (`Word.text`) as text,
     ``x`` or ``x^k``: its runs of one repeated letter code."""
-    out = []
-    for run, code in _RUN_RE.findall(text):
-        c = ord(code)
-        k = len(run)
-        name = names[c >> 1]
-        if c & 1:
-            out.append(f"{name}^-{k}")
-        else:
-            out.append(name if k == 1 else f"{name}^{k}")
-    return out
+    return [_syllable(ord(code), len(run), names)
+            for run, code in _RUN_RE.findall(text)]
 
 
 def _relator_chunk(text, names):
@@ -131,6 +131,16 @@ def _relator_chunk(text, names):
     if len(sylls) == 1:
         return sylls[0]
     return "(" + " ".join(sylls) + ")"
+
+
+def _chunk_lead(text, names):
+    """A prefix of `_relator_chunk(text, names)` for a nonempty word, read
+    from its leading run alone: the bare syllable of a one-syllable word,
+    else "(" and the first syllable."""
+    first = text[0]
+    k = len(text) - len(text.lstrip(first))
+    syllable = _syllable(ord(first), k, names)
+    return syllable if k == len(text) else "(" + syllable
 
 
 def _relator_chunks(body, line_no, col0):

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
-from .presentations import Presentation, _relator_chunk
+from .presentations import Presentation, _chunk_lead, _relator_chunk
 from .words import Word, cyclic_core, flip_for, inverse, product, substitute
 
 
@@ -285,11 +285,20 @@ def _chunk(gens, r, chunks):
 
 def _precedes(gens, rels, key, chunks):
     """Whether `_node_key(gens, rels, chunks) < key`, formatting chunks only
-    up to the first one that differs from key's."""
+    up to the first one that differs from key's. A chunk not yet cached is
+    first compared by its lead (`_chunk_lead`), a prefix of it: when key's
+    chunk does not start with the lead, either the two differ inside the
+    lead or key's chunk is a proper prefix of it, and in both cases the
+    lead orders against key's chunk as the whole chunk does."""
     if gens != key[0]:
         return gens < key[0]
     for r, other in zip(rels, key[1]):
-        chunk = _chunk(gens, r, chunks)
+        chunk = chunks.get((gens, r))
+        if chunk is None:
+            lead = _chunk_lead(r, gens)
+            if not other.startswith(lead):
+                return lead < other
+            chunk = _chunk(gens, r, chunks)
         if chunk != other:
             return chunk < other
     return len(rels) < len(key[1])
@@ -321,9 +330,11 @@ def deficiency_search(P, budget):
     The best is held as its (generator names, relator chunks) key
     (`_node_key`), which orders as that text does; a tie compares the
     names, then the chunks in turn, and settles at the first that differs
-    (`_precedes`), formatting no chunk past it. Chunks are cached for the
-    search, no text is joined, and only the returned best is made into a
-    `Presentation`, after the search."""
+    (`_precedes`), formatting no chunk past it. A chunk whose leading
+    syllable already settles the comparison is not formatted at all; most
+    ties end there. Chunks are cached for the search, no text is joined,
+    and only the returned best is made into a `Presentation`, after the
+    search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     rels, flip = _relator_texts(P)  # one table serves the whole search

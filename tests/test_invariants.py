@@ -6,6 +6,7 @@ from d2kit.invariants import (
     D2nEstimate,
     NotCertifiedFinite,
     _swan_report,
+    analyze_presentation,
     d2n_estimate,
     mu2_lower_bound,
     mu2_sandwich,
@@ -101,8 +102,6 @@ def test_tight_sandwich_stable_under_larger_budget():
 
 
 def test_analyze_presentation_matches_standalone_ops():
-    from d2kit.invariants import analyze_presentation
-
     for P in (Z5, A5, TREFOIL):
         a = analyze_presentation(P, search_budget=20, max_cosets=2000)
         s = mu2_sandwich(P, search_budget=20, max_cosets=2000)
@@ -126,7 +125,25 @@ def test_analyze_presentation_matches_standalone_ops():
         "1 - def of best found presentation (def = 1, visited 1)")
 
 
-def test_each_view_enumerates_once_at_the_callers_limit(monkeypatch):
+# Z/2 * Z/3: b_1 = 0, yet infinite, so its enumeration hits the limit
+Z2_FREE_Z3 = parse_presentation("gens: a b\nrels: a^2 b^3\n")
+
+# every library view that certifies an order, as (name, call(P, max_cosets))
+VIEWS = [
+    ("mu2_lower_bound", lambda P, m: mu2_lower_bound(P, max_cosets=m)),
+    ("mu2_sandwich",
+     lambda P, m: mu2_sandwich(P, search_budget=5, max_cosets=m)),
+    ("swan_inequality_check",
+     lambda P, m: swan_inequality_check(P, max_cosets=m)),
+    ("analyze_presentation",
+     lambda P, m: analyze_presentation(P, search_budget=5, max_cosets=m)),
+    ("d2n_estimate", lambda P, m: d2n_estimate(P, search_budget=5, max_cosets=m)),
+]
+
+
+def test_each_view_enumerates_at_most_once_at_the_callers_limit(monkeypatch):
+    # at most one enumeration, at the caller's limit, and none when b_1 > 0:
+    # the group is then infinite and no enumeration could complete
     import d2kit.invariants as inv
 
     limits = []
@@ -137,20 +154,28 @@ def test_each_view_enumerates_once_at_the_callers_limit(monkeypatch):
         return real(P, max_cosets, strategy)
 
     monkeypatch.setattr(inv, "todd_coxeter", recording)
-    views = [
-        lambda: inv.mu2_sandwich(TREFOIL, search_budget=5, max_cosets=2000),
-        lambda: inv.swan_inequality_check(TREFOIL, max_cosets=2000),
-        lambda: inv.analyze_presentation(TREFOIL, search_budget=5,
-                                         max_cosets=2000),
-    ]
-    for view in views:
-        limits.clear()
-        view()
-        assert limits == [2000]
-    limits.clear()
-    with pytest.raises(NotCertifiedFinite):
-        inv.d2n_estimate(TREFOIL, search_budget=5, max_cosets=2000)
-    assert limits == [2000]
+    cases = [(TREFOIL, [], None), (F2, [], None),
+             (A5, [2000], 60), (Z2_FREE_Z3, [2000], None)]
+    for P, limits_seen, order in cases:
+        for name, view in VIEWS:
+            limits.clear()
+            if name == "d2n_estimate" and order is None:
+                with pytest.raises(NotCertifiedFinite):
+                    view(P, 2000)
+            else:
+                result = view(P, 2000)
+                if name == "analyze_presentation":
+                    assert result.order == order
+            assert limits == limits_seen, (P, name)
+
+
+@pytest.mark.parametrize("P", [F2, A5], ids=["f2", "a5"])
+def test_every_view_checks_max_cosets(P):
+    # F2 takes the b_1 > 0 path with no enumeration, A5 enumerates; both
+    # refuse a limit below one
+    for _, view in VIEWS:
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            view(P, 0)
 
 
 def test_realization_trefoil():
