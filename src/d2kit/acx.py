@@ -77,7 +77,9 @@ def dumps(F):
     lines = ["# d2kit algebraic complex v1", "[group]"]
     if F.finite_mode:
         lines += ["mode: finite", f"order: {F.model.order}", "multtable:"]
-        lines += [" ".join(str(x) for x in row) for row in F.model.mult]
+        # entries are element indices, so each is formatted once here
+        names = [str(x) for x in range(F.model.order)]
+        lines += [" ".join([names[x] for x in row]) for row in F.model.mult]
         lines.append("generators: " + " ".join(str(x) for x in F.model.generator_images))
     else:
         lines.append("mode: symbolic")

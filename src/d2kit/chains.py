@@ -40,9 +40,11 @@ from .intlinalg import (
     IntMatrix,
     _columns,
     _echelon,
+    _hermite,
     _kernel,
     _matrix,
     _sub_scaled,
+    _unit_pivots,
     infeasibility_certificate,
     rank_over_field,
     solve_integer_system,
@@ -205,7 +207,11 @@ def validate_complex(F):
     the Q-dimension of its kernel (the algebraic pi_2 size; in symbolic
     mode these are shadow quantities). The lattice and rank work runs only
     when the first two checks pass; otherwise those fields are None. It
-    compares Hermite forms as sparse columns of the expanded boundaries."""
+    compares Hermite forms as sparse columns of the expanded boundaries.
+    Each column of d_1 (of d_2) lies in the augmentation ideal (in ker d_1),
+    a saturated lattice, so a Hermite basis of that lattice's rank whose
+    pivots are all 1 is that lattice; only a basis with another pivot is
+    compared with the Hermite basis of ker d_1."""
     failures = []
     n = F.top_degree
     chain_ok = True
@@ -224,16 +230,20 @@ def validate_complex(F):
         m0, m1 = F.ranks[0] * order, F.ranks[1] * order
         # exactness is a statement about a known group
         if F.finite_mode:
+            # eps o d_1 = 0, so every column lies in the augmentation ideal
             E1 = _expanded_columns(F.boundary(1), False)
-            H1 = [dict(col) for col in E1]
-            exact0 = H1[:_echelon(H1, m0)] == _augmentation_ideal_basis(m0)
+            H1 = _hermite(E1, m0, m0 - 1)
+            exact0 = H1 == _augmentation_ideal_basis(m0)
             if not exact0:
                 failures.append("image of d_1 differs from the augmentation ideal")
         if n >= 2:
-            H2 = _expanded_columns(F.boundary(2), False)
-            H2 = H2[:_echelon(H2, m1)]
+            # d_1 o d_2 = 0, so in finite mode every column lies in ker d_1,
+            # a saturated lattice of rank m1 - rank d_1
+            bound = m1 - len(H1) if F.finite_mode else None
+            H2 = _hermite(_expanded_columns(F.boundary(2), False), m1, bound)
             if F.finite_mode:
-                exact1 = H2 == _kernel(E1, m0)
+                exact1 = len(H2) == bound and (_unit_pivots(H2)
+                                               or H2 == _kernel(E1, m0))
                 if not exact1:
                     failures.append("ker d_1 differs from image of d_2")
             d2_rank = len(H2)

@@ -11,6 +11,7 @@ byte-identical across runs for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -322,6 +323,8 @@ _REPORT_COLUMNS = ["file", "order", "h1", "perfect", "def_found",
 
 
 def cmd_report(args):
+    if args.dir is None:
+        args.dir = os.environ.get("D2KIT_CORPUS", "corpus")
     directory = Path(args.dir)
     if not directory.is_dir():
         raise CliError(f"{args.dir}: not a directory")
@@ -359,10 +362,6 @@ def cmd_report(args):
 def cmd_check(args):
     args.check = args.expected if args.expected else True
     return cmd_analyze(args)
-
-
-def _default_corpus():
-    return os.environ.get("D2KIT_CORPUS", "corpus")
 
 
 def _common_flags(budget):
@@ -438,7 +437,8 @@ def build_parser():
 
     p = sub.add_parser("report", parents=[common],
                        help="one-row-per-file table over a corpus directory")
-    p.add_argument("dir", nargs="?", default=_default_corpus())
+    # the D2KIT_CORPUS default is read when the command runs
+    p.add_argument("dir", nargs="?", default=None)
     p.add_argument("--sidecar", help="machine-readable JSON-lines path "
                                      "(default DIR/report.jsonl)")
     p.set_defaults(func=cmd_report)
@@ -451,9 +451,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for flag in ("max_cosets", "budget"):
             if getattr(args, flag) < 1:

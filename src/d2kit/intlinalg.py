@@ -367,6 +367,40 @@ def _echelon(C, m):
     return c
 
 
+# Columns per elimination in `_hermite`. Chunks of 8 to 64 all beat one
+# elimination of PSL(2,7)'s expanded d_2; 32 was the fastest on it and on
+# A5's. On 100- and 200-generator symbolic d_2, 16 was about a third faster.
+HERMITE_CHUNK = 32
+
+
+def _hermite(C, m, bound=None):
+    """The Hermite basis (the pivot columns of `_echelon`) of the lattice the
+    sparse columns C span in rows 0..m-1, leaving C unchanged. It is built
+    HERMITE_CHUNK columns at a time on top of the basis so far; since the
+    Hermite form is unique, the result is that of one elimination of all of
+    C, while the columns that reduce to zero never fill in together.
+
+    With `bound`, the caller guarantees that every column of C lies in one
+    saturated lattice L of rank `bound` (L = Z^m meet a Q-subspace). The
+    build stops once the basis has `bound` pivots, all 1: such a basis spans
+    a saturated lattice inside L of full rank, which is L itself."""
+    H = []
+    for s in range(0, len(C), HERMITE_CHUNK):
+        H += [dict(col) for col in C[s:s + HERMITE_CHUNK]]
+        H = H[:_echelon(H, m)]
+        if len(H) == bound and _unit_pivots(H):
+            break
+    return H
+
+
+def _unit_pivots(H):
+    """Whether every pivot of the Hermite basis H is 1. Such a basis spans a
+    saturated lattice: no later column is nonzero in a column's pivot row,
+    so an integer vector in the basis's Q-span has integer coordinates, read
+    off one pivot row at a time in order."""
+    return all(col[min(col)] == 1 for col in H)
+
+
 def _sub_scaled(dst, src, q):
     """dst -= q * src on sparse columns; q != 0."""
     for i, x in src.items():
@@ -392,7 +426,7 @@ def rank_over_field(A, field):
     """Rank over Q (field="Q") or F_p (field=p, p prime): over F_p, the
     number of Smith invariant factors of A that p does not divide."""
     if field == "Q":
-        return _echelon(_columns(A), A.rows)
+        return len(_hermite(_columns(A), A.rows))
     p = int(field)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")

@@ -520,7 +520,7 @@ def test_augmentation_ideal_basis_is_the_kernel_of_the_ones_row():
 def _record_echelons(monkeypatch):
     """Record (rows eliminated, columns) of every call of the elimination core,
     in every module that binds it."""
-    from d2kit import chains, intlinalg, invariants
+    from d2kit import chains, intlinalg
 
     calls = []
     real = intlinalg._echelon
@@ -529,19 +529,134 @@ def _record_echelons(monkeypatch):
         calls.append((m, len(C)))
         return real(C, m)
 
-    for module in (intlinalg, chains, invariants):
+    for module in (intlinalg, chains):
         monkeypatch.setattr(module, "_echelon", echelon)
     return calls
 
 
+def _record_kernels(monkeypatch):
+    """Record (rows, columns) of every kernel elimination validation asks for."""
+    from d2kit import chains
+
+    calls = []
+    real = chains._kernel
+
+    def kernel(C, m):
+        calls.append((m, len(C)))
+        return real(C, m)
+
+    monkeypatch.setattr(chains, "_kernel", kernel)
+    return calls
+
+
+def _scrambled(F, seed):
+    """F with F_1 rebased by a product E of three seeded elementary ZG
+    operations (add ±g times basis element i to basis element j): d_1 becomes
+    d_1 E and d_2 becomes E^-1 d_2, so exactness and ranks are unchanged."""
+    model, f1 = F.model, F.ranks[1]
+    rng = random.Random(seed)
+    d1, d2 = F.boundary(1), F.boundary(2)
+    for _ in range(3):
+        i, j = rng.sample(range(f1), 2)
+        g, a = rng.randrange(model.order), rng.choice((-1, 1))
+        unit = [GroupRingElement.zero(model)] * (f1 * f1)
+        unit[i * f1 + j] = GroupRingElement.from_element(model, g, a)
+        unit = GroupRingMatrix(model, f1, f1, unit)
+        one = GroupRingMatrix.identity(model, f1)
+        # unit o unit = 0, so 1 - unit inverts 1 + unit
+        d1, d2 = d1.compose(one + unit), (one - unit).compose(d2)
+    return AlgebraicComplex(F.ranks, model, (d1, d2))
+
+
 def test_validate_complex_eliminates_d2_once(monkeypatch):
     calls = _record_echelons(monkeypatch)
-    rep = validate_complex(presentation_complex(S3P, S3M))
+    kernels = _record_kernels(monkeypatch)
+    F = presentation_complex(S3P, S3M)
+    rep = validate_complex(F)
     assert rep.ok and rep.d2_rank_q == 7
-    # the Hermite form of d_1 (the augmentation ideal needs no elimination),
-    # then of d_2 and the kernel of d_1; d_2 (12 x 18) is eliminated once
-    # and gives both exactness at F_1 and its rank
+    # the Hermite forms of d_1 and d_2 (each under one chunk of columns);
+    # the Hermite basis of d_2 has 12 - 5 = rank of ker d_1 pivots, all 1,
+    # so it is ker d_1 and no kernel elimination runs
+    assert calls == [(6, 12), (12, 18)]
+    assert kernels == []
+    # rebasing F_1 leaves a pivot that is not 1: exactness then compares
+    # with the Hermite basis of ker d_1, one elimination of [d_1; I] and one
+    # of its zero columns
+    calls.clear()
+    assert validate_complex(_scrambled(F, 1)) == rep
     assert calls == [(6, 12), (12, 18), (6, 12), (12, 7)]
+    assert kernels == [(6, 12)]
+
+
+# Scrambled complexes are exact with the reports of their presentation
+# complexes (recorded before validation built Hermite forms in chunks); most
+# of them need the kernel comparison.
+_SCRAMBLE_GROUPS = [
+    ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 7, 11, 25),
+    ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 9, 7, 33),
+    ("gens: a b\nrels: a^2 b^3 (a b)^5\n", 61, 119, 38),
+]
+
+
+@pytest.mark.parametrize("text,rank,kernel_dim,fallbacks", _SCRAMBLE_GROUPS,
+                         ids=["s3", "q8", "a5"])
+def test_validate_scrambled_complexes(monkeypatch, text, rank, kernel_dim, fallbacks):
+    P = parse_presentation(text)
+    F = presentation_complex(P, group_model(P, 1000))
+    expected = validate_complex(F)
+    assert expected.ok and (expected.d2_rank_q, expected.ker_d2_qdim) == (rank, kernel_dim)
+    kernels = _record_kernels(monkeypatch)
+    for seed in range(40):
+        assert validate_complex(_scrambled(F, seed)) == expected, seed
+    assert len(kernels) == fallbacks
+
+
+def test_validate_unsaturated_image_of_d2(monkeypatch):
+    """2 d_2 has the rank of ker d_1 but spans a sublattice of index 2^7,
+    and zeroing a column of d_2 lowers the rank: neither is exact at F_1.
+    Only the first needs the kernel comparison."""
+    kernels = _record_kernels(monkeypatch)
+    F = presentation_complex(S3P, S3M)
+    d1, d2 = F.boundaries
+    failure = ("ker d_1 differs from image of d_2",)
+    rep = validate_complex(AlgebraicComplex(F.ranks, S3M, (d1, d2 + d2)))
+    assert (rep.chain_ok, rep.aug_d1_zero, rep.exact_at_f0) == (True, True, True)
+    assert rep.exact_at_f1 is False and rep.failures == failure
+    assert (rep.d2_rank_q, rep.ker_d2_qdim) == (7, 11)
+    assert len(kernels) == 1
+    f1, f2 = F.ranks[1:]
+    zero = GroupRingElement.zero(S3M)
+    dropped = GroupRingMatrix.from_rows(
+        S3M, [[d2.entry(i, j) if j else zero for j in range(f2)] for i in range(f1)])
+    rep = validate_complex(AlgebraicComplex(F.ranks, S3M, (d1, dropped)))
+    assert (rep.chain_ok, rep.aug_d1_zero, rep.exact_at_f0) == (True, True, True)
+    assert rep.exact_at_f1 is False and rep.failures == failure
+    assert (rep.d2_rank_q, rep.ker_d2_qdim) == (5, 13)
+    assert len(kernels) == 1
+
+
+def _random_presentation(n, seed):
+    """n generators and n relators, each relator six syllables x^e with e in
+    {-3, -2, -1, 1, 2, 3}."""
+    rng = random.Random(seed)
+    relators = []
+    for _ in range(n):
+        letters = []
+        for _ in range(6):
+            g, e = rng.randrange(n), rng.choice((-3, -2, -1, 1, 2, 3))
+            letters += [(g, 1 if e > 0 else -1)] * abs(e)
+        relators.append(Word(letters))
+    return Presentation(tuple(f"x{i}" for i in range(n)), tuple(relators))
+
+
+@pytest.mark.slow
+def test_symbolic_rank_of_a_200_generator_d2():
+    """The Q-rank of a 200 x 200 symbolic d_2, as one elimination of all its
+    columns gave it."""
+    F = presentation_complex(_random_presentation(200, 0))
+    rep = validate_complex(F)
+    assert rep.ok and (rep.d2_rank_q, rep.ker_d2_qdim) == (198, 2)
+    assert homology_over_field(F, "Q") == (1, 2, 2)
 
 
 def test_read_check_does_no_lattice_work(monkeypatch):

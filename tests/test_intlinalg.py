@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from d2kit import intlinalg
 from d2kit.intlinalg import (
+    HERMITE_CHUNK,
     DimensionMismatch,
     IntMatrix,
     NotPrime,
     _columns,
     _echelon,
+    _hermite,
     _matrix,
     column_hnf,
     infeasibility_certificate,
@@ -391,6 +394,83 @@ def test_kernel_basis_random():
         for v in basis:
             for i in range(A.rows):
                 assert sum(A.entry(i, j) * v[j] for j in range(A.cols)) == 0
+
+
+def _one_shot_hermite(C, m):
+    """The pivot columns of one elimination of (a copy of) all of C."""
+    H = [dict(col) for col in C]
+    return H[:_echelon(H, m)]
+
+
+def _random_columns(rng, m, n, rank):
+    """n sparse columns over m rows, each an integer combination of `rank`
+    fixed random vectors, so the lattice has rank at most `rank`; some
+    columns come out zero."""
+    gens = [[rng.randint(-4, 4) if rng.random() < 0.4 else 0 for _ in range(m)]
+            for _ in range(rank)]
+    C = []
+    for _ in range(n):
+        v = [0] * m
+        for g in gens:
+            c = rng.choice((-2, -1, 0, 0, 1, 2))
+            for i, x in enumerate(g):
+                v[i] += c * x
+        C.append({i: x for i, x in enumerate(v) if x})
+    return C
+
+
+def test_hermite_matches_one_shot_echelon():
+    rng = random.Random(20261020)
+    k = HERMITE_CHUNK
+    shapes = [(0, 0), (5, 0), (0, 7), (1, k + 1), (6, k - 1), (6, k), (6, k + 1),
+              (9, 3 * k + 5), (40, 2 * k + 1)]
+    for m, n in shapes:
+        for rank in sorted({0, 1, min(m, n) // 2, min(m, n)}):
+            for _ in range(3):
+                C = _random_columns(rng, m, n, rank)
+                before = [list(col.items()) for col in C]
+                H = _hermite(C, m)
+                assert H == _one_shot_hermite(C, m), (m, n, rank)
+                assert [list(col.items()) for col in C] == before
+    # zero columns only, and columns whose span is all of Z^m
+    assert _hermite([{}] * (k + 1), 4) == []
+    C = [{i: 1} for i in range(5)] * (k // 5 + 1)
+    assert _hermite(C, 5) == [{i: 1} for i in range(5)]
+
+
+@pytest.mark.parametrize("text,chunk", [
+    ("gens: a b\nrels: a^2 b^3 (a b)^5\n", 16),
+    ("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n", HERMITE_CHUNK),
+], ids=["a5-chunk-16", "psl27"])
+def test_hermite_stops_at_a_saturated_basis_of_the_bound_rank(monkeypatch, text, chunk):
+    from d2kit.chains import presentation_complex
+    from d2kit.coset import group_model
+    from d2kit.groupring import _expanded_columns
+    from d2kit.presentations import parse_presentation
+
+    P = parse_presentation(text)
+    F = presentation_complex(P, group_model(P, 20000))
+    E1, E2 = (_expanded_columns(F.boundary(i), False) for i in (1, 2))
+    order = F.model.order
+    m0, m1 = F.ranks[0] * order, F.ranks[1] * order
+    bound = m1 - len(_hermite(E1, m0))
+    monkeypatch.setattr(intlinalg, "HERMITE_CHUNK", chunk)
+    calls = []
+    real = intlinalg._echelon
+
+    def echelon(C, m):
+        calls.append(len(C))
+        return real(C, m)
+
+    monkeypatch.setattr(intlinalg, "_echelon", echelon)
+    # every column of d_2 lies in ker d_1, saturated of rank `bound`, and
+    # the build stops before its last chunk with the basis of one elimination
+    H = _hermite(E2, m1, bound)
+    assert len(H) == bound and len(calls) < -(-len(E2) // chunk)
+    assert H == _one_shot_hermite(E2, m1)
+    # bound pivots that are not all 1 do not stop the build
+    C = [{0: 2}] * chunk + [{0: 3}]
+    assert _hermite(C, 1, 1) == [{0: 1}]
 
 
 def _oracle_inputs():
