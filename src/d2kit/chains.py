@@ -30,8 +30,8 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
+    _composed_columns,
     _expanded_columns,
-    _gr_solution,
     gr_integer_system,
     solve_gr_system,
 )
@@ -47,7 +47,6 @@ from .intlinalg import (
     _unit_pivots,
     infeasibility_certificate,
     rank_over_field,
-    solve_integer_system,
 )
 from .presentations import Presentation
 
@@ -306,10 +305,11 @@ def split_test(F):
         raise ValueError("split_test requires finite mode")
     d3 = F.boundary(3)
     identity = GroupRingMatrix.identity(F.model, d3.cols)
+    retraction = solve_gr_system(d3, identity, "left")
+    if retraction is not None:
+        return SplitReport(True, retraction)
+    # the dense Smith form is an independent cross-check of the failed solve
     big, rhs = gr_integer_system(d3, identity, "left")
-    sol = solve_integer_system(big, rhs)
-    if sol is not None:
-        return SplitReport(True, _gr_solution(d3, identity, "left", sol))
     cert = infeasibility_certificate(big, rhs)
     if cert is None or not cert.verify(big, rhs):
         raise CertificateError("no verified obstruction for an infeasible split")
@@ -499,11 +499,11 @@ def _phi2_candidates(phi2, K_src, K_tgt, budget):
     for a column v of K_tgt placed in matrix column c, sign 1 or -1.
 
     image is the vec of (phi2 + sum sign * omega) o K_src as fresh sparse
-    `intlinalg._columns`, which the caller may reduce in place. It merges
+    {row: value} columns, which the caller may reduce in place. It merges
     phi2 o K_src with v o (row c of K_src) = omega o K_src, each composed
-    once per orientation."""
+    once per orientation by `groupring._composed_columns`."""
     model, s2, t2 = K_src.model, K_src.rows, K_tgt.rows
-    base = _columns(phi2.compose(K_src).vec)
+    base = _composed_columns(phi2, K_src)
     yield (), _merged(base)
     units = GroupRingMatrix.identity(model, s2)
     targets = [K_tgt.submatrix(range(t2), (j,)) for j in range(K_tgt.cols)]
@@ -512,7 +512,7 @@ def _phi2_candidates(phi2, K_src, K_tgt, budget):
         row = K_src.submatrix((c,), range(K_src.cols))
         unit = units.submatrix((c,), range(s2))
         for v in targets:
-            omega, image = v.compose(unit), _columns(v.compose(row).vec)
+            omega, image = v.compose(unit), _composed_columns(v, row)
             singles.append((omega, image))
             for sign in (1, -1):
                 if not budget.spend():
@@ -591,8 +591,8 @@ def _attempt_orientation(src, tgt, K_src, K_tgt, budget):
     The test reduces each candidate's sparse image columns in place with
     `intlinalg._echelon`, whose pivot columns are the Hermite normal form of
     the lattice they span, and compares them with the columns of K_tgt.vec.
-    The Hermite form is unique, so this is the same decision as
-    `column_hnf(image) == K_tgt` on the dense image, in exact integers."""
+    The Hermite form is unique, so this is the same decision as comparing
+    the Hermite basis of the dense image with K_tgt.vec, in exact integers."""
     phi = _lift_chain_map(src, tgt, budget)
     if phi is None:
         return None

@@ -24,9 +24,11 @@ Sums, stacking and equality are IntMatrix operations on `vec`.
 its action on coefficient columns (w -> w * z, the right regular action);
 with the composition above this is multiplicative:
 expand(M o N) = expand(M) * expand(N), and expand(identity) = identity.
-`_action_terms` is the one place that knows that action: the expansion is
-filled from it, and `compose` never builds an expansion. Solving A o X = B
-or X o A = B over ZG is an integer system whose unknowns are the ZG
+`_action_terms` is the one place that knows that action. `_expanded_columns`
+(the expansion) and `_composed_columns` (vec of a product, with no
+expansion) write it into sparse {row: value} columns; `regular_rep_expand`
+and `compose` are their dense forms. Solving A o X = B or X o A = B over ZG
+is the integer system that `_gr_system` assembles; its unknowns are the ZG
 coefficients of X, so equivariance is built in.
 """
 
@@ -40,7 +42,7 @@ from .intlinalg import (
     DimensionMismatch,
     IntMatrix,
     _matrix,
-    solve_integer_system,
+    _solve,
 )
 
 
@@ -220,34 +222,15 @@ class GroupRingMatrix:
                      for i in range(self.rows) for j in range(self.cols))
 
     def compose(self, other):
-        """self o other (apply `other` first): entries sum_j other_jk * self_ij.
-
-        vec(self o other) = expand(self) * other.vec term by term: a term
-        (i, j, a, perm) adds a * row (j, x) of other.vec to row (i, perm[x])."""
+        """self o other (apply `other` first): entries sum_j other_jk * self_ij."""
         if not isinstance(other, GroupRingMatrix):
             raise TypeError("compose expects a GroupRingMatrix")
         _check_same_model(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        n, p, data = self.model.order, other.cols, other.vec.data
-        # the nonzero rows (x, [(k, b), ...]) of each row block j of other.vec
-        nonzero = {}
-        for e in compress(range(len(data)), data):
-            r, k = divmod(e, p)
-            nonzero.setdefault(r, []).append((k, data[e]))
-        blocks = [[] for _ in range(other.rows)]
-        for r, src in nonzero.items():
-            blocks[r // n].append((r % n, src))
-        out = [0] * (self.rows * n * p)
-        js = [j for j, block in enumerate(blocks) if block]
-        for i, j, a, perm in _action_terms(self, False, js):
-            for x, src in blocks[j]:
-                base = (i * n + perm[x]) * p
-                for k, b in src:
-                    out[base + k] += a * b
-        return GroupRingMatrix._raw(self.model, self.rows, p,
-                                    IntMatrix._raw(self.rows * n, p, tuple(out)))
+        return GroupRingMatrix._raw(self.model, self.rows, other.cols, _matrix(
+            _composed_columns(self, other), self.vec.rows))
 
     # over one model, vec shapes agree exactly when the ZG shapes do
     def __add__(self, other):
@@ -344,9 +327,29 @@ def _expanded_columns(M, left):
     return C
 
 
-def _expand(M, left):
-    """The expansion `_expanded_columns(M, left)` as a dense IntMatrix."""
-    return _matrix(_expanded_columns(M, left), M.rows * M.model.order)
+def _composed_columns(A, B):
+    """vec(A o B) as sparse {row: value} columns, cells that cancel dropped;
+    A.cols == B.rows over one model (not checked). Term by term,
+    vec(A o B) = expand(A) * B.vec: a term (i, j, a, perm) of A adds a * row
+    (j, x) of B.vec to row (i, perm[x])."""
+    n, p, data = A.model.order, B.cols, B.vec.data
+    # the nonzero rows (x, [(k, b), ...]) of each row block j of B.vec
+    nonzero = {}
+    for e in compress(range(len(data)), data):
+        r, k = divmod(e, p)
+        nonzero.setdefault(r, []).append((k, data[e]))
+    blocks = [[] for _ in range(B.rows)]
+    for r, src in nonzero.items():
+        blocks[r // n].append((r % n, src))
+    C = [{} for _ in range(p)]
+    js = [j for j, block in enumerate(blocks) if block]
+    for i, j, a, perm in _action_terms(A, False, js):
+        for x, src in blocks[j]:
+            row = i * n + perm[x]
+            for k, b in src:
+                col = C[k]
+                col[row] = col.get(row, 0) + a * b
+    return [{i: x for i, x in col.items() if x} for col in C]
 
 
 def _transpose_grid(M):
@@ -362,11 +365,12 @@ def regular_rep_expand(M):
     """Expand a ZG matrix to the integer matrix of its action on stacked
     coefficient columns. Multiplicative for composition:
     expand(M o N) == expand(M) * expand(N)."""
-    return _expand(M, False)
+    return _matrix(_expanded_columns(M, False), M.rows * M.model.order)
 
 
-def gr_integer_system(A, B, side):
-    """Integer system (big, rhs) whose solutions x of big * x = rhs are the
+def _gr_system(A, B, side):
+    """(columns, m, rhs): the sparse columns of an m-row integer matrix big
+    and an IntMatrix rhs such that the solutions x of big * x = rhs are the
     ZG coefficients of the X with A o X = B (side="right") or X o A = B
     (side="left").
 
@@ -381,10 +385,17 @@ def gr_integer_system(A, B, side):
     if side == "right":
         if A.rows != B.rows:
             raise DimensionMismatch("A and B need equal row counts")
-        return regular_rep_expand(A), B.vec
+        return _expanded_columns(A, False), B.vec.rows, B.vec
     if A.cols != B.cols:
         raise DimensionMismatch("A and B need equal column counts")
-    return _expand(_transpose_grid(A), True), _transpose_grid(B).vec
+    rhs = _transpose_grid(B).vec
+    return _expanded_columns(_transpose_grid(A), True), rhs.rows, rhs
+
+
+def gr_integer_system(A, B, side):
+    """The system of `_gr_system` as dense IntMatrices (big, rhs)."""
+    C, m, rhs = _gr_system(A, B, side)
+    return _matrix(C, m), rhs
 
 
 def solve_gr_system(A, B, side):
@@ -393,12 +404,9 @@ def solve_gr_system(A, B, side):
     Returns the GroupRingMatrix X from the deterministic integer solver,
     re-verified by exact ZG composition, or None when certified infeasible.
     """
-    sol = solve_integer_system(*gr_integer_system(A, B, side))
-    return None if sol is None else _gr_solution(A, B, side, sol)
-
-
-def _gr_solution(A, B, side, sol):
-    """X from a solution of gr_integer_system(A, B, side), re-verified."""
+    sol = _solve(*_gr_system(A, B, side))
+    if sol is None:
+        return None
     if side == "right":
         X = GroupRingMatrix._raw(A.model, A.cols, B.cols, sol)
         if A.compose(X) != B:

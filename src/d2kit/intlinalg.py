@@ -259,14 +259,6 @@ def _stacked_columns(C, m):
     return C
 
 
-def _dense(col, m):
-    """A sparse column as a length-m tuple."""
-    v = [0] * m
-    for i, x in col.items():
-        v[i] = x
-    return tuple(v)
-
-
 def _matrix(C, m):
     """The m x len(C) IntMatrix whose columns are the sparse columns C."""
     n = len(C)
@@ -436,19 +428,25 @@ def rank_over_field(A, field):
 def solve_integer_system(A, B):
     """Solve A*X = B over the integers.
 
-    Returns X (an IntMatrix) or None when no integer solution exists.
-    The solution is the deterministic one produced by back-substitution on
-    the sparse column echelon form of [A; I]: each pivot column's rows
-    0..m-1 (its H part) reduce a column of B, and the quotients times its
-    rows m.. (its V part) accumulate into X, so X = V*Y without a dense V.
-    """
+    Returns X (an IntMatrix) or None when no integer solution exists: the
+    deterministic solution of `_solve` on the sparse columns of A."""
     if A.rows != B.rows:
         raise DimensionMismatch("A and B need equal row counts")
-    m, n, k = A.rows, A.cols, B.cols
-    C = _stacked_columns(_columns(A), m)
+    return _solve(_columns(A), A.rows, B)
+
+
+def _solve(C, m, B):
+    """Solve A*X = B over the integers, for A given as the m-row sparse
+    columns C, which are stacked and reduced in place; X or None.
+
+    X comes from back-substitution on the sparse column echelon form of
+    [A; I]: each pivot column's rows 0..m-1 (its H part) reduce a column of
+    B, and the quotients times its rows m.. (its V part) accumulate into X,
+    so X = V*Y without a dense V."""
+    n, k = len(C), B.cols
     # (pivot row, pivot, H part, V part) of each pivot column
     pivots = []
-    for col in C[:_echelon(C, m)]:
+    for col in C[:_echelon(_stacked_columns(C, m), m)]:
         h = {i: x for i, x in col.items() if i < m}
         i = min(h)
         pivots.append((i, h[i], h, [(t - m, x) for t, x in col.items() if t >= m]))
@@ -535,12 +533,5 @@ def kernel_basis(A):
     """Canonical basis of the integer kernel lattice {x : A*x = 0}: the
     Hermite normal form (unique, hence golden-test stable) as length-`A.cols`
     tuples (see `_kernel`)."""
-    return [_dense(col, A.cols) for col in _kernel(_columns(A), A.rows)]
-
-
-def column_hnf(A):
-    """Hermite normal form basis of the lattice spanned by A's columns, as
-    length-`A.rows` tuples: the pivot columns of A's column echelon form,
-    computed without the transform V. Its length is the rank of A over Q."""
-    C = _columns(A)
-    return [_dense(col, A.rows) for col in C[:_echelon(C, A.rows)]]
+    K = _matrix(_kernel(_columns(A), A.rows), A.cols)
+    return [K.column(j) for j in range(K.cols)]

@@ -2,11 +2,12 @@
 
 None of these is used by d2kit itself: the determinant and lattice equality
 are oracles for unimodularity and lattice identity, `lattice_hnf` is the
-xgcd-based row Hermite form that `intlinalg.column_hnf` and
-`intlinalg.kernel_basis` must reproduce exactly, `rank_mod_p` is Gaussian
-elimination over F_p for the Smith-form ranks of `intlinalg.rank_over_field`,
-`column_echelon` reads the transform A*V = H off d2kit's sparse echelon of
-[A; I], `dense_column_echelon` is the list-of-rows column elimination that
+xgcd-based row Hermite form that `column_hnf` and `intlinalg.kernel_basis`
+must reproduce exactly,
+`rank_mod_p` is Gaussian elimination over F_p for the Smith-form ranks of
+`intlinalg.rank_over_field`, `column_echelon` reads the transform A*V = H
+off d2kit's sparse echelon of [A; I], and `column_hnf` its Hermite basis,
+`dense_column_echelon` is the list-of-rows column elimination that
 `column_echelon` must reproduce exactly, and `dense_solve_integer_system`
 is the dense back-substitution followed by V*Y that
 `intlinalg.solve_integer_system` must reproduce exactly. The `letters_*`
@@ -14,7 +15,15 @@ functions are the word algebra on letter tuples ((generator, +1 or -1)
 pairs) that `words` and `Word` must agree with on encoded text.
 """
 
-from d2kit.intlinalg import DimensionMismatch, IntMatrix, _columns, _echelon, _stacked_columns
+from d2kit.intlinalg import (
+    DimensionMismatch,
+    IntMatrix,
+    _columns,
+    _echelon,
+    _hermite,
+    _matrix,
+    _stacked_columns,
+)
 
 
 def xgcd(a, b):
@@ -137,6 +146,14 @@ def column_echelon(A):
             out[i * n + j] = x
     return (IntMatrix._raw(m, n, tuple(out[:m * n])),
             IntMatrix._raw(n, n, tuple(out[m * n:])))
+
+
+def column_hnf(A):
+    """The Hermite basis `intlinalg._hermite` builds of the lattice spanned by
+    A's columns, as length-`A.rows` tuples (the d2kit code under test, made
+    dense). Its length is the rank of A over Q."""
+    H = _matrix(_hermite(_columns(A), A.rows), A.rows)
+    return [H.column(j) for j in range(H.cols)]
 
 
 def dense_solve_integer_system(A, B):

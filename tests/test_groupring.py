@@ -7,13 +7,14 @@ from d2kit.groupring import (
     GroupRingElement,
     GroupRingMatrix,
     ModelMismatch,
+    _composed_columns,
     _expanded_columns,
     _transpose_grid,
     gr_integer_system,
     regular_rep_expand,
     solve_gr_system,
 )
-from d2kit.intlinalg import DimensionMismatch, IntMatrix, _columns
+from d2kit.intlinalg import DimensionMismatch, IntMatrix, _columns, solve_integer_system
 from d2kit.presentations import parse_presentation
 
 Z2 = group_model(parse_presentation("gens: x\nrels: x^2\n"), 100)
@@ -170,6 +171,62 @@ def test_compose_of_sparse_matrices_matches_the_expanded_product():
             assert (MN.rows, MN.cols) == (a, c)
             assert regular_rep_expand(MN) == \
                 regular_rep_expand(M) * regular_rep_expand(N)
+
+
+def test_composed_columns_match_the_expanded_product():
+    # A2 o B2 = [A o B - A o B | A o B]: every cell of the first block gets
+    # terms that cancel, so a core that kept cancelled cells would not
+    # match the columns of the dense expanded product there
+    rng = random.Random(20261020)
+    nonzero = 0
+    for model in (S3, Q8, A5):
+        def sparse(rows, cols):
+            return GroupRingMatrix.from_rows(model, [[
+                GroupRingElement.from_pairs(model, [
+                    (rng.randrange(model.order), rng.choice((-3, -1, 1, 2)))
+                    for _ in range(rng.choice((0, 1, 3, 8)))])
+                for _ in range(cols)] for _ in range(rows)])
+
+        for _ in range(8):
+            a, b, c = (rng.randint(1, 3) for _ in range(3))
+            A, B = sparse(a, b), sparse(b, c)
+            A2 = A.hstack(A)
+            B2 = B.hstack(B).vstack((-B).hstack(GroupRingMatrix.zeros(model, b, c)))
+            for M, N in ((A, B), (A2, B2)):
+                assert _composed_columns(M, N) == _columns(regular_rep_expand(M) * N.vec)
+            assert _composed_columns(A2, B2)[:c] == [{}] * c
+            nonzero += not A.compose(B).is_zero()
+    assert nonzero > 12
+
+
+def test_solve_gr_system_returns_the_dense_assembly_solution():
+    # certificate bytes depend on the particular solution: the sparse solve
+    # must return exactly the X of the dense system, on both sides
+    rng = random.Random(28)
+    outcomes = []
+    for model in (Z2, S3, Q8):
+        def grid(rows, cols):
+            return GroupRingMatrix.from_rows(model, [
+                [random_element(model, rng, -2, 2) for _ in range(cols)]
+                for _ in range(rows)])
+
+        for _ in range(10):
+            r, c, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+            A = grid(r, c)
+            for side in ("right", "left"):
+                if side == "right":
+                    feasible, guess = A.compose(grid(c, k)), grid(r, k)
+                else:
+                    feasible, guess = grid(k, r).compose(A), grid(k, c)
+                for B in (feasible, guess):
+                    X = solve_gr_system(A, B, side)
+                    sol = solve_integer_system(*gr_integer_system(A, B, side))
+                    outcomes.append(X is None)
+                    if sol is None:
+                        assert X is None
+                    else:
+                        assert sol == (X.vec if side == "right" else _transpose_grid(X).vec)
+    assert outcomes.count(True) > 10 and outcomes.count(False) > 60
 
 
 def test_compose_matches_its_element_level_definition():

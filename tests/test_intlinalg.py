@@ -13,7 +13,6 @@ from d2kit.intlinalg import (
     _echelon,
     _hermite,
     _matrix,
-    column_hnf,
     infeasibility_certificate,
     kernel_basis,
     rank_over_field,
@@ -23,6 +22,7 @@ from d2kit.intlinalg import (
 
 from exact_oracles import (
     column_echelon,
+    column_hnf,
     dense_column_echelon,
     dense_solve_integer_system,
     determinant,
@@ -290,7 +290,7 @@ def _split_left_system(spheres):
 
 
 def test_solve_matches_dense_reference_solver(monkeypatch):
-    from d2kit import chains, groupring
+    from d2kit import groupring
 
     rng = random.Random(99)
     systems = []
@@ -307,13 +307,14 @@ def test_solve_matches_dense_reference_solver(monkeypatch):
     ]
     systems += infeasible
     recorded = []
+    real = groupring._solve
 
-    def recording(A, B):
-        recorded.append((A, B))
-        return solve_integer_system(A, B)
+    # every ZG solve reaches the sparse solve through groupring's binding
+    def recording(C, m, B):
+        recorded.append((_matrix(C, m), B))
+        return real(C, m, B)
 
-    monkeypatch.setattr(groupring, "solve_integer_system", recording)
-    monkeypatch.setattr(chains, "solve_integer_system", recording)
+    monkeypatch.setattr(groupring, "_solve", recording)
     _certify_s3_and_q8()
     monkeypatch.undo()
     # the cone lifts D1, D2, D3 of S3 and Q8 are among the recorded systems
