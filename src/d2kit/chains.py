@@ -38,13 +38,12 @@ from .groupring import (
 from .intlinalg import (
     CertificateError,
     IntMatrix,
-    _columns,
     _echelon,
     _hermite,
     _kernel,
     _matrix,
+    _saturated,
     _sub_scaled,
-    _unit_pivots,
     infeasibility_certificate,
     rank_over_field,
 )
@@ -193,24 +192,16 @@ class ValidationReport:
                 and self.exact_at_f1 is not False)
 
 
-def _augmentation_ideal_basis(N):
-    """The Hermite basis of the kernel of the 1 x N all-ones row, as sparse
-    columns, known without an elimination: e_i - e_{N-1} for i < N - 1."""
-    return [{i: 1, N - 1: -1} for i in range(N - 1)]
-
-
 def validate_complex(F):
     """Check d o d = 0 exactly over the boundaries' ring, that the
-    augmentation kills d_1, and (finite mode) exactness at F_0 and F_1 via
-    integer-lattice comparison; reports the Q-rank of the expanded d_2 and
-    the Q-dimension of its kernel (the algebraic pi_2 size; in symbolic
-    mode these are shadow quantities). The lattice and rank work runs only
-    when the first two checks pass; otherwise those fields are None. It
-    compares Hermite forms as sparse columns of the expanded boundaries.
-    Each column of d_1 (of d_2) lies in the augmentation ideal (in ker d_1),
-    a saturated lattice, so a Hermite basis of that lattice's rank whose
-    pivots are all 1 is that lattice; only a basis with another pivot is
-    compared with the Hermite basis of ker d_1."""
+    augmentation kills d_1, and (finite mode) exactness at F_0 and F_1;
+    reports the Q-rank of the expanded d_2 and the Q-dimension of its
+    kernel (the algebraic pi_2 size; in symbolic mode these are shadow
+    quantities). The lattice and rank work runs only when the first two
+    checks pass; otherwise those fields are None. Each expanded column of
+    d_1 (of d_2) lies in the augmentation ideal (in ker d_1), a saturated
+    lattice L, which the columns span exactly when their Hermite basis has
+    L's rank and is `intlinalg._saturated`; L itself is never built."""
     failures = []
     n = F.top_degree
     chain_ok = True
@@ -229,20 +220,17 @@ def validate_complex(F):
         m0, m1 = F.ranks[0] * order, F.ranks[1] * order
         # exactness is a statement about a known group
         if F.finite_mode:
-            # eps o d_1 = 0, so every column lies in the augmentation ideal
-            E1 = _expanded_columns(F.boundary(1), False)
-            H1 = _hermite(E1, m0, m0 - 1)
-            exact0 = H1 == _augmentation_ideal_basis(m0)
+            # eps o d_1 = 0: the augmentation ideal has rank m0 - 1
+            H1 = _hermite(_expanded_columns(F.boundary(1), False), m0, m0 - 1)
+            exact0 = len(H1) == m0 - 1 and _saturated(H1)
             if not exact0:
                 failures.append("image of d_1 differs from the augmentation ideal")
         if n >= 2:
-            # d_1 o d_2 = 0, so in finite mode every column lies in ker d_1,
-            # a saturated lattice of rank m1 - rank d_1
+            # d_1 o d_2 = 0: ker d_1 has rank m1 - rank d_1
             bound = m1 - len(H1) if F.finite_mode else None
             H2 = _hermite(_expanded_columns(F.boundary(2), False), m1, bound)
             if F.finite_mode:
-                exact1 = len(H2) == bound and (_unit_pivots(H2)
-                                               or H2 == _kernel(E1, m0))
+                exact1 = len(H2) == bound and _saturated(H2)
                 if not exact1:
                     failures.append("ker d_1 differs from image of d_2")
             d2_rank = len(H2)
@@ -322,33 +310,27 @@ def quotient_by_split_summand(F, report):
 
     The complement basis is chosen deterministically: the first subset of
     the (1 - d_3 o R)-images of the standard basis whose expanded columns
-    are a lattice basis of ker(d_3 o R). Since R o d_3 = 1, e = d_3 o R is
-    idempotent, so ker e = im(1 - e) over Z and that lattice is read off
-    as the Hermite form of the expanded columns of 1 - e. 1 - e is expanded
-    once; a subset's expanded columns are copies of its column blocks. F
-    must pass `validate_complex` (not re-checked)."""
+    are a lattice basis of ker(d_3 o R). R o d_3 = 1 (NotSplit if not)
+    makes e = d_3 o R idempotent, so ker e = im(1 - e) over Z holds every
+    subset's columns, a saturated lattice of rank (f_2 - f_3)|G|: a subset's
+    Hermite basis must have that rank and be `intlinalg._saturated`. Its
+    expanded columns are copies of its column blocks of 1 - e. F must pass
+    `validate_complex` (not re-checked)."""
     if F.top_degree != 3:
         raise ValueError("quotient needs a top-degree-3 complex")
-    if not report.splits:
-        raise NotSplit("top boundary does not split")
-    model = F.model
-    order = model.order
+    model, order = F.model, F.model.order
     f0, f1, f2, f3 = F.ranks
     d3, R = F.boundary(3), report.retraction
-    e = d3.compose(R)
-    q = GroupRingMatrix.identity(model, f2) - e
+    if not report.splits or R.compose(d3) != GroupRingMatrix.identity(model, f3):
+        raise NotSplit("top boundary does not split")
+    q = GroupRingMatrix.identity(model, f2) - d3.compose(R)
     m, rows = f2 - f3, f2 * order
     Q = _expanded_columns(q, False)
-    K = [dict(col) for col in Q]
-    K = K[:_echelon(K, rows)]
-    if len(K) != m * order:
-        raise SummandBasisNotFound(
-            "kernel lattice rank does not match the expected free rank")
     for subset in combinations(range(f2), m):
         H = [dict(col) for j in subset for col in Q[j * order:(j + 1) * order]]
-        if H[:_echelon(H, rows)] == K:
-            J = q.submatrix(range(f2), subset)
-            d2_new = F.boundary(2).compose(J)
+        H = H[:_echelon(H, rows)]
+        if len(H) == m * order and _saturated(H):
+            d2_new = F.boundary(2).compose(q.submatrix(range(f2), subset))
             return AlgebraicComplex((f0, f1, m), model,
                                     (F.boundary(1), d2_new), F.presentation)
     raise SummandBasisNotFound(
@@ -460,11 +442,11 @@ def _canonical_degree0(model, t0, s0):
 
 
 def _pi2(F):
-    """pi_2 = ker d_2 as an f_2 x k ZG matrix whose vec columns are the
+    """pi_2 = ker d_2 as an f_2 x k ZG matrix and as sparse columns: the
     Hermite basis of the kernel lattice of the expanded d_2."""
     n, f1, f2 = F.model.order, F.ranks[1], F.ranks[2]
     K = _kernel(_expanded_columns(F.boundary(2), False), f1 * n)
-    return GroupRingMatrix._raw(F.model, f2, len(K), _matrix(K, f2 * n))
+    return GroupRingMatrix._raw(F.model, f2, len(K), _matrix(K, f2 * n)), K
 
 
 def _lift_chain_map(src, tgt, budget):
@@ -580,25 +562,24 @@ def _extract_certificate(phi, src, tgt, contraction):
     return back, hom_src, hom_tgt
 
 
-def _attempt_orientation(src, tgt, K_src, K_tgt, budget):
+def _attempt_orientation(src, tgt, K_src, K_tgt, goal, budget):
     """Try to certify src ~ tgt by lifting src -> tgt and contracting the
-    cone; K_src and K_tgt are pi_2 = ker d_2 as ZG matrices (`_pi2`). A
-    phi2 candidate goes on to the cone only when it maps K_src onto K_tgt:
-    the ranks agree and its image has the Hermite form K_tgt.vec. Only then
-    is its matrix built. Returns (forward src->tgt, backward, hom_src,
-    hom_tgt) or None.
+    cone; K_src and K_tgt are pi_2 = ker d_2 as ZG matrices and goal is
+    K_tgt.vec as sparse columns (`_pi2`). A phi2 candidate goes on to the
+    cone only when it maps K_src onto K_tgt: the ranks agree and its image
+    has the Hermite form goal. Only then is its matrix built. Returns
+    (forward src->tgt, backward, hom_src, hom_tgt) or None.
 
     The test reduces each candidate's sparse image columns in place with
     `intlinalg._echelon`, whose pivot columns are the Hermite normal form of
-    the lattice they span, and compares them with the columns of K_tgt.vec.
-    The Hermite form is unique, so this is the same decision as comparing
-    the Hermite basis of the dense image with K_tgt.vec, in exact integers."""
+    the lattice they span, and compares them with goal. The Hermite form is
+    unique, so this is the same decision as comparing the Hermite basis of
+    the dense image with K_tgt.vec, in exact integers."""
     phi = _lift_chain_map(src, tgt, budget)
     if phi is None:
         return None
-    goal, m = _columns(K_tgt.vec), K_tgt.vec.rows
     for corrections, image in _phi2_candidates(phi[2], K_src, K_tgt, budget):
-        if K_src.cols != K_tgt.cols or image[:_echelon(image, m)] != goal:
+        if K_src.cols != K_tgt.cols or image[:_echelon(image, K_tgt.vec.rows)] != goal:
             continue
         phi2 = phi[2]
         for sign, omega in corrections:
@@ -641,10 +622,11 @@ def certify_chain_equivalence(F, G, budget=DEFAULT_CERTIFY_BUDGET):
         return CertifyOutcome(
             "not_equivalent", None,
             f"euler characteristic differs: {chiF} vs {chiG}", b.used)
-    K_F, K_G = _pi2(F), _pi2(G)
+    pi_F, pi_G = _pi2(F), _pi2(G)
     for flip in (False, True):
-        src, tgt, K_src, K_tgt = (G, F, K_G, K_F) if flip else (F, G, K_F, K_G)
-        res = _attempt_orientation(src, tgt, K_src, K_tgt, b)
+        src, tgt, (K_src, _), (K_tgt, goal) = (
+            (G, F, pi_G, pi_F) if flip else (F, G, pi_F, pi_G))
+        res = _attempt_orientation(src, tgt, K_src, K_tgt, goal, b)
         if res is not None:
             there, back, hom_src, hom_tgt = res
             cert = (EquivalenceCertificate(back, there, hom_tgt, hom_src) if flip

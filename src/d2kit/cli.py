@@ -20,6 +20,7 @@ from pathlib import Path
 from . import acx
 from .chains import (
     DEFAULT_CERTIFY_BUDGET,
+    SummandBasisNotFound,
     attach_three_cells,
     certify_chain_equivalence,
     euler_characteristic,
@@ -291,7 +292,10 @@ def cmd_quotient(args):
     rep = split_test(F)
     if not rep.splits:
         raise CliError(f"{args.acx}: top boundary does not split")
-    Q = quotient_by_split_summand(F, rep)
+    try:
+        Q = quotient_by_split_summand(F, rep)
+    except SummandBasisNotFound as e:
+        raise CliError(f"{args.acx}: {e}")
     out = args.out or args.acx
     _write(out, acx.dumps(Q))
     _emit([("out", out), ("ranks", " ".join(str(r) for r in Q.ranks)),

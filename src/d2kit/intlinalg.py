@@ -372,10 +372,10 @@ def _hermite(C, m, bound=None):
     Hermite form is unique, the result is that of one elimination of all of
     C, while the columns that reduce to zero never fill in together.
 
-    With `bound`, the caller guarantees that every column of C lies in one
-    saturated lattice L of rank `bound` (L = Z^m meet a Q-subspace). The
-    build stops once the basis has `bound` pivots, all 1: such a basis spans
-    a saturated lattice inside L of full rank, which is L itself."""
+    With `bound`, every column of C lies in a saturated lattice L of rank
+    `bound` (L = Z^m meet a Q-subspace), and the build stops once the basis
+    has `bound` pivots, all 1: a saturated sublattice of L of L's rank is L
+    (Newman, Integral Matrices, ch. II)."""
     H = []
     for s in range(0, len(C), HERMITE_CHUNK):
         H += [dict(col) for col in C[s:s + HERMITE_CHUNK]]
@@ -386,11 +386,24 @@ def _hermite(C, m, bound=None):
 
 
 def _unit_pivots(H):
-    """Whether every pivot of the Hermite basis H is 1. Such a basis spans a
-    saturated lattice: no later column is nonzero in a column's pivot row,
-    so an integer vector in the basis's Q-span has integer coordinates, read
-    off one pivot row at a time in order."""
+    """Whether every pivot of the Hermite basis H is 1, which makes H
+    saturated: no later column is nonzero in a column's pivot row, so an
+    integer vector in H's Q-span has integer coordinates."""
     return all(col[min(col)] == 1 for col in H)
+
+
+def _saturated(H):
+    """Whether the Hermite basis H of r columns spans a saturated lattice
+    (every Smith invariant 1), that is whether H^T maps onto Z^r: unit
+    pivots say yes at once, else the Hermite basis of the rows of H, over
+    r rows, must have its r pivots (H's columns are independent) all 1."""
+    if _unit_pivots(H):
+        return True
+    rows = {}
+    for j, col in enumerate(H):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    return _unit_pivots(_hermite([rows[i] for i in sorted(rows)], len(H), len(H)))
 
 
 def _sub_scaled(dst, src, q):

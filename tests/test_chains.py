@@ -15,7 +15,6 @@ from d2kit.chains import (
     ONE_ELEMENT,
     AlgebraicComplex,
     _Budget,
-    _augmentation_ideal_basis,
     _contract_cone,
     _lift_chain_map,
     _phi2_candidates,
@@ -272,8 +271,9 @@ def test_split_and_quotient_make_no_dense_integer_product(monkeypatch):
 
 
 def test_quotient_lattice_is_the_image_of_one_minus_e():
-    # R o d_3 = 1 makes e = d_3 o R idempotent, so ker e = im(1 - e) over Z;
-    # the quotient reads that lattice as a Hermite form, without a kernel
+    # R o d_3 = 1 makes e = d_3 o R idempotent, so ker e = im(1 - e) over Z,
+    # the saturated lattice of rank (f_2 - 1)|G| the quotient's subsets must
+    # span
     P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n")
     m = group_model(P, 20000)
     W = stabilize_wedge(presentation_complex(P, m), 1)
@@ -341,6 +341,17 @@ def test_quotient_requires_split():
     rep = split_test(X)
     with pytest.raises(NotSplit):
         quotient_by_split_summand(X, rep)
+
+
+def test_quotient_checks_the_retraction():
+    # a report whose R is not a left inverse of d_3 does not show a split
+    W = stabilize_wedge(presentation_complex(Z2P, Z2M), 1)
+    X = attach_three_cells(W, GroupRingMatrix(Z2M, 2, 1, [elem(Z2M), elem(Z2M, (0, 1))]))
+    rep = split_test(X)
+    assert rep.splits and quotient_by_split_summand(X, rep).ranks == (1, 1, 1)
+    doubled = dataclasses.replace(rep, retraction=rep.retraction + rep.retraction)
+    with pytest.raises(NotSplit):
+        quotient_by_split_summand(X, doubled)
 
 
 def test_homology_examples():
@@ -509,13 +520,6 @@ def test_validate_a5_exactness():
     assert rep.ker_d2_qdim == 3 * 60 - 61
 
 
-def test_augmentation_ideal_basis_is_the_kernel_of_the_ones_row():
-    for N in [*range(1, 65), 120, 168]:
-        basis = _matrix(_augmentation_ideal_basis(N), N)
-        assert [basis.column(j) for j in range(basis.cols)] == \
-            kernel_basis(IntMatrix(1, N, [1] * N))
-
-
 def _record_echelons(monkeypatch):
     """Record (rows eliminated, columns) of every call of the elimination core,
     in every module that binds it."""
@@ -533,18 +537,19 @@ def _record_echelons(monkeypatch):
     return calls
 
 
-def _record_kernels(monkeypatch):
-    """Record (rows, columns) of every kernel elimination validation asks for."""
-    from d2kit import chains
+def _record_saturation_checks(monkeypatch):
+    """Record (rows, columns) of every Hermite basis `intlinalg._saturated`
+    builds of the rows of a basis whose pivots are not all 1."""
+    from d2kit import intlinalg
 
     calls = []
-    real = chains._kernel
+    real = intlinalg._hermite
 
-    def kernel(C, m):
+    def hermite(C, m, bound=None):
         calls.append((m, len(C)))
-        return real(C, m)
+        return real(C, m, bound)
 
-    monkeypatch.setattr(chains, "_kernel", kernel)
+    monkeypatch.setattr(intlinalg, "_hermite", hermite)
     return calls
 
 
@@ -569,27 +574,26 @@ def _scrambled(F, seed):
 
 def test_validate_complex_eliminates_d2_once(monkeypatch):
     calls = _record_echelons(monkeypatch)
-    kernels = _record_kernels(monkeypatch)
+    checks = _record_saturation_checks(monkeypatch)
     F = presentation_complex(S3P, S3M)
     rep = validate_complex(F)
     assert rep.ok and rep.d2_rank_q == 7
     # the Hermite forms of d_1 and d_2 (each under one chunk of columns);
     # the Hermite basis of d_2 has 12 - 5 = rank of ker d_1 pivots, all 1,
-    # so it is ker d_1 and no kernel elimination runs
+    # so it is ker d_1 and no saturation check runs
     assert calls == [(6, 12), (12, 18)]
-    assert kernels == []
-    # rebasing F_1 leaves a pivot that is not 1: exactness then compares
-    # with the Hermite basis of ker d_1, one elimination of [d_1; I] and one
-    # of its zero columns
+    assert checks == []
+    # rebasing F_1 leaves a pivot that is not 1: the 7 columns of the basis
+    # are saturated when its 12 rows span Z^7, one elimination over 7 rows
     calls.clear()
     assert validate_complex(_scrambled(F, 1)) == rep
-    assert calls == [(6, 12), (12, 18), (6, 12), (12, 7)]
-    assert kernels == [(6, 12)]
+    assert calls == [(6, 12), (12, 18), (7, 12)]
+    assert checks == [(7, 12)]
 
 
 # Scrambled complexes are exact with the reports of their presentation
 # complexes (recorded before validation built Hermite forms in chunks); most
-# of them need the kernel comparison.
+# of them need the saturation check of a basis with a pivot other than 1.
 _SCRAMBLE_GROUPS = [
     ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 7, 11, 25),
     ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 9, 7, 33),
@@ -604,17 +608,17 @@ def test_validate_scrambled_complexes(monkeypatch, text, rank, kernel_dim, fallb
     F = presentation_complex(P, group_model(P, 1000))
     expected = validate_complex(F)
     assert expected.ok and (expected.d2_rank_q, expected.ker_d2_qdim) == (rank, kernel_dim)
-    kernels = _record_kernels(monkeypatch)
+    checks = _record_saturation_checks(monkeypatch)
     for seed in range(40):
         assert validate_complex(_scrambled(F, seed)) == expected, seed
-    assert len(kernels) == fallbacks
+    assert len(checks) == fallbacks
 
 
 def test_validate_unsaturated_image_of_d2(monkeypatch):
     """2 d_2 has the rank of ker d_1 but spans a sublattice of index 2^7,
     and zeroing a column of d_2 lowers the rank: neither is exact at F_1.
-    Only the first needs the kernel comparison."""
-    kernels = _record_kernels(monkeypatch)
+    Only the first needs the saturation check."""
+    checks = _record_saturation_checks(monkeypatch)
     F = presentation_complex(S3P, S3M)
     d1, d2 = F.boundaries
     failure = ("ker d_1 differs from image of d_2",)
@@ -622,7 +626,7 @@ def test_validate_unsaturated_image_of_d2(monkeypatch):
     assert (rep.chain_ok, rep.aug_d1_zero, rep.exact_at_f0) == (True, True, True)
     assert rep.exact_at_f1 is False and rep.failures == failure
     assert (rep.d2_rank_q, rep.ker_d2_qdim) == (7, 11)
-    assert len(kernels) == 1
+    assert len(checks) == 1
     f1, f2 = F.ranks[1:]
     zero = GroupRingElement.zero(S3M)
     dropped = GroupRingMatrix.from_rows(
@@ -631,7 +635,19 @@ def test_validate_unsaturated_image_of_d2(monkeypatch):
     assert (rep.chain_ok, rep.aug_d1_zero, rep.exact_at_f0) == (True, True, True)
     assert rep.exact_at_f1 is False and rep.failures == failure
     assert (rep.d2_rank_q, rep.ker_d2_qdim) == (5, 13)
-    assert len(kernels) == 1
+    assert len(checks) == 1
+
+
+@pytest.mark.slow
+def test_validate_scrambled_psl27_complexes():
+    # the expanded d_2 is 336 x 672; a rebased F_1 leaves a pivot that is
+    # not 1, and the saturation check decides exactness without ker d_1
+    P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n")
+    F = presentation_complex(P, group_model(P, 1000))
+    expected = validate_complex(F)
+    assert expected.ok and (expected.d2_rank_q, expected.ker_d2_qdim) == (169, 503)
+    for seed in range(3):
+        assert validate_complex(_scrambled(F, seed)) == expected, seed
 
 
 def _random_presentation(n, seed):
@@ -730,10 +746,11 @@ def test_pi2_is_the_kernel_of_d2(text, k):
     F = presentation_complex(P, group_model(P, 1000))
     # a wedged 2-sphere adds one free ZG summand, |G| lattice vectors
     for X, rank in ((F, k), (stabilize_wedge(F, 1), k + F.model.order)):
-        K = _pi2(X)
+        K, goal = _pi2(X)
         assert (K.rows, K.cols) == (X.ranks[2], rank)
         assert X.boundary(2).compose(K).is_zero()
         assert [K.vec.column(j) for j in range(K.cols)] == _kernel(X)
+        assert goal == _columns(K.vec)
 
 
 @pytest.mark.parametrize("text, dup", [
@@ -752,8 +769,8 @@ def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
         K_src_t = IntMatrix.from_rows(K_src).transpose()
         m = tgt.ranks[2] * tgt.model.order
         goal = [{i: x for i, x in enumerate(v) if x} for v in K_tgt]
-        for corrections, image in _phi2_candidates(phi[2], _pi2(src), _pi2(tgt),
-                                                   budget):
+        for corrections, image in _phi2_candidates(phi[2], _pi2(src)[0],
+                                                   _pi2(tgt)[0], budget):
             phi2 = _corrected(phi[2], corrections)
             assert image == _columns(regular_rep_expand(phi2) * K_src_t)
             # the sparse Hermite comparison that _attempt_orientation makes
@@ -811,7 +828,7 @@ def test_phi2_candidates_order_and_images():
         expected += [phi[2] + (xa + xb)
                      for a in range(len(signed)) for b in range(a + 1, len(signed))
                      for xa in signed[a] for xb in signed[b]]
-        got = list(_phi2_candidates(phi[2], _pi2(src), _pi2(tgt), budget))
+        got = list(_phi2_candidates(phi[2], _pi2(src)[0], _pi2(tgt)[0], budget))
         # the lift spent 2 units; every candidate after phi2 spends one
         assert len(got) == 1 + 98 > 1 + 2 * len(signed)
         cands = [_corrected(phi[2], corrections) for corrections, _ in got]
@@ -833,7 +850,8 @@ def test_phi2_candidate_images_survive_in_place_reduction(P, model, budget):
         K_src_t = IntMatrix.from_rows(_kernel(src)).transpose()
         m = tgt.ranks[2] * model.order
         seen = 0
-        for corrections, image in _phi2_candidates(phi[2], _pi2(src), _pi2(tgt), b):
+        for corrections, image in _phi2_candidates(phi[2], _pi2(src)[0],
+                                                   _pi2(tgt)[0], b):
             cand = _corrected(phi[2], corrections)
             assert image == _columns(regular_rep_expand(cand) * K_src_t)
             _echelon(image, m)

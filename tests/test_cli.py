@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,22 @@ def test_normal_gen_command(capsys):
                  "--max-cosets", "500"]) == 0
     out = capsys.readouterr().out
     assert "not-found-within-bounds" in out and "non-perfect" in out
+
+
+def test_normal_gen_skips_conjugates_and_warns_on_unknown_quotients(tmp_path, capsys):
+    # a is a relator, so a and a^-1 are conjugate to the empty word tested
+    # first and are skipped: b is the second word tested
+    fp = tmp_path / "abc.fp"
+    fp.write_text("gens: a b c\nrels: a b^2 c^3 (b c)^5\n")
+    assert main(["normal-gen", str(fp), "--max-len", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "status: found\nword: b\ntested: 2\n" in out and "warnings" not in out
+    # 30 cosets do not settle the quotient of A5 by the empty word
+    assert main(["normal-gen", str(CORPUS / "a5.fp"), "--max-len", "2",
+                 "--max-cosets", "30"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("status: found\nword: a\ntested: 2\n"
+                        "warnings:\n  - unknown-quotients-encountered\n")
 
 
 def test_chain_pipeline_round_trip(tmp_path, capsys):
@@ -620,6 +637,37 @@ def test_normal_gen_tests_every_word_above_the_size_rule(tmp_path, capsys, monke
     assert json.loads(capsys.readouterr().out) == {
         "file": str(fp), "status": "found", "word": "a c", "tested": 13,
         "warnings": ["conjugates-not-skipped"]}
+
+
+def test_quotient_without_a_free_coordinate_basis_rejected(tmp_path, capsys):
+    # Z/5 wedge 2 S^2 with both 3-cells attached, F_2 rebased by three
+    # seeded elementary operations: d_3 still splits, but no coordinate
+    # subset of 1 - d_3 o R is a basis of its image
+    f = tmp_path / "F.acx"
+    assert main(["chain", str(CORPUS / "z5.fp"), "--finite", "--out", str(f)]) == 0
+    assert main(["wedge", str(f), "2", "--attach"]) == 0
+    F = read_acx(f)
+    model, f2 = F.model, F.ranks[2]
+    d2, d3 = F.boundary(2), F.boundary(3)
+    rng = random.Random(15)
+    one = groupring.GroupRingMatrix.identity(model, f2)
+    for _ in range(3):
+        i, j = rng.sample(range(f2), 2)
+        g, a = rng.randrange(model.order), rng.choice((-1, 1))
+        unit = [groupring.GroupRingElement.zero(model)] * (f2 * f2)
+        unit[i * f2 + j] = groupring.GroupRingElement.from_element(model, g, a)
+        unit = groupring.GroupRingMatrix(model, f2, f2, unit)
+        d2, d3 = d2.compose(one - unit), (one + unit).compose(d3)
+    acx.write_acx(chains.AlgebraicComplex(F.ranks, model, (F.boundary(1), d2, d3)), f)
+    capsys.readouterr()
+    assert main(["split", str(f)]) == 0
+    assert "splits: true" in capsys.readouterr().out
+    q = tmp_path / "Q.acx"
+    assert main(["quotient", str(f), "--out", str(q)]) == 1
+    assert capsys.readouterr().err == (
+        f"d2kit: {f}: no coordinate subset of the complement projection "
+        "is a free basis\n")
+    assert not q.exists()
 
 
 def test_quotient_symbolic_rejected(tmp_path, capsys):

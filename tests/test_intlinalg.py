@@ -13,6 +13,8 @@ from d2kit.intlinalg import (
     _echelon,
     _hermite,
     _matrix,
+    _saturated,
+    _unit_pivots,
     infeasibility_certificate,
     kernel_basis,
     rank_over_field,
@@ -472,6 +474,60 @@ def test_hermite_stops_at_a_saturated_basis_of_the_bound_rank(monkeypatch, text,
     # bound pivots that are not all 1 do not stop the build
     C = [{0: 2}] * chunk + [{0: 3}]
     assert _hermite(C, 1, 1) == [{0: 1}]
+
+
+def _unimodular(rng, m):
+    """A seeded m x m integer matrix of determinant 1: a product of
+    elementary column operations."""
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m if m > 1 else 0):
+        i, j = rng.sample(range(m), 2)
+        c = rng.randint(-3, 3)
+        for row in U:
+            row[i] += c * row[j]
+    return IntMatrix.from_rows(U)
+
+
+def _saturation_inputs():
+    """Seeded full-column-rank candidates: random m x r matrices with
+    0 <= r <= m, each also with one column scaled by a prime, and products
+    U * D of a unimodular U and an m x r diagonal D."""
+    rng = random.Random(2029)
+    out = []
+    for _ in range(150):
+        m = rng.randint(1, 9)
+        r = rng.choice((0, m, rng.randint(0, m)))
+        A = IntMatrix(m, r, [rng.randint(-4, 4) for _ in range(m * r)])
+        out.append(A)
+        if r:
+            j, p = rng.randrange(r), rng.choice((2, 3, 5, 7))
+            out.append(IntMatrix.from_rows(
+                [[x * p if k == j else x for k, x in enumerate(row)]
+                 for row in A.to_rows()]))
+        d = [rng.choice((1, 1, 1, -1, 2, 3, 6)) for _ in range(r)]
+        D = IntMatrix(m, r, [d[j] if i == j else 0 for i in range(m) for j in range(r)])
+        out.append(_unimodular(rng, m) * D)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [HERMITE_CHUNK, 2])
+def test_saturated_agrees_with_the_smith_invariants(monkeypatch, chunk):
+    # a Hermite basis spans a saturated lattice exactly when every Smith
+    # invariant is 1; chunk 2 makes the transposed check span chunks
+    monkeypatch.setattr(intlinalg, "HERMITE_CHUNK", chunk)
+    kinds = set()
+    for A in _saturation_inputs():
+        H = _hermite(_columns(A), A.rows)
+        if len(H) < A.cols:
+            continue
+        want = all(x == 1 for x in smith_normal_form(_matrix(H, A.rows)).diagonal())
+        assert _saturated(H) == want, A
+        kinds.add((len(H), A.rows, want, _unit_pivots(H)))
+    assert {(want, unit) for *_, want, unit in kinds} == {
+        (True, True), (True, False), (False, False)}
+    # r = 0, and r = m, where the saturated lattice is Z^m itself
+    assert (0, 1, True, True) in kinds
+    assert {want for r, m, want, _ in kinds if r == m > 0} == {True, False}
 
 
 def _oracle_inputs():

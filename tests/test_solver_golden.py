@@ -181,11 +181,11 @@ def test_certificate_from_the_reverse_orientation(monkeypatch):
     real = chains._attempt_orientation
     attempts = []
 
-    def attempt(src, tgt, K_src, K_tgt, budget):
+    def attempt(src, tgt, K_src, K_tgt, goal, budget):
         attempts.append((src, tgt))
         if len(attempts) == 1:
             return None
-        return real(src, tgt, K_src, K_tgt, budget)
+        return real(src, tgt, K_src, K_tgt, goal, budget)
 
     monkeypatch.setattr(chains, "_attempt_orientation", attempt)
     F = presentation_complex(S3P, S3)
