@@ -81,11 +81,14 @@ class _Table:
         return b
 
     def compile(self, word_cols):
-        """A word's scan form: its columns, the column lists read going
-        forward and the inverse column lists read going backward."""
+        """A word's scan form: its columns, the forward pairs (i, column list
+        of letter i) in word order and the backward pairs (j, inverse column
+        list of letter j), last index first. A pass walks its pairs with no
+        counter and no bound and stops at an undefined entry, whose index
+        says where."""
         cols = self.cols
-        return (word_cols, tuple(cols[c] for c in word_cols),
-                tuple(cols[c ^ 1] for c in word_cols))
+        return (word_cols, tuple(enumerate(cols[c] for c in word_cols)),
+                tuple(enumerate(cols[c ^ 1] for c in word_cols))[::-1])
 
     def coincidence(self, a, b, deductions=None):
         p, rep, pairs = self.p, self.rep, self.pairs
@@ -152,42 +155,51 @@ def _scan_and_fill(table, define, a, word):
     """HLT: scan `word` from coset a, defining cosets (with `define`, the
     table's bound method) until it closes.
 
-    A definition fills only the gap's two undefined entries, so the passes
-    resume where they stopped (forward from the new coset, backward from
-    the entry that was missing) instead of retracing their paths from a.
-    Relators are freely reduced, so the forward pass moves one letter past
-    a new coset and never overtakes the backward pass.
+    The forward pass stops at the gap i, the backward pass at j. If the
+    backward pass runs past i, the passes cross: a second walk back to i
+    reaches the coset that must equal f. Otherwise each definition fills
+    position i from the forward side. The new coset has only its edge back
+    and relators are freely reduced, so the forward pass cannot move past
+    it, and the backward pass moves at most one step, onto it, when b was
+    the old f.
     """
-    w, fwd, inv = word
-    r = len(w)
-    f, i = a, 0
-    b, j = a, r - 1
-    while True:
-        while i < r:
-            g = fwd[i][f]
-            if g is None:
+    w, fwd, bwd = word
+    f = a
+    for i, col in fwd:
+        g = col[f]
+        if g is None:
+            break
+        f = g
+    else:
+        if f != a:
+            table.coincidence(f, a)
+        return
+    b = a
+    for j, icol in bwd:
+        g = icol[b]
+        if g is None:
+            break
+        b = g
+    else:
+        j = -1
+    if j < i:
+        b = a
+        for j, icol in bwd:
+            b = icol[b]
+            if j == i:
                 break
-            f = g
-            i += 1
-        else:
-            if f != a:
-                table.coincidence(f, a)
-            return
-        while j >= i:
-            g = inv[j][b]
-            if g is None:
-                break
-            b = g
-            j -= 1
-        else:
-            table.coincidence(f, b)
-            return
-        if j == i:
-            fwd[i][f] = b
-            inv[i][b] = f
-            return
+        table.coincidence(f, b)
+        return
+    cols = table.cols
+    while j > i:
         f = define(f, w[i])
         i += 1
+        g = cols[w[j] ^ 1][b]
+        if g is not None:
+            b = g
+            j -= 1
+    cols[w[i]][f] = b
+    cols[w[i] ^ 1][b] = f
 
 
 def _enumerate_hlt(table, relator_cols):
@@ -208,9 +220,8 @@ def _enumerate_hlt(table, relator_cols):
 
 
 def _enumerate_felsch(table, relator_cols):
-    # all cyclic rotations of each relator and its inverse, keyed by first
-    # column; a compiled rotation carries its last index, where the backward
-    # pass starts
+    # all cyclic rotations of each relator and its inverse, compiled and keyed
+    # by first column
     by_first = [[] for _ in range(table.ncols)]
     seen = set()
     for w in relator_cols:
@@ -219,51 +230,58 @@ def _enumerate_felsch(table, relator_cols):
                 rot = base[k:] + base[:k]
                 if rot not in seen:
                     seen.add(rot)
-                    by_first[rot[0]].append(table.compile(rot) + (len(rot) - 1,))
+                    by_first[rot[0]].append(table.compile(rot))
     cols, p, rep, coincidence = table.cols, table.p, table.rep, table.coincidence
     deductions = []
     pop, push = deductions.pop, deductions.append
 
     def process():
         # scan each rotation starting with the deduced entry's column, without
-        # filling: a scan closes, yields one deduction or is left open
+        # filling: a scan closes, yields one deduction or is left open. The
+        # backward pass stops at its first undefined entry j: at j == i that
+        # entry is the gap (f, w[i]); at j > i the scan is open. It walks past
+        # i only when the gap's inverse entry is defined, and then a second
+        # walk to i + 1 finds the coset to merge with f.
         while deductions:
             a, c = pop()
             if p[a] != a:
                 a = rep(a)
-            for w, fwd, inv, last in by_first[c]:
+            for w, fwd, bwd in by_first[c]:
                 f = a
-                i = 0
-                for col in fwd:
+                for i, col in fwd:
                     g = col[f]
                     if g is None:
                         break
                     f = g
-                    i += 1
                 else:
                     if f != a:
                         coincidence(f, a, deductions)
                         if p[a] != a:
                             break
                     continue
-                b, j = a, last
-                while j > i:
-                    g = inv[j][b]
+                b = a
+                for j, icol in bwd:
+                    g = icol[b]
                     if g is None:
                         break
                     b = g
-                    j -= 1
                 else:
-                    # the passes meet at the gap (f, w[i])
-                    g = inv[i][b]
-                    if g is None:
-                        col[f] = b
-                        inv[i][b] = f
-                        push((f, w[i]))
-                        continue
-                    coincidence(f, g, deductions)
-                    if p[a] != a:
+                    j = -1
+                if j > i:
+                    continue
+                if j == i:
+                    col[f] = b
+                    icol[b] = f
+                    push((f, w[i]))
+                    continue
+                b = a
+                for j, icol in bwd:
+                    if j == i:
                         break
+                    b = icol[b]
+                coincidence(f, icol[b], deductions)
+                if p[a] != a:
+                    break
 
     alpha = 0
     while alpha < len(p):

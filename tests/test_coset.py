@@ -552,6 +552,173 @@ def test_coset_tables_consistent():
     assert bad == []
 
 
+def raw_digest(table):
+    """Digest of every union-find parent and column entry of a `_Table`, dead
+    cosets included, so it pins each definition, deduction and merge."""
+    return hashlib.sha256(repr((table.p, table.cols)).encode()).hexdigest()[:12]
+
+
+# (input, strategy) -> raw_digest of enumerate_table at limits 50, 700, 5000
+RAW_TABLE_DIGESTS = {
+    ("a5", "hlt"): ("3fd5fc2c1dd4", "0fe9b56b057a", "0fe9b56b057a"),
+    ("a5", "felsch"): ("d7892ed94083", "03d629a7e7ce", "03d629a7e7ce"),
+    ("f2", "hlt"): ("bf18c89af4a5", "af40fea42af9", "d066a762f2cd"),
+    ("f2", "felsch"): ("bf18c89af4a5", "af40fea42af9", "d066a762f2cd"),
+    ("q8", "hlt"): ("beca671f846d", "beca671f846d", "beca671f846d"),
+    ("q8", "felsch"): ("b1f52d1de2f5", "b1f52d1de2f5", "b1f52d1de2f5"),
+    ("s3", "hlt"): ("826abbc93c78", "826abbc93c78", "826abbc93c78"),
+    ("s3", "felsch"): ("ec16d0d6862f", "ec16d0d6862f", "ec16d0d6862f"),
+    ("trefoil", "hlt"): ("6cd510f2cb80", "01eea42b4e7b", "fb24316a5aac"),
+    ("trefoil", "felsch"): ("09ce1c2e5141", "0a97ac0e10c7", "54a8bc536172"),
+    ("trivial", "hlt"): ("56ca4e61f6ba", "56ca4e61f6ba", "56ca4e61f6ba"),
+    ("trivial", "felsch"): ("56ca4e61f6ba", "56ca4e61f6ba", "56ca4e61f6ba"),
+    ("z", "hlt"): ("79767d6777d5", "631564086d7c", "9cf73fad89d3"),
+    ("z", "felsch"): ("79767d6777d5", "631564086d7c", "9cf73fad89d3"),
+    ("z2", "hlt"): ("3c341b499a83", "3c341b499a83", "3c341b499a83"),
+    ("z2", "felsch"): ("3c341b499a83", "3c341b499a83", "3c341b499a83"),
+    ("z5", "hlt"): ("4c8b84312a67", "4c8b84312a67", "4c8b84312a67"),
+    ("z5", "felsch"): ("e266eba79106", "e266eba79106", "e266eba79106"),
+    ("free0", "hlt"): ("bf9385ca8c0a", "bf9385ca8c0a", "bf9385ca8c0a"),
+    ("free0", "felsch"): ("c5a01acfed09", "c5a01acfed09", "c5a01acfed09"),
+    ("free1", "hlt"): ("a2e6e5f70385", "35692d15db65", "f7edc7bbc383"),
+    ("free1", "felsch"): ("62deb3306390", "e11d126fd02c", "881ed288307b"),
+    ("free2", "hlt"): ("538da2fdaaba", "538da2fdaaba", "538da2fdaaba"),
+    ("free2", "felsch"): ("af825e54a1bd", "af825e54a1bd", "af825e54a1bd"),
+    ("free3", "hlt"): ("974a545fc605", "f2dc8f354c0a", "b85aaf6dd328"),
+    ("free3", "felsch"): ("8f4a498bd51a", "620e7ee02f81", "be3699532e54"),
+    ("free4", "hlt"): ("ec2cafe208c4", "a4d2bffea8c5", "30ca99a07441"),
+    ("free4", "felsch"): ("1a68cb6ad18d", "1f8d6f7b004d", "3760bbb4ad3b"),
+    ("free5", "hlt"): ("fe21db733646", "fe21db733646", "fe21db733646"),
+    ("free5", "felsch"): ("093f3f067c85", "093f3f067c85", "093f3f067c85"),
+    ("free6", "hlt"): ("5db36f038187", "5db36f038187", "5db36f038187"),
+    ("free6", "felsch"): ("f731169ec226", "f731169ec226", "f731169ec226"),
+    ("free7", "hlt"): ("8555eb9e1fe8", "8555eb9e1fe8", "8555eb9e1fe8"),
+    ("free7", "felsch"): ("6f4f2ef87d8b", "6f4f2ef87d8b", "6f4f2ef87d8b"),
+    ("free8", "hlt"): ("6a484b891741", "abbe3f39b3fd", "6cf51367fedd"),
+    ("free8", "felsch"): ("1a54243826c5", "c4012d4d4498", "d2d32e562ea6"),
+    ("free9", "hlt"): ("3fa845ff5c6d", "ff227613e128", "ff227613e128"),
+    ("free9", "felsch"): ("a8ba58b28784", "a8ba58b28784", "a8ba58b28784"),
+    ("free10", "hlt"): ("31f966bf0a63", "31f966bf0a63", "31f966bf0a63"),
+    ("free10", "felsch"): ("c5a01acfed09", "c5a01acfed09", "c5a01acfed09"),
+    ("free11", "hlt"): ("8711c99ce7a4", "d69d64513128", "cd7da06b662c"),
+    ("free11", "felsch"): ("eae79a7c0e4e", "6e53b9f14e73", "b3b88a507e42"),
+    ("free12", "hlt"): ("d354ffdb4eb5", "d354ffdb4eb5", "d354ffdb4eb5"),
+    ("free12", "felsch"): ("af825e54a1bd", "af825e54a1bd", "af825e54a1bd"),
+    ("free13", "hlt"): ("88d08c641629", "34bc68c55370", "dcf274810798"),
+    ("free13", "felsch"): ("594cfbf1cce3", "0e3171664253", "2947986b32b7"),
+    ("free14", "hlt"): ("82a29cfbda10", "82a29cfbda10", "82a29cfbda10"),
+    ("free14", "felsch"): ("44990a957dac", "44990a957dac", "44990a957dac"),
+    ("free15", "hlt"): ("7b7aa654fbde", "aac45c91ef79", "6397900630be"),
+    ("free15", "felsch"): ("529b6d6da35b", "2a8573d77480", "effe2296d777"),
+    ("free16", "hlt"): ("5db36f038187", "5db36f038187", "5db36f038187"),
+    ("free16", "felsch"): ("c6bc66b776b8", "c6bc66b776b8", "c6bc66b776b8"),
+    ("free17", "hlt"): ("ed0b9ea39f4b", "ed0b9ea39f4b", "ed0b9ea39f4b"),
+    ("free17", "felsch"): ("9ca8966870e9", "9ca8966870e9", "9ca8966870e9"),
+    ("free18", "hlt"): ("b163434eab9c", "b163434eab9c", "b163434eab9c"),
+    ("free18", "felsch"): ("1155d02cc4da", "1155d02cc4da", "1155d02cc4da"),
+    ("free19", "hlt"): ("8636b8807384", "8636b8807384", "8636b8807384"),
+    ("free19", "felsch"): ("7ad36787ba86", "7ad36787ba86", "7ad36787ba86"),
+    ("powers0", "hlt"): ("78afc0377286", "40d7a40a65a1", "066b6749edc6"),
+    ("powers0", "felsch"): ("0de94a5c134e", "afa0d75abc03", "75cc5bf4694b"),
+    ("powers1", "hlt"): ("2c122aba4e83", "077fef6e9318", "077fef6e9318"),
+    ("powers1", "felsch"): ("aac037c93d73", "aac037c93d73", "aac037c93d73"),
+    ("powers2", "hlt"): ("1a290d86244d", "1a290d86244d", "1a290d86244d"),
+    ("powers2", "felsch"): ("1a290d86244d", "1a290d86244d", "1a290d86244d"),
+    ("powers3", "hlt"): ("5b9d19551aee", "93f21fdf01e4", "93f21fdf01e4"),
+    ("powers3", "felsch"): ("3e51699fe63d", "3e51699fe63d", "3e51699fe63d"),
+    ("powers4", "hlt"): ("5bbbb89c9bc0", "4d2c9169b577", "4d2c9169b577"),
+    ("powers4", "felsch"): ("2d004aa43ea4", "af06e4ae0eb1", "af06e4ae0eb1"),
+    ("powers5", "hlt"): ("43bdcf2dd777", "c585a14ce8e1", "7c565fe64d7a"),
+    ("powers5", "felsch"): ("83623e739741", "d7279fad249e", "afcb0a30b945"),
+    ("powers6", "hlt"): ("e04da2f195da", "e04da2f195da", "e04da2f195da"),
+    ("powers6", "felsch"): ("d9e32ca05f11", "d9e32ca05f11", "d9e32ca05f11"),
+    ("powers7", "hlt"): ("fb3acda42208", "9ff93269599a", "0766402bcf47"),
+    ("powers7", "felsch"): ("fd0328f7d30f", "ea07cff7dcc4", "89a3ab16f218"),
+    ("powers8", "hlt"): ("e21809a7d142", "e21809a7d142", "e21809a7d142"),
+    ("powers8", "felsch"): ("c06cbe84d17b", "c06cbe84d17b", "c06cbe84d17b"),
+    ("powers9", "hlt"): ("9222740b6137", "fe63d8dbfb8b", "c67d7d78ee45"),
+    ("powers9", "felsch"): ("1343c3d464a6", "8cf84e7157d7", "e082da66fab1"),
+    ("powers10", "hlt"): ("440f57c183ba", "440f57c183ba", "440f57c183ba"),
+    ("powers10", "felsch"): ("d9e32ca05f11", "d9e32ca05f11", "d9e32ca05f11"),
+    ("powers11", "hlt"): ("d041266263ff", "30ddbec2452b", "bb230abc6c9a"),
+    ("powers11", "felsch"): ("a1ab050d147e", "4a044fdd9ca3", "710328676295"),
+    ("powers12", "hlt"): ("ad025e59a6d2", "ad025e59a6d2", "ad025e59a6d2"),
+    ("powers12", "felsch"): ("d97519df7971", "d97519df7971", "d97519df7971"),
+    ("powers13", "hlt"): ("c2dce7702521", "ca79b9cf13ad", "283885454864"),
+    ("powers13", "felsch"): ("7d7be75eb5a2", "1bd00ffb21e3", "6da09b8c0164"),
+    ("powers14", "hlt"): ("72e262f6a30e", "72e262f6a30e", "72e262f6a30e"),
+    ("powers14", "felsch"): ("174108af9e8f", "174108af9e8f", "174108af9e8f"),
+    ("powers15", "hlt"): ("acc4b102e2e0", "acc4b102e2e0", "acc4b102e2e0"),
+    ("powers15", "felsch"): ("3926b981a885", "3926b981a885", "3926b981a885"),
+    ("powers16", "hlt"): ("8ec286281b7e", "8ec286281b7e", "8ec286281b7e"),
+    ("powers16", "felsch"): ("e733a8bd65cc", "e733a8bd65cc", "e733a8bd65cc"),
+    ("powers17", "hlt"): ("66c6ee750c54", "66c6ee750c54", "66c6ee750c54"),
+    ("powers17", "felsch"): ("661a452f78b0", "661a452f78b0", "661a452f78b0"),
+    ("powers18", "hlt"): ("f50b645bde78", "f50b645bde78", "f50b645bde78"),
+    ("powers18", "felsch"): ("d9e32ca05f11", "d9e32ca05f11", "d9e32ca05f11"),
+    ("powers19", "hlt"): ("f6008d0dc916", "f6008d0dc916", "f6008d0dc916"),
+    ("powers19", "felsch"): ("5478ca565108", "5478ca565108", "5478ca565108"),
+    ("powers20", "hlt"): ("3923f0a6caee", "c93265802019", "c93265802019"),
+    ("powers20", "felsch"): ("68e3bfd2bc42", "175bd132937a", "175bd132937a"),
+    ("powers21", "hlt"): ("ea647edd40a0", "01e8dfe7e24f", "01e8dfe7e24f"),
+    ("powers21", "felsch"): ("6c1c4ee95ecc", "cf6737793ca6", "cf6737793ca6"),
+    ("powers22", "hlt"): ("1c21b2f7abe1", "1c21b2f7abe1", "1c21b2f7abe1"),
+    ("powers22", "felsch"): ("0621fe9c964d", "0621fe9c964d", "0621fe9c964d"),
+    ("powers23", "hlt"): ("8904b24406a0", "8904b24406a0", "8904b24406a0"),
+    ("powers23", "felsch"): ("426a399d02de", "426a399d02de", "426a399d02de"),
+    ("m4", "hlt"): ("5fad50f0c75b", "1a77c520fbbd", "1a77c520fbbd"),
+    ("m4", "felsch"): ("7a7c8d8b2448", "2ed97f4b0836", "2ed97f4b0836"),
+    ("m5", "hlt"): ("4f8e4663ae29", "3b6c623e4611", "b0da1b19215e"),
+    ("m5", "felsch"): ("7a7c8d8b2448", "26ff0e8fddfa", "26ff0e8fddfa"),
+    ("m8", "hlt"): ("a69409f3b667", "55c0328a72d1", "6e075e948f78"),
+    ("m8", "felsch"): ("7a7c8d8b2448", "7b01f947c6f9", "46c98dfcb275"),
+    ("m9", "hlt"): ("bf266e8dea72", "9d7649d9e207", "0cbf5d77be83"),
+    ("m9", "felsch"): ("7a7c8d8b2448", "5111140d7962", "698d2438306d"),
+}
+
+# m9 at 20 000 cosets, by strategy
+RAW_M9_20000 = {"hlt": "9e0ed1155c4d", "felsch": "aac659ef0322"}
+
+
+def test_coset_raw_tables_pinned():
+    got = {(name, strategy): tuple(raw_digest(enumerate_table(P, limit, strategy))
+                                   for limit in GOLDEN_LIMITS)
+           for name, P in golden_inputs().items()
+           for strategy in ("hlt", "felsch")}
+    assert got == RAW_TABLE_DIGESTS
+    assert {strategy: raw_digest(enumerate_table(coset_large(9), 20000, strategy))
+            for strategy in ("hlt", "felsch")} == RAW_M9_20000
+
+
+# Golden runs that take the rare branches of the scans, with how often each
+# run takes its branch (counted once on a copy of the scans with counters).
+# Their raw digests pin those branches: an edit that changes what a branch
+# does changes a digest, and one that drops a run from the golden inputs
+# fails here.
+RARE_BRANCH_RUNS = {
+    # Felsch: the backward pass walks past the gap, whose inverse entry is
+    # already defined, so the scan ends in a coincidence (933 and 1663 times)
+    "felsch crossing": (("free3", 5000, "felsch"), ("powers5", 5000, "felsch")),
+    # HLT: the passes cross before any definition (2496, 1285 and 149 times;
+    # 91 of the 344 raw runs take this branch)
+    "hlt crossing": (("free1", 5000, "hlt"), ("powers5", 5000, "hlt"),
+                     ("m9", 5000, "hlt")),
+    # HLT: a definition lets the backward pass step onto the new coset
+    # (1, 3 and 3 times)
+    "hlt step after a definition": (("free9", 50, "hlt"), ("free9", 700, "hlt"),
+                                    ("free9", 5000, "hlt")),
+}
+
+
+def test_coset_rare_branches_pinned():
+    inputs = golden_inputs()
+    for branch, runs in RARE_BRANCH_RUNS.items():
+        for name, limit, strategy in runs:
+            want = RAW_TABLE_DIGESTS[name, strategy][GOLDEN_LIMITS.index(limit)]
+            got = raw_digest(enumerate_table(inputs[name], limit, strategy))
+            assert got == want, (branch, name, limit, strategy)
+
+
 @pytest.mark.slow
 def test_coset_large_at_benchmark_size():
     # the coset-large workload's inputs: m = 8 completes within 300 000
@@ -560,9 +727,11 @@ def test_coset_large_at_benchmark_size():
         tc = todd_coxeter(coset_large(8), 300000, strategy)
         assert (tc.status, tc.num_cosets, table_digest(tc)) == (
             "complete", 10752, "da371134fe5f9ef2")
-    table = enumerate_table(coset_large(8), 300000, "hlt")
-    assert len(table.p) == 1 + 272595  # coset 0, then one per definition
-    assert len(table.live()) == 10752 and table_violations(table) == []
+    # coset 0, then one per definition
+    for strategy, defined in (("hlt", 272595), ("felsch", 39744)):
+        table = enumerate_table(coset_large(8), 300000, strategy)
+        assert len(table.p) == 1 + defined
+        assert len(table.live()) == 10752 and table_violations(table) == []
     for limit, strategy, live in ((200000, "hlt", 159751),
                                   (200000, "felsch", 199816),
                                   (200146, "hlt", 159825),
