@@ -365,24 +365,13 @@ def _echelon(C, m):
 HERMITE_CHUNK = 32
 
 
-def _hermite(C, m, bound=None):
+def _hermite(C, m):
     """The Hermite basis (the pivot columns of `_echelon`) of the lattice the
     sparse columns C span in rows 0..m-1, leaving C unchanged. It is built
     HERMITE_CHUNK columns at a time on top of the basis so far; since the
     Hermite form is unique, the result is that of one elimination of all of
-    C, while the columns that reduce to zero never fill in together.
-
-    With `bound`, every column of C lies in a saturated lattice L of rank
-    `bound` (L = Z^m meet a Q-subspace), and the build stops once the basis
-    has `bound` pivots, all 1: a saturated sublattice of L of L's rank is L
-    (Newman, Integral Matrices, ch. II)."""
-    H = []
-    for s in range(0, len(C), HERMITE_CHUNK):
-        H += [dict(col) for col in C[s:s + HERMITE_CHUNK]]
-        H = H[:_echelon(H, m)]
-        if len(H) == bound and _unit_pivots(H):
-            break
-    return H
+    C, while the columns that reduce to zero never fill in together."""
+    return _span(C, m, None)[0]
 
 
 def _unit_pivots(H):
@@ -403,7 +392,26 @@ def _saturated(H):
     for j, col in enumerate(H):
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
-    return _unit_pivots(_hermite([rows[i] for i in sorted(rows)], len(H), len(H)))
+    return _span([rows[i] for i in sorted(rows)], len(H), len(H), _unit_pivots)[1]
+
+
+def _span(C, m, bound, saturated=_saturated):
+    """(H, spans): H is `_hermite(C, m)`, built as there, and `spans` says
+    whether C spans L, when every column of C lies in a saturated lattice L
+    of rank `bound` (L = Z^m meet a Q-subspace). The build stops at the
+    first basis so far of `bound` columns that is `saturated`: a saturated
+    sublattice of L of L's rank is L (Newman, Integral Matrices, ch. II),
+    so the later columns leave the basis as it is. `_saturated` checks the
+    rows of a basis against Z^r with `_unit_pivots`, as a Hermite basis of
+    Z^r is the identity. With `bound` None, all of C is eliminated and
+    `spans` is False."""
+    H = []
+    for s in range(0, max(len(C), 1), HERMITE_CHUNK):
+        H += [dict(col) for col in C[s:s + HERMITE_CHUNK]]
+        H = H[:_echelon(H, m)]
+        if len(H) == bound and saturated(H):
+            return H, True
+    return H, False
 
 
 def _sub_scaled(dst, src, q):

@@ -18,6 +18,10 @@ A presentation is one `gens:` line followed by optional `rels:` lines::
 * A relator has at most ``MAX_RELATOR_LETTERS`` (100 000) letters. The
   parser checks each power and the running length of the relator before it
   builds them, so ``x^1000000000`` is a ``ParseError``, not a huge word.
+* The relators of a presentation have at most ``MAX_TOTAL_RELATOR_LETTERS``
+  (200 000) letters together, counted as the per-relator cap counts them
+  and checked as each term is added, so many long relators are a
+  ``ParseError`` too.
 * A presentation has at most ``MAX_GENERATORS`` (100 000) generators. The
   parser counts the names on the ``gens:`` line before it checks them.
 * Multiple ``rels:`` lines concatenate. ``gens:`` with no names is the trivial
@@ -38,6 +42,11 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # base's length times the exponent, and the terms of a word add up before
 # free reduction, so the check comes before any letter is built.
 MAX_RELATOR_LETTERS = 100_000
+
+# The most letters the relators of a presentation may have together, counted
+# as for MAX_RELATOR_LETTERS. Coset enumeration compiles every relator letter
+# into its scans, at about 190 bytes a letter.
+MAX_TOTAL_RELATOR_LETTERS = 2 * MAX_RELATOR_LETTERS
 
 # The most generators a presentation may have. It bounds the letter codes
 # of its relators' encoded text.
@@ -191,11 +200,12 @@ def _tokenize(text, line_no, col0):
 
 
 class _WordParser:
-    def __init__(self, tokens, gen_index, line_no):
+    def __init__(self, tokens, gen_index, line_no, letters):
         self.tokens = tokens
         self.i = 0
         self.gen_index = gen_index
         self.line_no = line_no
+        self.letters = letters  # of the relators parsed before, and this one
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -213,7 +223,13 @@ class _WordParser:
             if length > MAX_RELATOR_LETTERS:
                 raise ParseError("relator longer than "
                                  f"{MAX_RELATOR_LETTERS} letters", self.line_no, col)
+            if not stop_at_rpar and self.letters + length > MAX_TOTAL_RELATOR_LETTERS:
+                raise ParseError("relators longer than "
+                                 f"{MAX_TOTAL_RELATOR_LETTERS} letters in total",
+                                 self.line_no, col)
             terms.append(term.text)
+        if not stop_at_rpar:
+            self.letters += length
         text = "".join(terms)
         return Word._reduced(free_reduce(text, flip_for(text)))
 
@@ -254,6 +270,7 @@ class _WordParser:
 def parse_presentation(text):
     gens = None
     relators = []
+    letters = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -285,8 +302,10 @@ def parse_presentation(text):
             gen_index = {name: i for i, name in enumerate(gens)}
             for chunk, col in _relator_chunks(body, line_no, col0):
                 tokens = _tokenize(chunk, line_no, col)
+                parser = _WordParser(tokens, gen_index, line_no, letters)
                 # at the top level parse_word reads every token
-                relators.append(_WordParser(tokens, gen_index, line_no).parse_word())
+                relators.append(parser.parse_word())
+                letters = parser.letters
         else:
             raise ParseError("expected 'gens:' or 'rels:' line", line_no, indent + 1)
     if gens is None:

@@ -10,7 +10,7 @@ verified move never changes the presented group.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .coset import DEFAULT_MAX_COSETS, NotFinitelyEnumerated, group_model
@@ -93,9 +93,8 @@ def _is_duplicate(r, r_inv, doubled):
 
 def _single_generators(r, flip):
     """The generators occurring exactly once in encoded word r."""
-    counts = Counter(r)
-    return frozenset(ord(c) >> 1 for c, n in counts.items()
-                     if n == 1 and flip[ord(c)] not in counts)
+    return frozenset(ord(c) >> 1 for c in set(r)
+                     if r.count(c) == 1 and flip[ord(c)] not in r)
 
 
 def _eliminate_generator(gens, rels, gen, i, flip):
@@ -188,7 +187,8 @@ def _simplify(gens, rels, memo, flip):
     covers their codes. `memo` maps a cyclically reduced relator r to r + r,
     r^-1 and the set of generators occurring once in r. A relator is
     dropped as a duplicate when it is a rotation of a kept relator or of its
-    inverse (`_is_duplicate`): rotation or inversion is an equivalence and
+    inverse (`_is_duplicate`, against the kept relators of r's length, held
+    by doubled length): rotation or inversion is an equivalence and
     the kept relators are pairwise inequivalent, so this keeps the first
     relator of each class. A pass that eliminates no generator is the last:
     it leaves every relator cyclically reduced, nonempty and inequivalent to
@@ -199,7 +199,7 @@ def _simplify(gens, rels, memo, flip):
         # cyclic reduction (relator -> conjugate core), then drop empties
         # and duplicates up to rotation/inversion
         kept = []
-        doubled = []
+        doubled = {}
         singles = []
         for r in rels:
             if r and r[0] == flip[ord(r[-1])]:
@@ -209,10 +209,11 @@ def _simplify(gens, rels, memo, flip):
             info = memo.get(r)
             if info is None:
                 info = memo[r] = (r + r, inverse(r, flip), _single_generators(r, flip))
-            if _is_duplicate(r, info[1], doubled):
+            bucket = doubled.setdefault(len(info[0]), [])
+            if _is_duplicate(r, info[1], bucket):
                 continue
             kept.append(r)
-            doubled.append(info[0])
+            bucket.append(info[0])
             singles.append(info[2])
         # generator elimination, lowest generator index first, solved from
         # the first relator it occurs once in
@@ -223,13 +224,25 @@ def _simplify(gens, rels, memo, flip):
         gens, rels = _eliminate_generator(gens, kept, gen, i, flip)
 
 
-def _neighbour(gens, rels, i, r, memo, flip):
+def _length_index(rels, memo):
+    """{len(w + w): [(k, w + w), ...]} over the relators w of a node, all in
+    `memo`, each bucket in relator order."""
+    index = {}
+    for k, w in enumerate(rels):
+        kk = memo[w][0]
+        index.setdefault(len(kk), []).append((k, kk))
+    return index
+
+
+def _neighbour(gens, rels, i, r, memo, flip, index):
     """`_simplify` of the node (gens, rels) with relator i replaced by the
-    reduced encoded word r. The node is `_simplify` output: its relators are
-    cyclically reduced, nonempty, pairwise inequivalent and in `memo`, and
-    no generator occurs once in any of them. So a pass over the neighbour
-    keeps every other relator, except one equivalent to r after it, and
-    finds a generator to eliminate only in r."""
+    reduced encoded word r; `index` is the node's `_length_index`. The node
+    is `_simplify` output: its relators are cyclically reduced, nonempty,
+    pairwise inequivalent and in `memo`, and no generator occurs once in any
+    of them. So a pass over the neighbour keeps every other relator, except
+    one equivalent to r after it, and finds a generator to eliminate only
+    in r. Only relators of r's length can be equivalent to it, so the
+    duplicate test walks their bucket alone."""
     if r and r[0] == flip[ord(r[-1])]:
         r = cyclic_core(r, flip)
     if not r:
@@ -238,11 +251,10 @@ def _neighbour(gens, rels, i, r, memo, flip):
     if info is None:
         info = memo[r] = (r + r, inverse(r, flip), _single_generators(r, flip))
     doubled, r_inv, ones = info
-    for k, w in enumerate(rels):
-        kk = memo[w][0]  # `_is_duplicate` against w alone, inlined
-        if len(kk) == len(doubled) and k != i and (r in kk or r_inv in kk):
-            # the first relator of a class is kept; r, like w, has no
-            # generator occurring once
+    for k, kk in index.get(len(doubled), ()):
+        if k != i and (r in kk or r_inv in kk):
+            # the first relator of a class is kept; r, like relator k,
+            # has no generator occurring once
             if k < i:
                 return gens, rels[:i] + rels[i + 1:]
             return gens, rels[:i] + (r,) + rels[i + 1:k] + rels[k + 1:]
@@ -322,19 +334,32 @@ def deficiency_search(P, budget):
     r_i -> r_i * r_j^s (i != j, s = 1 then -1), each result simplified;
     since the node is already simplified, only the new relator r_i is
     checked (`_neighbour`), which is cheap enough that a neighbour met
-    again is simplified again rather than remembered. A node is identified
-    by its generators and its relators' encoded text (`Word.text`), which
-    the search multiplies, inverts, reduces and deduplicates with the str
-    functions of `words`. Among the nodes of highest deficiency, the one
-    with the least serialized text (`serialize_presentation`) is returned.
-    The best is held as its (generator names, relator chunks) key
-    (`_node_key`), which orders as that text does; a tie compares the
-    names, then the chunks in turn, and settles at the first that differs
-    (`_precedes`), formatting no chunk past it. A chunk whose leading
-    syllable already settles the comparison is not formatted at all; most
-    ties end there. Chunks are cached for the search, no text is joined,
-    and only the returned best is made into a `Presentation`, after the
-    search."""
+    again is simplified again rather than remembered. Its duplicate test
+    reads an index of the node's relators by doubled length
+    (`_length_index`), built once per node, and walks only the bucket of
+    the new relator's length. A node is identified by its generators and
+    its relators' encoded text (`Word.text`), which the search multiplies,
+    inverts, reduces and deduplicates with the str functions of `words`.
+
+    What the search stores is bounded by `budget`: breadth-first order pops
+    only the first `budget` nodes it enqueues, so `seen` and the queue take
+    at most `budget` nodes, and every node stored is popped. A neighbour
+    not in `seen` once it is full is still compared with the best, and it
+    sets `exhausted`: it would be node budget + 1. A neighbour met again
+    after that cannot replace the best, as it was compared when first met
+    and a tie must strictly precede the best. `visited` is the number of
+    nodes popped, min(budget, nodes reached). A node of k relators builds
+    2k(k - 1) neighbours, so a search builds about budget * 2k^2.
+
+    Among the nodes of highest deficiency, the one with the least
+    serialized text (`serialize_presentation`) is returned. The best is
+    held as its (generator names, relator chunks) key (`_node_key`), which
+    orders as that text does; a tie compares the names, then the chunks in
+    turn, and settles at the first that differs (`_precedes`), formatting
+    no chunk past it. A chunk whose leading syllable already settles the
+    comparison is not formatted at all; most ties end there. Chunks are
+    cached for the search, no text is joined, and only the returned best
+    is made into a `Presentation`, after the search."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     rels, flip = _relator_texts(P)  # one table serves the whole search
@@ -349,22 +374,24 @@ def deficiency_search(P, budget):
     visited = 0
     exhausted = False
     while queue:
-        if visited >= budget:
-            exhausted = True
-            break
         gens, rels = queue.popleft()
         visited += 1
-        factors = [(w, memo[w][1]) for w in rels]  # every node relator is in memo
+        index = _length_index(rels, memo)  # every node relator is in memo
+        factors = [(w, memo[w][1]) for w in rels]
         for i, (w, w_inv) in enumerate(factors):
             for j, pair in enumerate(factors):
                 if i == j:
                     continue
                 for f in pair:
-                    node = _neighbour(gens, rels, i, product(w, w_inv, f), memo, flip)
+                    node = _neighbour(gens, rels, i, product(w, w_inv, f),
+                                      memo, flip, index)
                     if node in seen:
                         continue
-                    seen.add(node)
-                    queue.append(node)
+                    if len(seen) < budget:
+                        seen.add(node)
+                        queue.append(node)
+                    else:
+                        exhausted = True
                     d = len(node[0]) - len(node[1])
                     if d > best_deficiency or (
                             d == best_deficiency and _precedes(*node, best_key, chunks)):

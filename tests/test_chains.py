@@ -543,13 +543,14 @@ def _record_saturation_checks(monkeypatch):
     from d2kit import intlinalg
 
     calls = []
-    real = intlinalg._hermite
+    real = intlinalg._span
 
-    def hermite(C, m, bound=None):
-        calls.append((m, len(C)))
-        return real(C, m, bound)
+    def span(C, m, bound, *saturated):
+        if saturated == (intlinalg._unit_pivots,):
+            calls.append((m, len(C)))
+        return real(C, m, bound, *saturated)
 
-    monkeypatch.setattr(intlinalg, "_hermite", hermite)
+    monkeypatch.setattr(intlinalg, "_span", span)
     return calls
 
 
@@ -597,7 +598,7 @@ def test_validate_complex_eliminates_d2_once(monkeypatch):
 _SCRAMBLE_GROUPS = [
     ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 7, 11, 25),
     ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 9, 7, 33),
-    ("gens: a b\nrels: a^2 b^3 (a b)^5\n", 61, 119, 38),
+    ("gens: a b\nrels: a^2 b^3 (a b)^5\n", 61, 119, 46),
 ]
 
 
@@ -639,15 +640,26 @@ def test_validate_unsaturated_image_of_d2(monkeypatch):
 
 
 @pytest.mark.slow
-def test_validate_scrambled_psl27_complexes():
+def test_validate_scrambled_psl27_complexes(monkeypatch):
     # the expanded d_2 is 336 x 672; a rebased F_1 leaves a pivot that is
-    # not 1, and the saturation check decides exactness without ker d_1
+    # not 1, and the saturation check decides exactness without ker d_1.
+    # Per complex: the chunks of d_1 (168 rows) and of d_2 (336 rows), and
+    # the eliminations of saturation checks. Each basis is checked from the
+    # chunk that reaches its bound rank on, so the rebased d_2 stops at
+    # chunk 17 of 21 (seeds 1 and 2), where its pivots are not all 1 yet
     P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n")
     F = presentation_complex(P, group_model(P, 1000))
     expected = validate_complex(F)
     assert expected.ok and (expected.d2_rank_q, expected.ker_d2_qdim) == (169, 503)
-    for seed in range(3):
-        assert validate_complex(_scrambled(F, seed)) == expected, seed
+    calls = _record_echelons(monkeypatch)
+    counts = []
+    for G in [F] + [_scrambled(F, seed) for seed in range(3)]:
+        calls.clear()
+        assert validate_complex(G) == expected
+        rows = [m for m, _ in calls]
+        counts.append((rows.count(168), rows.count(336), len(rows) - rows.count(168)
+                       - rows.count(336)))
+    assert counts == [(10, 17, 0), (6, 17, 0), (7, 17, 13), (10, 17, 6)]
 
 
 def _random_presentation(n, seed):

@@ -414,6 +414,19 @@ def test_overlong_relator_rejected(tmp_path, capsys):
     assert "power longer than 100000 letters (line 2, column 9)" in err
 
 
+def test_relator_letter_total_rejected(tmp_path, capsys):
+    # five relators at the per-relator cap: their compiled coset scans
+    # peaked at 121 MB in `order`; the third passes the total cap
+    bad = tmp_path / "many.fp"
+    bad.write_text("gens: x y\n" + "rels: (x y^99999)\n" * 5)
+    for command in ("order", "analyze"):
+        assert main([command, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "relators longer than 200000 letters in total (line 4, column 7)" \
+            in captured.err
+        assert captured.out == ""
+
+
 def test_too_many_generators_rejected(tmp_path, capsys):
     bad = tmp_path / "wide.fp"
     names = " ".join(f"g{i}" for i in range(100_001))

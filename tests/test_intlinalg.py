@@ -14,6 +14,7 @@ from d2kit.intlinalg import (
     _hermite,
     _matrix,
     _saturated,
+    _span,
     _unit_pivots,
     infeasibility_certificate,
     kernel_basis,
@@ -468,12 +469,21 @@ def test_hermite_stops_at_a_saturated_basis_of_the_bound_rank(monkeypatch, text,
     monkeypatch.setattr(intlinalg, "_echelon", echelon)
     # every column of d_2 lies in ker d_1, saturated of rank `bound`, and
     # the build stops before its last chunk with the basis of one elimination
-    H = _hermite(E2, m1, bound)
-    assert len(H) == bound and len(calls) < -(-len(E2) // chunk)
+    H, spans = _span(E2, m1, bound)
+    assert spans and len(H) == bound and len(calls) < -(-len(E2) // chunk)
     assert H == _one_shot_hermite(E2, m1)
-    # bound pivots that are not all 1 do not stop the build
+    # a basis of the bound rank that is not saturated does not stop the
+    # build; one that is stops it, whether or not its pivots are 1
     C = [{0: 2}] * chunk + [{0: 3}]
-    assert _hermite(C, 1, 1) == [{0: 1}]
+    assert _span(C, 1, 1) == ([{0: 1}], True)
+    assert _span(C[:chunk], 1, 1) == ([{0: 2}], False)
+    calls.clear()
+    C = [{0: 2, 1: 1}] * chunk + [{0: 4, 1: 2}]
+    assert _span(C, 2, 1) == ([{0: 2, 1: 1}], True)
+    assert calls == [chunk, 2]  # the first chunk, then its two rows over 1 row
+    # no columns span the zero lattice, and only it
+    assert _span([], 3, 0) == ([], True) and _span([], 3, 1) == ([], False)
+    assert _span([{}] * 3, 3, 0) == ([], True)
 
 
 def _unimodular(rng, m):

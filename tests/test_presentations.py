@@ -3,6 +3,7 @@ import pytest
 from d2kit.presentations import (
     MAX_GENERATORS,
     MAX_RELATOR_LETTERS,
+    MAX_TOTAL_RELATOR_LETTERS,
     EmptyGeneratorList,
     ParseError,
     Presentation,
@@ -112,6 +113,19 @@ def test_parse_relator_length_cap_is_inclusive():
     P = parse_presentation(f"gens: x y\nrels: x^{MAX_RELATOR_LETTERS} "
                            "(x y)^50000 (x x^-1)^99999999\n")
     assert [len(r) for r in P.relators] == [MAX_RELATOR_LETTERS, 100000, 0]
+
+
+def test_parse_total_relator_letter_cap():
+    # counted over every rels: line as the per-relator cap counts; a file
+    # exactly at the cap parses, and the letter past it is reported
+    assert MAX_TOTAL_RELATOR_LETTERS == 2 * MAX_RELATOR_LETTERS
+    rels = f"x^{MAX_RELATOR_LETTERS} (x^-1 y)^25000 (x x^-1)^9\nrels: (y x)^24999 y^2\n"
+    P = parse_presentation("gens: x y\nrels: " + rels)
+    assert [len(r) for r in P.relators] == [MAX_RELATOR_LETTERS, 50000, 0, 49998, 2]
+    with pytest.raises(ParseError, match="relators longer than 200000 letters "
+                                         "in total") as info:
+        parse_presentation("gens: x y\nrels: " + rels.replace("y^2", "y^3"))
+    assert (info.value.line, info.value.col) == (3, 19)
 
 
 def _names(n):

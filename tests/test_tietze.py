@@ -1,9 +1,13 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import time
-from collections import Counter
+import tracemalloc
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ from d2kit.presentations import (
 from d2kit.tietze import (
     _eliminate_generator,
     _is_duplicate,
+    _length_index,
     _neighbour,
     _node_key,
     _precedes,
@@ -454,6 +459,7 @@ def test_neighbour_matches_simplify_of_the_raw_neighbour():
         memo = {}
         gens, rels = _simplify(P.generators, tuple(r.text for r in P.relators),
                                memo, flip)
+        index = _length_index(rels, memo)
         for i, w in enumerate(rels):
             words = [product(w, memo[w][1], f) for j, k in enumerate(rels)
                      if j != i for f in (k, memo[k][1])]
@@ -467,7 +473,7 @@ def test_neighbour_matches_simplify_of_the_raw_neighbour():
                 rng, range(len(gens)), rng.randint(1, 8))), flip))
             for r in words:
                 raw = rels[:i] + (r,) + rels[i + 1:]
-                assert _neighbour(gens, rels, i, r, memo, flip) == _simplify(
+                assert _neighbour(gens, rels, i, r, memo, flip, index) == _simplify(
                     gens, raw, {}, flip), (gens, raw)
                 core = cyclic_core(r, flip)
                 same = [k for k, v in enumerate(rels) if k != i and _is_duplicate(
@@ -904,3 +910,160 @@ def test_deficiency_search_builds_one_presentation(monkeypatch):
     assert len(formatted) < 220
     assert built == [res.best]
     assert serialized == []
+
+
+# --- the bounded search against the search it replaced -----------------------
+
+def _reference_deficiency_search(P, budget, max_letters=None):
+    """deficiency_search as it was before `seen` and the queue were bounded
+    by the budget: every new neighbour is stored, and the budget is checked
+    before each pop. Written on Words through `_reference_simplify`; the
+    best is the least (-deficiency, serialized text) over every node
+    reached. With `max_letters`, a neighbour of more relator letters is
+    dropped, which makes the graph finite."""
+    start = _reference_simplify(P)
+    seen = {start}
+    queue = deque([start])
+    reached = [start]
+    visited = 0
+    exhausted = False
+    while queue:
+        if visited >= budget:
+            exhausted = True
+            break
+        node = queue.popleft()
+        visited += 1
+        rels = node.relators
+        for i, w in enumerate(rels):
+            for j, v in enumerate(rels):
+                if i == j:
+                    continue
+                for f in (v, v.inverse()):
+                    nb = _reference_simplify(Presentation(
+                        node.generators, rels[:i] + (w * f,) + rels[i + 1:]))
+                    if max_letters is not None and sum(map(len, nb.relators)) > max_letters:
+                        continue
+                    if nb not in seen:
+                        seen.add(nb)
+                        queue.append(nb)
+                        reached.append(nb)
+    best = min(reached, key=lambda Q: (-deficiency(Q), serialize_presentation(Q)))
+    return serialize_presentation(best), deficiency(best), visited, exhausted
+
+
+def _search_row(P, budget):
+    res = deficiency_search(P, budget)
+    return serialize_presentation(res.best), res.deficiency, res.visited, res.exhausted
+
+
+def test_bounded_search_matches_reference():
+    # seeded presentations of two to four relators and corpus variants, at
+    # every budget from 1 to 20 and at 30, 40 and 50, and a one-node search
+    rng = random.Random(31)
+    cases = []
+    while len(cases) < 4:
+        P = _random_presentation(rng)
+        if simplify(P).num_relators >= 2:
+            cases.append(P)
+    for name in ("q8", "s3", "a5"):
+        P = parse_presentation((CORPUS / f"{name}.fp").read_text(encoding="utf-8"))
+        cases.append(parse_presentation(_corpus_variant(P, random.Random(name))))
+    for P in cases:
+        for budget in [*range(1, 21), 30, 40, 50]:
+            assert _search_row(P, budget) == _reference_deficiency_search(P, budget), (
+                serialize_presentation(P), budget)
+    # simplify leaves one relator, so no move applies
+    assert _search_row(TREFOIL, 1) == _reference_deficiency_search(TREFOIL, 1)
+    assert _search_row(TREFOIL, 1)[2:] == (1, False)
+
+
+@pytest.mark.parametrize("letters, nodes", [(11, 3), (12, 32)])
+def test_bounded_search_exhausted_at_the_budget_edge(monkeypatch, letters, nodes):
+    # a neighbour of more relator letters than `letters` is mapped back to
+    # its parent, which the search has seen: the graph is finite, of `nodes`
+    # nodes. At that budget every node is popped and the search is not
+    # exhausted; one below, the last node is met once `seen` is full
+    neighbour = tietze._neighbour
+
+    def within(gens, rels, *args):
+        node = neighbour(gens, rels, *args)
+        return node if sum(map(len, node[1])) <= letters else (gens, rels)
+
+    monkeypatch.setattr(tietze, "_neighbour", within)
+    P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^3\n")
+    assert _reference_deficiency_search(P, 10 ** 6, letters)[2:] == (nodes, False)
+    for budget, exhausted in ((nodes, False), (nodes - 1, True), (nodes + 1, False)):
+        row = _search_row(P, budget)
+        assert row == _reference_deficiency_search(P, budget, letters)
+        assert row[2:] == (min(budget, nodes), exhausted)
+
+
+def _two_syllable_text(n, m, seed=0):
+    """A seeded .fp of n generators x0, x1, ... and m relators (xi^e xj^f),
+    i != j, exponents in +-1..+-3."""
+    rng = random.Random(seed)
+    rels = []
+    for _ in range(m):
+        i, j = rng.sample(range(n), 2)
+        e, f = (rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2))
+        rels.append(f"(x{i}^{e} x{j}^{f})")
+    gens = " ".join(f"x{k}" for k in range(n))
+    return f"gens: {gens}\nrels: {' '.join(rels)}\n"
+
+
+def test_deficiency_search_memory_is_bounded_by_the_budget():
+    # 50 relators build 4900 neighbours per node; storing every new one
+    # peaked at 63 MB (tracemalloc) on this search
+    P = parse_presentation(_two_syllable_text(100, 50))
+    tracemalloc.start()
+    try:
+        res = deficiency_search(P, budget=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
+    row = (f"{serialize_presentation(res.best)}{res.deficiency} {res.visited} "
+           f"{res.exhausted}")
+    assert (res.deficiency, res.visited, res.exhausted) == (50, 60, True)
+    assert hashlib.sha256(row.encode()).hexdigest() == (
+        "8b607444c8bc7b37ecdae516bb36ad227211aad2ecd1cb35984a0e61e4f5204b")
+
+
+# The child reports its peak RSS as VmHWM, the high-water mark of its own
+# address space: ru_maxrss would also count the RSS of the process it was
+# forked from, which exec carries over on Linux.
+_CEILING_CHILD = """
+import re, resource, sys
+limit = {limit}
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from d2kit.cli import main
+code = main(["analyze", {name!r}, "--format", "json"])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_analyze_many_relators_memory_ceiling(tmp_path):
+    # 150 relators: storing every new neighbour of the search peaked at
+    # 710 MB; the child caps its address space at 512 MB so a regression
+    # fails fast, and its peak RSS must stay under 100 MB
+    name = "r300x150.fp"
+    (tmp_path / name).write_text(_two_syllable_text(300, 150), encoding="utf-8")
+    src = str(Path(tietze.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", _CEILING_CHILD.format(limit=512 * 2 ** 20, name=name)],
+        capture_output=True, cwd=tmp_path, env=env, timeout=600)
+    stderr = res.stderr.decode()
+    assert res.returncode == 0 and "Traceback" not in stderr, stderr
+    peak_kb = int(stderr.split()[-1])
+    assert peak_kb < 100 * 1024, peak_kb
+    assert hashlib.sha256(res.stdout).hexdigest() == (
+        "3dccd2aef5d400bd72bcd5e6a4005353636696ccc8af59ccc895f083278f1a6d")
