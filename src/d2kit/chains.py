@@ -479,29 +479,29 @@ def _merged(base, *terms):
 def _phi2_candidates(phi2, K_src, K_tgt, budget):
     """Yield (corrections, image) for the phi2 variants that keep the chain
     condition: phi2 itself, then phi2 plus single and double corrections,
-    one budget unit each. A correction is (sign, omega) with omega = v e_c^T
-    for a column v of K_tgt placed in matrix column c, sign 1 or -1.
+    one budget unit each. A correction is (sign, (c, v)), sign 1 or -1, for
+    omega = v e_c^T: the column v of K_tgt (a t_2 x 1 ZG matrix) placed in
+    matrix column c. No omega is built here; `_attempt_orientation` builds
+    it only for a candidate that passes its pi_2 test.
 
     image is the vec of (phi2 + sum sign * omega) o K_src as fresh sparse
     {row: value} columns, which the caller may reduce in place. It merges
     phi2 o K_src with v o (row c of K_src) = omega o K_src, each composed
     once per orientation by `groupring._composed_columns`."""
-    model, s2, t2 = K_src.model, K_src.rows, K_tgt.rows
+    s2, t2 = K_src.rows, K_tgt.rows
     base = _composed_columns(phi2, K_src)
     yield (), _merged(base)
-    units = GroupRingMatrix.identity(model, s2)
     targets = [K_tgt.submatrix(range(t2), (j,)) for j in range(K_tgt.cols)]
     singles = []
     for c in range(s2):
         row = K_src.submatrix((c,), range(K_src.cols))
-        unit = units.submatrix((c,), range(s2))
         for v in targets:
-            omega, image = v.compose(unit), _composed_columns(v, row)
-            singles.append((omega, image))
+            image = _composed_columns(v, row)
+            singles.append(((c, v), image))
             for sign in (1, -1):
                 if not budget.spend():
                     return
-                yield ((sign, omega),), _merged(base, (sign, image))
+                yield ((sign, (c, v)),), _merged(base, (sign, image))
     for a, (wa, ia) in enumerate(singles):
         for wb, ib in singles[a + 1:]:
             for sa in (1, -1):
@@ -569,7 +569,8 @@ def _attempt_orientation(src, tgt, K_src, K_tgt, goal, budget):
     cone; K_src and K_tgt are pi_2 = ker d_2 as ZG matrices and goal is
     K_tgt.vec as sparse columns (`_pi2`). A phi2 candidate goes on to the
     cone only when it maps K_src onto K_tgt: the ranks agree and its image
-    has the Hermite form goal. Only then is its matrix built. Returns
+    has the Hermite form goal. Only then are its corrections
+    omega = v o (row c of the identity) and its matrix built. Returns
     (forward src->tgt, backward, hom_src, hom_tgt) or None.
 
     The test reduces each candidate's sparse image columns in place with
@@ -583,8 +584,10 @@ def _attempt_orientation(src, tgt, K_src, K_tgt, goal, budget):
     for corrections, image in _phi2_candidates(phi[2], K_src, K_tgt, budget):
         if K_src.cols != K_tgt.cols or image[:_echelon(image, K_tgt.vec.rows)] != goal:
             continue
-        phi2 = phi[2]
-        for sign, omega in corrections:
+        phi2, s2 = phi[2], K_src.rows
+        for sign, (c, v) in corrections:
+            omega = v.compose(GroupRingMatrix.identity(src.model, s2)
+                              .submatrix((c,), range(s2)))
             phi2 = phi2 + omega if sign > 0 else phi2 - omega
         cand = [phi[0], phi[1], phi2]
         contraction = _contract_cone(cand, src, tgt, budget)

@@ -35,33 +35,31 @@ from .coset import (DEFAULT_MAX_COSETS, NotFinitelyEnumerated, find_normal_gener
 from .groupring import GroupRingMatrix
 from .intlinalg import CertificateError
 from .invariants import DEFAULT_SEARCH_BUDGET, analyze_presentation
-from .presentations import ParseError, parse_presentation
+from .presentations import parse_presentation
 
 
 class CliError(Exception):
     pass
 
 
-def _read_presentation(path):
+def _read(path, parse):
+    """parse(text of the UTF-8 file at path); a file that cannot be read,
+    decoded or parsed (`ParseError` and `AcxError` are `ValueError`s)
+    raises CliError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror}")
-    except UnicodeDecodeError as e:
+    except ValueError as e:
         raise CliError(f"{path}: {e}")
-    try:
-        return parse_presentation(text)
-    except ParseError as e:
-        raise CliError(f"{path}: {e}")
+
+
+def _read_presentation(path):
+    return _read(path, parse_presentation)
 
 
 def _read_complex(path):
-    try:
-        F = acx.read_acx(path)
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e.strerror}")
-    except (acx.AcxError, ValueError) as e:
-        raise CliError(f"{path}: {e}")
+    F = _read(path, acx.loads)
     rep = validate_complex(F)
     if not rep.ok:
         raise CliError(f"{path}: not an algebraic complex: " + "; ".join(rep.failures))

@@ -395,29 +395,25 @@ def group_model(P, max_cosets):
 
 
 def table_model(P, rows):
-    """Model of P from the `table` of its complete `todd_coxeter` run; it
-    builds the |G|^2 multiplication table, so a caller may check |G| first."""
+    """Model of P from `rows`, which must be the `table` of a complete
+    `todd_coxeter` run (standardized rows); it builds the |G|^2
+    multiplication table, so a caller may check |G| first."""
     n = len(rows)
-    # breadth-first spanning tree: element j was first reached from k by
-    # column c, so its representative word is k's followed by c, and
-    # i * j = (i * k) moved along column c; columns of mult are built in
-    # first-visit order from their tree parents
+    # the standardized numbering is breadth-first in this column order, so
+    # element b > 0 is first reached from some k < b by a column c: its
+    # representative word is k's followed by c, and i * b = (i * k) moved
+    # along column c; columns of mult are built from their tree parents
     by_col = tuple(zip(*rows))
     mult_cols = [None] * n
     mult_cols[0] = tuple(range(n))
-    queue = deque([0])
-    while queue:
-        k = queue.popleft()
+    for k in range(n):
         for c, b in enumerate(rows[k]):
             if mult_cols[b] is None:
                 mult_cols[b] = tuple(map(by_col[c].__getitem__, mult_cols[k]))
-                queue.append(b)
     mult = tuple(zip(*mult_cols))
-    inverse = [0] * n
-    for i in range(n):
-        inverse[i] = mult[i].index(0)
+    inverse = tuple(row.index(0) for row in mult)
     gen_images = tuple(rows[0][2 * g] for g in range(P.num_generators))
-    model = FiniteGroupModel(n, mult, tuple(inverse), gen_images)
+    model = FiniteGroupModel(n, mult, inverse, gen_images)
     for r in P.relators:
         if model.evaluate_word(r) != 0:
             raise CertificateError("a relator does not hold in the model")

@@ -29,41 +29,37 @@ class NotCertifiedFinite(ValueError):
     pass
 
 
-def _certified_order(P, max_cosets, h1):
-    """|G| certified by one coset enumeration, or None when it is incomplete.
-    `h1` is P's abelianization (its invariant factors): when b_1 > 0 the
-    group is infinite, no enumeration can complete, and none is run."""
+def _lower_bound(P, max_cosets):
+    """(order, h1, (bound, provenance)) for the mu_2 lower bound: |G|
+    certified by one coset enumeration, or None when it is incomplete; P's
+    abelianization (its invariant factors) h1; and the bound with its
+    provenance. When b_1 > 0 the group is infinite, no enumeration can
+    complete, and none is run."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    if h1.free_rank > 0:
-        return None
-    tc = todd_coxeter(P, max_cosets)
-    return tc.num_cosets if tc.complete else None
-
-
-def _mu2_lower(order, h1):
-    """(bound, provenance) for mu_2 given the certified order or None, and
-    the abelianization's invariant factors `h1`."""
+    h1 = abelianization(P).invariant_factors
+    b1, order = h1.free_rank, None
+    if b1 == 0:
+        tc = todd_coxeter(P, max_cosets)
+        order = tc.num_cosets if tc.complete else None
     if order is not None:
-        return 1, f"finite group of order {order}: rational Betti numbers vanish"
-    b1 = h1.free_rank
-    return 1 - b1, f"1 - b_1 with b_1 = {b1} (rational first Betti number)"
+        return order, h1, (
+            1, f"finite group of order {order}: rational Betti numbers vanish")
+    return order, h1, (
+        1 - b1, f"1 - b_1 with b_1 = {b1} (rational first Betti number)")
 
 
-def mu2_lower_bound(P, order=None, max_cosets=DEFAULT_MAX_COSETS):
+def mu2_lower_bound(P, max_cosets=DEFAULT_MAX_COSETS):
     """Certified lower bound for mu_2 of the presented group.
 
-    With a certified finite order (supplied, or found here by coset
-    enumeration) the bound is 1; otherwise 1 - b_1 from the abelianization
-    (the nonnegative b_2 term of the rational bound is dropped, which keeps
-    it a valid lower bound). The abelianization comes first: when b_1 > 0
-    the group is infinite and no enumeration is run.
+    With a finite order certified by coset enumeration the bound is 1;
+    otherwise 1 - b_1 from the abelianization (the nonnegative b_2 term of
+    the rational bound is dropped, which keeps it a valid lower bound). The
+    abelianization comes first: when b_1 > 0 the group is infinite and no
+    enumeration is run.
     Returns (bound, provenance string).
     """
-    h1 = abelianization(P).invariant_factors
-    if order is None:
-        order = _certified_order(P, max_cosets, h1)
-    return _mu2_lower(order, h1)
+    return _lower_bound(P, max_cosets)[2]
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,7 @@ def mu2_sandwich(P, search_budget=DEFAULT_SEARCH_BUDGET,
     """Two-sided estimate of mu_2: lower from rational homology, upper as
     1 - def(best presentation found). When tight, def(G) = 1 - mu_2(G) and
     both invariants are exactly determined."""
-    h1 = abelianization(P).invariant_factors
-    lower = _mu2_lower(_certified_order(P, max_cosets, h1), h1)
+    lower = _lower_bound(P, max_cosets)[2]
     return _sandwich(deficiency_search(P, search_budget), *lower)
 
 
@@ -130,9 +125,8 @@ def swan_inequality_check(P, max_cosets=DEFAULT_MAX_COSETS):
     """Verify def(P) <= 1 - mu2_lower_bound for this presentation, plus the
     finite-group bound def <= 0 when finiteness is certified; records the
     conjecture-conditional bound def >= -mu2 without asserting it."""
-    h1 = abelianization(P).invariant_factors
-    order = _certified_order(P, max_cosets, h1)
-    return _swan_report(deficiency(P), _mu2_lower(order, h1)[0], order is not None)
+    order, _, (bound, _) = _lower_bound(P, max_cosets)
+    return _swan_report(deficiency(P), bound, order is not None)
 
 
 @dataclass(frozen=True)
@@ -157,12 +151,11 @@ def _d2n(search, lower, lower_prov):
 
 def d2n_estimate(P, search_budget=DEFAULT_SEARCH_BUDGET,
                  max_cosets=DEFAULT_MAX_COSETS):
-    h1 = abelianization(P).invariant_factors
-    order = _certified_order(P, max_cosets, h1)
+    order, _, lower = _lower_bound(P, max_cosets)
     if order is None:
         raise NotCertifiedFinite(
             "the wedge index bound applies to certified finite groups only")
-    return _d2n(deficiency_search(P, search_budget), *_mu2_lower(order, h1))
+    return _d2n(deficiency_search(P, search_budget), *lower)
 
 
 @dataclass(frozen=True)
@@ -181,10 +174,8 @@ class PresentationAnalysis:
 
 def analyze_presentation(P, search_budget=DEFAULT_SEARCH_BUDGET,
                          max_cosets=DEFAULT_MAX_COSETS):
-    h1 = abelianization(P).invariant_factors
-    order = _certified_order(P, max_cosets, h1)
+    order, h1, lower = _lower_bound(P, max_cosets)
     search = deficiency_search(P, search_budget)
-    lower = _mu2_lower(order, h1)
     return PresentationAnalysis(
         order, h1, h1.is_trivial(), deficiency(P), _sandwich(search, *lower),
         _swan_report(deficiency(P), lower[0], order is not None),

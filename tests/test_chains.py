@@ -737,8 +737,13 @@ def _pi2_by_determinant(phi2, K_src, K_tgt):
 
 
 def _corrected(phi2, corrections):
-    """phi2 plus sign * omega for each correction (sign, omega)."""
-    for sign, omega in corrections:
+    """phi2 plus sign * omega for each correction (sign, (c, v)), where
+    omega = v e_c^T is the column v in matrix column c."""
+    s2, n, zero = phi2.cols, phi2.model.order, GroupRingElement.zero(phi2.model)
+    for sign, (c, v) in corrections:
+        omega = GroupRingMatrix(phi2.model, phi2.rows, s2, [
+            GroupRingElement(phi2.model, v.vec.data[i * n:(i + 1) * n])
+            if j == c else zero for i in range(phi2.rows) for j in range(s2)])
         phi2 = phi2 + omega if sign > 0 else phi2 - omega
     return phi2
 
@@ -870,6 +875,61 @@ def test_phi2_candidate_images_survive_in_place_reduction(P, model, budget):
             seen += 1
         # the budget reaches the double corrections
         assert seen > 1 + 2 * src.ranks[2] * len(_kernel(tgt))
+
+
+def test_phi2_candidates_build_no_matrix_per_correction(monkeypatch):
+    # a correction is data (c, v); only _attempt_orientation composes an
+    # omega, and only for a candidate that passes the pi_2 test
+    F = stabilize_wedge(presentation_complex(Z5P, Z5M), 1)
+    G = presentation_complex(
+        Presentation(Z5P.generators, Z5P.relators * 2), Z5M)
+    calls = []
+    real = GroupRingMatrix.compose
+
+    def counting(self, other):
+        calls.append((self.rows, self.cols, other.cols))
+        return real(self, other)
+
+    for src, tgt in ((F, G), (G, F)):
+        budget = _Budget(100)
+        phi = _lift_chain_map(src, tgt, budget)
+        K_src, K_tgt = _pi2(src)[0], _pi2(tgt)[0]
+        monkeypatch.setattr(GroupRingMatrix, "compose", counting)
+        got = list(_phi2_candidates(phi[2], K_src, K_tgt, budget))
+        monkeypatch.setattr(GroupRingMatrix, "compose", real)
+        assert calls == [] and len(got) == 99
+        for corrections, _ in got[1:]:
+            for sign, (c, v) in corrections:
+                assert sign in (1, -1) and 0 <= c < src.ranks[2]
+                assert (v.rows, v.cols) == (tgt.ranks[2], 1)
+
+
+# sha256 over (kind, solver_calls, vec data of the ten certificate maps) of
+# certify_chain_equivalence on _dup_pair for every duplicated relator, in
+# both argument orders
+CERTIFY_DIGEST = "e5625f7174221675c99d78409972a825e6ae24d54681e1ea52e5888ddc617510"
+
+
+def test_dup_pair_certificates_digest():
+    digest, calls = hashlib.sha256(), []
+    for text in ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n",
+                 "gens: a b\nrels: a^2 b^2 (a b)^3\n",
+                 "gens: a b\nrels: a^2 b^2 (a b)^5\n"):
+        P = parse_presentation(text)
+        model = group_model(P, 1000)
+        for dup in range(len(P.relators)):
+            F, G = _dup_pair(P, model, dup)
+            for X, Y in ((F, G), (G, F)):
+                out = certify_chain_equivalence(X, Y)
+                cert = out.certificate
+                maps = (cert.forward + cert.backward + cert.homotopies_gf
+                        + cert.homotopies_fg)
+                digest.update(repr((out.kind, out.solver_calls,
+                                    [m.vec.data for m in maps])).encode())
+                calls.append(out.solver_calls)
+    assert calls == [66, 18, 78, 48, 106, 26, 114, 60, 120, 94,
+                     178, 42, 190, 100, 200, 158]
+    assert digest.hexdigest() == CERTIFY_DIGEST
 
 
 def test_acx_round_trip_finite():

@@ -285,6 +285,36 @@ def test_non_utf8_input_rejected(tmp_path, capsys):
                                                           (False, "good.fp")]
 
 
+_NON_UTF8 = b"gens: x\nrels: x^\xff2\n"
+_DECODE = "{path}: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
+
+
+# data: None for no file, "dir" for a directory, else the file's bytes
+@pytest.mark.parametrize("command, suffix, data, message", [
+    ("analyze", "fp", None, "cannot read {path}: No such file or directory"),
+    ("analyze", "fp", "dir", "cannot read {path}: Is a directory"),
+    ("analyze", "fp", _NON_UTF8, _DECODE),
+    ("analyze", "fp", b"gens: x\nrels: x^2 (\n",
+     "{path}: unbalanced '(' (line 2, column 11)"),
+    ("split", "acx", None, "cannot read {path}: No such file or directory"),
+    ("split", "acx", "dir", "cannot read {path}: Is a directory"),
+    ("split", "acx", _NON_UTF8, _DECODE),
+    ("split", "acx", b"[group]\nmode: finite\norder: 2\n",
+     "{path}: missing [group] or [ranks] section"),
+], ids=["fp-missing", "fp-directory", "fp-non-utf8", "fp-malformed",
+        "acx-missing", "acx-directory", "acx-non-utf8", "acx-malformed"])
+def test_unreadable_input_rejected(tmp_path, capsys, command, suffix, data,
+                                   message):
+    # .fp and .acx files share one reader: each fault is one exact line
+    path = tmp_path / f"input.{suffix}"
+    if data == "dir":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", "d2kit: " + message.format(path=path) + "\n")
+
+
 def test_acx_oversized_ranks_rejected(tmp_path, capsys):
     # Z/12: a 300 x 300 boundary would hold 1 080 000 coefficients
     table = "\n".join(" ".join(str((i + j) % 12) for j in range(12))
