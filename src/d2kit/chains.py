@@ -40,7 +40,9 @@ from .intlinalg import (
     IntMatrix,
     _echelon,
     _kernel,
+    _masks2,
     _matrix,
+    _rank2,
     _saturated,
     _span,
     _sub_scaled,
@@ -466,50 +468,71 @@ def _lift_chain_map(src, tgt, budget):
     return phi
 
 
-def _merged(base, *terms):
-    """Fresh sparse columns: base plus sign * image for each (sign, image)
-    in terms, sign = 1 or -1."""
+def _merged(base, rows, corrections):
+    """Fresh sparse columns: base plus sign * (v o rows[c]) for each
+    correction (sign, (c, v)), sign = 1 or -1."""
     cols = [dict(col) for col in base]
-    for sign, image in terms:
-        for col, add in zip(cols, image):
+    for sign, (c, v) in corrections:
+        for col, add in zip(cols, _composed_columns(v, rows[c])):
             _sub_scaled(col, add, -sign)
     return cols
 
 
 def _phi2_candidates(phi2, K_src, K_tgt, budget):
     """Yield (corrections, image) for the phi2 variants that keep the chain
-    condition: phi2 itself, then phi2 plus single and double corrections,
-    one budget unit each. A correction is (sign, (c, v)), sign 1 or -1, for
-    omega = v e_c^T: the column v of K_tgt (a t_2 x 1 ZG matrix) placed in
-    matrix column c. No omega is built here; `_attempt_orientation` builds
-    it only for a candidate that passes its pi_2 test.
+    condition and whose image has the right rank over F_2: phi2 itself,
+    then phi2 plus single and double corrections, one budget unit each,
+    spent whether or not the candidate is yielded. A correction is
+    (sign, (c, v)), sign 1 or -1, for omega = v e_c^T: the column v of
+    K_tgt (a t_2 x 1 ZG matrix) placed in matrix column c. No omega is
+    built here; `_attempt_orientation` builds it only for a candidate that
+    passes its pi_2 test.
 
     image is the vec of (phi2 + sum sign * omega) o K_src as fresh sparse
-    {row: value} columns, which the caller may reduce in place. It merges
-    phi2 o K_src with v o (row c of K_src) = omega o K_src, each composed
-    once per orientation by `groupring._composed_columns`."""
-    s2, t2 = K_src.rows, K_tgt.rows
+    {row: value} columns, which the caller may reduce in place: phi2 o K_src
+    plus v o (row c of K_src) = omega o K_src, by `groupring._composed_columns`.
+
+    The F_2 test only rejects. Every image lies in L = ker d_2 of the
+    target, a saturated lattice of rank r = K_tgt.cols, so L mod 2 has
+    dimension r (Newman, Integral Matrices, ch. II), and an image that
+    spans L has F_2 rank r; a candidate of another F_2 rank is not yielded,
+    and only the caller's Hermite comparison accepts. Mod 2 an image is the
+    XOR of the bitmasks (`intlinalg._masks2`) of phi2 o K_src and of each
+    v o (row c of K_src), each composed once per orientation; signs do not
+    change it, so one `intlinalg._rank2` serves every sign choice of a
+    single or a pair. Singles keep only their masks: a yielded candidate's
+    integer image is composed again."""
+    s2, t2, r = K_src.rows, K_tgt.rows, K_tgt.cols
     base = _composed_columns(phi2, K_src)
-    yield (), _merged(base)
-    targets = [K_tgt.submatrix(range(t2), (j,)) for j in range(K_tgt.cols)]
+    base2 = _masks2(base)
+    rows = [K_src.submatrix((c,), range(K_src.cols)) for c in range(s2)]
+    if _rank2(base2) == r:
+        yield (), _merged(base, rows, ())
+    targets = [K_tgt.submatrix(range(t2), (j,)) for j in range(r)]
     singles = []
     for c in range(s2):
-        row = K_src.submatrix((c,), range(K_src.cols))
         for v in targets:
-            image = _composed_columns(v, row)
-            singles.append(((c, v), image))
+            w = (c, v)
+            masks = _masks2(_composed_columns(v, rows[c]))
+            singles.append((w, masks))
+            full = _rank2([x ^ y for x, y in zip(base2, masks)]) == r
             for sign in (1, -1):
                 if not budget.spend():
                     return
-                yield ((sign, (c, v)),), _merged(base, (sign, image))
-    for a, (wa, ia) in enumerate(singles):
-        for wb, ib in singles[a + 1:]:
+                if full:
+                    corrections = ((sign, w),)
+                    yield corrections, _merged(base, rows, corrections)
+    for a, (wa, ma) in enumerate(singles):
+        base_a = [x ^ y for x, y in zip(base2, ma)]
+        for wb, mb in singles[a + 1:]:
+            full = _rank2([x ^ y for x, y in zip(base_a, mb)]) == r
             for sa in (1, -1):
                 for sb in (1, -1):
                     if not budget.spend():
                         return
-                    yield (((sa, wa), (sb, wb)),
-                           _merged(base, (sa, ia), (sb, ib)))
+                    if full:
+                        corrections = ((sa, wa), (sb, wb))
+                        yield corrections, _merged(base, rows, corrections)
 
 
 def _contract_cone(phi, src, tgt, budget):
@@ -573,11 +596,15 @@ def _attempt_orientation(src, tgt, K_src, K_tgt, goal, budget):
     omega = v o (row c of the identity) and its matrix built. Returns
     (forward src->tgt, backward, hom_src, hom_tgt) or None.
 
-    The test reduces each candidate's sparse image columns in place with
-    `intlinalg._echelon`, whose pivot columns are the Hermite normal form of
-    the lattice they span, and compares them with goal. The Hermite form is
-    unique, so this is the same decision as comparing the Hermite basis of
-    the dense image with K_tgt.vec, in exact integers."""
+    `_phi2_candidates` yields only the candidates whose image has rank
+    K_tgt.cols over F_2, which every image that spans pi_2 has, so that
+    test only rejects; a yielded candidate's integer image is composed
+    again. Only the Hermite comparison accepts: it reduces the sparse
+    image columns in place with `intlinalg._echelon`, whose pivot columns
+    are the Hermite normal form of the lattice they span, and compares them
+    with goal. The Hermite form is unique, so this is the same decision as
+    comparing the Hermite basis of the dense image with K_tgt.vec, in
+    exact integers."""
     phi = _lift_chain_map(src, tgt, budget)
     if phi is None:
         return None

@@ -424,6 +424,27 @@ def _sub_scaled(dst, src, q):
             del dst[i]
 
 
+def _masks2(C):
+    """The sparse {row: value} columns C reduced mod 2, each as an int
+    bitmask with bit i set where row i is odd."""
+    return [sum(1 << i for i, x in col.items() if x & 1) for col in C]
+
+
+def _rank2(masks):
+    """Rank over F_2 of the columns given as int bitmasks (`_masks2`): XOR
+    elimination that files each reduced column under its top bit."""
+    pivots = {}
+    for x in masks:
+        while x:
+            top = x.bit_length() - 1
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = x
+                break
+            x ^= p
+    return len(pivots)
+
+
 def _is_prime(p):
     if p < 2:
         return False

@@ -50,7 +50,13 @@ from d2kit.intlinalg import (
 )
 from d2kit.presentations import Presentation, parse_presentation
 from d2kit.words import Word
-from exact_oracles import column_echelon, column_hnf, dense_column_echelon, determinant
+from exact_oracles import (
+    column_echelon,
+    column_hnf,
+    dense_column_echelon,
+    determinant,
+    rank_mod_p,
+)
 
 Z2P = parse_presentation("gens: x\nrels: x^2\n")
 Z5P = parse_presentation("gens: x\nrels: x^5\n")
@@ -753,6 +759,36 @@ def _kernel(F):
     return kernel_basis(regular_rep_expand(F.boundary(2)))
 
 
+def _candidate_corrections(src, tgt):
+    """The corrections of every phi2 candidate, in the order
+    _phi2_candidates tries them: none, then each single (c, v) with sign 1
+    and -1, then each pair of singles a < b with signs (1, 1), (1, -1),
+    (-1, 1), (-1, -1); v runs over the columns of ker d_2 of tgt as t_2 x 1
+    ZG matrices."""
+    model, n, t2 = tgt.model, tgt.model.order, tgt.ranks[2]
+    singles = [(c, GroupRingMatrix(model, t2, 1, [
+        GroupRingElement(model, v[i * n:(i + 1) * n]) for i in range(t2)]))
+        for c in range(src.ranks[2]) for v in _kernel(tgt)]
+    out = [()] + [((sign, w),) for w in singles for sign in (1, -1)]
+    out += [((sa, wa), (sb, wb)) for a, wa in enumerate(singles)
+            for wb in singles[a + 1:] for sa in (1, -1) for sb in (1, -1)]
+    return out
+
+
+def _tried_candidates(src, tgt, phi2, budget):
+    """(corrections, phi2 matrix, dense image of K_src, kept) for each
+    candidate _phi2_candidates spends on with `budget` (one unit each after
+    phi2 itself); kept says whether its image has rank |K_tgt| over F_2."""
+    K_src_t = IntMatrix.from_rows(_kernel(src)).transpose()
+    r = len(_kernel(tgt))
+    out = []
+    for corrections in _candidate_corrections(src, tgt)[:1 + budget.limit - budget.used]:
+        cand = _corrected(phi2, corrections)
+        img = regular_rep_expand(cand) * K_src_t
+        out.append((corrections, cand, img, rank_mod_p(img, 2) == r))
+    return out
+
+
 @pytest.mark.parametrize("text, k", [
     ("gens: x\nrels: x^5\n", 4),
     ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 11),
@@ -776,6 +812,10 @@ def test_pi2_is_the_kernel_of_d2(text, k):
     ("gens: a b\nrels: a^2 b^2 (a b)^5\n", 0),
 ], ids=["s3", "q8", "d5"])
 def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
+    # every candidate the budget reaches, the rejected ones included: the
+    # F_2 rank decides which are yielded, it never drops one the
+    # determinant test accepts, and each yielded one's Hermite comparison
+    # agrees with the determinant test
     P = parse_presentation(text)
     F, G = _dup_pair(P, group_model(P, 1000), dup)
     decisions = []
@@ -783,17 +823,23 @@ def test_pi2_isomorphism_matches_the_determinant_test(text, dup):
         budget = _Budget(120)
         phi = _lift_chain_map(src, tgt, budget)
         K_src, K_tgt = _kernel(src), _kernel(tgt)
-        K_src_t = IntMatrix.from_rows(K_src).transpose()
+        tried = _tried_candidates(src, tgt, phi[2], budget)
         m = tgt.ranks[2] * tgt.model.order
         goal = [{i: x for i, x in enumerate(v) if x} for v in K_tgt]
-        for corrections, image in _phi2_candidates(phi[2], _pi2(src)[0],
-                                                   _pi2(tgt)[0], budget):
-            phi2 = _corrected(phi[2], corrections)
-            assert image == _columns(regular_rep_expand(phi2) * K_src_t)
-            # the sparse Hermite comparison that _attempt_orientation makes
-            iso = len(K_src) == len(K_tgt) and image[:_echelon(image, m)] == goal
-            assert iso == _pi2_by_determinant(phi2, K_src, K_tgt)
-            decisions.append(iso)
+        got = list(_phi2_candidates(phi[2], _pi2(src)[0], _pi2(tgt)[0], budget))
+        assert budget.used == 121
+        assert [c for c, _ in got] == [c for c, _, _, kept in tried if kept]
+        images = {c: image for c, image in got}
+        for corrections, cand, img, kept in tried:
+            det = _pi2_by_determinant(cand, K_src, K_tgt)
+            assert kept or not det
+            if kept:
+                image = images[corrections]
+                assert image == _columns(img)
+                # the sparse Hermite comparison that _attempt_orientation makes
+                iso = len(K_src) == len(K_tgt) and image[:_echelon(image, m)] == goal
+                assert iso == det
+            decisions.append(det)
     assert len(decisions) > 100
     assert True in decisions and False in decisions
 
@@ -825,14 +871,16 @@ def test_contract_cone_checks_the_top_degree(monkeypatch):
 
 def test_phi2_candidates_order_and_images():
     # Z/5 is small enough that the budget reaches the double corrections
+    # (c, v), (c', v') of the first three singles
     F = stabilize_wedge(presentation_complex(Z5P, Z5M), 1)
     G = presentation_complex(
         Presentation(Z5P.generators, Z5P.relators * 2), Z5M)
     n, z = Z5M.order, GroupRingElement.zero(Z5M)
+    kept_counts = []
     for src, tgt in ((F, G), (G, F)):
-        budget = _Budget(100)
+        budget = _Budget(300)
         phi = _lift_chain_map(src, tgt, budget)
-        K_src, K_tgt = _kernel(src), _kernel(tgt)
+        K_tgt = _kernel(tgt)
         s2, t2 = src.ranks[2], tgt.ranks[2]
         signed = []
         for c in range(s2):
@@ -845,36 +893,39 @@ def test_phi2_candidates_order_and_images():
         expected += [phi[2] + (xa + xb)
                      for a in range(len(signed)) for b in range(a + 1, len(signed))
                      for xa in signed[a] for xb in signed[b]]
-        got = list(_phi2_candidates(phi[2], _pi2(src)[0], _pi2(tgt)[0], budget))
+        tried = _tried_candidates(src, tgt, phi[2], budget)
         # the lift spent 2 units; every candidate after phi2 spends one
-        assert len(got) == 1 + 98 > 1 + 2 * len(signed)
-        cands = [_corrected(phi[2], corrections) for corrections, _ in got]
-        assert cands == expected[:len(got)]
-        K_src_t = IntMatrix.from_rows(K_src).transpose()
-        for cand, (_, image) in zip(cands, got):
-            assert image == _columns(regular_rep_expand(cand) * K_src_t)
+        assert len(tried) == 1 + 298 > 1 + 2 * len(signed) + 4 * 3 * (len(signed) - 2)
+        assert [cand for _, cand, _, _ in tried] == expected[:len(tried)]
+        got = list(_phi2_candidates(phi[2], _pi2(src)[0], _pi2(tgt)[0], budget))
+        assert budget.used == 301
+        kept = [(c, _columns(img)) for c, _, img, k in tried if k]
+        assert got == kept
+        kept_counts.append(len(kept))
+    assert kept_counts == [90, 180]
 
 
 @pytest.mark.parametrize("P, model, budget", [
     (Z5P, Z5M, 100), (S3P, S3M, 160)], ids=["z5", "s3"])
 def test_phi2_candidate_images_survive_in_place_reduction(P, model, budget):
     # _attempt_orientation reduces each image in place with _echelon; that
-    # must not reach the base or correction images later candidates merge
+    # must not reach the base image later candidates merge
     F, G = _dup_pair(P, model, 0)
     for src, tgt in ((F, G), (G, F)):
         b = _Budget(budget)
         phi = _lift_chain_map(src, tgt, b)
-        K_src_t = IntMatrix.from_rows(_kernel(src)).transpose()
+        tried = _tried_candidates(src, tgt, phi[2], b)
+        kept = [(c, _columns(img)) for c, _, img, k in tried if k]
         m = tgt.ranks[2] * model.order
-        seen = 0
+        seen = []
         for corrections, image in _phi2_candidates(phi[2], _pi2(src)[0],
                                                    _pi2(tgt)[0], b):
-            cand = _corrected(phi[2], corrections)
-            assert image == _columns(regular_rep_expand(cand) * K_src_t)
+            seen.append((corrections, [dict(col) for col in image]))
             _echelon(image, m)
-            seen += 1
+        assert seen == kept and len(seen) > 1
+        assert b.used == budget + 1
         # the budget reaches the double corrections
-        assert seen > 1 + 2 * src.ranks[2] * len(_kernel(tgt))
+        assert len(tried) > 1 + 2 * src.ranks[2] * len(_kernel(tgt))
 
 
 def test_phi2_candidates_build_no_matrix_per_correction(monkeypatch):
@@ -894,11 +945,13 @@ def test_phi2_candidates_build_no_matrix_per_correction(monkeypatch):
         budget = _Budget(100)
         phi = _lift_chain_map(src, tgt, budget)
         K_src, K_tgt = _pi2(src)[0], _pi2(tgt)[0]
+        tried = _tried_candidates(src, tgt, phi[2], budget)
         monkeypatch.setattr(GroupRingMatrix, "compose", counting)
         got = list(_phi2_candidates(phi[2], K_src, K_tgt, budget))
         monkeypatch.setattr(GroupRingMatrix, "compose", real)
-        assert calls == [] and len(got) == 99
-        for corrections, _ in got[1:]:
+        assert calls == [] and budget.used == 101
+        assert [c for c, _ in got] == [c for c, _, _, k in tried if k]
+        for corrections, _ in got:
             for sign, (c, v) in corrections:
                 assert sign in (1, -1) and 0 <= c < src.ranks[2]
                 assert (v.rows, v.cols) == (tgt.ranks[2], 1)
@@ -930,6 +983,46 @@ def test_dup_pair_certificates_digest():
     assert calls == [66, 18, 78, 48, 106, 26, 114, 60, 120, 94,
                      178, 42, 190, 100, 200, 158]
     assert digest.hexdigest() == CERTIFY_DIGEST
+
+
+def test_certification_hermite_tests_only_f2_survivors(monkeypatch):
+    # the certify-pairs inputs of perfbench seed 0: Q8 with its relators
+    # rotated by 3 and 1 letters, S3 and D5 as given. Before the F_2 rank
+    # test every candidate image reached _echelon: 76, 112 and 176 calls
+    from d2kit import chains
+
+    calls = []
+    real = chains._echelon
+
+    def counting(C, m):
+        calls.append(m)
+        return real(C, m)
+
+    monkeypatch.setattr(chains, "_echelon", counting)
+    found = []
+    for text, rotations, dup in (
+            ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", (3, 1), 1),
+            ("gens: a b\nrels: a^2 b^2 (a b)^3\n", (0, 0, 0), 1),
+            ("gens: a b\nrels: a^2 b^2 (a b)^5\n", (0, 0, 0), 0)):
+        P = parse_presentation(text)
+        rels = tuple(Word(r.letters[k:] + r.letters[:k])
+                     for r, k in zip(P.relators, rotations))
+        F, G = _dup_pair(Presentation(P.generators, rels), group_model(P, 1000), dup)
+        calls.clear()
+        out = certify_chain_equivalence(F, G)
+        found.append((out.kind, out.solver_calls, len(calls)))
+    assert found == [("certificate", 78, 3), ("certificate", 114, 1),
+                     ("certificate", 178, 1)]
+
+
+@pytest.mark.slow
+def test_psl27_duplicate_pair_stays_unknown():
+    # the forward search runs out at unit 601 and the reverse lift's first
+    # spend fails at 602; no candidate the budget reaches maps pi_2 onto pi_2
+    P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n")
+    F, G = _dup_pair(P, group_model(P, 1000), 0)
+    out = certify_chain_equivalence(F, G)
+    assert (out.kind, out.solver_calls) == ("unknown", 602)
 
 
 def test_acx_round_trip_finite():

@@ -12,7 +12,9 @@ from d2kit.intlinalg import (
     _columns,
     _echelon,
     _hermite,
+    _masks2,
     _matrix,
+    _rank2,
     _saturated,
     _span,
     _unit_pivots,
@@ -368,6 +370,26 @@ def test_rank_mod_p_matches_gaussian_elimination():
         for _ in range(80):
             A = random_matrix(rng, max_dim=6, lo=-2 * p, hi=2 * p)
             assert rank_over_field(A, p) == rank_mod_p(A, p), (A, p)
+
+
+def test_rank2_matches_rank_over_f2():
+    # XOR elimination on column bitmasks against the Smith form count, on
+    # seeded matrices with zero and repeated columns and on empty shapes
+    rng = random.Random(23)
+    inputs = [IntMatrix.zeros(rows, cols) for rows, cols in ((0, 0), (0, 3), (3, 0), (3, 4))]
+    for _ in range(200):
+        A = random_matrix(rng, max_dim=9, lo=-4, hi=4)
+        cols = [A.column(j) for j in range(A.cols)]
+        cols += [rng.choice(cols) for _ in range(rng.randint(0, 3))]
+        cols += [(0,) * A.rows] * rng.randint(0, 2)
+        rng.shuffle(cols)
+        inputs.append(columns_matrix(cols, A.rows))
+    inputs += [IntMatrix(70, 3, [rng.randrange(-3, 4) for _ in range(210)])]
+    for A in inputs:
+        masks = _masks2(_columns(A))
+        assert len(masks) == A.cols
+        assert _rank2(masks) == rank_over_field(A, 2), A
+    assert {rank_over_field(A, 2) < min(A.rows, A.cols) for A in inputs} == {False, True}
 
 
 def test_rank_equals_snf_nonzero_count():
