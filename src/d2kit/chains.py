@@ -31,7 +31,10 @@ from .groupring import (
     GroupRingMatrix,
     ModelMismatch,
     _composed_columns,
+    _composed_masks2,
     _expanded_columns,
+    _odd_support,
+    _translates2,
     gr_integer_system,
     solve_gr_system,
 )
@@ -497,30 +500,41 @@ def _phi2_candidates(phi2, K_src, K_tgt, budget):
     dimension r (Newman, Integral Matrices, ch. II), and an image that
     spans L has F_2 rank r; a candidate of another F_2 rank is not yielded,
     and only the caller's Hermite comparison accepts. Mod 2 an image is the
-    XOR of the bitmasks (`intlinalg._masks2`) of phi2 o K_src and of each
-    v o (row c of K_src), each composed once per orientation; signs do not
-    change it, so one `intlinalg._rank2` serves every sign choice of a
-    single or a pair. Singles keep only their masks: a yielded candidate's
-    integer image is composed again."""
+    XOR of the bitmasks of phi2 o K_src (`intlinalg._masks2`) and of each
+    v o (row c of K_src); signs do not change it, so one `intlinalg._rank2`
+    serves every sign choice of a single or a pair. A single's masks come
+    from the translates of column j of K_tgt, built when j is first reached
+    (`groupring._composed_masks2`), with no integer product. Row c of K_src
+    and column v of K_tgt are sliced, and a single's integer image
+    composed, only for a yielded candidate that names them."""
     s2, t2, r = K_src.rows, K_tgt.rows, K_tgt.cols
     base = _composed_columns(phi2, K_src)
     base2 = _masks2(base)
-    rows = [K_src.submatrix((c,), range(K_src.cols)) for c in range(s2)]
+    rows, targets, translates = {}, {}, []
+
+    def named(c, j):
+        if c not in rows:
+            rows[c] = K_src.submatrix((c,), range(K_src.cols))
+        if j not in targets:
+            targets[j] = K_tgt.submatrix(range(t2), (j,))
+        return c, targets[j]
+
     if _rank2(base2) == r:
         yield (), _merged(base, rows, ())
-    targets = [K_tgt.submatrix(range(t2), (j,)) for j in range(r)]
     singles = []
     for c in range(s2):
-        for v in targets:
-            w = (c, v)
-            masks = _masks2(_composed_columns(v, rows[c]))
-            singles.append((w, masks))
+        support = _odd_support(K_src, c)
+        for j in range(r):
+            if j == len(translates):
+                translates.append(_translates2(K_tgt, j))
+            masks = _composed_masks2(translates[j], support)
+            singles.append(((c, j), masks))
             full = _rank2([x ^ y for x, y in zip(base2, masks)]) == r
             for sign in (1, -1):
                 if not budget.spend():
                     return
                 if full:
-                    corrections = ((sign, w),)
+                    corrections = ((sign, named(c, j)),)
                     yield corrections, _merged(base, rows, corrections)
     for a, (wa, ma) in enumerate(singles):
         base_a = [x ^ y for x, y in zip(base2, ma)]
@@ -531,7 +545,7 @@ def _phi2_candidates(phi2, K_src, K_tgt, budget):
                     if not budget.spend():
                         return
                     if full:
-                        corrections = ((sa, wa), (sb, wb))
+                        corrections = ((sa, named(*wa)), (sb, named(*wb)))
                         yield corrections, _merged(base, rows, corrections)
 
 
@@ -598,8 +612,9 @@ def _attempt_orientation(src, tgt, K_src, K_tgt, goal, budget):
 
     `_phi2_candidates` yields only the candidates whose image has rank
     K_tgt.cols over F_2, which every image that spans pi_2 has, so that
-    test only rejects; a yielded candidate's integer image is composed
-    again. Only the Hermite comparison accepts: it reduces the sparse
+    test only rejects; only a yielded candidate has an integer image,
+    the base columns plus its one or two composed corrections. Only the
+    Hermite comparison accepts: it reduces the sparse
     image columns in place with `intlinalg._echelon`, whose pivot columns
     are the Hermite normal form of the lattice they span, and compares them
     with goal. The Hermite form is unique, so this is the same decision as

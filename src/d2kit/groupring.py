@@ -27,7 +27,9 @@ expand(M o N) = expand(M) * expand(N), and expand(identity) = identity.
 `_action_terms` is the one place that knows that action. `_expanded_columns`
 (the expansion) and `_composed_columns` (vec of a product, with no
 expansion) write it into sparse {row: value} columns; `regular_rep_expand`
-and `compose` are their dense forms. Solving A o X = B or X o A = B over ZG
+and `compose` are their dense forms. `_translates2` writes it into bitmasks
+mod 2, from which `_composed_masks2` reads a column times a row mod 2
+with no integer product. Solving A o X = B or X o A = B over ZG
 is the integer system that `_gr_system` assembles; its unknowns are the ZG
 coefficients of X, so equivariance is built in.
 """
@@ -350,6 +352,45 @@ def _composed_columns(A, B):
                 col = C[k]
                 col[row] = col.get(row, 0) + a * b
     return [{i: x for i, x in col.items() if x} for col in C]
+
+
+def _translates2(M, j):
+    """Column j of M mod 2 moved by each x in G: |G| int bitmasks, the one
+    for x with bit i*|G| + x*t set for each odd coefficient of element t
+    in M_ij. Within one entry distinct t give distinct x*t, so no bit is
+    set twice."""
+    n = M.model.order
+    T = [0] * n
+    for i, _, a, perm in _action_terms(M, False, (j,)):
+        if a & 1:
+            base = i * n
+            T = [m | 1 << (base + y) for m, y in zip(T, perm)]
+    return T
+
+
+def _odd_support(B, c):
+    """Row c of B mod 2: for each column k, the elements x whose
+    coefficient in B_ck is odd."""
+    n, p = B.model.order, B.cols
+    row = B.vec.data[c * n * p:(c + 1) * n * p]
+    return [tuple(compress(range(n), [b & 1 for b in row[k::p]]))
+            for k in range(p)]
+
+
+def _composed_masks2(T, support):
+    """`intlinalg._masks2(_composed_columns(v, row))` for a column v with
+    translates T = `_translates2(v, 0)` and a row with odd elements
+    `_odd_support(row, 0)`. Term by term that product adds a * b at row
+    i*|G| + x*t of column k for b the coefficient of x in row_k; mod 2
+    the cell is the XOR of the odd products, so column k is the XOR of
+    T[x] over the x with b odd."""
+    masks = []
+    for xs in support:
+        m = 0
+        for x in xs:
+            m ^= T[x]
+        masks.append(m)
+    return masks
 
 
 def _transpose_grid(M):

@@ -957,6 +957,53 @@ def test_phi2_candidates_build_no_matrix_per_correction(monkeypatch):
                 assert (v.rows, v.cols) == (tgt.ranks[2], 1)
 
 
+@pytest.mark.parametrize("P, model", [(Z5P, Z5M), (S3P, S3M)], ids=["z5", "s3"])
+def test_phi2_candidates_compose_and_slice_only_yielded_corrections(P, model, monkeypatch):
+    # a single correction is tested from bitmasks: the base image is
+    # composed once, each yielded correction once more, and a row of K_src
+    # or a column of K_tgt is sliced only when a yielded candidate names it
+    from d2kit import chains
+
+    F, G = _dup_pair(P, model, 0)
+    real_compose, real_slice = chains._composed_columns, GroupRingMatrix.submatrix
+    yielded = []
+    for src, tgt in ((F, G), (G, F)):
+        budget = _Budget(100)
+        phi = _lift_chain_map(src, tgt, budget)
+        K_src, K_tgt = _pi2(src)[0], _pi2(tgt)[0]
+        composed, sliced = [], []
+
+        def composing(A, B):
+            composed.append(1)
+            return real_compose(A, B)
+
+        def slicing(self, row_indices, col_indices):
+            row_indices, col_indices = tuple(row_indices), tuple(col_indices)
+            if self is K_src and col_indices == tuple(range(K_src.cols)):
+                sliced.append(("row", row_indices))
+            elif self is K_tgt and row_indices == tuple(range(K_tgt.rows)):
+                sliced.append(("column", col_indices))
+            else:
+                sliced.append(("other", row_indices, col_indices))
+            return real_slice(self, row_indices, col_indices)
+
+        monkeypatch.setattr(chains, "_composed_columns", composing)
+        monkeypatch.setattr(GroupRingMatrix, "submatrix", slicing)
+        got = list(_phi2_candidates(phi[2], K_src, K_tgt, budget))
+        monkeypatch.undo()
+        assert budget.used == 101
+        named = [w for corrections, _ in got for _, w in corrections]
+        assert len(composed) == 1 + len(named)
+        columns = [K_tgt.vec.column(j) for j in range(K_tgt.cols)]
+        rows = {("row", (c,)) for c, _ in named}
+        targets = {("column", (columns.index(v.vec.column(0)),)) for _, v in named}
+        assert sorted(sliced) == sorted(rows | targets)
+        # not every row and column the budget reaches
+        assert len(sliced) < K_src.rows + K_tgt.cols
+        yielded.append(len(named))
+    assert yielded[0] + yielded[1] > 0
+
+
 # sha256 over (kind, solver_calls, vec data of the ten certificate maps) of
 # certify_chain_equivalence on _dup_pair for every duplicated relator, in
 # both argument orders
@@ -1015,7 +1062,27 @@ def test_certification_hermite_tests_only_f2_survivors(monkeypatch):
                      ("certificate", 178, 1)]
 
 
-@pytest.mark.slow
+# sha256 of repr([m.vec.data for m in the ten maps]) for A5 wedge S^2
+# against A5 with relator dup listed twice, at budget 3000, recorded before
+# single corrections were tested from bitmasks
+A5_DUP_CERTIFICATES = {
+    0: (1078, "75ebfed6803f58119fd308147db9f755583c9b7a071ad1f8e1bcf973cf93204a"),
+    1: (1140, "48e3a693ee2266a112d59606f3604beb0daedc8963a6b2cba37ba635575ea054"),
+    2: (1220, "13ad48b1381e5a2653bb8776e6342e99ed1bedc470ab17f44a7013769cc16317"),
+}
+
+
+@pytest.mark.parametrize("dup", sorted(A5_DUP_CERTIFICATES))
+def test_a5_duplicate_pairs_certify_at_budget_3000(dup):
+    # unknown at the default 600 units; every unit goes to single corrections
+    F, G = _dup_pair(A5P, group_model(A5P, 1000), dup)
+    out = certify_chain_equivalence(F, G, budget=3000)
+    cert = out.certificate
+    maps = cert.forward + cert.backward + cert.homotopies_gf + cert.homotopies_fg
+    digest = hashlib.sha256(repr([m.vec.data for m in maps]).encode()).hexdigest()
+    assert (out.kind, out.solver_calls, digest) == ("certificate",) + A5_DUP_CERTIFICATES[dup]
+
+
 def test_psl27_duplicate_pair_stays_unknown():
     # the forward search runs out at unit 601 and the reverse lift's first
     # spend fails at 602; no candidate the budget reaches maps pi_2 onto pi_2

@@ -8,20 +8,31 @@ from d2kit.groupring import (
     GroupRingMatrix,
     ModelMismatch,
     _composed_columns,
+    _composed_masks2,
     _expanded_columns,
+    _odd_support,
+    _translates2,
     _transpose_grid,
     gr_integer_system,
     regular_rep_expand,
     solve_gr_system,
 )
-from d2kit.intlinalg import DimensionMismatch, IntMatrix, _columns, solve_integer_system
-from d2kit.presentations import parse_presentation
+from d2kit.intlinalg import (
+    DimensionMismatch,
+    IntMatrix,
+    _columns,
+    _masks2,
+    solve_integer_system,
+)
+from d2kit.presentations import Presentation, parse_presentation
+from d2kit.words import Word
 
 Z2 = group_model(parse_presentation("gens: x\nrels: x^2\n"), 100)
 Z5 = group_model(parse_presentation("gens: x\nrels: x^5\n"), 100)
 S3 = group_model(parse_presentation("gens: a b\nrels: a^2 b^2 (a b)^3\n"), 1000)
 Q8 = group_model(parse_presentation("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n"), 1000)
 A5 = group_model(parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^5\n"), 1000)
+D5 = group_model(parse_presentation("gens: a b\nrels: a^2 b^2 (a b)^5\n"), 1000)
 
 
 def elem(model, *pairs):
@@ -197,6 +208,60 @@ def test_composed_columns_match_the_expanded_product():
             assert _composed_columns(A2, B2)[:c] == [{}] * c
             nonzero += not A.compose(B).is_zero()
     assert nonzero > 12
+
+
+def test_composed_masks_match_the_reduced_product():
+    # coefficients negative, even and zero, entries with only even
+    # coefficients, zero entries and rows with no columns
+    rng = random.Random(20261021)
+    odd = 0
+    for model in (S3, Q8, D5):
+        def entry():
+            kind = rng.choice(("zero", "even", "mixed", "mixed"))
+            if kind == "zero":
+                return GroupRingElement.zero(model)
+            pool = (-4, -2, 2, 6) if kind == "even" else (-3, -2, -1, 0, 1, 2, 5)
+            return GroupRingElement(model, [rng.choice(pool) if rng.random() < 0.4
+                                            else 0 for _ in range(model.order)])
+
+        for _ in range(40):
+            t, k = rng.randint(1, 4), rng.randint(0, 4)
+            v = GroupRingMatrix(model, t, 1, [entry() for _ in range(t)])
+            row = GroupRingMatrix(model, 1, k, [entry() for _ in range(k)])
+            masks = _composed_masks2(_translates2(v, 0), _odd_support(row, 0))
+            assert masks == _masks2(_composed_columns(v, row))
+            odd += any(masks)
+    assert odd > 40
+
+
+def test_composed_masks_on_duplicate_pair_kernels():
+    # every (row c of K_src, column j of K_tgt) of the certify-pairs inputs
+    # of perfbench seed 0 (Q8 with its relators rotated by 3 and 1 letters,
+    # S3 and D5 as given), in both orientations
+    from d2kit.chains import _pi2, presentation_complex, stabilize_wedge
+
+    pairs = 0
+    for text, model, rotations, dup in (
+            ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", Q8, (3, 1), 1),
+            ("gens: a b\nrels: a^2 b^2 (a b)^3\n", S3, (0, 0, 0), 1),
+            ("gens: a b\nrels: a^2 b^2 (a b)^5\n", D5, (0, 0, 0), 0)):
+        P = parse_presentation(text)
+        rels = tuple(Word(r.letters[k:] + r.letters[:k])
+                     for r, k in zip(P.relators, rotations))
+        F = stabilize_wedge(presentation_complex(Presentation(P.generators, rels), model), 1)
+        G = presentation_complex(Presentation(P.generators, rels + (rels[dup],)), model)
+        K_F, K_G = _pi2(F)[0], _pi2(G)[0]
+        for K_src, K_tgt in ((K_F, K_G), (K_G, K_F)):
+            for j in range(K_tgt.cols):
+                T = _translates2(K_tgt, j)
+                v = K_tgt.submatrix(range(K_tgt.rows), (j,))
+                assert T == _translates2(v, 0)
+                for c in range(K_src.rows):
+                    row = K_src.submatrix((c,), range(K_src.cols))
+                    assert _composed_masks2(T, _odd_support(K_src, c)) == \
+                        _masks2(_composed_columns(v, row))
+                    pairs += 1
+    assert pairs > 400
 
 
 def test_solve_gr_system_returns_the_dense_assembly_solution():
