@@ -242,11 +242,17 @@ def _neighbour(gens, rels, i, r, memo, flip, index):
     of them. So a pass over the neighbour keeps every other relator, except
     one equivalent to r after it, and finds a generator to eliminate only
     in r. Only relators of r's length can be equivalent to it, so the
-    duplicate test walks their bucket alone."""
+    duplicate test walks their bucket alone.
+
+    Returns (c, None) when the neighbour is *plain*: r's cyclic core c is
+    nonempty, equivalent to no other relator and holds no generator once.
+    Then the neighbour is rels with relator i replaced by c, of the node's
+    generators and relator count, and is left to the caller to build.
+    Otherwise returns (None, neighbour)."""
     if r and r[0] == flip[ord(r[-1])]:
         r = cyclic_core(r, flip)
     if not r:
-        return gens, rels[:i] + rels[i + 1:]
+        return None, (gens, rels[:i] + rels[i + 1:])
     info = memo.get(r)
     if info is None:
         info = memo[r] = (r + r, inverse(r, flip), _single_generators(r, flip))
@@ -256,13 +262,12 @@ def _neighbour(gens, rels, i, r, memo, flip, index):
             # the first relator of a class is kept; r, like relator k,
             # has no generator occurring once
             if k < i:
-                return gens, rels[:i] + rels[i + 1:]
-            return gens, rels[:i] + (r,) + rels[i + 1:k] + rels[k + 1:]
-    rels = rels[:i] + (r,) + rels[i + 1:]
+                return None, (gens, rels[:i] + rels[i + 1:])
+            return None, (gens, rels[:i] + (r,) + rels[i + 1:k] + rels[k + 1:])
     if not ones:
-        return gens, rels
-    return _simplify(*_eliminate_generator(gens, rels, min(ones), i, flip),
-                     memo, flip)
+        return r, None
+    return None, _simplify(*_eliminate_generator(
+        gens, rels[:i] + (r,) + rels[i + 1:], min(ones), i, flip), memo, flip)
 
 
 def simplify(P):
@@ -295,25 +300,67 @@ def _chunk(gens, r, chunks):
     return chunk
 
 
+def _settling(gens, r, other, chunks):
+    """Relator r's chunk, or its lead (`_chunk_lead`, a prefix of it) when
+    that alone orders it against the chunk `other`: when `other` does not
+    start with the lead, either the two differ inside the lead or `other`
+    is a proper prefix of it, and in both cases the lead orders against
+    `other` as the whole chunk does. So the result equals `other` exactly
+    when r's chunk does. A chunk not yet cached is formatted only when its
+    lead does not settle it."""
+    chunk = chunks.get((gens, r))
+    if chunk is None:
+        lead = _chunk_lead(r, gens)
+        if not other.startswith(lead):
+            return lead
+        chunk = _chunk(gens, r, chunks)
+    return chunk
+
+
 def _precedes(gens, rels, key, chunks):
     """Whether `_node_key(gens, rels, chunks) < key`, formatting chunks only
-    up to the first one that differs from key's. A chunk not yet cached is
-    first compared by its lead (`_chunk_lead`), a prefix of it: when key's
-    chunk does not start with the lead, either the two differ inside the
-    lead or key's chunk is a proper prefix of it, and in both cases the
-    lead orders against key's chunk as the whole chunk does."""
+    up to the first one that differs from key's, and that one only when its
+    lead does not settle it (`_settling`)."""
     if gens != key[0]:
         return gens < key[0]
     for r, other in zip(rels, key[1]):
-        chunk = chunks.get((gens, r))
-        if chunk is None:
-            lead = _chunk_lead(r, gens)
-            if not other.startswith(lead):
-                return lead < other
-            chunk = _chunk(gens, r, chunks)
-        if chunk != other:
-            return chunk < other
+        text = _settling(gens, r, other, chunks)
+        if text != other:
+            return text < other
     return len(rels) < len(key[1])
+
+
+def _first_difference(gens, rels, key, chunks):
+    """The first chunk index at which the node (gens, rels) differs from
+    `key`: -1 when their generator names or relator counts differ, and
+    len(rels) when the node's key is `key`. Chunks are compared as in
+    `_precedes`."""
+    if gens != key[0] or len(rels) != len(key[1]):
+        return -1
+    for m, (r, other) in enumerate(zip(rels, key[1])):
+        if _settling(gens, r, other, chunks) != other:
+            return m
+    return len(rels)
+
+
+def _plain_precedes(gens, rels, i, r, p, key, chunks):
+    """Whether the plain neighbour of the node (gens, rels) that has relator
+    i replaced by r precedes the best, of key `key`, in the search's order:
+    higher deficiency first, then `_node_key`. The node must not precede
+    the best, and p is its `_first_difference` with `key`. The neighbour
+    keeps the node's names and relator count, so it loses when p = -1: the
+    node has a lower deficiency, or the best's and later names. Otherwise
+    the node has the best's chunks before p and a later one at p, unless
+    p = len(rels). So the neighbour loses when p < i, and else its chunk i
+    settles it against the best's, except when the two are equal at p == i:
+    then the node's chunks after i decide (`_precedes`)."""
+    if p < i:
+        return False
+    other = key[1][i]
+    text = _settling(gens, r, other, chunks)
+    if text != other:
+        return text < other
+    return p == i and _precedes(gens, rels[:i] + (r,) + rels[i + 1:], key, chunks)
 
 
 @dataclass(frozen=True)
@@ -345,11 +392,9 @@ def deficiency_search(P, budget):
     only the first `budget` nodes it enqueues, so `seen` and the queue take
     at most `budget` nodes, and every node stored is popped. A neighbour
     not in `seen` once it is full is still compared with the best, and it
-    sets `exhausted`: it would be node budget + 1. A neighbour met again
-    after that cannot replace the best, as it was compared when first met
-    and a tie must strictly precede the best. `visited` is the number of
-    nodes popped, min(budget, nodes reached). A node of k relators builds
-    2k(k - 1) neighbours, so a search builds about budget * 2k^2.
+    sets `exhausted`: it would be node budget + 1. `visited` is the number
+    of nodes popped, min(budget, nodes reached). A node of k relators
+    builds 2k(k - 1) neighbours, so a search builds about budget * 2k^2.
 
     Among the nodes of highest deficiency, the one with the least
     serialized text (`serialize_presentation`) is returned. The best is
@@ -359,7 +404,16 @@ def deficiency_search(P, budget):
     no chunk past it. A chunk whose leading syllable already settles the
     comparison is not formatted at all; most ties end there. Chunks are
     cached for the search, no text is joined, and only the returned best
-    is made into a `Presentation`, after the search."""
+    is made into a `Presentation`, after the search.
+
+    Once `exhausted` is set, `seen` is full and a neighbour can only
+    replace the best. One met before cannot: it was compared with the best
+    when first met, the best only gets better, and a tie must strictly
+    precede it. So `seen` is no longer read, and a plain neighbour
+    (`_neighbour`) is settled without being built (`_plain_precedes`), from
+    its node's first difference with the best, found once per node and
+    again after each change of the best. Only one that replaces the best
+    is built."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     rels, flip = _relator_texts(P)  # one table serves the whole search
@@ -378,25 +432,36 @@ def deficiency_search(P, budget):
         visited += 1
         index = _length_index(rels, memo)  # every node relator is in memo
         factors = [(w, memo[w][1]) for w in rels]
+        p = None  # the node's `_first_difference` with the best, once needed
         for i, (w, w_inv) in enumerate(factors):
             for j, pair in enumerate(factors):
                 if i == j:
                     continue
                 for f in pair:
-                    node = _neighbour(gens, rels, i, product(w, w_inv, f),
-                                      memo, flip, index)
-                    if node in seen:
-                        continue
-                    if len(seen) < budget:
-                        seen.add(node)
-                        queue.append(node)
-                    else:
-                        exhausted = True
+                    r, node = _neighbour(gens, rels, i, product(w, w_inv, f),
+                                         memo, flip, index)
+                    if node is None:
+                        if exhausted:
+                            if p is None:
+                                p = _first_difference(gens, rels, best_key, chunks)
+                            if not _plain_precedes(gens, rels, i, r, p,
+                                                   best_key, chunks):
+                                continue
+                        node = gens, rels[:i] + (r,) + rels[i + 1:]
+                    if not exhausted:
+                        if node in seen:
+                            continue
+                        if len(seen) < budget:
+                            seen.add(node)
+                            queue.append(node)
+                        else:
+                            exhausted = True
                     d = len(node[0]) - len(node[1])
                     if d > best_deficiency or (
                             d == best_deficiency and _precedes(*node, best_key, chunks)):
                         best_node, best_deficiency = node, d
                         best_key = _node_key(*node, chunks)
+                        p = None
     return SearchResult(_presentation(*best_node), best_deficiency, exhausted, visited)
 
 

@@ -23,11 +23,14 @@ from d2kit.presentations import (
     serialize_presentation,
 )
 from d2kit.tietze import (
+    _chunk,
     _eliminate_generator,
+    _first_difference,
     _is_duplicate,
     _length_index,
     _neighbour,
     _node_key,
+    _plain_precedes,
     _precedes,
     _presentation,
     _simplify,
@@ -446,11 +449,13 @@ def test_simplify_matches_reference_on_random_presentations():
 
 
 def test_neighbour_matches_simplify_of_the_raw_neighbour():
-    # `_neighbour(gens, rels, i, r)` against `_simplify` of rels with relator
-    # i replaced by r, on seeded `_simplify` nodes: every r = r_i r_j^s the
-    # search makes, and for each i the empty word (no product of two
-    # inequivalent relators is empty), a conjugate of a rotation of each
-    # other relator or of its inverse, and a random word
+    # `_neighbour(gens, rels, i, r)`, with a plain neighbour built from its
+    # core, against `_simplify` of rels with relator i replaced by r, on
+    # seeded `_simplify` nodes: every r = r_i r_j^s the search makes, and
+    # for each i the empty word (no product of two inequivalent relators is
+    # empty), a conjugate of a rotation of each other relator or of its
+    # inverse, and a random word. A neighbour is plain exactly when its
+    # relator is kept as it is
     rng = random.Random(24)
     kinds = Counter()
     for _ in range(1500):
@@ -473,19 +478,25 @@ def test_neighbour_matches_simplify_of_the_raw_neighbour():
                 rng, range(len(gens)), rng.randint(1, 8))), flip))
             for r in words:
                 raw = rels[:i] + (r,) + rels[i + 1:]
-                assert _neighbour(gens, rels, i, r, memo, flip, index) == _simplify(
-                    gens, raw, {}, flip), (gens, raw)
+                core, node = _neighbour(gens, rels, i, r, memo, flip, index)
+                if node is None:
+                    node = gens, rels[:i] + (core,) + rels[i + 1:]
+                assert node == _simplify(gens, raw, {}, flip), (gens, raw)
+                plain = core is not None
                 core = cyclic_core(r, flip)
                 same = [k for k, v in enumerate(rels) if k != i and _is_duplicate(
                     core, inverse(core, flip), [v + v])]
                 if not core:
-                    kinds["empty"] += 1
+                    kind = "empty"
                 elif same:
-                    kinds["earlier" if same[0] < i else "later"] += 1
+                    kind = "earlier" if same[0] < i else "later"
                 elif _single_generators(core, flip):
-                    kinds["eliminates"] += 1
+                    kind = "eliminates"
                 else:
-                    kinds["kept"] += 1
+                    kind = "kept"
+                kinds[kind] += 1
+                # only a kept relator leaves the neighbour plain
+                assert plain == (kind == "kept"), (gens, raw)
     assert min(kinds[k] for k in ("empty", "earlier", "later", "eliminates",
                                   "kept")) > 100, kinds
 
@@ -721,7 +732,10 @@ def test_deficiency_search_long_relator_is_linear():
 # throughout, so their codes cross chr(10) and are renumbered; it was
 # recorded with the search on letter tuples. prefix-names, whose generator a
 # is a prefix of ab, ties on more than 10 000 nodes; it was recorded with the
-# tie-break on the whole serialized text.
+# tie-break on the whole serialized text. The three tie rows are corpus-report
+# variants of a5 and q8, recorded with the search as it was before a neighbour
+# met once `seen` is full was settled from its node's first difference with
+# the best.
 SEARCH_VARIANTS = {
     "a5-rotated": "gens: a b\nrels: (b a)^5 b^-3 a^2\n",
     "a5-swapped": "gens: b a\nrels: b^3 a^2 (a b)^5\n",
@@ -736,6 +750,10 @@ SEARCH_VARIANTS = {
     "cycle-7": "gens: a b c d e f g\nrels: (a^2 b^3) (b^-2 c^3) (c^-2 d^3) "
                "(d^-2 e^3) (e^-2 f^3) (f^-2 g^3) (g^-2 a^3)\n",
     "prefix-names": "gens: a ab b\nrels: a^2 ab^2 b^3 (a ab b)^2\n",
+    "a5-tie-1": "gens: a b\nrels: b^-3 (b a b a b a b a b a) a^-2\n",
+    "q8-tie": "gens: a b\nrels: (a^-2 b^2) (a b^-1 a b)\n",
+    "a5-tie-2": "gens: a b\nrels: b^3 a^2 "
+                "(a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1 a^-1 b^-1)\n",
 }
 SEARCH_GOLDEN = [
     ("a5", 600, "8fc511c3bd2f2b95", -1, 600, True),
@@ -761,6 +779,11 @@ SEARCH_GOLDEN = [
     ("a5-variant-3", 600, "02ed67820aaf97fb", -1, 600, True),
     ("cycle-7", 300, "c1ea25ad3b68aa0c", 0, 300, True),
     ("prefix-names", 600, "488715a46fb28f64", -1, 600, True),
+    # searches in which a neighbour whose new chunk equals the best's at
+    # the node's first difference with the best still precedes the best
+    ("a5-tie-1", 600, "eb1ce3932b2cb90f", -1, 600, True),
+    ("q8-tie", 600, "2889ef364a7bbdd1", 0, 600, True),
+    ("a5-tie-2", 600, "da9b73c62d9fbaa1", -1, 600, True),
 ]
 
 
@@ -873,11 +896,74 @@ def test_precedes_agrees_with_node_key():
     assert settled > 5000 and unsettled > 500
 
 
+def test_plain_precedes_agrees_with_node_key():
+    # the search's rule for a plain neighbour once `seen` is full, from the
+    # node's first difference p with the best, against the whole-key order
+    # (higher deficiency first, then `_node_key`), through one warm cache
+    # and through a fresh one. The nodes are `_key_test_nodes`; the bests
+    # are the node itself, nodes made from it by replacing one or two of
+    # its relators, and other nodes, each kept only if the node does not
+    # precede it, as in the search; the neighbours replace one relator by a
+    # node relator, by a seeded word or by a word that some best holds
+    rng = random.Random(36)
+    nodes = [node for node in _key_test_nodes() if node[1]]
+    chunks = {}
+    cases = Counter()
+    for gens, rels in nodes:
+        flip = flip_table(2 * len(gens))
+        n = len(rels)
+        key = _node_key(gens, rels, chunks)
+        words = list(rels)
+        while len(words) < n + 3:
+            w = cyclic_core(free_reduce(encode(_random_letters(
+                rng, range(len(gens)), rng.randint(1, 6))), flip), flip)
+            if w:
+                words.append(w)
+        bests = [(gens, rels)] + rng.sample(nodes, 3)
+        for _ in range(6):
+            m, m2 = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+            new = list(rels)
+            new[m], new[m2] = rng.choice(words), rng.choice(words)
+            bests.append((gens, tuple(new)))
+        words += [r for _, best_rels in bests[4:] for r in best_rels]
+        for best in bests:
+            best_key = _node_key(*best, chunks)
+            d_best = len(best[0]) - len(best[1])
+            if n - len(gens) > -d_best or (
+                    n - len(gens) == -d_best and key < best_key):
+                continue  # the node precedes this best
+            p = _first_difference(gens, rels, best_key, chunks)
+            assert p == _first_difference(gens, rels, best_key, {})
+            for i in range(n):
+                for r in words:
+                    nb = rels[:i] + (r,) + rels[i + 1:]
+                    expected = len(gens) - n == d_best and _node_key(
+                        gens, nb, chunks) < best_key
+                    got = _plain_precedes(gens, rels, i, r, p, best_key, chunks)
+                    assert got == expected, (gens, rels, i, r, best)
+                    fresh = {}
+                    assert _plain_precedes(gens, rels, i, r, _first_difference(
+                        gens, rels, best_key, fresh), best_key, fresh) == expected
+                    if p < 0:
+                        kind = "names" if gens != best[0] else "count"
+                    elif p < i:
+                        kind = "before"
+                    elif p == i and _chunk(gens, r, chunks) == best_key[1][i]:
+                        kind = "tie, wins" if expected else "tie, loses"
+                    else:
+                        kind = "at" if p == i else "after" if p < n else "equal"
+                    cases[kind] += 1
+    assert min(cases[kind] for kind in (
+        "names", "count", "before", "tie, wins", "tie, loses", "at", "after",
+        "equal")) > 100, cases
+
+
 def test_deficiency_search_builds_one_presentation(monkeypatch):
     built, serialized, ties, formatted = [], [], [], []
     post_init = Presentation.__post_init__
     serialize = presentations.serialize_presentation
     precedes = tietze._precedes
+    plain_precedes = tietze._plain_precedes
     relator_chunk = tietze._relator_chunk
 
     def counting_post_init(self):
@@ -892,6 +978,11 @@ def test_deficiency_search_builds_one_presentation(monkeypatch):
         ties.append(args)
         return precedes(*args)
 
+    def counting_plain_precedes(gens, rels, i, r, p, key, chunks):
+        if p >= 0:  # the node has the best's names and deficiency
+            ties.append((gens, rels, i, r))
+        return plain_precedes(gens, rels, i, r, p, key, chunks)
+
     def counting_relator_chunk(*args):
         formatted.append(args)
         return relator_chunk(*args)
@@ -901,10 +992,13 @@ def test_deficiency_search_builds_one_presentation(monkeypatch):
     monkeypatch.setattr(tietze, "serialize_presentation", counting_serialize,
                         raising=False)
     monkeypatch.setattr(tietze, "_precedes", counting_precedes)
+    monkeypatch.setattr(tietze, "_plain_precedes", counting_plain_precedes)
     monkeypatch.setattr(tietze, "_relator_chunk", counting_relator_chunk)
     res = deficiency_search(A5, budget=600)
     assert res.visited == 600
-    assert len(ties) > 1000  # the tie-break ran on many nodes
+    # the tie-break ran on many nodes: 609 `_precedes` calls, and 6459 ties
+    # met once `seen` is full and settled by the first-difference rule
+    assert len(ties) > 5000
     # formatting every chunk of each tied node took 1653 chunks, and
     # formatting each tied chunk up to the first that differs 627
     assert len(formatted) < 220
@@ -982,12 +1076,16 @@ def test_bounded_search_exhausted_at_the_budget_edge(monkeypatch, letters, nodes
     # a neighbour of more relator letters than `letters` is mapped back to
     # its parent, which the search has seen: the graph is finite, of `nodes`
     # nodes. At that budget every node is popped and the search is not
-    # exhausted; one below, the last node is met once `seen` is full
+    # exhausted; one below, the last node is met once `seen` is full. The
+    # hook is `_neighbour`, which classifies every neighbour, also the
+    # plain ones the search settles without building once `seen` is full;
+    # the parent is the plain neighbour that keeps relator i
     neighbour = tietze._neighbour
 
-    def within(gens, rels, *args):
-        node = neighbour(gens, rels, *args)
-        return node if sum(map(len, node[1])) <= letters else (gens, rels)
+    def within(gens, rels, i, *args):
+        r, node = neighbour(gens, rels, i, *args)
+        new = rels[:i] + (r,) + rels[i + 1:] if node is None else node[1]
+        return (r, node) if sum(map(len, new)) <= letters else (rels[i], None)
 
     monkeypatch.setattr(tietze, "_neighbour", within)
     P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^3\n")
