@@ -7,8 +7,9 @@ Everything runs on arbitrary-precision Python integers; no floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice
 
 
 class DimensionMismatch(ValueError):
@@ -385,7 +386,9 @@ def _saturated(H):
     """Whether the Hermite basis H of r columns spans a saturated lattice
     (every Smith invariant 1), that is whether H^T maps onto Z^r: unit
     pivots say yes at once, else the Hermite basis of the rows of H, over
-    r rows, must have its r pivots (H's columns are independent) all 1."""
+    r rows, must have its r pivots (H's columns are independent) all 1.
+    Through `_span` it checks only the basis of what `_rank_span`'s unit
+    pass leaves; `chains.quotient_by_split_summand` calls it directly."""
     if _unit_pivots(H):
         return True
     rows = {}
@@ -404,7 +407,8 @@ def _span(C, m, bound, saturated=_saturated):
     so the later columns leave the basis as it is. `_saturated` checks the
     rows of a basis against Z^r with `_unit_pivots`, as a Hermite basis of
     Z^r is the identity. With `bound` None, all of C is eliminated and
-    `spans` is False."""
+    `spans` is False. `_rank_span` runs it on the columns its unit pass
+    leaves, where pivots other than 1 remain; `_hermite` reads its basis."""
     H = []
     for s in range(0, max(len(C), 1), HERMITE_CHUNK):
         H += [dict(col) for col in C[s:s + HERMITE_CHUNK]]
@@ -430,19 +434,86 @@ def _masks2(C):
     return [sum(1 << i for i, x in col.items() if x & 1) for col in C]
 
 
-def _rank2(masks):
-    """Rank over F_2 of the columns given as int bitmasks (`_masks2`): XOR
-    elimination that files each reduced column under its top bit."""
+def _independent2(masks):
+    """Yield the index of each int bitmask (`_masks2`) that is independent
+    over F_2 of the masks before it: XOR elimination that files each
+    reduced column under its top bit. It runs only as far as it is read."""
     pivots = {}
-    for x in masks:
+    for j, x in enumerate(masks):
         while x:
             top = x.bit_length() - 1
             p = pivots.get(top)
             if p is None:
                 pivots[top] = x
+                yield j
                 break
             x ^= p
-    return len(pivots)
+
+
+def _rank2(masks):
+    """Rank over F_2 of the columns given as int bitmasks (`_masks2`)."""
+    return len(list(_independent2(masks)))
+
+
+def _unit_pass(C, bound):
+    """Pivots of entry 1 from the sparse columns C, and what they leave:
+    (k, rest), with C unchanged. Each column is reduced by the pivots so
+    far, in the order they were made, which clears it in their rows; a
+    reduced column with an entry +-1 becomes a pivot, with its sign
+    normalized, on the row of such an entry that the fewest columns of C
+    meet (the lowest on ties), which keeps later reductions sparse. A
+    column with no such entry is set aside and tried again after any pass
+    that made a pivot. The k pivots are unitriangular on their rows, so
+    they span a direct summand P of Z^m. `rest` is None once there are
+    `bound` of them; else it is the nonzero columns set aside, all zero in
+    P's rows, when a pass makes no pivot."""
+    met = Counter(chain.from_iterable(C))  # row -> columns of C meeting it
+    pivots = []  # (pivot row, column)
+    todo = [(dict(col), 0) for col in C if col]  # (column, pivots applied)
+    while todo:
+        made = len(pivots)
+        left = []
+        for col, done in todo:
+            for r, p in pivots[done:]:
+                q = col.get(r)
+                if q:
+                    _sub_scaled(col, p, q)
+            if not col:
+                continue
+            units = [i for i, x in col.items() if x == 1 or x == -1]
+            if not units:
+                left.append((col, len(pivots)))
+                continue
+            r = min(units, key=lambda i: (met[i], i))
+            if col[r] < 0:
+                col = {i: -x for i, x in col.items()}
+            pivots.append((r, col))
+            if len(pivots) == bound:
+                return bound, None
+        if len(pivots) == made:
+            return made, [col for col, _ in left]
+        todo = left
+    return len(pivots), []
+
+
+def _rank_span(C, m, bound=None):
+    """(rank, spans) for the sparse columns C over m rows, as `len(H),
+    spans` from `_span(C, m, bound)`, with C unchanged. The columns that
+    are independent mod 2 go first into `_unit_pass`, as they are the
+    likeliest to keep an entry +-1. When its k pivots reach `bound`, the
+    columns span L: they span a direct summand of Z^m inside L of L's rank.
+    Otherwise what they leave goes to `_span` with bound - k, and the rank
+    is k plus its rank: Z^m is P + N, with N the vectors that are zero in
+    the pivot rows, and L = P + (L meet N) is spanned exactly when N's part
+    of it is. Every answer comes from exact integer arithmetic."""
+    first = list(islice(_independent2(_masks2(C)), bound))
+    chosen = set(first)
+    k, rest = _unit_pass([C[j] for j in first]
+                         + [col for j, col in enumerate(C) if j not in chosen], bound)
+    if rest is None:
+        return k, True
+    H, spans = _span(rest, m, None if bound is None else bound - k)
+    return k + len(H), spans
 
 
 def _is_prime(p):
@@ -457,10 +528,11 @@ def _is_prime(p):
 
 
 def rank_over_field(A, field):
-    """Rank over Q (field="Q") or F_p (field=p, p prime): over F_p, the
-    number of Smith invariant factors of A that p does not divide."""
+    """Rank over Q (field="Q") or F_p (field=p, p prime): over Q, that of
+    `_rank_span`; over F_p, the number of Smith invariant factors of A that
+    p does not divide."""
     if field == "Q":
-        return len(_hermite(_columns(A), A.rows))
+        return _rank_span(_columns(A), A.rows)[0]
     p = int(field)
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .chains import euler_characteristic
 from .coset import DEFAULT_MAX_COSETS, todd_coxeter
 from .groupring import _expanded_columns
-from .intlinalg import _hermite
+from .intlinalg import _rank_span
 from .presentations import abelianization, deficiency
 from .tietze import deficiency_search, subpresentation
 
@@ -213,7 +213,7 @@ def realization_check(F, sandwich, certified_finite=None):
     notes = []
     d2 = F.boundary(2)
     E2 = _expanded_columns(d2, False)
-    kernel_qdim = len(E2) - len(_hermite(E2, d2.rows * d2.model.order))
+    kernel_qdim = len(E2) - _rank_span(E2, d2.rows * d2.model.order)[0]
     if not F.finite_mode:
         notes.append("kernel dimension is the exponent-shadow value "
                      "(strictly weaker than the ZG statement)")

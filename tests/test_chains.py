@@ -560,6 +560,23 @@ def _record_saturation_checks(monkeypatch):
     return calls
 
 
+def _record_unit_passes(monkeypatch):
+    """Record (bound, pivots, columns left or None) of every
+    `intlinalg._unit_pass`; None when its pivots reach the bound."""
+    from d2kit import intlinalg
+
+    calls = []
+    real = intlinalg._unit_pass
+
+    def unit_pass(C, bound):
+        k, rest = real(C, bound)
+        calls.append((bound, k, None if rest is None else len(rest)))
+        return k, rest
+
+    monkeypatch.setattr(intlinalg, "_unit_pass", unit_pass)
+    return calls
+
+
 def _scrambled(F, seed):
     """F with F_1 rebased by a product E of three seeded elementary ZG
     operations (add ±g times basis element i to basis element j): d_1 becomes
@@ -582,42 +599,53 @@ def _scrambled(F, seed):
 def test_validate_complex_eliminates_d2_once(monkeypatch):
     calls = _record_echelons(monkeypatch)
     checks = _record_saturation_checks(monkeypatch)
+    units = _record_unit_passes(monkeypatch)
     F = presentation_complex(S3P, S3M)
     rep = validate_complex(F)
     assert rep.ok and rep.d2_rank_q == 7
-    # the Hermite forms of d_1 and d_2 (each under one chunk of columns);
-    # the Hermite basis of d_2 has 12 - 5 = rank of ker d_1 pivots, all 1,
-    # so it is ker d_1 and no saturation check runs
-    assert calls == [(6, 12), (12, 18)]
-    assert checks == []
-    # rebasing F_1 leaves a pivot that is not 1: the 7 columns of the basis
-    # are saturated when its 12 rows span Z^7, one elimination over 7 rows
-    calls.clear()
+    # the unit pass reaches the bound rank on d_1 (6 - 1) and on d_2
+    # (12 - 5 = rank of ker d_1) with pivots 1, which span a direct summand,
+    # so nothing is eliminated and no saturation check runs
+    assert units == [(5, 5, None), (7, 7, None)]
+    assert calls == [] and checks == []
+    # rebasing F_1 leaves 8 columns of d_1 with no entry +-1 after 4 pivots:
+    # one elimination of them over 6 rows finds the last pivot, which is 1;
+    # d_2 still reaches its bound in the unit pass
+    units.clear()
     assert validate_complex(_scrambled(F, 1)) == rep
-    assert calls == [(6, 12), (12, 18), (7, 12)]
-    assert checks == [(7, 12)]
+    assert units == [(5, 4, 8), (7, 7, None)]
+    assert calls == [(6, 8)]
+    assert checks == []
 
 
 # Scrambled complexes are exact with the reports of their presentation
-# complexes (recorded before validation built Hermite forms in chunks); most
-# of them need the saturation check of a basis with a pivot other than 1.
+# complexes (recorded before validation built Hermite forms in chunks). Over
+# the 40 seeds: the unit passes that leave a remainder, the eliminations of
+# remainders and of saturation checks, and the saturation checks of a
+# remainder basis with a pivot other than 1.
 _SCRAMBLE_GROUPS = [
-    ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 7, 11, 25),
-    ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 9, 7, 33),
-    ("gens: a b\nrels: a^2 b^3 (a b)^5\n", 61, 119, 46),
+    ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 7, 11, 8, 12, 4),
+    ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 9, 7, 26, 40, 14),
+    ("gens: a b\nrels: a^2 b^3 (a b)^5\n", 61, 119, 42, 62, 18),
 ]
 
 
-@pytest.mark.parametrize("text,rank,kernel_dim,fallbacks", _SCRAMBLE_GROUPS,
-                         ids=["s3", "q8", "a5"])
-def test_validate_scrambled_complexes(monkeypatch, text, rank, kernel_dim, fallbacks):
+@pytest.mark.parametrize("text,rank,kernel_dim,remainders,eliminations,fallbacks",
+                         _SCRAMBLE_GROUPS, ids=["s3", "q8", "a5"])
+def test_validate_scrambled_complexes(monkeypatch, text, rank, kernel_dim, remainders,
+                                      eliminations, fallbacks):
     P = parse_presentation(text)
     F = presentation_complex(P, group_model(P, 1000))
     expected = validate_complex(F)
     assert expected.ok and (expected.d2_rank_q, expected.ker_d2_qdim) == (rank, kernel_dim)
+    calls = _record_echelons(monkeypatch)
     checks = _record_saturation_checks(monkeypatch)
+    units = _record_unit_passes(monkeypatch)
     for seed in range(40):
         assert validate_complex(_scrambled(F, seed)) == expected, seed
+    assert len(units) == 80
+    assert sum(1 for *_, rest in units if rest is not None) == remainders
+    assert len(calls) == eliminations
     assert len(checks) == fallbacks
 
 
@@ -647,25 +675,30 @@ def test_validate_unsaturated_image_of_d2(monkeypatch):
 
 @pytest.mark.slow
 def test_validate_scrambled_psl27_complexes(monkeypatch):
-    # the expanded d_2 is 336 x 672; a rebased F_1 leaves a pivot that is
-    # not 1, and the saturation check decides exactness without ker d_1.
-    # Per complex: the chunks of d_1 (168 rows) and of d_2 (336 rows), and
-    # the eliminations of saturation checks. Each basis is checked from the
-    # chunk that reaches its bound rank on, so the rebased d_2 stops at
-    # chunk 17 of 21 (seeds 1 and 2), where its pivots are not all 1 yet
+    # the expanded d_2 is 336 x 672. Per complex: the pivots of the unit
+    # passes on d_1 (168 rows, bound 167) and on d_2 (336 rows, bound 169),
+    # and the eliminations of what they leave over 168 and 336 rows and of
+    # saturation checks. The presentation complex and seed 2 reach both
+    # bounds in the unit pass; seed 0 leaves d_1 a remainder, and seed 1
+    # leaves both one, which reach their bound ranks (24 and 15) in their
+    # second and first chunks with a pivot other than 1, so each takes a
+    # saturation check
     P = parse_presentation("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n")
     F = presentation_complex(P, group_model(P, 1000))
     expected = validate_complex(F)
     assert expected.ok and (expected.d2_rank_q, expected.ker_d2_qdim) == (169, 503)
     calls = _record_echelons(monkeypatch)
+    units = _record_unit_passes(monkeypatch)
     counts = []
     for G in [F] + [_scrambled(F, seed) for seed in range(3)]:
         calls.clear()
+        units.clear()
         assert validate_complex(G) == expected
         rows = [m for m, _ in calls]
-        counts.append((rows.count(168), rows.count(336), len(rows) - rows.count(168)
-                       - rows.count(336)))
-    assert counts == [(10, 17, 0), (6, 17, 0), (7, 17, 13), (10, 17, 6)]
+        counts.append(([k for _, k, _ in units], rows.count(168), rows.count(336),
+                       len(rows) - rows.count(168) - rows.count(336)))
+    assert counts == [([167, 169], 0, 0, 0), ([151, 169], 1, 0, 0),
+                      ([143, 154], 2, 1, 2), ([167, 169], 0, 0, 0)]
 
 
 def _random_presentation(n, seed):
@@ -690,6 +723,71 @@ def test_symbolic_rank_of_a_200_generator_d2():
     rep = validate_complex(F)
     assert rep.ok and (rep.d2_rank_q, rep.ker_d2_qdim) == (198, 2)
     assert homology_over_field(F, "Q") == (1, 2, 2)
+
+
+def _mutants(F):
+    """Four mutants of F, most of them not exact: 2 d_2, d_2 with column 0
+    zeroed, and d_1 with column 0 doubled, alone (no longer a chain complex)
+    and with every other row of d_2 doubled (a chain complex again)."""
+    model = F.model if F.finite_mode else ONE_ELEMENT
+    d1, d2 = F.boundaries
+    f1, f2 = F.ranks[1:]
+    one, zero = GroupRingElement.one(model), GroupRingElement.zero(model)
+    two = one + one
+
+    def scale(rows, cols, factor):
+        return GroupRingMatrix(model, rows, cols, [
+            factor(i) if i == j else zero for i in range(rows) for j in range(cols)])
+
+    column0 = scale(f2, f2, lambda i: zero if i == 0 else one)
+    double0 = scale(f1, f1, lambda i: two if i == 0 else one)
+    halve0 = scale(f1, f1, lambda i: one if i == 0 else two)
+    return [AlgebraicComplex(F.ranks, F.model, boundaries) for boundaries in (
+        (d1, d2 + d2), (d1, d2.compose(column0)), (d1.compose(double0), d2),
+        (d1.compose(double0), halve0.compose(d2)))]
+
+
+@pytest.mark.slow
+def test_validation_identity_sweep():
+    # one sha256 over the ValidationReports of the presentation complexes of
+    # Z/2, Z/5, S3, Q8, D5 and A5 and of their rebased copies (`_scrambled`)
+    # of seeds 0-39, of PSL(2,7) and its rebased copies of seeds 0-5, of the
+    # `_mutants` of each presentation complex and of its first five rebased
+    # copies, and of symbolic complexes of `_random_presentation` and their
+    # mutants; recorded with validation by chunked Hermite forms. Z/2 and
+    # Z/5 are rebased as <x, y | x^n, x y^-1>, as `_scrambled` needs two
+    # basis elements of F_1
+    texts = [("gens: x\nrels: x^2\n", 0), ("gens: x\nrels: x^5\n", 0),
+             ("gens: x y\nrels: x^2 (x y^-1)\n", 40),
+             ("gens: x y\nrels: x^5 (x y^-1)\n", 40),
+             ("gens: a b\nrels: a^2 b^2 (a b)^3\n", 40),
+             ("gens: a b\nrels: (a^2 b^-2) (b^-1 a b a)\n", 40),
+             ("gens: a b\nrels: a^2 b^2 (a b)^5\n", 40),
+             ("gens: a b\nrels: a^2 b^3 (a b)^5\n", 40),
+             ("gens: a b\nrels: a^2 b^3 (a b)^7 (a^-1 b^-1 a b)^4\n", 6)]
+    complexes = []
+    for text, seeds in texts:
+        P = parse_presentation(text)
+        F = presentation_complex(P, group_model(P, 1000))
+        rebased = [_scrambled(F, seed) for seed in range(seeds)]
+        complexes += [F] + rebased + _mutants(F)
+        for G in rebased[:5]:
+            complexes += _mutants(G)
+    for n, seed in ((3, 0), (5, 1), (8, 2), (12, 3), (20, 4), (40, 5), (80, 6)):
+        F = presentation_complex(_random_presentation(n, seed))
+        complexes += [F] + _mutants(F)
+    digest = hashlib.sha256()
+    kinds = set()
+    for F in complexes:
+        rep = validate_complex(F)
+        kinds.add((rep.mode, rep.chain_ok, rep.exact_at_f0, rep.exact_at_f1))
+        digest.update(f"{rep!r}\n".encode())
+    assert len(complexes) == 2 * 5 + 6 * (1 + 40 + 4 + 20) + (1 + 6 + 4 + 20) + 7 * 5
+    assert kinds == {("finite", True, True, True), ("finite", True, True, False),
+                     ("finite", True, False, True), ("finite", True, False, False),
+                     ("finite", False, None, None), ("symbolic", True, None, None)}
+    assert digest.hexdigest() == (
+        "3f31c4fc567317b396cde60369c5035ec5130e945b0c4de785eb72d9f3a2434d")
 
 
 def test_read_check_does_no_lattice_work(monkeypatch):

@@ -14,7 +14,9 @@ from d2kit.intlinalg import (
     _hermite,
     _masks2,
     _matrix,
+    _independent2,
     _rank2,
+    _rank_span,
     _saturated,
     _span,
     _unit_pivots,
@@ -560,6 +562,89 @@ def test_saturated_agrees_with_the_smith_invariants(monkeypatch, chunk):
     # r = 0, and r = m, where the saturated lattice is Z^m itself
     assert (0, 1, True, True) in kinds
     assert {want for r, m, want, _ in kinds if r == m > 0} == {True, False}
+
+
+def _lattice_columns(rng, m, r, index):
+    """Seeded columns in a saturated lattice L of rank r in Z^m, the span of
+    r columns of a unimodular matrix, all in the sublattice of index `index`
+    where the first of them is scaled by it: mostly that sublattice's basis
+    and, always, seeded combinations of it (some zero), shuffled."""
+    U = _unimodular(rng, m)
+    basis = [list(U.column(j)) for j in range(r)]
+    L = [tuple(v) for v in basis]
+    if r:
+        basis[0] = [index * x for x in basis[0]]
+    cols = [list(v) for v in basis] if rng.random() < 0.7 else []
+    for _ in range(rng.randint(0, 2 * m)):
+        v = [0] * m
+        for b in basis:
+            c = rng.choice((-2, -1, 0, 0, 1, 2, 3))
+            v = [x + c * y for x, y in zip(v, b)]
+        cols.append(v)
+    rng.shuffle(cols)
+    return L, [{i: x for i, x in enumerate(v) if x} for v in cols]
+
+
+@pytest.mark.parametrize("chunk", [HERMITE_CHUNK, 2])
+def test_rank_span_matches_span_on_saturated_lattices(monkeypatch, chunk):
+    # columns in a saturated lattice L of known rank, spanning L or a
+    # sublattice of index 2, 3 or 5 (which mod 2 alone cannot tell from L):
+    # (rank, spans) as `_span` gives them, spans as the lattice oracle says,
+    # through the unit pass alone and through its remainder
+    monkeypatch.setattr(intlinalg, "HERMITE_CHUNK", chunk)
+    passes = []
+    real = intlinalg._unit_pass
+
+    def unit_pass(C, bound):
+        k, rest = real(C, bound)
+        passes.append(rest is None)
+        return k, rest
+
+    monkeypatch.setattr(intlinalg, "_unit_pass", unit_pass)
+    rng = random.Random(2037)
+    kinds = set()
+    for _ in range(400):
+        m = rng.randint(1, 9)
+        r = rng.choice((m, rng.randint(0, m)))
+        index = rng.choice((1, 1, 2, 3, 5))
+        L, C = _lattice_columns(rng, m, r, index)
+        before = [list(col.items()) for col in C]
+        H, spans = _span(C, m, r)
+        got = _rank_span(C, m, r)
+        assert got == (len(H), spans), (m, r, C)
+        assert spans == lattices_equal([_matrix([col], m).column(0) for col in C], L, m)
+        assert [list(col.items()) for col in C] == before
+        kinds.add((spans, index if r else 1, passes[-1]))
+    assert kinds >= {(True, 1, True), (True, 1, False), (False, 1, False)}
+    assert {(index, unit) for spans, index, unit in kinds if not spans} >= {
+        (2, False), (3, False), (5, False)}
+
+
+def test_rank_span_without_unit_entries_and_on_empty_input():
+    # spanning columns with no entry +-1 leave everything to the remainder
+    for C, m in (([{0: 2, 1: 3}, {0: 3, 1: 5}], 2),
+                 ([{0: 2, 1: 3}, {}, {0: 3, 1: 5}, {0: 4, 1: 6}], 2),
+                 ([{0: 2, 2: 3}, {0: 5, 2: 8}, {1: 2}, {1: 3}], 3)):
+        assert _rank_span(C, m, m) == (m, True) == (len(_span(C, m, m)[0]), True)
+        assert _rank_span(C, m, None) == (m, False)
+    # zero columns and no columns span the zero lattice, and only it
+    for C in ([], [{}] * 3):
+        assert _rank_span(C, 3, 0) == (0, True)
+        assert _rank_span(C, 3, 1) == (0, False) == (len(_span(C, 3, 1)[0]), False)
+    # bound 0 with nonzero columns, with and without an entry +-1
+    for C in ([{0: 1}], [{0: 2}], [{0: 2, 1: -1}, {1: 4}]):
+        H, spans = _span(C, 2, 0)
+        assert _rank_span(C, 2, 0) == (len(H), spans) and not spans
+    # the independent masks, in order: zero and dependent ones are skipped
+    masks = [0b11, 0b110, 0b101, 0, 0b1000, 0b1, 0b1110]
+    assert list(_independent2(masks)) == [0, 1, 4, 5] and _rank2(masks) == 4
+
+
+def test_rank_span_rank_is_the_hermite_rank():
+    for A in _oracle_inputs():
+        C = _columns(A)
+        assert _rank_span(C, A.rows) == (len(_hermite(C, A.rows)), False), A
+        assert rank_over_field(A, "Q") == len(_hermite(C, A.rows))
 
 
 def _oracle_inputs():
