@@ -2,10 +2,11 @@
 presentations and .acx complexes.
 
 Commands: analyze, order, normal-gen, chain, wedge, split, quotient,
-certify-equiv, report, check. Exit codes: 0 success (including honest
-"unknown" outcomes), 1 parse/model errors, 2 expectation mismatch in
---check mode. Diagnostics go to stderr; reports to stdout. Output is
-byte-identical across runs for identical inputs and flags.
+certify-equiv, report, check, each with only the flags it reads. Exit
+codes: 0 success (including honest "unknown" outcomes), 1 parse/model
+errors, 2 expectation mismatch in --check mode. Diagnostics go to stderr;
+reports to stdout. Output is byte-identical across runs for identical
+inputs and flags.
 """
 
 from __future__ import annotations
@@ -202,8 +203,6 @@ def cmd_order(args):
 
 
 def cmd_normal_gen(args):
-    if args.max_len < 0:
-        raise CliError("--max-len must be at least 0")
     P = _read_presentation(args.file)
     res = find_normal_generator(P, args.max_len, args.max_cosets)
     pairs = [("file", args.file)]
@@ -366,14 +365,11 @@ def cmd_check(args):
     return cmd_analyze(args)
 
 
-def _common_flags(budget):
-    """Parent parser of the shared flags. Subparsers share its argument
-    objects, so a subcommand with another --budget default needs its own."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-    common.add_argument("--budget", type=int, default=budget)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    return common
+def _flag(name, **kwargs):
+    """A parent parser of one flag: a subcommand has the flags it reads."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(name, **kwargs)
+    return parent
 
 
 def build_parser():
@@ -381,10 +377,13 @@ def build_parser():
         prog="d2kit",
         description="exact invariants of finitely presented groups and "
                     "algebraic 2-complexes")
-    common = _common_flags(DEFAULT_SEARCH_BUDGET)
+    cosets = _flag("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    budget = _flag("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    fmt = _flag("--format", choices=("text", "json"), default="text")
+    certify_budget = _flag("--budget", type=int, default=DEFAULT_CERTIFY_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[cosets, budget, fmt],
                        help="full invariant report for a .fp file")
     p.add_argument("file")
     p.add_argument("--check", nargs="?", const=True, default=None,
@@ -392,25 +391,25 @@ def build_parser():
                    help="compare against expectations (default sidecar)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("order", parents=[common],
+    p = sub.add_parser("order", parents=[cosets, fmt],
                        help="group order by coset enumeration")
     p.add_argument("file")
     p.set_defaults(func=cmd_order)
 
-    p = sub.add_parser("normal-gen", parents=[common],
+    p = sub.add_parser("normal-gen", parents=[cosets, fmt],
                        help="search for a single normal generator")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, default=3)
     p.set_defaults(func=cmd_normal_gen)
 
-    p = sub.add_parser("chain", parents=[common],
+    p = sub.add_parser("chain", parents=[cosets, fmt],
                        help="build the presentation complex as .acx")
     p.add_argument("file")
     p.add_argument("--finite", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("wedge", parents=[common],
+    p = sub.add_parser("wedge", parents=[fmt],
                        help="wedge 2-spheres onto a complex (optionally "
                             "attach matching 3-cells)")
     p.add_argument("acx")
@@ -419,25 +418,24 @@ def build_parser():
     p.add_argument("--attach", action="store_true")
     p.set_defaults(func=cmd_wedge)
 
-    p = sub.add_parser("split", parents=[common],
+    p = sub.add_parser("split", parents=[fmt],
                        help="test whether the top boundary splits")
     p.add_argument("acx")
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("quotient", parents=[common],
+    p = sub.add_parser("quotient", parents=[fmt],
                        help="collapse a split top boundary")
     p.add_argument("acx")
     p.add_argument("--out")
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("certify-equiv",
-                       parents=[_common_flags(DEFAULT_CERTIFY_BUDGET)],
+    p = sub.add_parser("certify-equiv", parents=[certify_budget, fmt],
                        help="certify chain-homotopy equivalence")
     p.add_argument("f")
     p.add_argument("g")
     p.set_defaults(func=cmd_certify_equiv)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[cosets, budget],
                        help="one-row-per-file table over a corpus directory")
     # the D2KIT_CORPUS default is read when the command runs
     p.add_argument("dir", nargs="?", default=None)
@@ -445,7 +443,7 @@ def build_parser():
                                      "(default DIR/report.jsonl)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[cosets, budget, fmt],
                        help="analyze and compare against expectations")
     p.add_argument("file")
     p.add_argument("expected", nargs="?", default=None)
@@ -462,9 +460,10 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        for flag in ("max_cosets", "budget"):
-            if getattr(args, flag) < 1:
-                raise CliError(f"--{flag.replace('_', '-')} must be at least 1")
+        # each limit flag the command has, with its least value, in this order
+        for dest, least in (("max_cosets", 1), ("budget", 1), ("max_len", 0)):
+            if dest in args and getattr(args, dest) < least:
+                raise CliError(f"--{dest.replace('_', '-')} must be at least {least}")
         return args.func(args)
     except CliError as e:
         print(f"d2kit: {e}", file=sys.stderr)

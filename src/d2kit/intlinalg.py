@@ -395,25 +395,25 @@ def _saturated(H):
     for j, col in enumerate(H):
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
-    return _span([rows[i] for i in sorted(rows)], len(H), len(H), _unit_pivots)[1]
+    return _span([rows[i] for i in sorted(rows)], len(H), len(H))[1]
 
 
-def _span(C, m, bound, saturated=_saturated):
+def _span(C, m, bound):
     """(H, spans): H is `_hermite(C, m)`, built as there, and `spans` says
     whether C spans L, when every column of C lies in a saturated lattice L
     of rank `bound` (L = Z^m meet a Q-subspace). The build stops at the
-    first basis so far of `bound` columns that is `saturated`: a saturated
+    first basis so far of `bound` columns that is `_saturated`: a saturated
     sublattice of L of L's rank is L (Newman, Integral Matrices, ch. II),
-    so the later columns leave the basis as it is. `_saturated` checks the
-    rows of a basis against Z^r with `_unit_pivots`, as a Hermite basis of
-    Z^r is the identity. With `bound` None, all of C is eliminated and
-    `spans` is False. `_rank_span` runs it on the columns its unit pass
-    leaves, where pivots other than 1 remain; `_hermite` reads its basis."""
+    so the later columns leave the basis as it is. When `bound` is m, L is
+    Z^m, whose Hermite basis is the identity, so `_unit_pivots` decides;
+    this is how `_saturated` checks the rows of a basis. With `bound` None,
+    all of C is eliminated and `spans` is False. `_rank_span` runs it on
+    the columns its unit pass leaves; `_hermite` reads its basis."""
     H = []
     for s in range(0, max(len(C), 1), HERMITE_CHUNK):
         H += [dict(col) for col in C[s:s + HERMITE_CHUNK]]
         H = H[:_echelon(H, m)]
-        if len(H) == bound and saturated(H):
+        if len(H) == bound and (_unit_pivots(H) if bound == m else _saturated(H)):
             return H, True
     return H, False
 

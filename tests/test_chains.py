@@ -544,19 +544,20 @@ def _record_echelons(monkeypatch):
 
 
 def _record_saturation_checks(monkeypatch):
-    """Record (rows, columns) of every Hermite basis `intlinalg._saturated`
-    builds of the rows of a basis whose pivots are not all 1."""
+    """Record (columns, rows) of every basis whose pivots are not all 1 that
+    `intlinalg._span` checks with `intlinalg._saturated`, which builds the
+    Hermite basis of its rows."""
     from d2kit import intlinalg
 
     calls = []
-    real = intlinalg._span
+    real = intlinalg._saturated
 
-    def span(C, m, bound, *saturated):
-        if saturated == (intlinalg._unit_pivots,):
-            calls.append((m, len(C)))
-        return real(C, m, bound, *saturated)
+    def saturated(H):
+        if not intlinalg._unit_pivots(H):
+            calls.append((len(H), len(set().union(*H))))
+        return real(H)
 
-    monkeypatch.setattr(intlinalg, "_span", span)
+    monkeypatch.setattr(intlinalg, "_saturated", saturated)
     return calls
 
 

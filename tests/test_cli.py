@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -546,16 +547,19 @@ def test_console_script_entry():
 
 
 def test_budget_default_per_subcommand():
-    # certify-equiv's larger default must not leak into the other commands
+    # certify-equiv's larger default must not leak into the other commands,
+    # and a command that spends no budget has none
     parser = build_parser()
     cases = {"analyze": ["f.fp"], "check": ["f.fp"], "report": [],
              "order": ["f.fp"], "normal-gen": ["f.fp"],
              "chain": ["f.fp", "--out", "o.acx"], "wedge": ["a.acx", "1"],
              "split": ["a.acx"], "quotient": ["a.acx"],
              "certify-equiv": ["a.acx", "b.acx"]}
+    budgets = {"analyze": 60, "check": 60, "report": 60, "certify-equiv": 600}
     for command, rest in cases.items():
-        expected = 600 if command == "certify-equiv" else 60
-        assert parser.parse_args([command, *rest]).budget == expected, command
+        args = parser.parse_args([command, *rest])
+        assert vars(args).get("budget", "absent") == budgets.get(command, "absent"), \
+            command
 
 
 _LIMIT_FLAG_USERS = {
@@ -569,20 +573,30 @@ _LIMIT_FLAG_USERS = {
     for command in commands] + [("--budget", "split"), ("--max-cosets", "quotient")])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_limit_flag_rejected(tmp_path, capsys, flag, command, value):
-    # checked once before dispatch, also where the subcommand ignores it
+    # checked once before dispatch; a subcommand that does not read the flag
+    # does not accept it
     corpus = tmp_path / "corpus"
     shutil.copytree(CORPUS, corpus)
     fp, acx_path = str(corpus / "z2.fp"), str(tmp_path / "z2.acx")
     assert main(["chain", fp, "--finite", "--out", acx_path]) == 0
+    written = Path(acx_path).read_text()
     rest = {"analyze": [fp], "order": [fp], "normal-gen": [fp], "check": [fp],
             "chain": [fp, "--finite", "--out", str(tmp_path / "out.acx")],
             "report": [str(corpus)], "certify-equiv": [acx_path, acx_path],
             "split": [acx_path], "quotient": [acx_path]}[command]
     capsys.readouterr()
-    assert main([command, *rest, flag, value]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"d2kit: {flag} must be at least 1\n"
+    if command in _LIMIT_FLAG_USERS[flag]:
+        assert main([command, *rest, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"d2kit: {flag} must be at least 1\n"
+    else:
+        with pytest.raises(SystemExit) as e:
+            main([command, *rest, flag, value])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
     assert captured.out == ""
+    assert Path(acx_path).read_text() == written
     assert not (tmp_path / "out.acx").exists()
     assert not (corpus / "report.jsonl").exists()
 
@@ -596,6 +610,46 @@ def test_negative_max_len_rejected(capsys, value):
     assert captured.out == ""
     assert main(["normal-gen", fp, "--max-len", "0"]) == 0
     assert "tested: 1" in capsys.readouterr().out
+
+
+def test_every_flag_a_command_accepts_is_read(tmp_path):
+    """Each handler reads every dest its parser sets, defaults included;
+    `command` (the subparsers' dest) and `func` only dispatch."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    fp, t = str(CORPUS / "z2.fp"), tmp_path
+    (t / "dir").mkdir()
+    shutil.copy(fp, t / "dir")
+    runs = [["analyze", fp], ["check", fp], ["order", fp], ["normal-gen", fp],
+            ["chain", fp, "--finite", "--out", f"{t}/z2.acx"],
+            ["wedge", f"{t}/z2.acx", "1", "--attach", "--out", f"{t}/top3.acx"],
+            ["split", f"{t}/top3.acx"], ["quotient", f"{t}/top3.acx", "--out", f"{t}/q.acx"],
+            ["certify-equiv", f"{t}/z2.acx", f"{t}/z2.acx"],
+            ["report", f"{t}/dir", "--sidecar", f"{t}/report.jsonl"]]
+    parser, unread = build_parser(), {}
+    for argv in runs:
+        args = parser.parse_args(argv, namespace=Recording())
+        dests = set(vars(args)) - {"command", "func"}
+        reads.clear()
+        assert args.func(args) == 0, argv
+        if dests - reads:
+            unread[argv[0]] = sorted(dests - reads)
+    assert unread == {}
+
+
+def test_order_of_sl27_at_the_default_limit(tmp_path, capsys):
+    # SL(2,7), order 336, from Campbell and Robertson's balanced family at
+    # p = 7: HLT at the default 20000 cosets stops short (see test_coset)
+    fp = tmp_path / "sl27.fp"
+    fp.write_text("gens: x y\nrels: (x^2 (x y)^-3) ((x y^4 x y^4)^2 y^7 x^4)\n")
+    assert main(["order", str(fp)]) == 0
+    out = capsys.readouterr().out
+    assert "status: unknown\n" in out and "cosets_used: 11775\n" in out
 
 
 def test_acx_oversized_rank_rejected(tmp_path, capsys):

@@ -12,7 +12,7 @@ from d2kit.coset import (
     is_trivial_quotient,
     todd_coxeter,
 )
-from d2kit.presentations import Presentation, parse_presentation
+from d2kit.presentations import Presentation, is_perfect, parse_presentation
 from d2kit.words import Word
 
 TRIVIAL = parse_presentation("gens:\nrels:\n")
@@ -73,6 +73,18 @@ def test_strategies_agree_and_tables_match():
         f = todd_coxeter(P, 20000, "felsch")
         assert h.num_cosets == f.num_cosets
         assert h.table == f.table  # canonical standardization
+
+
+def test_sl27_campbell_robertson():
+    # SL(2,7) from Campbell and Robertson's balanced family at p = 7: a
+    # perfect group that HLT enumerates only with far more than its 336
+    # cosets (the CLI's `order` at its default limit says unknown)
+    P = parse_presentation("gens: x y\nrels: (x^2 (x y)^-3) ((x y^4 x y^4)^2 y^7 x^4)\n")
+    assert is_perfect(P)
+    f = todd_coxeter(P, 20000, "felsch")
+    assert f.complete and f.num_cosets == 336
+    h = todd_coxeter(P, 200000, "hlt")
+    assert h.complete and h.table == f.table
 
 
 def test_incomplete_for_infinite_groups():

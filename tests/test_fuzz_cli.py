@@ -3,10 +3,10 @@
 Corpus .fp files, .acx files written by the CLI and the expected.json
 sidecars are mutated (truncated; lines duplicated, dropped or swapped;
 numbers flipped or made huge; short tokens inserted; characters replaced)
-and each mutant runs through one command in-process with small --budget
-and --max-cosets. Every run must end in exit 0, 1 or 2, never in an
-uncaught exception, and within a time limit. Plain `random` with fixed
-seeds, so a failure names its mutant.
+and each mutant runs through one command in-process, with a small --budget
+and --max-cosets where the command reads them. Every run must end in exit
+0, 1 or 2, never in an uncaught exception, and within a time limit. Plain
+`random` with fixed seeds, so a failure names its mutant.
 """
 
 import contextlib
@@ -23,7 +23,11 @@ from d2kit.cli import main
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FP_NAMES = ("z2", "z5", "s3", "q8", "trefoil", "trivial", "z", "f2", "a5")
 ACX_NAMES = ("z2", "z5", "s3", "q8")
-FLAGS = ["--budget", "5", "--max-cosets", "200"]
+_BUDGET, _COSETS = ["--budget", "5"], ["--max-cosets", "200"]
+# small limits, for the commands that read them
+LIMITS = {"analyze": _BUDGET + _COSETS, "check": _BUDGET + _COSETS,
+          "report": _BUDGET + _COSETS, "order": _COSETS, "chain": _COSETS,
+          "certify-equiv": _BUDGET}
 TIME_LIMIT_S = 10.0
 _NUMBER = re.compile(r"-?\d+")
 _CHARS = "()^-:[] 0123456789abxyz\n"
@@ -74,6 +78,11 @@ def mutate(text, rng):
     return text
 
 
+def limited(argv):
+    """argv with the small limits its command reads."""
+    return argv + LIMITS.get(argv[0], [])
+
+
 def run_cli(argv):
     """Exit code of main(argv) with stdout and stderr captured."""
     out, err = io.StringIO(), io.StringIO()
@@ -111,12 +120,12 @@ def _fp_job(rng, fp, expected, d):
     path = d / "mutant.fp"
     path.write_text(mutate(fp[name], rng))
     src = str(path)
-    return rng.choice((
+    return limited(rng.choice((
         ["analyze", src],
         ["order", src],
         ["chain", src, "--finite", "--out", str(d / "out.acx")],
         ["check", src, str(CORPUS / f"{name}.expected.json")],
-    )) + FLAGS
+    )))
 
 
 def _acx_job(rng, acx, d):
@@ -128,13 +137,13 @@ def _acx_job(rng, acx, d):
     other = d / "other.acx"
     other.write_text(texts[1] if len(texts) > 1 else texts[0])
     out = str(d / "out.acx")
-    return rng.choice((
+    return limited(rng.choice((
         ["split", src],
         ["wedge", src, "1", "--attach", "--out", out],
         ["quotient", src, "--out", out],
         ["certify-equiv", src, str(other)],
         ["certify-equiv", str(other), src],
-    )) + FLAGS
+    )))
 
 
 def _ignored_content_mutants(text):
@@ -212,7 +221,7 @@ def test_inexact_acx_rejected(seeds):
                     err = io.StringIO()
                     with contextlib.redirect_stdout(io.StringIO()), \
                             contextlib.redirect_stderr(err):
-                        assert main(argv + FLAGS) == 1, (name, argv, mutant)
+                        assert main(limited(argv)) == 1, (name, argv, mutant)
                     assert err.getvalue() == \
                         f"d2kit: {path}: not an algebraic complex: {failure}\n"
 
@@ -221,7 +230,7 @@ def _expected_job(rng, expected, d):
     name = rng.choice(FP_NAMES)
     path = d / "mutant.json"
     path.write_text(mutate(expected[name], rng))
-    return ["check", str(CORPUS / f"{name}.fp"), str(path)] + FLAGS
+    return limited(["check", str(CORPUS / f"{name}.fp"), str(path)])
 
 
 def _run_mutant(seed, k, argv):
@@ -308,7 +317,7 @@ def fuzz_bytes(seeds, seed, count):
             path.write_bytes(mutate_bytes(rng.choice(texts).encode(), rng))
             argv = rng.choice((["split", str(path)],
                                ["wedge", str(path), "1", "--out", str(d / "out.acx")]))
-        _run_mutant(seed, k, argv + FLAGS)
+        _run_mutant(seed, k, limited(argv))
 
 
 def test_fuzz_cli_bytes(seeds):
